@@ -50,7 +50,6 @@ from .params import (
     SearchConfig,
     StoppingPolicy,
     select_params,
-    selection_threads_from_env,
     stopping_check,
 )
 from .projected import (
@@ -362,7 +361,7 @@ def _whitener(sigma, m):
     return identity_operator(m), identity_operator(m)
 
 
-def _search_config(cfg, work, method, fixed_gamma="config"):
+def _search_config(cfg, work, method, gamma_fixed):
     sigma2 = cfg.get("select.sigma2")
     if sigma2 is None and work.sigma > 0:
         sigma2 = work.sigma**2
@@ -371,7 +370,6 @@ def _search_config(cfg, work, method, fixed_gamma="config"):
         if work.s_true is None:
             raise ConfigError("select.method=optimal requires file.s_true")
         s_true = work.s_true
-    gamma_fixed = cfg.get("select.gamma") if fixed_gamma == "config" else fixed_gamma
     return SearchConfig(
         gamma_min=cfg["select.gamma_min"],
         gamma_fixed=gamma_fixed,
@@ -383,7 +381,6 @@ def _search_config(cfg, work, method, fixed_gamma="config"):
         sigma2=sigma2,
         omega=cfg.get("select.omega"),
         s_true=s_true,
-        threads=selection_threads_from_env(),
     )
 
 
@@ -554,7 +551,7 @@ def _cmd_run(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
     method = cfg["select.method"]
-    search = _search_config(cfg, work, method)
+    search = _search_config(cfg, work, method, cfg.get("select.gamma"))
     policy = _stopping_policy(cfg)
     Rinv, LR = _whitener(work.sigma, work.m)
     prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
@@ -586,25 +583,24 @@ def _blend_with_identity(sample, rho):
 
 
 def _variant_runs(cfg, work):
-    """Prior configuration per compare variant.
+    """Prior and pinned gamma (None to search) per compare variant.
 
-    mix searches gamma over the full mixture; q1 and identity fix gamma = 1
-    on a single covariance; q2 uses the second component alone, blended
-    with the identity by the shrinkage weight when it is sample-based
-    (a bare sample covariance is rank-deficient and cannot anchor the
-    bidiagonalization).
+    mix searches gamma over the full mixture unless ``select.gamma`` pins
+    it; q1, q2 and identity fix gamma = 1 on a single covariance.  q2 uses
+    the second component alone, blended with the identity by the shrinkage
+    weight when it is sample-based (a bare sample covariance is
+    rank-deficient and cannot anchor the bidiagonalization).
     """
     n = work.n
     zero = zero_operator(n)
     for tag in _parse_variants(cfg):
         note = ""
+        gamma = 1.0
         if tag == "mix":
             prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
-            fixed = "config"
+            gamma = cfg.get("select.gamma")
         elif tag == "q1":
-            prior = PriorSpec(mean=work.mean, q1=work.q1, q2=zero,
-                              gamma_mode="fixed", gamma=1.0)
-            fixed = None
+            prior = PriorSpec(mean=work.mean, q1=work.q1, q2=zero)
         elif tag == "q2":
             if work.q2_source == "samples":
                 rho = rblw_gamma(work.sample)
@@ -612,14 +608,10 @@ def _variant_runs(cfg, work):
                 note = f"rblw_rho: {_fmt(rho)}"
             else:
                 op = work.q2
-            prior = PriorSpec(mean=work.mean, q1=op, q2=zero,
-                              gamma_mode="fixed", gamma=1.0)
-            fixed = None
+            prior = PriorSpec(mean=work.mean, q1=op, q2=zero)
         else:
-            prior = PriorSpec(mean=work.mean, q1=identity_operator(n), q2=zero,
-                              gamma_mode="fixed", gamma=1.0)
-            fixed = None
-        yield tag, prior, fixed, note
+            prior = PriorSpec(mean=work.mean, q1=identity_operator(n), q2=zero)
+        yield tag, prior, gamma, note
 
 
 def _parse_variants(cfg):
@@ -643,9 +635,8 @@ def _cmd_compare(cfg):
     rows = []
     summary = [f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
                f"method: {method}"]
-    for tag, prior, fixed, note in _variant_runs(cfg, work):
-        search = _search_config(cfg, work, method, fixed_gamma=fixed)
-        # fixed-gamma variants search only lambda; the prior pins gamma
+    for tag, prior, gamma, note in _variant_runs(cfg, work):
+        search = _search_config(cfg, work, method, gamma)
         start = time.perf_counter()
         result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
                             search=search, policy=policy, s_true=work.s_true)

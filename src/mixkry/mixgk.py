@@ -50,11 +50,8 @@ class MixGKOptions:
     reorth: bool = True
     breakdown_tol: float = 1e-12
     rank_tol: float = 1e-12
-    qr_mode: str = "update"
 
     def __post_init__(self):
-        if self.qr_mode not in ("update", "recompute"):
-            raise ArgumentError("qr_mode must be 'update' or 'recompute'")
         if self.breakdown_tol <= 0 or self.rank_tol <= 0:
             raise ArgumentError("tolerances must be positive")
 
@@ -77,6 +74,36 @@ def _rotate_cols(M, i, c, s):
     ci = c * M[:, i] + s * M[:, i + 1]
     M[:, i + 1] = -s * M[:, i] + c * M[:, i + 1]
     M[:, i] = ci
+
+
+def _gs_append(Y, Rup, t, input_norm, rank_tol, counter):
+    """Append column ``t`` to the skinny QR factors by two-pass Gram-Schmidt.
+
+    ``t`` is overwritten.  A remainder at or below ``rank_tol`` times
+    ``input_norm`` marks the column dependent: only its coefficients are
+    recorded and the basis does not grow.
+    """
+    m, r = t.shape[0], Y.shape[1]
+    if r > 0:
+        coef = Y.T @ t
+        t -= Y @ coef
+        coef2 = Y.T @ t
+        t -= Y @ coef2
+        coef += coef2
+        if counter is not None:
+            counter.add(8 * m * r)
+    else:
+        coef = np.zeros(0)
+    rho = np.linalg.norm(t)
+    if rho <= rank_tol * input_norm:
+        return Y, np.hstack([Rup, coef[:, None]])
+    Ynew = np.hstack([Y, (t / rho)[:, None]]) if Y.size else (t / rho)[:, None]
+    p = Rup.shape[1]
+    Rnew = np.zeros((r + 1, p + 1))
+    Rnew[:r, :p] = Rup
+    Rnew[:r, p] = coef
+    Rnew[r, p] = rho
+    return Ynew, Rnew
 
 
 def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=1e-12,
@@ -132,38 +159,17 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=1e-12,
             if counter is not None:
                 counter.add(12 * m * max(r - 1, 0) + 3 * m + 12 * r * p)
 
-    # Gram-Schmidt append of the new column (two passes for orthogonality).
     t = np.array(v_hat, dtype=float)
     if input_norm is None:
         input_norm = np.linalg.norm(t)
-    if Y.shape[1] > 0:
-        coef = Y.T @ t
-        t -= Y @ coef
-        coef2 = Y.T @ t
-        t -= Y @ coef2
-        coef += coef2
-        if counter is not None:
-            counter.add(8 * m * Y.shape[1])
-    else:
-        coef = np.zeros(0)
-    rho = np.linalg.norm(t)
-    if rho <= rank_tol * input_norm:
-        # Dependent column: record coefficients only, keep the basis.
-        Rup = np.hstack([Rup, coef[:, None]])
-        return Y, Rup
-    Ynew = np.hstack([Y, (t / rho)[:, None]]) if Y.size else (t / rho)[:, None]
-    Rnew = np.zeros((r + 1, p + 1))
-    Rnew[:r, :p] = Rup
-    Rnew[:r, p] = coef
-    Rnew[r, p] = rho
-    return Ynew, Rnew
+    return _gs_append(Y, Rup, t, input_norm, rank_tol, counter)
 
 
 def qr_recompute(Ut, Z, rank_tol=1e-12, counter=None):
     """Skinny QR of (I - Ut Ut^T) Z from scratch, O(m k^2).
 
-    Columns are processed left to right with two-pass Gram-Schmidt so the
-    dependent-column decisions match the incremental path.
+    Columns are appended left to right by the incremental path's two-pass
+    Gram-Schmidt, so the dependent-column decisions match it.
     """
     m, k = Z.shape
     P = Z - Ut @ (Ut.T @ Z)
@@ -173,29 +179,8 @@ def qr_recompute(Ut, Z, rank_tol=1e-12, counter=None):
     Y = np.zeros((m, 0))
     Rup = np.zeros((0, 0))
     for j in range(k):
-        t = P[:, j].copy()
-        norm_in = np.linalg.norm(Z[:, j])
-        r = Y.shape[1]
-        if r > 0:
-            c1 = Y.T @ t
-            t -= Y @ c1
-            c2 = Y.T @ t
-            t -= Y @ c2
-            coef = c1 + c2
-            if counter is not None:
-                counter.add(8 * m * r)
-        else:
-            coef = np.zeros(0)
-        rho = np.linalg.norm(t)
-        if rho <= rank_tol * norm_in:
-            Rup = np.hstack([Rup, coef[:, None]])
-        else:
-            Y = np.hstack([Y, (t / rho)[:, None]]) if Y.size else (t / rho)[:, None]
-            Rnew = np.zeros((r + 1, Rup.shape[1] + 1))
-            Rnew[:r, :-1] = Rup
-            Rnew[:r, -1] = coef
-            Rnew[r, -1] = rho
-            Rup = Rnew
+        Y, Rup = _gs_append(Y, Rup, P[:, j].copy(), np.linalg.norm(Z[:, j]),
+                            rank_tol, counter)
     return Y, Rup
 
 
@@ -404,20 +389,17 @@ class MixGKState:
         self.Z = np.hstack([self.Z, z[:, None]])
 
         rank_before = self.Y.shape[1]
-        if opts.qr_mode == "recompute":
+        vhat = z - self.Ut @ (self.Ut.T @ z)
+        vhat -= self.Ut @ (self.Ut.T @ vhat)
+        try:
+            self.Y, self.Rup = qr_append_update(
+                self.Y, self.Rup, new_u, vhat,
+                input_norm=np.linalg.norm(z), rank_tol=opts.rank_tol,
+            )
+        except RankError:
+            self.qr_fallbacks += 1
+            logger.info("QR update rank-deficient at step %d; recomputing", k_new)
             self.Y, self.Rup = qr_recompute(self.Ut, self.Z, opts.rank_tol)
-        else:
-            vhat = z - self.Ut @ (self.Ut.T @ z)
-            vhat -= self.Ut @ (self.Ut.T @ vhat)
-            try:
-                self.Y, self.Rup = qr_append_update(
-                    self.Y, self.Rup, new_u, vhat,
-                    input_norm=np.linalg.norm(z), rank_tol=opts.rank_tol,
-                )
-            except RankError:
-                self.qr_fallbacks += 1
-                logger.info("QR update rank-deficient at step %d; recomputing", k_new)
-                self.Y, self.Rup = qr_recompute(self.Ut, self.Z, opts.rank_tol)
         if self.Rup.shape[1] != k_new:
             raise RankError("QR factors lost column consistency")
         if self.Y.shape[1] == rank_before:

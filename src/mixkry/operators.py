@@ -456,26 +456,19 @@ class PriorSpec:
 
     Q1 must be symmetric positive definite (it induces the inner product of
     the bidiagonalization); Q2 only needs to be symmetric positive
-    semidefinite.  ``gamma_mode`` is either ``"estimated"`` (the selection
-    searches gamma) or ``"fixed"`` (``gamma`` holds the value).
+    semidefinite.  The selection picks gamma; ``SearchConfig.gamma_fixed``
+    pins it.
     """
 
     mean: np.ndarray
     q1: LinearOperator
     q2: LinearOperator
-    gamma_mode: str = "estimated"
-    gamma: float = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         n = self.mean.size
         if self.q1.shape != (n, n) or self.q2.shape != (n, n):
             raise ArgumentError("prior covariance shapes do not match the mean")
-        if self.gamma_mode not in ("estimated", "fixed"):
-            raise ArgumentError("gamma_mode must be 'estimated' or 'fixed'")
-        if self.gamma_mode == "fixed":
-            if self.gamma is None or not 0 < self.gamma <= 1:
-                raise ParameterDomainError("fixed gamma must lie in (0, 1]")
 
     @property
     def n(self):

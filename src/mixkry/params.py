@@ -8,8 +8,6 @@ is fully deterministic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +22,9 @@ from .errors import (
 )
 from .projected import (
     build_projected,
-    projected_residual,
     recover_iterate,
+    residual_and_trace,
     solve_projected,
-    trace_term,
 )
 
 __all__ = [
@@ -62,7 +59,6 @@ class SearchConfig:
     sigma2: float = None
     omega: float = None
     s_true: np.ndarray = None
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 < self.gamma_min <= 1:
@@ -120,12 +116,6 @@ class RunRecord:
 # objectives
 
 
-def _solve_parts(sys, lam):
-    y = solve_projected(sys, lam)
-    r = projected_residual(sys, y)
-    return y, float(r @ r)
-
-
 def upre_objective(sys, lam, sigma2):
     """Projected unbiased predictive risk at (sys.gamma, lam).
 
@@ -137,8 +127,7 @@ def upre_objective(sys, lam, sigma2):
     if sigma2 is None or sigma2 <= 0:
         raise ConfigError("UPRE requires a positive noise variance sigma2")
     rows = 2 * sys.k + 1
-    _, r2 = _solve_parts(sys, lam)
-    tr = trace_term(sys, lam)
+    r2, tr = residual_and_trace(sys, lam)
     return sigma2 * (r2 + 2.0 * tr) / rows - sigma2
 
 
@@ -149,8 +138,8 @@ def gcv_objective(sys, lam):
     value, never moves the minimizer.
     """
     rows = 2 * sys.k + 1
-    _, r2 = _solve_parts(sys, lam)
-    denom = rows - trace_term(sys, lam)
+    r2, tr = residual_and_trace(sys, lam)
+    denom = rows - tr
     if denom == 0.0:
         raise DegenerateTraceError("GCV denominator vanished")
     return r2 / (denom * denom)
@@ -165,8 +154,8 @@ def wgcv_objective(sys, lam, omega):
     if omega <= 0:
         raise ParameterDomainError("omega must be positive")
     rows = 2 * sys.k + 1
-    _, r2 = _solve_parts(sys, lam)
-    denom = rows - omega * trace_term(sys, lam)
+    r2, tr = residual_and_trace(sys, lam)
+    denom = rows - omega * tr
     if denom == 0.0:
         raise DegenerateTraceError("weighted GCV denominator vanished")
     return r2 / (denom * denom)
@@ -217,8 +206,8 @@ def _objective_factory(method, state, prior, config):
     """Return f(gamma, lam) -> float for the requested method.
 
     Projected systems are cached per gamma so grid columns share assembly;
-    solves and traces share one Cholesky factor per evaluation through the
-    public objective functions.
+    each evaluation factors the projected normal equations once, and the
+    residual and trace of UPRE, GCV and WGCV come from that one factor.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
@@ -285,8 +274,6 @@ def select_params(method, state, prior, config=None):
     if state.k < 1:
         raise ArgumentError("selection needs at least one completed step")
     gamma_fixed = config.gamma_fixed
-    if gamma_fixed is None and prior.gamma_mode == "fixed":
-        gamma_fixed = prior.gamma
     f_raw = _objective_factory(method, state, prior, config)
 
     evals = 0
@@ -307,21 +294,11 @@ def select_params(method, state, prior, config=None):
     lo, hi = config.log10_lambda
     lambdas = np.logspace(lo, hi, config.grid_lambda)
 
-    def column(gamma):
-        return [f(gamma, lam) for lam in lambdas]
-
-    threads = max(1, int(config.threads or 1))
-    if threads > 1 and len(gammas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cols = list(pool.map(column, gammas))
-    else:
-        cols = [column(g) for g in gammas]
-
     best = None
     finite_vals = []
-    for gi, gamma in enumerate(gammas):
-        for li, lam in enumerate(lambdas):
-            val = cols[gi][li]
+    for gamma in gammas:
+        for lam in lambdas:
+            val = f(gamma, lam)
             if np.isfinite(val):
                 finite_vals.append(val)
             if _better((val, lam, gamma), best):
@@ -374,17 +351,6 @@ def select_params(method, state, prior, config=None):
         gamma=gamma_star, lam=lam_star, objective=float(objective),
         method=method, evaluations=evals, converged=converged,
     )
-
-
-def selection_threads_from_env():
-    """Thread cap from MIXKRY_THREADS (defaults to 1)."""
-    raw = os.environ.get("MIXKRY_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"MIXKRY_THREADS must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------

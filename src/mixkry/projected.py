@@ -34,6 +34,7 @@ __all__ = [
     "recover_iterate",
     "projected_residual",
     "trace_term",
+    "residual_and_trace",
     "solve_map_dense",
 ]
 
@@ -42,15 +43,13 @@ __all__ = [
 class ProjectedSystem:
     """Assembled projected system at one (step, gamma) pair.
 
-    ``DtD`` and ``Dtrhs`` are cached products used by every solve; ``lam``
-    is bookkeeping space for the selection layer and never read here.
+    ``DtD`` and ``Dtrhs`` are cached products used by every solve.
     """
 
     Dk: np.ndarray
     Gk: np.ndarray
     rhs: np.ndarray
     gamma: float
-    lam: float = None
     DtD: np.ndarray = field(default=None, repr=False)
     Dtrhs: np.ndarray = field(default=None, repr=False)
 
@@ -88,13 +87,11 @@ def build_projected(state, gamma):
     Dk = np.vstack([top, (1.0 - gamma) * Rup]) if Rup.shape[0] else top
     rhs = np.zeros(Dk.shape[0])
     rhs[0] = state.beta1
-    Gk = 0.5 * (state.G + state.G.T)
-
     g = gamma
     BtB, H2, H3 = state.projection_grams()
     DtD = (g * g) * BtB + g * (1.0 - g) * H2 + (1.0 - g) ** 2 * H3
     Dtrhs = state.beta1 * top[0, :]
-    return ProjectedSystem(Dk, Gk, rhs, gamma, DtD=DtD, Dtrhs=Dtrhs)
+    return ProjectedSystem(Dk, state.G, rhs, gamma, DtD=DtD, Dtrhs=Dtrhs)
 
 
 def _factor(sys, lam):
@@ -125,11 +122,20 @@ def projected_residual(sys, y):
 
 def trace_term(sys, lam):
     """tr(Dk (Dk^T Dk + lam^2 P)^{-1} Dk^T), the projected influence trace."""
+    return residual_and_trace(sys, lam)[1]
+
+
+def residual_and_trace(sys, lam):
+    """Squared projected residual ||Dk y(lam) - rhs||^2 and the influence
+    trace (see :func:`trace_term`) at one lam, both from one Cholesky
+    factor."""
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
     cho = _factor(sys, lam)
+    y = scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+    r = projected_residual(sys, y)
     X = scipy.linalg.cho_solve(cho, sys.DtD, check_finite=False)
-    return float(np.trace(X))
+    return float(r @ r), float(np.trace(X))
 
 
 def recover_iterate(state, prior, gamma, y):

@@ -247,6 +247,22 @@ def test_compare_records_shrinkage_note(compare_dir):
     assert "rblw_rho:" in text
 
 
+def test_compare_select_gamma_pins_mix_only(tmp_path):
+    """select.gamma pins gamma for the mix variant; the single-covariance
+    variants keep gamma = 1."""
+    cfg = write_cfg(tmp_path / "c.cfg", SPHERICAL_TINY)
+    out = tmp_path / "out"
+    rc = cli.main(["compare", cfg, "select.gamma=0.5",
+                   "compare.variants=mix,q1,identity", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "compare.csv").read_text().splitlines()[1:]
+    gammas = {row.split(",")[0]: float(row.split(",")[2]) for row in lines}
+    assert gammas == {"mix": 0.5, "q1": 1.0, "identity": 1.0}
+    for tag, gamma in gammas.items():
+        rows = (out / tag / "params.csv").read_text().splitlines()[1:]
+        assert {float(row.split(",")[2]) for row in rows} == {gamma}
+
+
 def test_compare_rejects_unknown_variant(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg",
                     SPHERICAL_TINY + "compare.variants = mix,banana\n")

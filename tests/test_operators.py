@@ -295,16 +295,6 @@ def test_mixed_operator_matches_mixed_apply():
     np.testing.assert_allclose(op.matvec(x), mixed_apply(prior, 0.4, x), atol=0)
 
 
-def test_prior_spec_gamma_validation():
-    n = 3
-    with pytest.raises(ParameterDomainError):
-        PriorSpec(mean=np.zeros(n), q1=identity_operator(n),
-                  q2=identity_operator(n), gamma_mode="fixed", gamma=0.0)
-    with pytest.raises(ParameterDomainError):
-        PriorSpec(mean=np.zeros(n), q1=identity_operator(n),
-                  q2=identity_operator(n), gamma_mode="fixed", gamma=1.2)
-
-
 def test_noise_whitener_scalar_and_diagonal():
     Rinv, LR = noise_whitener(4.0, 3)
     x = np.array([2.0, 0.0, -4.0])
