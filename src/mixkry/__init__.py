@@ -37,8 +37,6 @@ from .operators import (
     load_matrix,
     load_samples,
     load_vector,
-    mixed_apply,
-    mixed_operator,
     noise_whitener,
     sample_covariance,
     save_matrix,
@@ -46,7 +44,6 @@ from .operators import (
     zero_operator,
 )
 from .mixgk import (
-    MixGKOptions,
     MixGKState,
     OpCounter,
     mixgk_init,
@@ -59,9 +56,8 @@ from .projected import (
     build_projected,
     projected_residual,
     recover_iterate,
-    solve_map_dense,
+    residual_and_trace,
     solve_projected,
-    trace_term,
 )
 from .params import (
     METHODS,
@@ -71,7 +67,6 @@ from .params import (
     StopDecision,
     StoppingPolicy,
     gcv_objective,
-    optimal_objective,
     select_params,
     stopping_check,
     upre_objective,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     ArgumentError,
     BreakdownError,
     ConfigError,
+    DefinitenessError,
     MixkryError,
     SearchError,
 )
@@ -547,26 +548,39 @@ def _outdir(cfg):
 # subcommands
 
 
-def _cmd_run(cfg):
-    outdir = _outdir(cfg)
-    work = assemble_workload(cfg)
+def _solve_and_write(cfg, work, prior, gamma, outdir):
+    """Run the hybrid solver on one prior and write its artifacts to
+    ``outdir``: run.csv, params.csv, summary.txt and the images.
+
+    ``gamma`` pins the mixing weight (None searches it).  Returns the
+    :class:`HybridResult` and the solve time in milliseconds.
+    """
     method = cfg["select.method"]
-    search = _search_config(cfg, work, method, cfg.get("select.gamma"))
+    search = _search_config(cfg, work, method, gamma)
     policy = _stopping_policy(cfg)
     Rinv, LR = _whitener(work.sigma, work.m)
-    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
 
     start = time.perf_counter()
     result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
                         search=search, policy=policy, s_true=work.s_true)
     elapsed = (time.perf_counter() - start) * 1e3
 
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_run_csv(outdir / "run.csv", result.history)
     _write_params_csv(outdir / "params.csv", result.history, result.selections)
     summary = []
     _summarize_run(work, method, result, summary)
     _write_images(outdir, work, result, summary)
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
+    return result, elapsed
+
+
+def _cmd_run(cfg):
+    outdir = _outdir(cfg)
+    work = assemble_workload(cfg)
+    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+    result, elapsed = _solve_and_write(cfg, work, prior,
+                                       cfg.get("select.gamma"), outdir)
     final = result.final
     print(f"run: k={final.k} gamma={final.gamma:.4g} lambda={final.lam:.4g} "
           f"stop={result.stop_reason} ({elapsed:.1f} ms)")
@@ -628,28 +642,13 @@ def _parse_variants(cfg):
 def _cmd_compare(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
-    method = cfg["select.method"]
-    policy = _stopping_policy(cfg)
-    Rinv, LR = _whitener(work.sigma, work.m)
 
     rows = []
     summary = [f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
-               f"method: {method}"]
+               f"method: {cfg['select.method']}"]
     for tag, prior, gamma, note in _variant_runs(cfg, work):
-        search = _search_config(cfg, work, method, gamma)
-        start = time.perf_counter()
-        result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
-                            search=search, policy=policy, s_true=work.s_true)
-        elapsed = (time.perf_counter() - start) * 1e3
-        vdir = outdir / tag
-        vdir.mkdir(parents=True, exist_ok=True)
-        _write_run_csv(vdir / "run.csv", result.history)
-        _write_params_csv(vdir / "params.csv", result.history,
-                          result.selections)
-        vsummary = []
-        _summarize_run(work, method, result, vsummary)
-        _write_images(vdir, work, result, vsummary)
-        (vdir / "summary.txt").write_text("\n".join(vsummary) + "\n")
+        result, elapsed = _solve_and_write(cfg, work, prior, gamma,
+                                           outdir / tag)
         final = result.final
         rows.append((tag, final.k, final.gamma, final.lam, final.objective,
                      final.rel_residual, final.rel_error, result.stop_reason))
@@ -794,7 +793,7 @@ def main(argv=None):
         else:
             cfg = _load_cfg(args)
         return args.handler(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ArgumentError, DefinitenessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BreakdownError as exc:
@@ -803,9 +802,6 @@ def main(argv=None):
     except SearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MixkryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,14 +14,18 @@ fallback.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDataError, RankError
+from .errors import (
+    ArgumentError,
+    DefinitenessError,
+    DegenerateDataError,
+    RankError,
+)
 
 __all__ = [
-    "MixGKOptions",
     "MixGKState",
     "OpCounter",
     "mixgk_init",
@@ -34,6 +38,16 @@ logger = logging.getLogger(__name__)
 
 _TINY = np.finfo(float).tiny
 
+# relative size below which a new alpha or beta counts as breakdown, and a
+# Gram-Schmidt remainder marks a dependent Q2 column
+_BREAKDOWN_TOL = 1e-12
+_RANK_TOL = 1e-12
+
+# rounding moves x^T Q1 x by about n eps ||x|| ||Q1 x|| (3.6e-12 at
+# n = 16384); a form below -_DEFINITE_TOL ||x|| ||Q1 x|| is a negative
+# direction of Q1, not roundoff
+_DEFINITE_TOL = 1e-8
+
 
 @dataclass
 class OpCounter:
@@ -45,15 +59,23 @@ class OpCounter:
         self.flops += int(n)
 
 
-@dataclass
-class MixGKOptions:
-    reorth: bool = True
-    breakdown_tol: float = 1e-12
-    rank_tol: float = 1e-12
+def _q1_norm(x, q1x):
+    """sqrt(x^T Q1 x) from x and Q1 x.
 
-    def __post_init__(self):
-        if self.breakdown_tol <= 0 or self.rank_tol <= 0:
-            raise ArgumentError("tolerances must be positive")
+    A form that is negative beyond roundoff means Q1 is not positive
+    definite and raises :class:`DefinitenessError`; a roundoff-negative one
+    reads as zero.
+    """
+    form = x @ q1x
+    if form < -_DEFINITE_TOL * np.linalg.norm(x) * np.linalg.norm(q1x):
+        raise DefinitenessError(
+            f"Q1 is not positive definite (x^T Q1 x = {form:.3g})")
+    return np.sqrt(max(form, 0.0))
+
+
+def _require_finite(vec, what):
+    if not np.all(np.isfinite(vec)):
+        raise ArgumentError(f"{what} holds a NaN or Inf")
 
 
 def _givens(a, b):
@@ -106,7 +128,7 @@ def _gs_append(Y, Rup, t, input_norm, rank_tol, counter):
     return Ynew, Rnew
 
 
-def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=1e-12,
+def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=_RANK_TOL,
                      counter=None):
     """Advance the skinny QR factors by one step in O(m k) work.
 
@@ -165,7 +187,7 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=1e-12,
     return _gs_append(Y, Rup, t, input_norm, rank_tol, counter)
 
 
-def qr_recompute(Ut, Z, rank_tol=1e-12, counter=None):
+def qr_recompute(Ut, Z, rank_tol=_RANK_TOL, counter=None):
     """Skinny QR of (I - Ut Ut^T) Z from scratch, O(m k^2).
 
     Columns are appended left to right by the incremental path's two-pass
@@ -197,13 +219,12 @@ class MixGKState:
     The state is single-owner: only :meth:`step` mutates it.
     """
 
-    def __init__(self, A, Rinv, LR, Q1, Q2, b, options):
+    def __init__(self, A, Rinv, LR, Q1, Q2, b):
         self.A = A
         self.Rinv = Rinv
         self.LR = LR
         self.Q1 = Q1
         self.Q2 = Q2
-        self.options = options
         self.m = A.rows
         self.n = A.cols
         self.k = 0
@@ -216,6 +237,7 @@ class MixGKState:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.m,):
             raise ArgumentError("right-hand side length does not match the operator")
+        _require_finite(b, "right-hand side b")
         rinv_b = Rinv.matvec(b)
         beta1 = np.sqrt(max(b @ rinv_b, 0.0))
         if beta1 == 0.0:
@@ -227,11 +249,12 @@ class MixGKState:
         self.Ut = LR.matvec(u1)[:, None]
 
         vraw = A.rmatvec(self.RinvU[:, 0])
+        _require_finite(vraw, "A^T R^{-1} u_1")
         q1v = Q1.matvec(vraw)
-        a1sq = max(vraw @ q1v, 0.0)
-        alpha1 = np.sqrt(a1sq)
+        _require_finite(q1v, "Q1 A^T R^{-1} u_1")
+        alpha1 = _q1_norm(vraw, q1v)
         scale = np.linalg.norm(vraw)
-        if alpha1 <= options.breakdown_tol * max(scale, _TINY):
+        if alpha1 <= _BREAKDOWN_TOL * max(scale, _TINY):
             # Immediate breakdown: no usable subspace exists.
             self.terminal = True
             self.breakdown_reason = "alpha"
@@ -291,7 +314,6 @@ class MixGKState:
     def step(self):
         if self.terminal:
             raise ArgumentError("cannot step a terminated process")
-        opts = self.options
         k = self.k + 1
         v_k = self.V[:, k - 1]
         q1v_k = self.Q1V[:, k - 1]
@@ -303,13 +325,12 @@ class MixGKState:
         uhat = a_q1v - alpha_k * u_k
         t = self.Rinv.matvec(uhat)
         scale_u = np.sqrt(max(a_q1v @ (t + alpha_k * self.RinvU[:, k - 1]), 0.0))
-        if opts.reorth:
-            coef = self.U.T @ t
-            uhat = uhat - self.U @ coef
-            t = t - self.RinvU @ coef
+        coef = self.U.T @ t
+        uhat = uhat - self.U @ coef
+        t = t - self.RinvU @ coef
         beta_new = np.sqrt(max(uhat @ t, 0.0))
 
-        if beta_new <= opts.breakdown_tol * max(scale_u, _TINY):
+        if beta_new <= _BREAKDOWN_TOL * max(scale_u, _TINY):
             # The subspace closed under A Q1; finalize step k with the
             # truncated k x k bidiagonal block and the existing left basis.
             self._advance_q2(v_k, new_u=None)
@@ -333,21 +354,16 @@ class MixGKState:
         # Right vector: alpha_{k+1} v_{k+1} = A^T R^{-1} u_{k+1} - beta v_k.
         arm = self.A.rmatvec(rinv_u_new)
         vhat = arm - beta_new * v_k
-        coef_v = None
-        if opts.reorth:
-            coef_v = self.Q1V.T @ vhat
-            vhat = vhat - self.V @ coef_v
+        coef_v = self.Q1V.T @ vhat
+        vhat = vhat - self.V @ coef_v
         q1vhat = self.Q1.matvec(vhat)
-        alpha_sq = max(vhat @ q1vhat, 0.0)
-        alpha_new = np.sqrt(alpha_sq)
-        q1_arm = q1vhat + beta_new * q1v_k
-        if coef_v is not None:
-            q1_arm = q1_arm + self.Q1V @ coef_v
+        alpha_new = _q1_norm(vhat, q1vhat)
+        q1_arm = q1vhat + beta_new * q1v_k + self.Q1V @ coef_v
         scale_v = np.sqrt(max(arm @ q1_arm, 0.0))
 
         self.k = k
         self._grams = None
-        if alpha_new <= opts.breakdown_tol * max(scale_v, _TINY):
+        if alpha_new <= _BREAKDOWN_TOL * max(scale_v, _TINY):
             self.terminal = True
             self.breakdown_reason = "alpha"
             return
@@ -358,7 +374,6 @@ class MixGKState:
 
     def _advance_q2(self, v_k, new_u):
         """Spend the step's Q2 matvec and update W, Z, C, G, Y, Rup."""
-        opts = self.options
         w = self.Q2.matvec(v_k)
         z = self.LR.matvec(self.A.matvec(w))
         k_new = self.W.shape[1] + 1
@@ -394,12 +409,12 @@ class MixGKState:
         try:
             self.Y, self.Rup = qr_append_update(
                 self.Y, self.Rup, new_u, vhat,
-                input_norm=np.linalg.norm(z), rank_tol=opts.rank_tol,
+                input_norm=np.linalg.norm(z),
             )
         except RankError:
             self.qr_fallbacks += 1
             logger.info("QR update rank-deficient at step %d; recomputing", k_new)
-            self.Y, self.Rup = qr_recompute(self.Ut, self.Z, opts.rank_tol)
+            self.Y, self.Rup = qr_recompute(self.Ut, self.Z)
         if self.Rup.shape[1] != k_new:
             raise RankError("QR factors lost column consistency")
         if self.Y.shape[1] == rank_before:
@@ -408,20 +423,21 @@ class MixGKState:
                         k_new, rank_before)
 
 
-def mixgk_init(A, Rinv, LR, Q1, Q2, b, options=None):
+def mixgk_init(A, Rinv, LR, Q1, Q2, b):
     """Initialize the process: beta_1 u_1 = b, alpha_1 v_1 = A^T R^{-1} u_1.
 
-    Raises :class:`DegenerateDataError` for b = 0.  If alpha_1 vanishes the
-    returned state is already terminal with k = 0 (no usable subspace).
+    Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
+    when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
+    :class:`DefinitenessError` when Q1 shows a negative form.  If alpha_1
+    vanishes the returned state is already terminal with k = 0 (no usable
+    subspace).
     """
-    if options is None:
-        options = MixGKOptions()
     m, n = A.rows, A.cols
     if Rinv.shape != (m, m) or LR.shape != (m, m):
         raise ArgumentError("noise operator shapes do not match the forward map")
     if Q1.shape != (n, n) or Q2.shape != (n, n):
         raise ArgumentError("prior covariance shapes do not match the forward map")
-    return MixGKState(A, Rinv, LR, Q1, Q2, b, options)
+    return MixGKState(A, Rinv, LR, Q1, Q2, b)
 
 
 def mixgk_step(state):

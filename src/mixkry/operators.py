@@ -36,8 +36,6 @@ __all__ = [
     "SampleFactor",
     "sample_covariance",
     "PriorSpec",
-    "mixed_apply",
-    "mixed_operator",
     "noise_whitener",
     "identity_operator",
     "zero_operator",
@@ -65,9 +63,10 @@ class LinearOperator:
         Maps a vector of length ``cols`` to a vector of length ``rows``.
     rmatvec : callable, optional
         Transpose action.  Required only by consumers that call
-        :meth:`rmatvec` or :attr:`T`.
+        :meth:`rmatvec`.
     mat : ndarray or sparse matrix, optional
-        Explicit matrix backing the operator, kept for cheap densification.
+        Explicit matrix backing the operator, for consumers that need the
+        entries themselves (export, kernel fitting).
     """
 
     __slots__ = ("rows", "cols", "_matvec", "_rmatvec", "mat")
@@ -111,21 +110,6 @@ class LinearOperator:
             raise ArgumentError("rmatvec returned a vector of the wrong length")
         return x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
-    @property
-    def T(self):
-        if self._rmatvec is None:
-            raise ArgumentError("operator has no transpose action")
-        return LinearOperator(
-            self.cols,
-            self.rows,
-            self._rmatvec,
-            self._matvec,
-            mat=None if self.mat is None else self.mat.T,
-        )
-
     @classmethod
     def from_matrix(cls, mat):
         """Wrap a dense array or scipy sparse matrix."""
@@ -137,23 +121,6 @@ class LinearOperator:
         if arr.ndim != 2:
             raise ArgumentError("from_matrix expects a 2-d array")
         return cls(arr.shape[0], arr.shape[1], arr.dot, arr.T.dot, mat=arr)
-
-    def to_dense(self, max_size=4096):
-        """Materialize the operator as a dense array (oracle/export path)."""
-        if self.mat is not None:
-            return self.mat.toarray() if sp.issparse(self.mat) else np.array(self.mat)
-        if max(self.rows, self.cols) > max_size:
-            raise CapacityError(
-                f"refusing to densify a {self.rows}x{self.cols} operator "
-                f"(cap {max_size})"
-            )
-        out = np.empty((self.rows, self.cols))
-        e = np.zeros(self.cols)
-        for j in range(self.cols):
-            e[j] = 1.0
-            out[:, j] = self.matvec(e)
-            e[j] = 0.0
-        return out
 
 
 class DiagonalOperator(LinearOperator):
@@ -368,20 +335,21 @@ def grid_distances(grid):
     return _distance_matrix(grid.points())
 
 
-def build_kernel_operator(spec, grid, cap=DENSE_KERNEL_CAP, dists=None):
+def build_kernel_operator(spec, grid, dists=None):
     """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
 
-    The operator is dense-backed; grids with more than ``cap`` points raise
-    :class:`CapacityError` and need a structured (for example FFT-embedded)
-    application supplied as a custom :class:`LinearOperator`.  Pass ``dists``
-    (from :func:`grid_distances`) to amortize the distance matrix over many
-    kernel evaluations.
+    The operator is dense-backed; grids with more than ``DENSE_KERNEL_CAP``
+    points raise :class:`CapacityError` and need a structured (for example
+    FFT-embedded) application supplied as a custom :class:`LinearOperator`.
+    Pass ``dists`` (from :func:`grid_distances`) to amortize the distance
+    matrix over many kernel evaluations.
     """
     n = grid.n
-    if n > cap:
+    if n > DENSE_KERNEL_CAP:
         raise CapacityError(
-            f"grid has {n} points, above the dense kernel cap {cap}; supply a "
-            "structured matrix-free operator for larger grids"
+            f"grid has {n} points, above the dense kernel cap "
+            f"{DENSE_KERNEL_CAP}; supply a structured matrix-free operator "
+            "for larger grids"
         )
     if dists is None:
         dists = _distance_matrix(grid.points())
@@ -457,7 +425,7 @@ class PriorSpec:
     Q1 must be symmetric positive definite (it induces the inner product of
     the bidiagonalization); Q2 only needs to be symmetric positive
     semidefinite.  The selection picks gamma; ``SearchConfig.gamma_fixed``
-    pins it.
+    pins it.  A mean holding NaN or Inf raises :class:`ArgumentError`.
     """
 
     mean: np.ndarray
@@ -467,26 +435,14 @@ class PriorSpec:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         n = self.mean.size
+        if not np.all(np.isfinite(self.mean)):
+            raise ArgumentError("prior mean holds a NaN or Inf")
         if self.q1.shape != (n, n) or self.q2.shape != (n, n):
             raise ArgumentError("prior covariance shapes do not match the mean")
 
     @property
     def n(self):
         return self.mean.size
-
-
-def mixed_apply(prior, gamma, x):
-    """Apply gamma Q1 + (1 - gamma) Q2; gamma = 1 applies Q1 exactly."""
-    if not 0 < gamma <= 1:
-        raise ParameterDomainError("gamma must lie in (0, 1]")
-    if gamma == 1.0:
-        return prior.q1.matvec(x)
-    return gamma * prior.q1.matvec(x) + (1.0 - gamma) * prior.q2.matvec(x)
-
-
-def mixed_operator(prior, gamma):
-    apply = lambda x: mixed_apply(prior, gamma, x)
-    return LinearOperator(prior.n, prior.n, apply, apply)
 
 
 def noise_whitener(r, size=None):
@@ -500,8 +456,6 @@ def noise_whitener(r, size=None):
         if size is None:
             raise ArgumentError("scalar noise variance needs an explicit size")
         diag = np.full(int(size), float(r))
-    elif isinstance(r, DiagonalOperator):
-        diag = r.diag
     else:
         diag = np.asarray(r, dtype=float)
         if diag.ndim != 1:

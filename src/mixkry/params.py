@@ -8,7 +8,7 @@ is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -20,12 +20,7 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import (
-    build_projected,
-    recover_iterate,
-    residual_and_trace,
-    solve_projected,
-)
+from .projected import build_projected, residual_and_trace, solve_projected
 
 __all__ = [
     "SearchConfig",
@@ -36,13 +31,15 @@ __all__ = [
     "upre_objective",
     "gcv_objective",
     "wgcv_objective",
-    "optimal_objective",
     "select_params",
     "stopping_check",
     "METHODS",
 ]
 
 METHODS = ("optimal", "upre", "gcv", "wgcv")
+
+# log10 lambda box for the Nelder-Mead refinement
+_LOG10_LAMBDA_BOUNDS = (-8.0, 8.0)
 
 
 @dataclass
@@ -54,7 +51,6 @@ class SearchConfig:
     grid_gamma: int = 15
     grid_lambda: int = 15
     log10_lambda: tuple = (-6.0, 2.0)
-    log10_lambda_bounds: tuple = (-8.0, 8.0)
     refine_evals: int = 200
     sigma2: float = None
     omega: float = None
@@ -161,20 +157,12 @@ def wgcv_objective(sys, lam, omega):
     return r2 / (denom * denom)
 
 
-def optimal_objective(state, prior, gamma, lam, s_true):
-    """Squared error ||s_k(gamma, lam) - s_true||^2 (truth-aware method)."""
-    sys = build_projected(state, gamma)
-    y = solve_projected(sys, lam)
-    s = recover_iterate(state, prior, gamma, y)
-    d = s - np.asarray(s_true, dtype=float)
-    return float(d @ d)
-
-
 class _OptimalCache:
     """Per-iteration Gram blocks so optimal evaluations cost O(k^2).
 
     ||mu + gamma Q1V y + (1-gamma) W y - s_true||^2 expanded in the cached
-    bases; equals :func:`optimal_objective` up to roundoff.
+    bases; equals the squared error of the recovered iterate up to
+    roundoff.
     """
 
     def __init__(self, state, prior, s_true):
@@ -309,7 +297,7 @@ def select_params(method, state, prior, config=None):
     flat = max(finite_vals) == min(finite_vals)
     converged = False
     if not flat:
-        blo, bhi = config.log10_lambda_bounds
+        blo, bhi = _LOG10_LAMBDA_BOUNDS
         lam_lo, lam_hi = 10.0**blo, 10.0**bhi
 
         if gamma_fixed is not None:

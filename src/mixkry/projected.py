@@ -1,4 +1,4 @@
-"""Projected mixed-prior subproblem: assembly, solves, and dense oracles.
+"""Projected mixed-prior subproblem: assembly, solves, and recovery.
 
 For a state at step k and mixing weight gamma, the stacked system is
 
@@ -20,12 +20,10 @@ import scipy.linalg
 
 from .errors import (
     ArgumentError,
-    CapacityError,
     ConditioningError,
     ParameterDomainError,
     RankError,
 )
-from .operators import LinearOperator, aslinop
 
 __all__ = [
     "ProjectedSystem",
@@ -33,9 +31,7 @@ __all__ = [
     "solve_projected",
     "recover_iterate",
     "projected_residual",
-    "trace_term",
     "residual_and_trace",
-    "solve_map_dense",
 ]
 
 
@@ -62,10 +58,6 @@ class ProjectedSystem:
     @property
     def k(self):
         return self.Dk.shape[1]
-
-    @property
-    def rows(self):
-        return self.Dk.shape[0]
 
     def penalty(self, lam):
         k = self.k
@@ -120,15 +112,10 @@ def projected_residual(sys, y):
     return sys.Dk @ y - sys.rhs
 
 
-def trace_term(sys, lam):
-    """tr(Dk (Dk^T Dk + lam^2 P)^{-1} Dk^T), the projected influence trace."""
-    return residual_and_trace(sys, lam)[1]
-
-
 def residual_and_trace(sys, lam):
-    """Squared projected residual ||Dk y(lam) - rhs||^2 and the influence
-    trace (see :func:`trace_term`) at one lam, both from one Cholesky
-    factor."""
+    """Squared projected residual ||Dk y(lam) - rhs||^2 and the projected
+    influence trace tr(Dk (Dk^T Dk + lam^2 P)^{-1} Dk^T) at one lam, both
+    from one Cholesky factor."""
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
     cho = _factor(sys, lam)
@@ -154,27 +141,3 @@ def recover_iterate(state, prior, gamma, y):
         s = s + (1.0 - gamma) * (state.W @ y)
     return s
 
-
-def _asdense(op, n_cap=2000):
-    if isinstance(op, LinearOperator):
-        return op.to_dense(max_size=n_cap)
-    return np.asarray(op, dtype=float)
-
-
-def solve_map_dense(A, Rinv, Q, b, mu, lam):
-    """Dense reference MAP estimate mu + Q (A^T R^{-1} A Q + lam^2 I)^{-1}
-    A^T R^{-1} (b - A mu).  Oracle path only; refuses n > 2000."""
-    A = _asdense(A)
-    Rinv = _asdense(Rinv)
-    Q = _asdense(Q)
-    mu = np.asarray(mu, dtype=float)
-    m, n = A.shape
-    if n > 2000:
-        raise CapacityError("dense MAP oracle is limited to n <= 2000")
-    ARinv = A.T @ Rinv
-    M = ARinv @ A @ Q + (lam * lam) * np.eye(n)
-    try:
-        x = np.linalg.solve(M, ARinv @ (b - A @ mu))
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("dense MAP system is singular") from exc
-    return mu + Q @ x

@@ -1,13 +1,16 @@
 """Shared test fixtures: random problem builders and independent oracles.
 
-Everything here is deliberately written from the defining formulas, not by
+The oracles are deliberately written from the defining formulas, not by
 calling back into the package, so that agreement between the two routes is
-evidence and not tautology.
+evidence and not tautology.  The one exception is
+:func:`optimal_objective`, the full-space route that checks the O(k^2)
+optimal-method cache against the package's own recovery.
 """
 
 import numpy as np
 
 from mixkry.operators import aslinop, noise_whitener, zero_operator
+from mixkry.projected import build_projected, recover_iterate, solve_projected
 
 
 def spd_matrix(rng, n, shift=0.5):
@@ -49,6 +52,62 @@ def dense_map(A, sigma, Q, b, mu, lam):
     R = sigma**2 * np.eye(m)
     M = A @ Q @ A.T + lam**2 * R
     return mu + Q @ (A.T @ np.linalg.solve(M, b - A @ mu))
+
+
+def solve_map_dense(A, Rinv, Q, b, mu, lam):
+    """MAP estimate via the primal formula mu + Q (A^T R^{-1} A Q +
+    lam^2 I)^{-1} A^T R^{-1} (b - A mu), on dense arrays."""
+    A, Rinv, Q = (np.asarray(M, dtype=float) for M in (A, Rinv, Q))
+    mu = np.asarray(mu, dtype=float)
+    n = A.shape[1]
+    ARinv = A.T @ Rinv
+    M = ARinv @ A @ Q + (lam * lam) * np.eye(n)
+    x = np.linalg.solve(M, ARinv @ (b - A @ mu))
+    return mu + Q @ x
+
+
+def optimal_objective(state, prior, gamma, lam, s_true):
+    """Squared error ||s_k(gamma, lam) - s_true||^2 of the recovered
+    iterate, assembled in full space."""
+    sys = build_projected(state, gamma)
+    y = solve_projected(sys, lam)
+    s = recover_iterate(state, prior, gamma, y)
+    d = s - np.asarray(s_true, dtype=float)
+    return float(d @ d)
+
+
+def recurrence_residual(state, prior, A, Q1, Q2, b, sigma):
+    """Worst criterion-2 relation residual at the state's current step.
+
+    Covers A Q1 V = U B, R^{-1}-orthonormal U, Q1-orthonormal V, the skinny
+    QR of the deflated Q2 branch, and, at gamma 0.4 and 1, the stacked Gram
+    identity and equality of projected and full-space misfits, all for
+    R = sigma^2 I.
+    """
+    m = A.shape[0]
+    k = state.k
+    U, V, B = state.U, state.Vk, state.bidiagonal()
+    Rd = np.eye(m) / sigma**2
+    errs = [
+        np.linalg.norm(A @ Q1 @ V - U @ B) / np.linalg.norm(B),
+        np.max(np.abs(U.T @ Rd @ U - np.eye(U.shape[1]))),
+        np.max(np.abs(V.T @ Q1 @ V - np.eye(k))),
+    ]
+    Z = (A @ Q2 @ V) / sigma
+    proj = Z - state.Ut @ (state.Ut.T @ Z)
+    errs.append(np.linalg.norm(state.Y @ state.Rup - proj)
+                / max(np.linalg.norm(Z), 1.0))
+    for gamma in (0.4, 1.0):
+        sys = build_projected(state, gamma)
+        M = (A @ (gamma * Q1 + (1 - gamma) * Q2) @ V) / sigma
+        errs.append(np.max(np.abs(sys.Dk.T @ sys.Dk - M.T @ M))
+                    / max(np.linalg.norm(M.T @ M), 1.0))
+        y = np.sin(np.arange(1.0, k + 1))
+        r_proj = np.linalg.norm(sys.Dk @ y - sys.rhs)
+        s = recover_iterate(state, prior, gamma, y)
+        r_full = np.linalg.norm(A @ s - b) / sigma
+        errs.append(abs(r_proj - r_full) / r_full)
+    return max(errs)
 
 
 def reference_gengk(A, sigma, Q1, b, steps):

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (max_principal_angle, random_problem, run_steps,
+from helpers import (max_principal_angle, random_problem,
+                     recurrence_residual, run_steps, solve_map_dense,
                      wrap_problem)
 from mixkry import cli
 from mixkry.learn import hutchinson_objective, rademacher_probes
@@ -19,8 +20,7 @@ from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
                               build_kernel_operator, sample_covariance)
 from mixkry.params import upre_objective, wgcv_objective
-from mixkry.projected import (build_projected, recover_iterate,
-                              solve_map_dense, solve_projected)
+from mixkry.projected import build_projected, recover_iterate, solve_projected
 
 SPHERICAL_CFG = """\
 problem.preset = spherical
@@ -96,35 +96,13 @@ def test_criterion_2_recurrence_suite():
         A, Q1, Q2, b, sigma = random_problem(seed, 25, 20)
         Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
         state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
-        Rd = np.eye(25) / sigma**2
+        prior = PriorSpec(mean=np.zeros(20), q1=q1op, q2=q2op)
         for _ in range(15):
             if state.terminal:
                 break
             mixgk_step(state)
-            k = state.k
-            U, V, B = state.U, state.Vk, state.bidiagonal()
-            errs = [
-                np.linalg.norm(A @ Q1 @ V - U @ B) / np.linalg.norm(B),
-                np.max(np.abs(U.T @ Rd @ U - np.eye(U.shape[1]))),
-                np.max(np.abs(V.T @ Q1 @ V - np.eye(k))),
-            ]
-            Z = (A @ Q2 @ V) / sigma
-            proj = Z - state.Ut @ (state.Ut.T @ Z)
-            errs.append(np.linalg.norm(state.Y @ state.Rup - proj)
-                        / max(np.linalg.norm(Z), 1.0))
-            for gamma in (0.4, 1.0):
-                sys = build_projected(state, gamma)
-                M = (A @ (gamma * Q1 + (1 - gamma) * Q2) @ V) / sigma
-                errs.append(np.max(np.abs(sys.Dk.T @ sys.Dk - M.T @ M))
-                            / max(np.linalg.norm(M.T @ M), 1.0))
-                y = np.sin(np.arange(1.0, k + 1))
-                r_proj = np.linalg.norm(sys.Dk @ y - sys.rhs)
-                s = recover_iterate(
-                    state, PriorSpec(mean=np.zeros(20), q1=q1op, q2=q2op),
-                    gamma, y)
-                r_full = np.linalg.norm(A @ s - b) / sigma
-                errs.append(abs(r_proj - r_full) / r_full)
-            worst = max(worst, max(errs))
+            worst = max(worst, recurrence_residual(state, prior, A, Q1, Q2,
+                                                   b, sigma))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < 5.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixkry import cli
-from mixkry.errors import ConfigError, SearchError
+from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.operators import save_matrix, save_vector
 from mixkry.testproblems import read_pgm
 
@@ -116,6 +116,38 @@ def test_exit_code_search_failure(tmp_path, capsys, monkeypatch):
     rc = cli.main(["run", cfg, "stop.max_iter=3", "--out", str(tmp_path / "out")])
     assert rc == 4
     assert "no finite objective" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_file,named", [("b", "right-hand side"),
+                                            ("mean", "prior mean")])
+def test_exit_code_non_finite_input(tmp_path, capsys, bad_file, named):
+    """A NaN in file.b or file.mean is bad input (exit 2), not a search
+    failure."""
+    vecs = {"b": np.arange(1.0, 4.0), "mean": np.zeros(3)}
+    vecs[bad_file][1] = np.nan
+    save_matrix(tmp_path / "A.mtx", np.eye(3))
+    save_vector(tmp_path / "b.mtx", vecs["b"])
+    save_vector(tmp_path / "mean.mtx", vecs["mean"])
+    cfg = write_cfg(tmp_path / "f.cfg", (
+        "problem.preset = file\n"
+        f"file.a = {tmp_path / 'A.mtx'}\n"
+        f"file.b = {tmp_path / 'b.mtx'}\n"
+        f"file.mean = {tmp_path / 'mean.mtx'}\n"
+    ))
+    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+def test_exit_code_definiteness(tmp_path, capsys, monkeypatch):
+    def indefinite(*args, **kwargs):
+        raise DefinitenessError("Q1 is not positive definite")
+
+    monkeypatch.setattr(cli, "run_hybrid", indefinite)
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "positive definite" in capsys.readouterr().err
 
 
 def test_optimal_without_truth_names_the_key(tmp_path, capsys):

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (max_principal_angle, random_problem, reference_gengk,
-                     run_steps, wrap_problem)
-from mixkry.errors import ArgumentError, DegenerateDataError
-from mixkry.mixgk import (MixGKOptions, OpCounter, mixgk_init, mixgk_step,
-                          qr_append_update, qr_recompute)
-from mixkry.operators import aslinop, noise_whitener, zero_operator
+from helpers import (max_principal_angle, random_problem,
+                     recurrence_residual, reference_gengk, run_steps,
+                     wrap_problem)
+from mixkry.errors import (ArgumentError, DefinitenessError,
+                           DegenerateDataError)
+from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
+                          qr_recompute)
+from mixkry.operators import (PriorSpec, aslinop, noise_whitener,
+                              zero_operator)
 
 
-def make_state(seed, m=25, n=20, q2_rank=None, options=None, noise=0.05):
+def make_state(seed, m=25, n=20, q2_rank=None, noise=0.05):
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank, noise)
     Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b, options)
+    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
     return state, (A, Q1, Q2, b, sigma)
 
 
@@ -61,6 +65,45 @@ def test_init_zero_b_and_shape_mismatch():
     Rbad, Lbad = noise_whitener(1.0, 4)
     with pytest.raises(ArgumentError):
         mixgk_init(A, Rbad, Lbad, aslinop(np.eye(3)), zero_operator(3), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_init_rejects_non_finite_input(bad):
+    """NaN or Inf in b, in A^T R^{-1} u_1 or in its Q1 image is bad input."""
+    Rinv, LR = noise_whitener(1.0, 3)
+    ident, zero = aslinop(np.eye(3)), zero_operator(3)
+    b = np.array([1.0, bad, 0.5])
+    with pytest.raises(ArgumentError, match="right-hand side"):
+        mixgk_init(aslinop(np.eye(3)), Rinv, LR, ident, zero, b)
+    A_bad = np.eye(3)
+    A_bad[0, 1] = bad
+    with pytest.raises(ArgumentError, match=r"A\^T R"):
+        mixgk_init(aslinop(A_bad), Rinv, LR, ident, zero, np.ones(3))
+    Q1_bad = np.eye(3)
+    Q1_bad[2, 0] = bad
+    with pytest.raises(ArgumentError, match="Q1 A"):
+        mixgk_init(aslinop(np.eye(3)), Rinv, LR, aslinop(Q1_bad), zero,
+                   np.ones(3))
+
+
+def test_indefinite_q1_raises_definiteness_error():
+    """Q1 = -I gives alpha_1^2 = -|v|^2: not a breakdown but a bad Q1."""
+    A = aslinop(np.eye(3))
+    Rinv, LR = noise_whitener(1.0, 3)
+    with pytest.raises(DefinitenessError):
+        mixgk_init(A, Rinv, LR, aslinop(-np.eye(3)), zero_operator(3),
+                   np.ones(3))
+
+
+def test_indefinite_q1_caught_while_stepping():
+    """A Q1 positive on v_1 but negative on a later direction fails in step."""
+    A = aslinop(np.eye(2))
+    Rinv, LR = noise_whitener(1.0, 2)
+    state = mixgk_init(A, Rinv, LR, aslinop(np.diag([1.0, -1.0])),
+                       zero_operator(2), np.array([2.0, 1.0]))
+    assert not state.terminal
+    with pytest.raises(DefinitenessError):
+        run_steps(state, 2, mixgk_step)
 
 
 def test_first_column_reproduces_b():
@@ -221,24 +264,28 @@ def test_step_after_terminal_rejected():
         mixgk_step(state)
 
 
-def test_reorth_toggle_drift():
-    """Without reorthogonalization the bases drift; with it they stay tight."""
-    opts_off = MixGKOptions(reorth=False)
-    state_on, _ = make_state(9, m=40, n=30)
-    state_off, _ = make_state(9, m=40, n=30, options=opts_off)
-    run_steps(state_on, 25, mixgk_step)
-    run_steps(state_off, 25, mixgk_step)
-    gram_on = state_on.Ut.T @ state_on.Ut
-    gram_off = state_off.Ut.T @ state_off.Ut
-    drift_on = np.max(np.abs(gram_on - np.eye(gram_on.shape[0])))
-    drift_off = np.max(np.abs(gram_off - np.eye(gram_off.shape[0])))
-    assert drift_on <= 1e-10
-    assert drift_off > drift_on
-
-
-def test_options_validation():
-    with pytest.raises(ArgumentError):
-        MixGKOptions(breakdown_tol=0.0)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(4, 30),
+       n=st.integers(3, 30), steps=st.integers(1, 15), data=st.data())
+def test_recurrence_relations_property(seed, m, n, steps, data):
+    """Criterion-2 relations at 1e-9 over random shapes, step counts and Q2
+    ranks 0..n; with Q2 = 0 every column drops and Y stays empty."""
+    q2_rank = data.draw(st.integers(0, n), label="q2_rank")
+    A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank)
+    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
+    worst = 0.0
+    for _ in range(steps):
+        if state.terminal:
+            break
+        mixgk_step(state)
+        worst = max(worst, recurrence_residual(state, prior, A, Q1, Q2, b,
+                                               sigma))
+        if q2_rank == 0:
+            assert state.Y.shape == (m, 0)
+            assert state.rank_drops == state.k
+    assert worst <= 1e-9
 
 
 # -- QR maintenance -----------------------------------------------------------

@@ -5,13 +5,13 @@ import pytest
 
 from mixkry.errors import (ArgumentError, CapacityError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.operators import (Grid, KernelSpec, LinearOperator, aslinop,
-                              build_kernel_operator, grid_distances,
-                              identity_operator, kernel_eval, load_matrix,
-                              load_samples, load_vector, mixed_apply,
-                              mixed_operator, noise_whitener, PriorSpec,
-                              sample_covariance, SampleFactor, save_matrix,
-                              save_vector, zero_operator)
+from mixkry.operators import (DENSE_KERNEL_CAP, Grid, KernelSpec,
+                              LinearOperator, aslinop, build_kernel_operator,
+                              grid_distances, identity_operator, kernel_eval,
+                              load_matrix, load_samples, load_vector,
+                              noise_whitener, PriorSpec, sample_covariance,
+                              SampleFactor, save_matrix, save_vector,
+                              zero_operator)
 
 
 # -- kernel profiles ---------------------------------------------------------
@@ -191,9 +191,10 @@ def test_kernel_operator_matvec_matches_dense():
 
 
 def test_kernel_operator_cap():
+    """One point past the cap is refused before anything is allocated."""
     with pytest.raises(CapacityError):
         build_kernel_operator(KernelSpec("matern", ell=0.3, nu=0.5),
-                              Grid(40, 40), cap=100)
+                              Grid(DENSE_KERNEL_CAP + 1, 1))
 
 
 def test_grid_distances_consistency():
@@ -268,31 +269,11 @@ def test_sample_factor_psd_probe():
 # -- prior mixing and whitening ------------------------------------------------
 
 
-def test_mixed_apply_collapses_and_hand_case():
-    rng = np.random.default_rng(1)
-    n = 4
-    q1 = aslinop(np.diag([2.0, 2.0, 2.0, 2.0]))
-    q2 = aslinop(np.diag([0.0, 4.0, 0.0, 4.0]))
-    prior = PriorSpec(mean=np.zeros(n), q1=q1, q2=q2)
-    x = rng.standard_normal(n)
-    np.testing.assert_allclose(mixed_apply(prior, 1.0, x), q1.matvec(x), atol=0)
-    y = mixed_apply(prior, 0.5, np.ones(n))
-    np.testing.assert_allclose(y, [1.0, 3.0, 1.0, 3.0])
-    # identity pair is gamma-invariant
-    pid = PriorSpec(mean=np.zeros(n), q1=identity_operator(n),
-                    q2=identity_operator(n))
-    for g in (0.2, 0.7, 1.0):
-        np.testing.assert_allclose(mixed_apply(pid, g, x), x, rtol=1e-15)
-
-
-def test_mixed_operator_matches_mixed_apply():
-    rng = np.random.default_rng(2)
-    n = 5
-    prior = PriorSpec(mean=np.zeros(n), q1=aslinop(np.eye(n) * 3),
-                      q2=aslinop(np.outer(np.ones(n), np.ones(n))))
-    op = mixed_operator(prior, 0.4)
-    x = rng.standard_normal(n)
-    np.testing.assert_allclose(op.matvec(x), mixed_apply(prior, 0.4, x), atol=0)
+def test_prior_spec_rejects_non_finite_mean():
+    ident = identity_operator(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ArgumentError, match="prior mean"):
+            PriorSpec(mean=np.array([0.0, bad, 1.0]), q1=ident, q2=ident)
 
 
 def test_noise_whitener_scalar_and_diagonal():

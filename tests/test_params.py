@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_problem, run_steps, wrap_problem
+from helpers import optimal_objective, random_problem, run_steps, wrap_problem
 from mixkry.errors import (ArgumentError, ConfigError, ParameterDomainError,
                            SearchError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import PriorSpec
 from mixkry.params import (RunRecord, SearchConfig, SelectionResult,
-                           StoppingPolicy, gcv_objective, optimal_objective,
-                           select_params, stopping_check, upre_objective,
-                           wgcv_objective)
+                           StoppingPolicy, gcv_objective, select_params,
+                           stopping_check, upre_objective, wgcv_objective)
 from mixkry.projected import build_projected
 
 

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import dense_map, random_problem, run_steps, wrap_problem
-from mixkry.errors import (ArgumentError, CapacityError, ParameterDomainError,
-                           RankError)
+from helpers import (dense_map, random_problem, run_steps, solve_map_dense,
+                     wrap_problem)
+from mixkry.errors import ArgumentError, ParameterDomainError, RankError
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (PriorSpec, aslinop, noise_whitener,
                               zero_operator)
 from mixkry.projected import (build_projected, projected_residual,
-                              recover_iterate, solve_map_dense,
-                              solve_projected, trace_term)
+                              recover_iterate, residual_and_trace,
+                              solve_projected)
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -42,7 +42,7 @@ def test_q2_zero_gives_zero_gram():
     state, _, _ = advance(1, 5, q2_rank=0)
     sys = build_projected(state, 0.6)
     np.testing.assert_allclose(sys.Gk, 0.0, atol=0)
-    assert sys.rows == state.k + 1
+    assert sys.Dk.shape[0] == state.k + 1
 
 
 def test_build_validates_inputs():
@@ -181,11 +181,11 @@ def test_projected_residual_at_zero_weights():
 def test_trace_limits():
     state, _, _ = advance(14, 6)
     sys = build_projected(state, 0.6)
-    assert trace_term(sys, 1e9) <= 1e-10
+    assert residual_and_trace(sys, 1e9)[1] <= 1e-10
     # full column rank data: trace tends to k as lam -> 0
-    assert trace_term(sys, 1e-8) == pytest.approx(state.k, abs=1e-6)
+    assert residual_and_trace(sys, 1e-8)[1] == pytest.approx(state.k, abs=1e-6)
     with pytest.raises(ParameterDomainError):
-        trace_term(sys, 0.0)
+        residual_and_trace(sys, 0.0)
 
 
 def test_trace_single_step_scalar():
@@ -196,7 +196,8 @@ def test_trace_single_step_scalar():
         g = float(sys.Gk[0, 0])
         lam = 0.8
         expect = d2 / (d2 + lam * lam * (gamma + (1 - gamma) * g))
-        assert trace_term(sys, lam) == pytest.approx(expect, rel=1e-12)
+        assert residual_and_trace(sys, lam)[1] == pytest.approx(expect,
+                                                                rel=1e-12)
 
 
 def test_trace_matches_dense_influence():
@@ -205,7 +206,8 @@ def test_trace_matches_dense_influence():
     lam = 0.6
     M = sys.penalty(lam)
     influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
-    assert trace_term(sys, lam) == pytest.approx(np.trace(influence), rel=1e-11)
+    assert residual_and_trace(sys, lam)[1] == pytest.approx(
+        np.trace(influence), rel=1e-11)
 
 
 # -- dense MAP oracle ---------------------------------------------------------
@@ -253,13 +255,6 @@ def test_dense_map_honors_prior_mean():
     # exact data from the mean: with b = A mu the estimate is mu itself
     s = solve_map_dense(A, np.eye(m), Q, A @ mu, mu, 0.5)
     np.testing.assert_allclose(s, mu, atol=1e-10)
-
-
-def test_dense_map_capacity_guard():
-    n = 2001
-    with pytest.raises(CapacityError):
-        solve_map_dense(np.zeros((2, n)), np.eye(2), np.eye(n),
-                        np.zeros(2), np.zeros(n), 1.0)
 
 
 # -- finite termination (projection exactness at k = n) ------------------------

@@ -1,0 +1,42 @@
+"""Every exported name resolves, and retired names stay gone."""
+
+import importlib
+
+import pytest
+
+import mixkry
+from mixkry.operators import LinearOperator
+from mixkry.params import SearchConfig
+from mixkry.projected import ProjectedSystem
+
+MODULES = ("operators", "mixgk", "projected", "params", "learn",
+           "testproblems", "cli")
+
+RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
+           "optimal_objective", "trace_term", "MixGKOptions")
+
+RETIRED_ATTRS = (
+    (LinearOperator, "to_dense"),
+    (LinearOperator, "T"),
+    (LinearOperator, "__matmul__"),
+    (ProjectedSystem, "rows"),
+    (SearchConfig, "log10_lambda_bounds"),
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"mixkry.{name}")
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_retired_names_not_exported():
+    for name in MODULES:
+        mod = importlib.import_module(f"mixkry.{name}")
+        assert not set(RETIRED) & set(mod.__all__), name
+        assert not any(hasattr(mod, n) for n in RETIRED), name
+    assert not any(hasattr(mixkry, n) for n in RETIRED)
+    for owner, attr in RETIRED_ATTRS:
+        assert not hasattr(owner, attr), (owner.__name__, attr)
