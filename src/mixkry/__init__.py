@@ -9,7 +9,6 @@ projected problem at every iteration.
 from .errors import (
     ArgumentError,
     BreakdownError,
-    CapacityError,
     ConditioningError,
     ConfigError,
     DefinitenessError,
@@ -22,16 +21,15 @@ from .errors import (
     SearchError,
 )
 from .operators import (
-    DENSE_KERNEL_CAP,
     DiagonalOperator,
     Grid,
+    KernelOperator,
     KernelSpec,
     LinearOperator,
     PriorSpec,
     SampleFactor,
     aslinop,
     build_kernel_operator,
-    grid_distances,
     identity_operator,
     kernel_eval,
     load_matrix,

@@ -26,7 +26,8 @@ from .errors import (
     MixkryError,
     SearchError,
 )
-from .learn import learn_matern, rademacher_probes, rblw_gamma
+from .learn import (hutchinson_objective, learn_matern, rademacher_probes,
+                    rblw_gamma)
 from .mixgk import mixgk_init, mixgk_step
 from .operators import (
     Grid,
@@ -34,7 +35,6 @@ from .operators import (
     LinearOperator,
     PriorSpec,
     build_kernel_operator,
-    grid_distances,
     identity_operator,
     load_matrix,
     load_samples,
@@ -247,7 +247,7 @@ class Workload:
         return self.A.cols
 
 
-def _kernel_operator(prefix, cfg, grid, dists, n):
+def _kernel_operator(prefix, cfg, grid, n):
     family = cfg[f"{prefix}.kernel"]
     if family == "identity":
         return identity_operator(n)
@@ -259,10 +259,10 @@ def _kernel_operator(prefix, cfg, grid, dists, n):
     spec = KernelSpec(family=family, ell=cfg[f"{prefix}.ell"],
                       nu=cfg[f"{prefix}.nu"],
                       gamma_exp=cfg[f"{prefix}.gamma_exp"])
-    return build_kernel_operator(spec, grid, dists=dists)
+    return build_kernel_operator(spec, grid)
 
 
-def _maybe_learn_q1(cfg, work, dists):
+def _maybe_learn_q1(cfg, work):
     if not cfg["prior.q1.learn"]:
         return None
     if work.sample is None:
@@ -274,7 +274,7 @@ def _maybe_learn_q1(cfg, work, dists):
                        seed=cfg["seed"] + 3, family=family)
     spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu,
                       gamma_exp=cfg["prior.q1.gamma_exp"])
-    work.q1 = build_kernel_operator(spec, work.grid, dists=dists)
+    work.q1 = build_kernel_operator(spec, work.grid)
     work.learned = fit
     return fit
 
@@ -335,8 +335,7 @@ def assemble_workload(cfg):
     else:
         mean = np.zeros(n)
 
-    dists = grid_distances(grid) if grid is not None else None
-    q1 = _kernel_operator("prior.q1", cfg, grid, dists, n)
+    q1 = _kernel_operator("prior.q1", cfg, grid, n)
 
     q2_source = cfg["prior.q2.source"]
     if q2_source == "samples":
@@ -344,7 +343,7 @@ def assemble_workload(cfg):
             raise ConfigError("prior.q2.source=samples needs training samples")
         q2 = sample.operator()
     elif q2_source == "kernel":
-        q2 = _kernel_operator("prior.q2", cfg, grid, dists, n)
+        q2 = _kernel_operator("prior.q2", cfg, grid, n)
     else:
         q2 = identity_operator(n)
 
@@ -352,7 +351,7 @@ def assemble_workload(cfg):
                     b_true=np.asarray(b_true, dtype=float), s_true=s_true,
                     sigma=float(sigma), mean=mean, grid=grid, mask=mask,
                     sample=sample, q1=q1, q2=q2, q2_source=q2_source)
-    _maybe_learn_q1(cfg, work, dists)
+    _maybe_learn_q1(cfg, work)
     return work
 
 
@@ -689,9 +688,7 @@ def _cmd_fit(cfg):
 
     # probe-count sweep at the learned parameters: standard error of the
     # mismatch estimate shrinks as the probe count grows
-    dists = grid_distances(work.grid)
     spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu)
-    K = build_kernel_operator(spec, work.grid, dists=dists).mat
     ladder = sorted({max(2, probes // 4), probes, 4 * probes})
     sweep = []
     for mi, count in enumerate(ladder):
@@ -699,8 +696,7 @@ def _cmd_fit(cfg):
         for rep in range(repeats):
             xi = rademacher_probes(work.grid.n, count,
                                    seed + 1000 * (mi + 1) + rep)
-            diff = K @ xi - work.sample.apply(xi)
-            vals.append(float(np.mean(np.sum(diff * diff, axis=0))))
+            vals.append(hutchinson_objective(spec, work.grid, work.sample, xi))
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(repeats))
         sweep.append((count, repeats, mean, se))

@@ -13,10 +13,6 @@ class ParameterDomainError(ArgumentError):
     """A numeric parameter lies outside its admissible domain."""
 
 
-class CapacityError(MixkryError):
-    """A dense code path was asked to exceed its configured size cap."""
-
-
 class DefinitenessError(MixkryError, ValueError):
     """A matrix that must be positive definite is not."""
 

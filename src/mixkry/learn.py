@@ -2,8 +2,9 @@
 
 A stochastic Frobenius mismatch between a candidate kernel matrix and a
 low-rank sample covariance is minimized over (nu, ell).  The sample
-covariance is only ever touched through its factor, so the cost per probe
-is two factor applications plus one dense kernel product.
+covariance is only ever touched through its factor and the kernel through
+its FFT application, so the cost per probe is two factor applications plus
+one O(n log n) kernel product.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .operators import (
     KernelSpec,
     SampleFactor,
     build_kernel_operator,
-    grid_distances,
     sample_covariance,
 )
 
@@ -48,7 +48,7 @@ def rademacher_probes(n, count, seed):
     return rng.integers(0, 2, size=(n, count)).astype(float) * 2.0 - 1.0
 
 
-def hutchinson_objective(spec, grid, sample, probes, dists=None):
+def hutchinson_objective(spec, grid, sample, probes):
     """Mean squared probe norm of (K(spec) - Qhat), an unbiased Frobenius
     estimate of the kernel/sample mismatch."""
     probes = np.asarray(probes, dtype=float)
@@ -56,8 +56,8 @@ def hutchinson_objective(spec, grid, sample, probes, dists=None):
         raise ArgumentError("probes must be n x M")
     if not np.all(np.abs(probes) == 1.0):
         raise ArgumentError("probes must be +-1 entries")
-    K = build_kernel_operator(spec, grid, dists=dists).mat
-    diff = K @ probes - sample.apply(probes)
+    kernel = build_kernel_operator(spec, grid)
+    diff = kernel.apply(probes) - sample.apply(probes)
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
 
@@ -85,14 +85,13 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     if probes < 1:
         raise ArgumentError("need at least one probe")
     xi = rademacher_probes(grid.n, probes, seed)
-    dists = grid_distances(grid)
 
     nu_lo, nu_hi = 0.1, 10.0
     ell_lo, ell_hi = 1e-3, grid.diameter()
 
     def objective(nu, ell):
         spec = KernelSpec(family=family, nu=nu, ell=ell)
-        return hutchinson_objective(spec, grid, sample, xi, dists=dists)
+        return hutchinson_objective(spec, grid, sample, xi)
 
     nus = np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7)
     ells = np.logspace(np.log10(ell_lo), np.log10(ell_hi), 9)

@@ -78,6 +78,26 @@ def _require_finite(vec, what):
         raise ArgumentError(f"{what} holds a NaN or Inf")
 
 
+def _check_symmetric(Q, name):
+    """Two-vector symmetry probe of a covariance operator.
+
+    For a symmetric Q, x^T Q y and y^T Q x differ only by roundoff; a gap
+    above the ``_DEFINITE_TOL`` allowance of ``_q1_norm`` raises
+    :class:`DefinitenessError`.  The probe vectors come from a fixed seed, so
+    reruns apply Q to the same inputs.
+    """
+    x, y = np.random.default_rng(0).standard_normal((2, Q.cols))
+    qx, qy = Q.matvec(x), Q.matvec(y)
+    _require_finite(qx, f"{name} image of a symmetry probe")
+    _require_finite(qy, f"{name} image of a symmetry probe")
+    gap = abs(x @ qy - y @ qx)
+    scale = max(np.linalg.norm(x) * np.linalg.norm(qy),
+                np.linalg.norm(y) * np.linalg.norm(qx))
+    if gap > _DEFINITE_TOL * scale:
+        raise DefinitenessError(f"{name} is not symmetric "
+                                f"(|x^T Q y - y^T Q x| = {gap:.3g})")
+
+
 def _givens(a, b):
     """Rotation (c, s, h) with [c s; -s c] @ [a, b] = [h, 0]."""
     h = np.hypot(a, b)
@@ -428,16 +448,19 @@ def mixgk_init(A, Rinv, LR, Q1, Q2, b):
 
     Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
     when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
-    :class:`DefinitenessError` when Q1 shows a negative form.  If alpha_1
-    vanishes the returned state is already terminal with k = 0 (no usable
-    subspace).
+    :class:`DefinitenessError` when Q1 shows a negative form or a two-vector
+    probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes the returned
+    state is already terminal with k = 0 (no usable subspace).
     """
     m, n = A.rows, A.cols
     if Rinv.shape != (m, m) or LR.shape != (m, m):
         raise ArgumentError("noise operator shapes do not match the forward map")
     if Q1.shape != (n, n) or Q2.shape != (n, n):
         raise ArgumentError("prior covariance shapes do not match the forward map")
-    return MixGKState(A, Rinv, LR, Q1, Q2, b)
+    state = MixGKState(A, Rinv, LR, Q1, Q2, b)
+    _check_symmetric(Q1, "Q1")
+    _check_symmetric(Q2, "Q2")
+    return state
 
 
 def mixgk_step(state):

@@ -1,10 +1,11 @@
 """Linear operators, covariance kernels, priors, and array I/O.
 
 Everything downstream touches matrices only through :class:`LinearOperator`,
-so solvers stay matrix-free.  Covariance operators built here are dense under
-the hood (guarded by a size cap); swapping in a structured application, for
-example circulant embedding on regular grids, only requires constructing a
-:class:`LinearOperator` with a different ``matvec``.
+so solvers stay matrix-free.  Kernel covariances on a regular grid are block
+Toeplitz with Toeplitz blocks; :func:`build_kernel_operator` applies them
+exactly through the FFT of a 2ny x 2nx circulant embedding (Dietrich and
+Newsam, SIAM J. Sci. Comput. 18, 1997), so no n x n array is ever formed and
+grids of any size fit in O(n) memory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from scipy.special import gammaln, kve
 
 from .errors import (
     ArgumentError,
-    CapacityError,
     DefinitenessError,
     DegenerateDataError,
     ParameterDomainError,
@@ -30,8 +30,8 @@ __all__ = [
     "DiagonalOperator",
     "Grid",
     "KernelSpec",
+    "KernelOperator",
     "kernel_eval",
-    "grid_distances",
     "build_kernel_operator",
     "SampleFactor",
     "sample_covariance",
@@ -45,11 +45,7 @@ __all__ = [
     "load_vector",
     "save_vector",
     "load_samples",
-    "DENSE_KERNEL_CAP",
 ]
-
-# Dense covariance guard; large grids need a structured matvec instead.
-DENSE_KERNEL_CAP = 16384
 
 
 class LinearOperator:
@@ -65,8 +61,9 @@ class LinearOperator:
         Transpose action.  Required only by consumers that call
         :meth:`rmatvec`.
     mat : ndarray or sparse matrix, optional
-        Explicit matrix backing the operator, for consumers that need the
-        entries themselves (export, kernel fitting).
+        Explicit matrix backing the operator, set by :meth:`from_matrix`.
+        Only export reads it (``mixkry gen`` and ``TomoProblem.matrix``);
+        kernel operators have none.
     """
 
     __slots__ = ("rows", "cols", "_matvec", "_rmatvec", "mat")
@@ -323,41 +320,59 @@ def kernel_eval(spec, r):
     return float(out) if scalar else out
 
 
-def _distance_matrix(points):
-    sq = np.einsum("ij,ij->i", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
+class KernelOperator(LinearOperator):
+    """Grid kernel K[i, j] = kappa(|z_i - z_j|) applied by FFT.
+
+    ``spectrum`` is the real ``rfft2`` of the kernel's symmetric circulant
+    embedding on a (2 ny, 2 nx) grid.  An application zero-pads the image to
+    that size, multiplies its spectrum and crops the result, so the product
+    is exact up to FFT roundoff.  Built by :func:`build_kernel_operator`.
+    """
+
+    __slots__ = ("ny", "nx", "spectrum")
+
+    def __init__(self, ny, nx, spectrum):
+        super().__init__(ny * nx, ny * nx, self.apply, self.apply)
+        self.ny = ny
+        self.nx = nx
+        self.spectrum = spectrum
+
+    def apply(self, x):
+        """Apply K to a vector or to the columns of an n x M block."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.rows:
+            raise ArgumentError(f"kernel of size {self.rows} applied to an "
+                                f"array of shape {x.shape}")
+        ny, nx = self.ny, self.nx
+        pad = (2 * ny, 2 * nx)
+        img = x.reshape((ny, nx) + x.shape[1:])
+        spec = self.spectrum if x.ndim == 1 else self.spectrum[:, :, None]
+        f = np.fft.rfft2(img, s=pad, axes=(0, 1))
+        y = np.fft.irfft2(f * spec, s=pad, axes=(0, 1))
+        return y[:ny, :nx].reshape(x.shape)
 
 
-def grid_distances(grid):
-    """Pairwise distance matrix of the grid points; reusable across kernels."""
-    return _distance_matrix(grid.points())
-
-
-def build_kernel_operator(spec, grid, dists=None):
+def build_kernel_operator(spec, grid):
     """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
 
-    The operator is dense-backed; grids with more than ``DENSE_KERNEL_CAP``
-    points raise :class:`CapacityError` and need a structured (for example
-    FFT-embedded) application supplied as a custom :class:`LinearOperator`.
-    Pass ``dists`` (from :func:`grid_distances`) to amortize the distance
-    matrix over many kernel evaluations.
+    kappa is evaluated once on the ny x nx table of grid offsets, with a unit
+    value at offset zero; the returned :class:`KernelOperator` applies K by
+    FFT in O(n log n) time and O(n) memory, at any grid size.
     """
-    n = grid.n
-    if n > DENSE_KERNEL_CAP:
-        raise CapacityError(
-            f"grid has {n} points, above the dense kernel cap "
-            f"{DENSE_KERNEL_CAP}; supply a structured matrix-free operator "
-            "for larger grids"
-        )
-    if dists is None:
-        dists = _distance_matrix(grid.points())
-    elif dists.shape != (n, n):
-        raise ArgumentError("distance matrix does not match the grid")
-    K = kernel_eval(spec, dists)
-    np.fill_diagonal(K, 1.0)
-    return LinearOperator(n, n, K.dot, K.dot, mat=K)
+    hx, hy = grid.spacing
+    s = grid.scale
+    ny, nx = grid.ny, grid.nx
+    t = kernel_eval(spec, np.hypot(np.arange(ny)[:, None] * (hy * s),
+                                   np.arange(nx)[None, :] * (hx * s)))
+    t[0, 0] = 1.0
+    # even extension: entry (i, j) holds the kernel at offset
+    # (min(i, 2 ny - i), min(j, 2 nx - j)); the rows and columns at ny and nx
+    # are never reached by a cropped product and stay zero
+    c = np.zeros((2 * ny, 2 * nx))
+    c[:ny, :nx] = t
+    c[ny + 1:, :nx] = t[:0:-1]
+    c[:, nx + 1:] = c[:, nx - 1:0:-1]
+    return KernelOperator(ny, nx, np.fft.rfft2(c).real)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ optimal-method cache against the package's own recovery.
 
 import numpy as np
 
-from mixkry.operators import aslinop, noise_whitener, zero_operator
+from mixkry.operators import (aslinop, kernel_eval, noise_whitener,
+                              zero_operator)
 from mixkry.projected import build_projected, recover_iterate, solve_projected
 
 
@@ -43,6 +44,20 @@ def wrap_problem(A, Q1, Q2, sigma):
     Rinv, LR = noise_whitener(sigma**2, m)
     q2op = zero_operator(A.shape[1]) if Q2 is None else aslinop(Q2)
     return aslinop(A), aslinop(Q1), q2op, Rinv, LR
+
+
+def grid_distances(grid):
+    """Pairwise distance matrix |z_i - z_j| of the grid points."""
+    z = grid.points()
+    return np.hypot(z[:, None, 0] - z[None, :, 0], z[:, None, 1] - z[None, :, 1])
+
+
+def dense_kernel(spec, grid):
+    """Dense kernel matrix K[i, j] = kappa(|z_i - z_j|) with a unit diagonal,
+    the reference for the FFT-applied grid kernels."""
+    K = kernel_eval(spec, grid_distances(grid))
+    np.fill_diagonal(K, 1.0)
+    return K
 
 
 def dense_map(A, sigma, Q, b, mu, lam):

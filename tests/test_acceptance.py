@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (max_principal_angle, random_problem,
+from helpers import (dense_kernel, max_principal_angle, random_problem,
                      recurrence_residual, run_steps, solve_map_dense,
                      wrap_problem)
 from mixkry import cli
@@ -18,7 +18,7 @@ from mixkry.learn import hutchinson_objective, rademacher_probes
 from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
-                              build_kernel_operator, sample_covariance)
+                              sample_covariance)
 from mixkry.params import upre_objective, wgcv_objective
 from mixkry.projected import build_projected, recover_iterate, solve_projected
 
@@ -221,7 +221,7 @@ def test_criterion_5_hutchinson_estimator():
     rng = np.random.default_rng(4)
     grid = Grid(4, 2)
     spec = KernelSpec(family="matern", nu=2.5, ell=0.4)
-    K = build_kernel_operator(spec, grid).mat
+    K = dense_kernel(spec, grid)
     sample = sample_covariance(list(rng.standard_normal((30, 8))))
     Qhat = sample.factor @ sample.factor.T
     exact = float(np.sum((K - Qhat) ** 2))

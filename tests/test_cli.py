@@ -303,6 +303,16 @@ def test_compare_rejects_unknown_variant(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_run_crosswell_paper_scale(tmp_path):
+    """crosswell at problem.size=128 (n = 16384, the paper's grid) runs end
+    to end, because its kernel priors are FFT-applied, not dense."""
+    cfg = write_cfg(tmp_path / "cw.cfg",
+                    "problem.preset = crosswell\nproblem.size = 128\n")
+    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert "n: 16384" in (tmp_path / "out" / "summary.txt").read_text()
+
+
 # -- fit ---------------------------------------------------------------------------
 
 

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from helpers import dense_kernel
 from mixkry.errors import ArgumentError, DegenerateDataError
 from mixkry.learn import (hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
 from mixkry.operators import (Grid, KernelSpec, SampleFactor,
-                              build_kernel_operator, sample_covariance)
+                              sample_covariance)
 
 
 def kernel_dense(family, nu, ell, grid):
-    return build_kernel_operator(KernelSpec(family=family, nu=nu, ell=ell),
-                                 grid).mat
+    return dense_kernel(KernelSpec(family=family, nu=nu, ell=ell), grid)
 
 
 # -- probes -------------------------------------------------------------------

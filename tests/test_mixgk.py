@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (max_principal_angle, random_problem,
                      recurrence_residual, reference_gengk, run_steps,
                      wrap_problem)
+from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, DefinitenessError,
                            DegenerateDataError)
 from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
@@ -69,7 +70,8 @@ def test_init_zero_b_and_shape_mismatch():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_init_rejects_non_finite_input(bad):
-    """NaN or Inf in b, in A^T R^{-1} u_1 or in its Q1 image is bad input."""
+    """NaN or Inf in b, in A^T R^{-1} u_1, in its Q1 image or in the Q2
+    image of a symmetry probe is bad input."""
     Rinv, LR = noise_whitener(1.0, 3)
     ident, zero = aslinop(np.eye(3)), zero_operator(3)
     b = np.array([1.0, bad, 0.5])
@@ -83,6 +85,9 @@ def test_init_rejects_non_finite_input(bad):
     Q1_bad[2, 0] = bad
     with pytest.raises(ArgumentError, match="Q1 A"):
         mixgk_init(aslinop(np.eye(3)), Rinv, LR, aslinop(Q1_bad), zero,
+                   np.ones(3))
+    with pytest.raises(ArgumentError, match="Q2 image"):
+        mixgk_init(aslinop(np.eye(3)), Rinv, LR, ident, aslinop(Q1_bad),
                    np.ones(3))
 
 
@@ -104,6 +109,31 @@ def test_indefinite_q1_caught_while_stepping():
     assert not state.terminal
     with pytest.raises(DefinitenessError):
         run_steps(state, 2, mixgk_step)
+
+
+@pytest.mark.parametrize("which", ["Q1", "Q2"])
+def test_non_symmetric_covariance_raises_definiteness_error(which):
+    """Adding a skew part keeps x^T Q x positive but breaks symmetry; the
+    two-vector probe at init rejects it for either covariance."""
+    A, Q1, Q2, b, sigma = random_problem(8, m=12, n=9)
+    B = np.random.default_rng(8).standard_normal((9, 9))
+    skew = 0.5 * (B - B.T)
+    if which == "Q1":
+        Q1 = Q1 + skew
+    else:
+        Q2 = Q2 + skew
+    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    with pytest.raises(DefinitenessError, match=f"{which} is not symmetric"):
+        mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+
+
+def test_upper_triangular_q2_rejected_by_run_hybrid():
+    """An upper-triangular Q2 used to run to a flat stop with no error."""
+    A, Q1, Q2, b, sigma = random_problem(9, m=12, n=9)
+    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, np.triu(Q2), sigma)
+    prior = PriorSpec(mean=np.zeros(9), q1=q1op, q2=q2op)
+    with pytest.raises(DefinitenessError, match="Q2 is not symmetric"):
+        run_hybrid(Aop, Rinv, LR, prior, b)
 
 
 def test_first_column_reproduces_b():

@@ -1,13 +1,17 @@
 """Operator layer: kernels, grids, sample factors, whitening, file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mixkry.errors import (ArgumentError, CapacityError, DegenerateDataError,
+from helpers import dense_kernel, grid_distances
+from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.operators import (DENSE_KERNEL_CAP, Grid, KernelSpec,
+from mixkry.operators import (Grid, KernelSpec,
                               LinearOperator, aslinop, build_kernel_operator,
-                              grid_distances, identity_operator, kernel_eval,
+                              identity_operator, kernel_eval,
                               load_matrix, load_samples, load_vector,
                               noise_whitener, PriorSpec, sample_covariance,
                               SampleFactor, save_matrix, save_vector,
@@ -155,17 +159,26 @@ def test_grid_validation():
         Grid(2, 2, spacing=(0.0, 1.0))
 
 
+def kernel_matrix(op):
+    """The operator's matrix, read off by applying it to the identity."""
+    return op.apply(np.eye(op.rows))
+
+
 def test_build_kernel_operator_single_point():
-    op = build_kernel_operator(KernelSpec("matern", ell=1.0, nu=0.5), Grid(1, 1))
-    np.testing.assert_allclose(op.mat, [[1.0]])
+    spec = KernelSpec("matern", ell=1.0, nu=0.5)
+    op = build_kernel_operator(spec, Grid(1, 1))
+    np.testing.assert_allclose(kernel_matrix(op), [[1.0]])
+    np.testing.assert_allclose(dense_kernel(spec, Grid(1, 1)), [[1.0]])
 
 
 def test_build_kernel_operator_two_points():
     """Two points at distance 1 under matern(0.5, 1): [[1, 1/e], [1/e, 1]]."""
     g = Grid(2, 1, spacing=(2.0, 2.0))  # centers at 0.25 and 0.75 -> d = 0.5
-    op = build_kernel_operator(KernelSpec("matern", ell=0.5, nu=0.5), g)
+    spec = KernelSpec("matern", ell=0.5, nu=0.5)
     e = np.exp(-1.0)
-    np.testing.assert_allclose(op.mat, [[1.0, e], [e, 1.0]], rtol=1e-14)
+    for K in (kernel_matrix(build_kernel_operator(spec, g)),
+              dense_kernel(spec, g)):
+        np.testing.assert_allclose(K, [[1.0, e], [e, 1.0]], rtol=1e-14)
 
 
 def test_kernel_operator_symmetric_unit_diagonal_psd():
@@ -175,39 +188,109 @@ def test_kernel_operator_symmetric_unit_diagonal_psd():
                  KernelSpec("squared-exponential", ell=0.2),
                  KernelSpec("rational-quadratic", ell=0.1, nu=2.0),
                  KernelSpec("gamma-exponential", ell=0.3, gamma_exp=1.0)):
-        K = build_kernel_operator(spec, g).mat
+        K = kernel_matrix(build_kernel_operator(spec, g))
         np.testing.assert_allclose(K, K.T, atol=1e-15)
         np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-15)
+        np.testing.assert_allclose(K, dense_kernel(spec, g), atol=1e-15)
         x = rng.standard_normal(g.n)
         assert x @ K @ x >= -1e-10 * (x @ x)
 
 
 def test_kernel_operator_matvec_matches_dense():
     g = Grid(5, 4)
-    op = build_kernel_operator(KernelSpec("matern", ell=0.25, nu=0.5), g)
+    spec = KernelSpec("matern", ell=0.25, nu=0.5)
+    op = build_kernel_operator(spec, g)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(g.n)
-    np.testing.assert_allclose(op.matvec(x), op.mat @ x, rtol=1e-14)
+    np.testing.assert_allclose(op.matvec(x), dense_kernel(spec, g) @ x,
+                               rtol=1e-14)
 
 
-def test_kernel_operator_cap():
-    """One point past the cap is refused before anything is allocated."""
-    with pytest.raises(CapacityError):
-        build_kernel_operator(KernelSpec("matern", ell=0.3, nu=0.5),
-                              Grid(DENSE_KERNEL_CAP + 1, 1))
+_FAMILIES = ("squared-exponential", "matern", "gamma-exponential",
+             "rational-quadratic", "sinc")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nx=st.integers(1, 12), ny=st.integers(1, 12),
+       ratio=st.sampled_from([1.0, 0.25, 0.7, 1.9, 4.0]),
+       family=st.sampled_from(_FAMILIES),
+       ell=st.floats(0.02, 2.0), nu=st.floats(0.2, 4.0),
+       gamma_exp=st.floats(0.2, 2.0), cols=st.integers(0, 4),
+       seed=st.integers(0, 2**31 - 1))
+def test_kernel_operator_fft_matches_dense_property(nx, ny, ratio, family, ell,
+                                                    nu, gamma_exp, cols, seed):
+    """The FFT apply equals the dense oracle at 1e-12, relative to |K| |x|,
+    for vectors (cols = 0) and n x cols blocks, on non-square grids with
+    anisotropic spacing and every kernel family."""
+    g = Grid(nx, ny, spacing=(1.0, ratio))
+    # sinc reads only nu; scale it up so its oscillation shows on the grid
+    spec = KernelSpec(family, ell=ell, nu=10.0 * nu if family == "sinc" else nu,
+                      gamma_exp=gamma_exp)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((g.n, cols) if cols else g.n)
+    K = dense_kernel(spec, g)
+    y = build_kernel_operator(spec, g).apply(x)
+    assert y.shape == x.shape
+    scale = np.linalg.norm(np.abs(K) @ np.abs(x))
+    assert np.linalg.norm(y - K @ x) <= 1e-12 * scale
+
+
+def test_kernel_operator_apply_rejects_wrong_length():
+    op = build_kernel_operator(KernelSpec("matern", ell=0.3, nu=0.5), Grid(3, 2))
+    with pytest.raises(ArgumentError):
+        op.apply(np.ones(5))
+    with pytest.raises(ArgumentError):
+        op.apply(np.ones((6, 2, 2)))
+
+
+def test_kernel_operator_beyond_old_dense_cap():
+    """Grid(129, 128) has 16512 points, above the 16384 the dense builder
+    allowed; its columns match kappa of the distances to their points."""
+    g = Grid(129, 128)
+    spec = KernelSpec("matern", ell=0.25, nu=0.5)
+    op = build_kernel_operator(spec, g)
+    assert op.shape == (16512, 16512)
+    z = g.points()
+    for j in (0, 77, 8300, g.n - 1):
+        e = np.zeros(g.n)
+        e[j] = 1.0
+        want = kernel_eval(spec, np.hypot(z[:, 0] - z[j, 0], z[:, 1] - z[j, 1]))
+        want[j] = 1.0
+        np.testing.assert_allclose(op.matvec(e), want, rtol=0, atol=1e-13)
+
+
+def test_kernel_operator_memory_is_linear():
+    """Building and applying a 128 x 128 grid kernel never allocates an
+    n x n array: the peak stays below 16 MiB (one 16384^2 float array is
+    2 GiB)."""
+    g = Grid(128, 128)
+    x = np.random.default_rng(1).standard_normal(g.n)
+    tracemalloc.start()
+    try:
+        op = build_kernel_operator(KernelSpec("matern", ell=0.25, nu=1.5), g)
+        y = op.matvec(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(y))
+    assert peak < 16 * 2**20
 
 
 def test_grid_distances_consistency():
-    g = Grid(4, 3)
+    """The oracle's distances are symmetric with a zero diagonal and follow
+    the grid offsets that the FFT build evaluates the kernel on."""
+    g = Grid(4, 3, spacing=(1.0, 1.5))
     D = grid_distances(g)
     assert D.shape == (12, 12)
     np.testing.assert_allclose(D, D.T, atol=0)
     np.testing.assert_allclose(np.diag(D), 0.0, atol=1e-12)
-    # passing the precomputed matrix must give the same operator
+    iy, ix = np.divmod(np.arange(g.n), g.nx)
+    offsets = np.hypot((iy[:, None] - iy[None, :]) * 1.5 * g.scale,
+                       (ix[:, None] - ix[None, :]) * g.scale)
+    np.testing.assert_allclose(D, offsets, rtol=1e-14, atol=1e-15)
     spec = KernelSpec("matern", ell=0.3, nu=1.5)
-    K1 = build_kernel_operator(spec, g).mat
-    K2 = build_kernel_operator(spec, g, dists=D).mat
-    np.testing.assert_allclose(K1, K2, atol=0)
+    np.testing.assert_allclose(kernel_matrix(build_kernel_operator(spec, g)),
+                               dense_kernel(spec, g), atol=1e-15)
 
 
 # -- sample covariance factors -----------------------------------------------

@@ -13,7 +13,9 @@ MODULES = ("operators", "mixgk", "projected", "params", "learn",
            "testproblems", "cli")
 
 RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
-           "optimal_objective", "trace_term", "MixGKOptions")
+           "optimal_objective", "trace_term", "MixGKOptions",
+           "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
+           "CapacityError")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -38,5 +40,7 @@ def test_retired_names_not_exported():
         assert not set(RETIRED) & set(mod.__all__), name
         assert not any(hasattr(mod, n) for n in RETIRED), name
     assert not any(hasattr(mixkry, n) for n in RETIRED)
+    assert not hasattr(importlib.import_module("mixkry.errors"),
+                       "CapacityError")
     for owner, attr in RETIRED_ATTRS:
         assert not hasattr(owner, attr), (owner.__name__, attr)
