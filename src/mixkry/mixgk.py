@@ -43,9 +43,9 @@ _TINY = np.finfo(float).tiny
 _BREAKDOWN_TOL = 1e-12
 _RANK_TOL = 1e-12
 
-# rounding moves x^T Q1 x by about n eps ||x|| ||Q1 x|| (3.6e-12 at
-# n = 16384); a form below -_DEFINITE_TOL ||x|| ||Q1 x|| is a negative
-# direction of Q1, not roundoff
+# rounding moves x^T Q x by about n eps ||x|| ||Q x|| (3.6e-12 at
+# n = 16384); a form below -_DEFINITE_TOL ||x|| ||Q x|| is a negative
+# direction of Q, not roundoff
 _DEFINITE_TOL = 1e-8
 
 
@@ -59,17 +59,20 @@ class OpCounter:
         self.flops += int(n)
 
 
-def _q1_norm(x, q1x):
-    """sqrt(x^T Q1 x) from x and Q1 x.
+def _form_norm(x, qx, name, scale=None):
+    """sqrt(x^T Q x) from x and Q x, for the covariance-like operator ``name``.
 
-    A form that is negative beyond roundoff means Q1 is not positive
-    definite and raises :class:`DefinitenessError`; a roundoff-negative one
-    reads as zero.
+    A form below ``-_DEFINITE_TOL * scale`` means Q is not positive definite
+    and raises :class:`DefinitenessError`; a roundoff-negative one reads as
+    zero.  ``scale`` bounds the size of the form's rounding error and
+    defaults to ||x|| ||Q x||.
     """
-    form = x @ q1x
-    if form < -_DEFINITE_TOL * np.linalg.norm(x) * np.linalg.norm(q1x):
+    form = x @ qx
+    if scale is None:
+        scale = np.linalg.norm(x) * np.linalg.norm(qx)
+    if form < -_DEFINITE_TOL * scale:
         raise DefinitenessError(
-            f"Q1 is not positive definite (x^T Q1 x = {form:.3g})")
+            f"{name} is not positive definite (x^T {name} x = {form:.3g})")
     return np.sqrt(max(form, 0.0))
 
 
@@ -82,7 +85,7 @@ def _check_symmetric(Q, name):
     """Two-vector symmetry probe of a covariance operator.
 
     For a symmetric Q, x^T Q y and y^T Q x differ only by roundoff; a gap
-    above the ``_DEFINITE_TOL`` allowance of ``_q1_norm`` raises
+    above the ``_DEFINITE_TOL`` allowance of ``_form_norm`` raises
     :class:`DefinitenessError`.  The probe vectors come from a fixed seed, so
     reruns apply Q to the same inputs.
     """
@@ -259,7 +262,7 @@ class MixGKState:
             raise ArgumentError("right-hand side length does not match the operator")
         _require_finite(b, "right-hand side b")
         rinv_b = Rinv.matvec(b)
-        beta1 = np.sqrt(max(b @ rinv_b, 0.0))
+        beta1 = _form_norm(b, rinv_b, "R^{-1}")
         if beta1 == 0.0:
             raise DegenerateDataError("zero right-hand side")
         self.beta1 = float(beta1)
@@ -272,7 +275,7 @@ class MixGKState:
         _require_finite(vraw, "A^T R^{-1} u_1")
         q1v = Q1.matvec(vraw)
         _require_finite(q1v, "Q1 A^T R^{-1} u_1")
-        alpha1 = _q1_norm(vraw, q1v)
+        alpha1 = _form_norm(vraw, q1v, "Q1")
         scale = np.linalg.norm(vraw)
         if alpha1 <= _BREAKDOWN_TOL * max(scale, _TINY):
             # Immediate breakdown: no usable subspace exists.
@@ -319,15 +322,17 @@ class MixGKState:
         return self.Q1V[:, : self.k]
 
     def projection_grams(self):
-        """Gamma-independent k x k blocks of D^T D, memoized per step."""
+        """``(B, BtB, H2, H3)``: the bidiagonal block and the
+        gamma-independent k x k blocks of D^T D, memoized per step.  The
+        arrays are shared between calls; callers must not write to them."""
         if self._grams is None or self._grams[0] != self.k:
             B = self.bidiagonal()
             BtB = B.T @ B
             BtC = B.T @ self.C
             H2 = BtC + BtC.T
             H3 = self.C.T @ self.C + self.Rup.T @ self.Rup
-            self._grams = (self.k, BtB, H2, H3)
-        return self._grams[1], self._grams[2], self._grams[3]
+            self._grams = (self.k, B, BtB, H2, H3)
+        return self._grams[1:]
 
     # -- stepping -----------------------------------------------------------
 
@@ -345,10 +350,13 @@ class MixGKState:
         uhat = a_q1v - alpha_k * u_k
         t = self.Rinv.matvec(uhat)
         scale_u = np.sqrt(max(a_q1v @ (t + alpha_k * self.RinvU[:, k - 1]), 0.0))
+        # t tracks R^{-1} uhat through the projection below, so the form's
+        # rounding error scales with the vectors before it, not after
+        form_scale = np.linalg.norm(uhat) * np.linalg.norm(t)
         coef = self.U.T @ t
         uhat = uhat - self.U @ coef
         t = t - self.RinvU @ coef
-        beta_new = np.sqrt(max(uhat @ t, 0.0))
+        beta_new = _form_norm(uhat, t, "R^{-1}", scale=form_scale)
 
         if beta_new <= _BREAKDOWN_TOL * max(scale_u, _TINY):
             # The subspace closed under A Q1; finalize step k with the
@@ -377,7 +385,7 @@ class MixGKState:
         coef_v = self.Q1V.T @ vhat
         vhat = vhat - self.V @ coef_v
         q1vhat = self.Q1.matvec(vhat)
-        alpha_new = _q1_norm(vhat, q1vhat)
+        alpha_new = _form_norm(vhat, q1vhat, "Q1")
         q1_arm = q1vhat + beta_new * q1v_k + self.Q1V @ coef_v
         scale_v = np.sqrt(max(arm @ q1_arm, 0.0))
 
@@ -448,9 +456,9 @@ def mixgk_init(A, Rinv, LR, Q1, Q2, b):
 
     Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
     when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
-    :class:`DefinitenessError` when Q1 shows a negative form or a two-vector
-    probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes the returned
-    state is already terminal with k = 0 (no usable subspace).
+    :class:`DefinitenessError` when R^{-1} or Q1 shows a negative form or a
+    two-vector probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes the
+    returned state is already terminal with k = 0 (no usable subspace).
     """
     m, n = A.rows, A.cols
     if Rinv.shape != (m, m) or LR.shape != (m, m):

@@ -303,13 +303,13 @@ def select_params(method, state, prior, config=None):
         if gamma_fixed is not None:
             x0 = np.array([np.log10(best[1])])
             bounds = [(blo, bhi)]
-            fun = lambda x: f(gamma_fixed, 10.0 ** np.clip(x[0], blo, bhi))
+            fun = lambda x: f(gamma_fixed, 10.0 ** min(max(x[0], blo), bhi))
         else:
             x0 = np.array([best[2], np.log10(best[1])])
             bounds = [(config.gamma_min, 1.0), (blo, bhi)]
             fun = lambda x: f(
-                float(np.clip(x[0], config.gamma_min, 1.0)),
-                10.0 ** np.clip(x[1], blo, bhi),
+                float(min(max(x[0], config.gamma_min), 1.0)),
+                10.0 ** min(max(x[1], blo), bhi),
             )
         res = scipy.optimize.minimize(
             fun, x0, method="Nelder-Mead", bounds=bounds,

@@ -9,6 +9,11 @@ with k + 1 + r rows (2k + 1 when the QR factor is full rank).  The iterate
 weights solve the regularized normal equations
 
     (Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk)) y = Dk^T rhs.
+
+Each (gamma, lam) evaluation factors that matrix by one LAPACK ``potrf``
+and solves with ``potrs``, called directly: the penalty
+gamma I + (1 - gamma) Gk is formed once per system, and the state's
+gamma-independent blocks (B and the Gram products) once per step.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     ArgumentError,
@@ -39,7 +44,8 @@ __all__ = [
 class ProjectedSystem:
     """Assembled projected system at one (step, gamma) pair.
 
-    ``DtD`` and ``Dtrhs`` are cached products used by every solve.
+    ``DtD`` and ``Dtrhs`` are cached products used by every solve, and the
+    mixed penalty gamma I + (1 - gamma) Gk is formed once at construction.
     """
 
     Dk: np.ndarray
@@ -54,16 +60,14 @@ class ProjectedSystem:
             self.DtD = self.Dk.T @ self.Dk
         if self.Dtrhs is None:
             self.Dtrhs = self.Dk.T @ self.rhs
+        self._P = self.gamma * np.eye(self.k) + (1.0 - self.gamma) * self.Gk
 
     @property
     def k(self):
         return self.Dk.shape[1]
 
     def penalty(self, lam):
-        k = self.k
-        return self.DtD + (lam * lam) * (
-            self.gamma * np.eye(k) + (1.0 - self.gamma) * self.Gk
-        )
+        return self.DtD + (lam * lam) * self._P
 
 
 def build_projected(state, gamma):
@@ -72,7 +76,7 @@ def build_projected(state, gamma):
         raise ParameterDomainError("gamma must lie in (0, 1]")
     if state.k < 1:
         raise ArgumentError("projection needs at least one completed step")
-    B = state.bidiagonal()
+    B, BtB, H2, H3 = state.projection_grams()
     C = state.C
     Rup = state.Rup
     top = gamma * B + (1.0 - gamma) * C
@@ -80,30 +84,37 @@ def build_projected(state, gamma):
     rhs = np.zeros(Dk.shape[0])
     rhs[0] = state.beta1
     g = gamma
-    BtB, H2, H3 = state.projection_grams()
     DtD = (g * g) * BtB + g * (1.0 - g) * H2 + (1.0 - g) ** 2 * H3
     Dtrhs = state.beta1 * top[0, :]
     return ProjectedSystem(Dk, state.G, rhs, gamma, DtD=DtD, Dtrhs=Dtrhs)
 
 
 def _factor(sys, lam):
-    M = sys.penalty(lam)
-    try:
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    """Lower Cholesky factor of the penalized normal matrix (upper triangle
+    left as scratch, which ``potrs`` never reads)."""
+    L, info = lapack.dpotrf(sys.penalty(lam), lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         if lam == 0.0:
-            raise RankError("projected system singular at lam = 0") from exc
+            raise RankError("projected system singular at lam = 0")
         raise ConditioningError(
-            f"projected normal equations indefinite at lam = {lam:g}"
-        ) from exc
+            f"projected normal equations indefinite at lam = {lam:g}")
+    if info < 0:
+        raise RuntimeError(f"dpotrf rejected argument {-info}")
+    return L
+
+
+def _solve(L, rhs):
+    x, info = lapack.dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise RuntimeError(f"dpotrs rejected argument {-info}")
+    return x
 
 
 def solve_projected(sys, lam):
     """Solve for the projected weights y(lam, gamma)."""
     if lam < 0:
         raise ParameterDomainError("lam must be nonnegative")
-    cho = _factor(sys, lam)
-    return scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+    return _solve(_factor(sys, lam), sys.Dtrhs)
 
 
 def projected_residual(sys, y):
@@ -118,10 +129,9 @@ def residual_and_trace(sys, lam):
     from one Cholesky factor."""
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
-    cho = _factor(sys, lam)
-    y = scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
-    r = projected_residual(sys, y)
-    X = scipy.linalg.cho_solve(cho, sys.DtD, check_finite=False)
+    L = _factor(sys, lam)
+    r = projected_residual(sys, _solve(L, sys.Dtrhs))
+    X = _solve(L, sys.DtD)
     return float(r @ r), float(np.trace(X))
 
 

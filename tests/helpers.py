@@ -5,10 +5,15 @@ calling back into the package, so that agreement between the two routes is
 evidence and not tautology.  The one exception is
 :func:`optimal_objective`, the full-space route that checks the O(k^2)
 optimal-method cache against the package's own recovery.
+:func:`solve_projected_reference` and :func:`residual_and_trace_reference`
+are the scipy ``cho_factor``/``cho_solve`` route to the projected solve,
+which must agree with the package's direct LAPACK calls bit for bit.
 """
 
 import numpy as np
+import scipy.linalg
 
+from mixkry.errors import ConditioningError, ParameterDomainError, RankError
 from mixkry.operators import (aslinop, kernel_eval, noise_whitener,
                               zero_operator)
 from mixkry.projected import build_projected, recover_iterate, solve_projected
@@ -79,6 +84,43 @@ def solve_map_dense(A, Rinv, Q, b, mu, lam):
     M = ARinv @ A @ Q + (lam * lam) * np.eye(n)
     x = np.linalg.solve(M, ARinv @ (b - A @ mu))
     return mu + Q @ x
+
+
+def _cho_reference(sys, lam):
+    """Cholesky factor of Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk), with
+    the penalty formed from its definition at every call."""
+    k = sys.k
+    M = sys.DtD + (lam * lam) * (
+        sys.gamma * np.eye(k) + (1.0 - sys.gamma) * sys.Gk
+    )
+    try:
+        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        if lam == 0.0:
+            raise RankError("projected system singular at lam = 0") from exc
+        raise ConditioningError(
+            f"projected normal equations indefinite at lam = {lam:g}"
+        ) from exc
+
+
+def solve_projected_reference(sys, lam):
+    """Projected weights y(lam, gamma) through scipy's Cholesky wrappers."""
+    if lam < 0:
+        raise ParameterDomainError("lam must be nonnegative")
+    cho = _cho_reference(sys, lam)
+    return scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+
+
+def residual_and_trace_reference(sys, lam):
+    """Squared projected residual and influence trace through scipy's
+    Cholesky wrappers, both from one factor."""
+    if not lam > 0:
+        raise ParameterDomainError("trace term requires lam > 0")
+    cho = _cho_reference(sys, lam)
+    y = scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+    r = sys.Dk @ y - sys.rhs
+    X = scipy.linalg.cho_solve(cho, sys.DtD, check_finite=False)
+    return float(r @ r), float(np.trace(X))
 
 
 def optimal_objective(state, prior, gamma, lam, s_true):

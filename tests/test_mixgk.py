@@ -111,6 +111,28 @@ def test_indefinite_q1_caught_while_stepping():
         run_steps(state, 2, mixgk_step)
 
 
+def test_indefinite_rinv_raises_definiteness_error():
+    """R^{-1} = -I gives beta_1^2 = -|b|^2: a bad noise covariance, not a
+    zero right-hand side."""
+    eye = aslinop(np.eye(3))
+    with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
+        mixgk_init(eye, aslinop(-np.eye(3)), eye, eye, zero_operator(3),
+                   np.ones(3))
+
+
+def test_indefinite_rinv_caught_while_stepping():
+    """An R^{-1} with one negative diagonal entry is positive on b but not
+    on a later left direction; that fails in step instead of reading as a
+    beta breakdown."""
+    A, Q1, Q2, b, sigma = random_problem(3, m=12, n=9)
+    Aop, q1op, q2op, _, _ = wrap_problem(A, Q1, Q2, sigma)
+    Rinv = aslinop(np.diag(np.r_[np.ones(11), -1.0]))
+    prior = PriorSpec(mean=np.zeros(9), q1=q1op, q2=q2op)
+    assert b @ Rinv.matvec(b) > 0
+    with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
+        run_hybrid(Aop, Rinv, aslinop(np.eye(12)), prior, b)
+
+
 @pytest.mark.parametrize("which", ["Q1", "Q2"])
 def test_non_symmetric_covariance_raises_definiteness_error(which):
     """Adding a skew part keeps x^T Q x positive but breaks symmetry; the

@@ -89,19 +89,19 @@ def test_upre_requires_noise_variance():
 
 def test_objective_evaluation_factors_once(monkeypatch):
     """Each UPRE, GCV and WGCV evaluation takes its residual and its trace
-    from one Cholesky factor."""
+    from one LAPACK Cholesky factorization."""
     import mixkry.projected as projected_mod
 
     state, _, parts = advance(6, 6)
     sys = build_projected(state, 0.4)
-    cho_factor = projected_mod.scipy.linalg.cho_factor
+    dpotrf = projected_mod.lapack.dpotrf
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return cho_factor(*args, **kwargs)
+        return dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(projected_mod.scipy.linalg, "cho_factor", counting)
+    monkeypatch.setattr(projected_mod.lapack, "dpotrf", counting)
     for evaluate in (lambda: upre_objective(sys, 0.3, parts[4] ** 2),
                      lambda: gcv_objective(sys, 0.3),
                      lambda: wgcv_objective(sys, 0.3, 0.5)):

@@ -1,17 +1,23 @@
 """Projected subproblem: assembly, solves, recovery, and dense MAP oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (dense_map, random_problem, run_steps, solve_map_dense,
+from helpers import (dense_map, random_problem, residual_and_trace_reference,
+                     run_steps, solve_map_dense, solve_projected_reference,
                      wrap_problem)
-from mixkry.errors import ArgumentError, ParameterDomainError, RankError
+from mixkry.errors import (ArgumentError, MixkryError, ParameterDomainError,
+                           RankError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (PriorSpec, aslinop, noise_whitener,
                               zero_operator)
-from mixkry.projected import (build_projected, projected_residual,
-                              recover_iterate, residual_and_trace,
-                              solve_projected)
+from mixkry.params import _LOG10_LAMBDA_BOUNDS, SearchConfig
+from mixkry.projected import (ProjectedSystem, build_projected,
+                              projected_residual, recover_iterate,
+                              residual_and_trace, solve_projected)
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -36,6 +42,25 @@ def test_gamma_one_collapses_to_bidiagonal():
         np.testing.assert_allclose(sys.Dk[B.shape[0]:], 0.0, atol=0)
     assert sys.rhs[0] == pytest.approx(state.beta1)
     np.testing.assert_allclose(sys.rhs[1:], 0.0, atol=0)
+
+
+def test_memoized_bidiagonal_tracks_every_step():
+    """B is memoized with the Gram blocks per step; through a run that ends
+    in a beta breakdown (B turns k x k) gamma = 1 assembles exactly the
+    current bidiagonal, even when the previous step's memo is filled."""
+    n = 8
+    A = np.diag(np.repeat([1.0, 2.0, 3.0, 4.0], 2))
+    Rinv, LR = noise_whitener(1.0, n)
+    state = mixgk_init(aslinop(A), Rinv, LR, aslinop(np.eye(n)),
+                       zero_operator(n), np.arange(1.0, n + 1))
+    while not state.terminal:
+        mixgk_step(state)
+        build_projected(state, 0.5)
+        B = state.bidiagonal()
+        Dk = build_projected(state, 1.0).Dk
+        assert Dk.shape == B.shape and (Dk == B).all()
+    assert state.breakdown_reason == "beta"
+    assert state.k == 4 and B.shape == (4, 4)
 
 
 def test_q2_zero_gives_zero_gram():
@@ -208,6 +233,45 @@ def test_trace_matches_dense_influence():
     influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
     assert residual_and_trace(sys, lam)[1] == pytest.approx(
         np.trace(influence), rel=1e-11)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the package error it raises."""
+    try:
+        return fn(*args)
+    except MixkryError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
+       q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0),
+       log10_lam=st.floats(*_LOG10_LAMBDA_BOUNDS))
+def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
+                                                       gamma_mid, log10_lam):
+    """The direct potrf/potrs path gives the bits of scipy's cho_factor /
+    cho_solve route, with the penalty formed per call, at gamma_min, a
+    random gamma and 1, and at lam = 0, both lam bounds and inside them.
+    A copy with a zero last column and Gk = -I (singular at lam = 0,
+    indefinite for gamma < 1/2) must fail with the oracle's error class."""
+    state, _, _ = advance(seed, steps, q2_rank=q2_rank)
+    lo, hi = _LOG10_LAMBDA_BOUNDS
+    lams = (0.0, 10.0**lo, 10.0**log10_lam, 10.0**hi)
+    for gamma in (SearchConfig().gamma_min, gamma_mid, 1.0):
+        sys = build_projected(state, gamma)
+        Dk = sys.Dk.copy()
+        Dk[:, -1] = 0.0
+        bad = ProjectedSystem(Dk=Dk, Gk=-np.eye(sys.k), rhs=sys.rhs,
+                              gamma=gamma)
+        for system, lam in itertools.product((sys, bad), lams):
+            y = _outcome(solve_projected, system, lam)
+            y_ref = _outcome(solve_projected_reference, system, lam)
+            if isinstance(y_ref, type):
+                assert y is y_ref
+            else:
+                assert y.shape == y_ref.shape and (y == y_ref).all()
+            assert (_outcome(residual_and_trace, system, lam)
+                    == _outcome(residual_and_trace_reference, system, lam))
 
 
 # -- dense MAP oracle ---------------------------------------------------------
