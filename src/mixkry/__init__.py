@@ -28,7 +28,6 @@ from .operators import (
     LinearOperator,
     PriorSpec,
     SampleFactor,
-    aslinop,
     build_kernel_operator,
     identity_operator,
     kernel_eval,

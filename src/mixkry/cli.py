@@ -231,7 +231,6 @@ class Workload:
     sigma: float
     mean: np.ndarray
     grid: Grid
-    mask: np.ndarray
     sample: object
     q1: LinearOperator
     q2: LinearOperator
@@ -292,14 +291,14 @@ def assemble_workload(cfg):
         train = gen_training_images(cfg["problem.train_count"], size, seed + 1)
         sample = sample_covariance(train.images.reshape(train.count, -1))
         b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
-        grid, mask, s_true = prob.grid, prob.mask, prob.s_true
+        grid, s_true = prob.grid, prob.s_true
         A, b_true, name = prob.A, prob.b_clean, preset
     elif preset == "crosswell":
         size = cfg["problem.size"]
         prob = crosswell_tomo(size, cfg["problem.sources"],
                               cfg["problem.receivers"], seed=seed)
         b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
-        grid, mask, s_true = prob.grid, prob.mask, prob.s_true
+        grid, s_true = prob.grid, prob.s_true
         A, b_true, name = prob.A, prob.b_clean, preset
     else:
         if not cfg.get("file.a") or not cfg.get("file.b"):
@@ -314,11 +313,10 @@ def assemble_workload(cfg):
             s_true = load_vector(cfg["file.s_true"])
         side = int(round(np.sqrt(A.cols)))
         grid = Grid(side, side) if side * side == A.cols else None
-        mask = np.ones(A.cols, dtype=bool)
         sigma = cfg["noise.sigma"]
         if cfg.get("file.samples"):
             sample = sample_covariance(load_samples(cfg["file.samples"]).T)
-            if sample.dim != A.cols:
+            if sample.rows != A.cols:
                 raise ConfigError("file.samples dimension does not match file.a")
         name = "file"
 
@@ -341,7 +339,7 @@ def assemble_workload(cfg):
     if q2_source == "samples":
         if sample is None:
             raise ConfigError("prior.q2.source=samples needs training samples")
-        q2 = sample.operator()
+        q2 = sample
     elif q2_source == "kernel":
         q2 = _kernel_operator("prior.q2", cfg, grid, n)
     else:
@@ -349,7 +347,7 @@ def assemble_workload(cfg):
 
     work = Workload(name=name, A=A, b=np.asarray(b, dtype=float),
                     b_true=np.asarray(b_true, dtype=float), s_true=s_true,
-                    sigma=float(sigma), mean=mean, grid=grid, mask=mask,
+                    sigma=float(sigma), mean=mean, grid=grid,
                     sample=sample, q1=q1, q2=q2, q2_source=q2_source)
     _maybe_learn_q1(cfg, work)
     return work
@@ -587,10 +585,10 @@ def _cmd_run(cfg):
 
 
 def _blend_with_identity(sample, rho):
-    n = sample.dim
+    n = sample.rows
 
     def apply(x):
-        return rho * np.asarray(x, dtype=float) + (1.0 - rho) * sample.apply(x)
+        return rho * x + (1.0 - rho) * sample.matvec(x)
 
     return LinearOperator(n, n, apply, apply)
 

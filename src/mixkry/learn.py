@@ -1,10 +1,11 @@
 """Fitting kernel hyperparameters to sample covariances.
 
 A stochastic Frobenius mismatch between a candidate kernel matrix and a
-low-rank sample covariance is minimized over (nu, ell).  The sample
-covariance is only ever touched through its factor and the kernel through
-its FFT application, so the cost per probe is two factor applications plus
-one O(n log n) kernel product.
+low-rank sample covariance is minimized over (nu, ell).  Both covariances
+are operators, and the whole probe block goes through one ``matvec`` of
+each: the sample covariance is applied through its factor and the kernel
+by FFT, so the cost per probe is two factor products plus one
+O(n log n) kernel product.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class FitResult:
     ell: float
     objective: float
     probes: int
-    seed: int
 
 
 def rademacher_probes(n, count, seed):
@@ -57,7 +57,7 @@ def hutchinson_objective(spec, grid, sample, probes):
     if not np.all(np.abs(probes) == 1.0):
         raise ArgumentError("probes must be +-1 entries")
     kernel = build_kernel_operator(spec, grid)
-    diff = kernel.apply(probes) - sample.apply(probes)
+    diff = kernel.matvec(probes) - sample.matvec(probes)
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
 
@@ -80,7 +80,7 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     directly comparable across the search.
     """
     sample = samples if isinstance(samples, SampleFactor) else sample_covariance(samples)
-    if sample.dim != grid.n:
+    if sample.rows != grid.n:
         raise ArgumentError("sample dimension does not match the grid")
     if probes < 1:
         raise ArgumentError("need at least one probe")
@@ -116,7 +116,7 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
         z = np.clip(res.x, lb, ub)
         best = (float(res.fun), float(np.exp(z[0])), float(np.exp(z[1])))
     return FitResult(nu=best[1], ell=best[2], objective=best[0],
-                     probes=probes, seed=seed)
+                     probes=probes)
 
 
 def rblw_gamma(sample):

@@ -121,10 +121,10 @@ def _rotate_cols(M, i, c, s):
     M[:, i] = ci
 
 
-def _gs_append(Y, Rup, t, input_norm, rank_tol, counter):
+def _gs_append(Y, Rup, t, input_norm, counter):
     """Append column ``t`` to the skinny QR factors by two-pass Gram-Schmidt.
 
-    ``t`` is overwritten.  A remainder at or below ``rank_tol`` times
+    ``t`` is overwritten.  A remainder at or below ``_RANK_TOL`` times
     ``input_norm`` marks the column dependent: only its coefficients are
     recorded and the basis does not grow.
     """
@@ -140,7 +140,7 @@ def _gs_append(Y, Rup, t, input_norm, rank_tol, counter):
     else:
         coef = np.zeros(0)
     rho = np.linalg.norm(t)
-    if rho <= rank_tol * input_norm:
+    if rho <= _RANK_TOL * input_norm:
         return Y, np.hstack([Rup, coef[:, None]])
     Ynew = np.hstack([Y, (t / rho)[:, None]]) if Y.size else (t / rho)[:, None]
     p = Rup.shape[1]
@@ -151,8 +151,7 @@ def _gs_append(Y, Rup, t, input_norm, rank_tol, counter):
     return Ynew, Rnew
 
 
-def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=_RANK_TOL,
-                     counter=None):
+def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
     """Advance the skinny QR factors by one step in O(m k) work.
 
     First deflates the factored matrix against the unit vector ``u_new``
@@ -160,7 +159,7 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=_RANK_TOL,
     the updated basis exactly orthogonal to ``u_new``), then appends the
     already-deflated column ``v_hat`` by Gram-Schmidt.  Pass ``u_new=None``
     to skip deflation.  ``input_norm`` is the norm of the raw column before
-    any projection; a Gram-Schmidt remainder at or below ``rank_tol`` times
+    any projection; a Gram-Schmidt remainder at or below ``_RANK_TOL`` times
     it means the column is dependent and the basis does not grow.
 
     Returns the new ``(Y, Rup)``.  Raises :class:`RankError` when deflation
@@ -186,7 +185,7 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=_RANK_TOL,
                 _rotate_cols(Y, i, c, s)
             delta_s = d[0]
             xi2 = 1.0 - delta_s * delta_s
-            if xi2 <= rank_tol:
+            if xi2 <= _RANK_TOL:
                 raise RankError("deflation produced a rank-deficient factor")
             lead = Y[:, 0] - delta_s * u_new
             xi = np.linalg.norm(lead)
@@ -207,10 +206,10 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, rank_tol=_RANK_TOL,
     t = np.array(v_hat, dtype=float)
     if input_norm is None:
         input_norm = np.linalg.norm(t)
-    return _gs_append(Y, Rup, t, input_norm, rank_tol, counter)
+    return _gs_append(Y, Rup, t, input_norm, counter)
 
 
-def qr_recompute(Ut, Z, rank_tol=_RANK_TOL, counter=None):
+def qr_recompute(Ut, Z, counter=None):
     """Skinny QR of (I - Ut Ut^T) Z from scratch, O(m k^2).
 
     Columns are appended left to right by the incremental path's two-pass
@@ -225,7 +224,7 @@ def qr_recompute(Ut, Z, rank_tol=_RANK_TOL, counter=None):
     Rup = np.zeros((0, 0))
     for j in range(k):
         Y, Rup = _gs_append(Y, Rup, P[:, j].copy(), np.linalg.norm(Z[:, j]),
-                            rank_tol, counter)
+                            counter)
     return Y, Rup
 
 

@@ -1,11 +1,16 @@
 """Linear operators, covariance kernels, priors, and array I/O.
 
 Everything downstream touches matrices only through :class:`LinearOperator`,
-so solvers stay matrix-free.  Kernel covariances on a regular grid are block
-Toeplitz with Toeplitz blocks; :func:`build_kernel_operator` applies them
-exactly through the FFT of a 2ny x 2nx circulant embedding (Dietrich and
-Newsam, SIAM J. Sci. Comput. 18, 1997), so no n x n array is ever formed and
-grids of any size fit in O(n) memory.
+so solvers stay matrix-free.  Its ``matvec`` and ``rmatvec`` are the one way
+to apply an operator, to a vector or to the columns of a block; every
+covariance the package builds is a subclass or an instance of it: dense and
+sparse matrices (:meth:`LinearOperator.from_matrix`), diagonals, the
+identity and zero maps, grid kernels and sample covariances.  Kernel
+covariances on a regular grid are block Toeplitz with Toeplitz blocks;
+:func:`build_kernel_operator` applies them exactly through the FFT of a
+2ny x 2nx circulant embedding (Dietrich and Newsam, SIAM J. Sci. Comput.
+18, 1997), so no n x n array is ever formed and grids of any size fit in
+O(n) memory.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "noise_whitener",
     "identity_operator",
     "zero_operator",
-    "aslinop",
     "load_matrix",
     "save_matrix",
     "load_vector",
@@ -48,18 +52,36 @@ __all__ = [
 ]
 
 
+def _checked_apply(fn, x, n_in, n_out, what):
+    """``fn(x)`` for a length-``n_in`` vector or an ``n_in x M`` block,
+    checked to return ``(n_out,) + x.shape[1:]``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n_in:
+        raise ArgumentError(f"{what} applied to an array of shape {x.shape}")
+    y = np.asarray(fn(x), dtype=float)
+    if y.shape != (n_out,) + x.shape[1:]:
+        raise ArgumentError(f"{what} returned shape {y.shape} for an input "
+                            f"of shape {x.shape}")
+    return y
+
+
 class LinearOperator:
     """A linear map defined by its forward (and optional transpose) action.
+
+    :meth:`matvec` and :meth:`rmatvec` take a vector or a block whose columns
+    are vectors, and return the image of each column in the same layout.
+    Subclasses supply the actions as callbacks and do not override them.
 
     Parameters
     ----------
     rows, cols : int
         Output and input dimensions.
     matvec : callable
-        Maps a vector of length ``cols`` to a vector of length ``rows``.
+        Maps a length-``cols`` vector to a length-``rows`` vector, and a
+        ``cols x M`` block to the ``rows x M`` block of its column images.
     rmatvec : callable, optional
-        Transpose action.  Required only by consumers that call
-        :meth:`rmatvec`.
+        Transpose action, with the same block convention.  Required only by
+        consumers that call :meth:`rmatvec`.
     mat : ndarray or sparse matrix, optional
         Explicit matrix backing the operator, set by :meth:`from_matrix`.
         Only export reads it (``mixkry gen`` and ``TomoProblem.matrix``);
@@ -84,28 +106,16 @@ class LinearOperator:
         return (self.rows, self.cols)
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.cols:
-            raise ArgumentError(
-                f"operator of shape {self.shape} applied to vector of shape {x.shape}"
-            )
-        y = np.asarray(self._matvec(x), dtype=float)
-        if y.shape != (self.rows,):
-            raise ArgumentError("matvec returned a vector of the wrong length")
-        return y
+        """Apply the operator to a vector or to the columns of a block."""
+        return _checked_apply(self._matvec, x, self.cols, self.rows,
+                              f"operator of shape {self.shape}")
 
     def rmatvec(self, y):
+        """Apply the transpose to a vector or to the columns of a block."""
         if self._rmatvec is None:
             raise ArgumentError("operator has no transpose action")
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.shape[0] != self.rows:
-            raise ArgumentError(
-                f"transpose of shape {self.shape} applied to vector of shape {y.shape}"
-            )
-        x = np.asarray(self._rmatvec(y), dtype=float)
-        if x.shape != (self.cols,):
-            raise ArgumentError("rmatvec returned a vector of the wrong length")
-        return x
+        return _checked_apply(self._rmatvec, y, self.rows, self.cols,
+                              f"transpose of shape {self.shape}")
 
     @classmethod
     def from_matrix(cls, mat):
@@ -121,7 +131,8 @@ class LinearOperator:
 
 
 class DiagonalOperator(LinearOperator):
-    """Symmetric operator ``x -> diag * x`` with a strictly stored diagonal."""
+    """Symmetric operator ``x -> diag * x`` with a strictly stored diagonal;
+    a block has each of its rows scaled."""
 
     __slots__ = ("diag",)
 
@@ -129,8 +140,11 @@ class DiagonalOperator(LinearOperator):
         diag = np.asarray(diag, dtype=float)
         if diag.ndim != 1 or diag.size == 0:
             raise ArgumentError("diagonal must be a nonempty 1-d array")
-        apply = lambda x: diag * x
-        super().__init__(diag.size, diag.size, apply, apply)
+
+        def scale(x):
+            return diag * x if x.ndim == 1 else diag[:, None] * x
+
+        super().__init__(diag.size, diag.size, scale, scale)
         self.diag = diag
 
 
@@ -140,15 +154,8 @@ def identity_operator(n):
 
 
 def zero_operator(n):
-    zero = lambda x: np.zeros(n)
+    zero = lambda x: np.zeros(x.shape)
     return LinearOperator(n, n, zero, zero)
-
-
-def aslinop(obj):
-    """Coerce an array, sparse matrix, or operator to :class:`LinearOperator`."""
-    if isinstance(obj, LinearOperator):
-        return obj
-    return LinearOperator.from_matrix(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +331,21 @@ class KernelOperator(LinearOperator):
     """Grid kernel K[i, j] = kappa(|z_i - z_j|) applied by FFT.
 
     ``spectrum`` is the real ``rfft2`` of the kernel's symmetric circulant
-    embedding on a (2 ny, 2 nx) grid.  An application zero-pads the image to
-    that size, multiplies its spectrum and crops the result, so the product
-    is exact up to FFT roundoff.  Built by :func:`build_kernel_operator`.
+    embedding on a (2 ny, 2 nx) grid.  An application zero-pads the image
+    (each column of a block is one image) to that size, multiplies its
+    spectrum and crops the result, so the product is exact up to FFT
+    roundoff.  Built by :func:`build_kernel_operator`.
     """
 
     __slots__ = ("ny", "nx", "spectrum")
 
     def __init__(self, ny, nx, spectrum):
-        super().__init__(ny * nx, ny * nx, self.apply, self.apply)
+        super().__init__(ny * nx, ny * nx, self._fft_apply, self._fft_apply)
         self.ny = ny
         self.nx = nx
         self.spectrum = spectrum
 
-    def apply(self, x):
-        """Apply K to a vector or to the columns of an n x M block."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self.rows:
-            raise ArgumentError(f"kernel of size {self.rows} applied to an "
-                                f"array of shape {x.shape}")
+    def _fft_apply(self, x):
         ny, nx = self.ny, self.nx
         pad = (2 * ny, 2 * nx)
         img = x.reshape((ny, nx) + x.shape[1:])
@@ -379,40 +382,34 @@ def build_kernel_operator(spec, grid):
 # sample covariance factor
 
 
-class SampleFactor:
-    """Centered, 1/N-scaled sample factor S with Qhat = S S^T.
+class SampleFactor(LinearOperator):
+    """Sample covariance Qhat = S S^T kept as its centered, 1/N-scaled
+    factor S.
 
-    Column j holds (s_j - mean) / sqrt(N).  The estimator uses the 1/N
-    normalization throughout; callers wanting the unbiased 1/(N-1) variant
-    can rescale the factor.  Applications go through the factor only, never
-    through a densified Qhat; ``matvec_count`` tallies factor matvecs (two
-    per application) so tests can assert that.
+    Column j of ``factor`` holds (s_j - mean) / sqrt(N).  The estimator
+    uses the 1/N normalization throughout; callers wanting the unbiased
+    1/(N-1) variant can rescale the factor.  The operator applies Qhat as
+    S (S^T x), never through a densified Qhat.
     """
 
-    def __init__(self, factor, mean):
-        self.factor = np.asarray(factor, dtype=float)
-        self.mean = np.asarray(mean, dtype=float)
-        if self.factor.ndim != 2 or self.mean.shape != (self.factor.shape[0],):
-            raise ArgumentError("inconsistent factor and mean shapes")
-        self.matvec_count = 0
+    __slots__ = ("factor", "mean")
 
-    @property
-    def dim(self):
-        return self.factor.shape[0]
+    def __init__(self, factor, mean):
+        factor = np.asarray(factor, dtype=float)
+        mean = np.asarray(mean, dtype=float)
+        if factor.ndim != 2 or mean.shape != (factor.shape[0],):
+            raise ArgumentError("inconsistent factor and mean shapes")
+        n = factor.shape[0]
+        super().__init__(n, n, self._factor_apply, self._factor_apply)
+        self.factor = factor
+        self.mean = mean
 
     @property
     def count(self):
         return self.factor.shape[1]
 
-    def apply(self, x):
-        """Apply Qhat = S S^T to a vector or to the columns of a matrix."""
-        x = np.asarray(x, dtype=float)
-        ncols = 1 if x.ndim == 1 else x.shape[1]
-        self.matvec_count += 2 * ncols
+    def _factor_apply(self, x):
         return self.factor @ (self.factor.T @ x)
-
-    def operator(self):
-        return LinearOperator(self.dim, self.dim, self.apply, self.apply)
 
 
 def sample_covariance(samples):

@@ -133,12 +133,7 @@ def gcv_objective(sys, lam):
     Works in whitened residual units; rescaling b only multiplies the
     value, never moves the minimizer.
     """
-    rows = 2 * sys.k + 1
-    r2, tr = residual_and_trace(sys, lam)
-    denom = rows - tr
-    if denom == 0.0:
-        raise DegenerateTraceError("GCV denominator vanished")
-    return r2 / (denom * denom)
+    return wgcv_objective(sys, lam, 1.0)
 
 
 def wgcv_objective(sys, lam, omega):
@@ -297,41 +292,34 @@ def select_params(method, state, prior, config=None):
     flat = max(finite_vals) == min(finite_vals)
     converged = False
     if not flat:
+        # Nelder-Mead runs on x = (log10 lam,) with gamma pinned, else on
+        # (gamma, log10 lam); point(x) clamps it into the search box
         blo, bhi = _LOG10_LAMBDA_BOUNDS
-        lam_lo, lam_hi = 10.0**blo, 10.0**bhi
+        x0 = [np.log10(best[1])]
+        bounds = [(blo, bhi)]
+        if gamma_fixed is None:
+            x0.insert(0, best[2])
+            bounds.insert(0, (config.gamma_min, 1.0))
 
-        if gamma_fixed is not None:
-            x0 = np.array([np.log10(best[1])])
-            bounds = [(blo, bhi)]
-            fun = lambda x: f(gamma_fixed, 10.0 ** min(max(x[0], blo), bhi))
-        else:
-            x0 = np.array([best[2], np.log10(best[1])])
-            bounds = [(config.gamma_min, 1.0), (blo, bhi)]
-            fun = lambda x: f(
-                float(min(max(x[0], config.gamma_min), 1.0)),
-                10.0 ** min(max(x[1], blo), bhi),
-            )
+        def point(x):
+            lam = float(10.0 ** min(max(x[-1], blo), bhi))
+            if gamma_fixed is not None:
+                return float(gamma_fixed), lam
+            return float(min(max(x[0], config.gamma_min), 1.0)), lam
+
         res = scipy.optimize.minimize(
-            fun, x0, method="Nelder-Mead", bounds=bounds,
+            lambda x: f(*point(x)), np.array(x0), method="Nelder-Mead",
+            bounds=bounds,
             options={"maxfev": config.refine_evals, "xatol": 1e-6,
                      "fatol": 1e-14, "disp": False},
         )
-        if gamma_fixed is not None:
-            cand_gamma = gamma_fixed
-            cand_lam = float(np.clip(10.0 ** np.clip(res.x[0], blo, bhi),
-                                     lam_lo, lam_hi))
-        else:
-            cand_gamma = float(np.clip(res.x[0], config.gamma_min, 1.0))
-            cand_lam = float(np.clip(10.0 ** np.clip(res.x[1], blo, bhi),
-                                     lam_lo, lam_hi))
+        cand_gamma, cand_lam = point(res.x)
         cand = (float(res.fun), cand_lam, cand_gamma)
         if np.isfinite(cand[0]) and _better(cand, best):
             best = cand
         converged = bool(res.success)
 
     gamma_star, lam_star = best[2], best[1]
-    if gamma_fixed is not None:
-        gamma_star = float(gamma_fixed)
     objective = f(gamma_star, lam_star)
     if not np.isfinite(objective):
         raise SearchError("selected point has a non-finite objective")

@@ -37,7 +37,6 @@ class TomoProblem:
     s_true: np.ndarray
     grid: Grid
     mask: np.ndarray
-    meta: str
 
     @property
     def matrix(self):
@@ -194,9 +193,7 @@ def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
 
     op = LinearOperator.from_matrix(A)
     return TomoProblem(A=op, b_clean=op.matvec(s_true), s_true=s_true,
-                       grid=Grid(size, size), mask=mask.ravel(),
-                       meta=f"spherical means, {n_angles} angles x "
-                            f"{n_circles} radii on a {size}x{size} grid")
+                       grid=Grid(size, size), mask=mask.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +267,7 @@ def crosswell_tomo(size=64, n_sources=10, n_receivers=20, seed=11):
     s_true = _crosswell_truth(size, seed).ravel()
     op = LinearOperator.from_matrix(A)
     return TomoProblem(A=op, b_clean=op.matvec(s_true), s_true=s_true,
-                       grid=Grid(size, size), mask=np.ones(n, dtype=bool),
-                       meta=f"crosswell straight rays, {n_sources} sources x "
-                            f"{n_receivers} receivers on a {size}x{size} grid")
+                       grid=Grid(size, size), mask=np.ones(n, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

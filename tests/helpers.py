@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from mixkry.errors import ConditioningError, ParameterDomainError, RankError
-from mixkry.operators import (aslinop, kernel_eval, noise_whitener,
+from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
                               zero_operator)
 from mixkry.projected import build_projected, recover_iterate, solve_projected
 
@@ -47,8 +47,9 @@ def wrap_problem(A, Q1, Q2, sigma):
     """Operator views plus the (R^{-1}, L_R) pair for R = sigma^2 I."""
     m = A.shape[0]
     Rinv, LR = noise_whitener(sigma**2, m)
-    q2op = zero_operator(A.shape[1]) if Q2 is None else aslinop(Q2)
-    return aslinop(A), aslinop(Q1), q2op, Rinv, LR
+    wrap = LinearOperator.from_matrix
+    q2op = zero_operator(A.shape[1]) if Q2 is None else wrap(Q2)
+    return wrap(A), wrap(Q1), q2op, Rinv, LR
 
 
 def grid_distances(grid):

@@ -115,12 +115,21 @@ def test_estimator_mean_within_three_standard_errors():
 
 
 def test_estimator_counts_factor_applications():
+    """The estimator applies the sample factor once, to the whole probe
+    block."""
     grid = Grid(3, 2)
     spec = KernelSpec(family="matern", nu=0.5, ell=0.3)
     sample = sample_covariance([np.arange(6.0), np.ones(6)])
-    before = sample.matvec_count
+    seen = []
+    product = sample._matvec
+
+    def counted(x):
+        seen.append(x.shape)
+        return product(x)
+
+    sample._matvec = counted
     hutchinson_objective(spec, grid, sample, rademacher_probes(6, 25, seed=0))
-    assert sample.matvec_count - before == 2 * 25
+    assert seen == [(6, 25)]
 
 
 # -- hyperparameter search -------------------------------------------------------
@@ -139,7 +148,7 @@ def test_learn_recovers_correlation_length():
     assert abs(res.ell - 0.2) / 0.2 <= 0.25
     assert 0.1 <= res.nu <= 10.0
     assert np.isfinite(res.objective)
-    assert res.probes == 20 and res.seed == 0
+    assert res.probes == 20
 
 
 def test_learn_zero_sample_hits_smallest_correlation_corner():

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (max_principal_angle, random_problem,
+from helpers import (max_principal_angle, psd_matrix, random_problem,
                      recurrence_residual, reference_gengk, run_steps,
-                     wrap_problem)
+                     solve_map_dense, spd_matrix, wrap_problem)
 from mixkry.cli import run_hybrid
-from mixkry.errors import (ArgumentError, DefinitenessError,
+from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
                            DegenerateDataError)
 from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
-from mixkry.operators import (PriorSpec, aslinop, noise_whitener,
+from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
+
+from mixkry.projected import build_projected, recover_iterate, solve_projected
+
+from_matrix = LinearOperator.from_matrix
 
 
 def make_state(seed, m=25, n=20, q2_rank=None, noise=0.05):
@@ -28,9 +32,9 @@ def make_state(seed, m=25, n=20, q2_rank=None, noise=0.05):
 
 def test_init_identity_hand_case():
     """A=I2, R=I, Q1=I, b=(1,0): beta1=1, u1=(1,0), alpha1=1, v1=(1,0)."""
-    A = aslinop(np.eye(2))
+    A = from_matrix(np.eye(2))
     Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, aslinop(np.eye(2)), zero_operator(2),
+    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
                        np.array([1.0, 0.0]))
     assert state.beta1 == pytest.approx(1.0)
     np.testing.assert_allclose(state.U[:, 0], [1.0, 0.0])
@@ -51,21 +55,21 @@ def test_init_scaling_of_b():
 
 def test_init_weighted_norm():
     """R = 4I and b = (2,0) give beta1 = sqrt(b^T R^{-1} b) = 1."""
-    A = aslinop(np.eye(2))
+    A = from_matrix(np.eye(2))
     Rinv, LR = noise_whitener(4.0, 2)
-    state = mixgk_init(A, Rinv, LR, aslinop(np.eye(2)), zero_operator(2),
+    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
                        np.array([2.0, 0.0]))
     assert state.beta1 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_init_zero_b_and_shape_mismatch():
-    A = aslinop(np.eye(3))
+    A = from_matrix(np.eye(3))
     Rinv, LR = noise_whitener(1.0, 3)
     with pytest.raises(DegenerateDataError):
-        mixgk_init(A, Rinv, LR, aslinop(np.eye(3)), zero_operator(3), np.zeros(3))
+        mixgk_init(A, Rinv, LR, from_matrix(np.eye(3)), zero_operator(3), np.zeros(3))
     Rbad, Lbad = noise_whitener(1.0, 4)
     with pytest.raises(ArgumentError):
-        mixgk_init(A, Rbad, Lbad, aslinop(np.eye(3)), zero_operator(3), np.ones(3))
+        mixgk_init(A, Rbad, Lbad, from_matrix(np.eye(3)), zero_operator(3), np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -73,38 +77,38 @@ def test_init_rejects_non_finite_input(bad):
     """NaN or Inf in b, in A^T R^{-1} u_1, in its Q1 image or in the Q2
     image of a symmetry probe is bad input."""
     Rinv, LR = noise_whitener(1.0, 3)
-    ident, zero = aslinop(np.eye(3)), zero_operator(3)
+    ident, zero = from_matrix(np.eye(3)), zero_operator(3)
     b = np.array([1.0, bad, 0.5])
     with pytest.raises(ArgumentError, match="right-hand side"):
-        mixgk_init(aslinop(np.eye(3)), Rinv, LR, ident, zero, b)
+        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, ident, zero, b)
     A_bad = np.eye(3)
     A_bad[0, 1] = bad
     with pytest.raises(ArgumentError, match=r"A\^T R"):
-        mixgk_init(aslinop(A_bad), Rinv, LR, ident, zero, np.ones(3))
+        mixgk_init(from_matrix(A_bad), Rinv, LR, ident, zero, np.ones(3))
     Q1_bad = np.eye(3)
     Q1_bad[2, 0] = bad
     with pytest.raises(ArgumentError, match="Q1 A"):
-        mixgk_init(aslinop(np.eye(3)), Rinv, LR, aslinop(Q1_bad), zero,
+        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, from_matrix(Q1_bad), zero,
                    np.ones(3))
     with pytest.raises(ArgumentError, match="Q2 image"):
-        mixgk_init(aslinop(np.eye(3)), Rinv, LR, ident, aslinop(Q1_bad),
+        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, ident, from_matrix(Q1_bad),
                    np.ones(3))
 
 
 def test_indefinite_q1_raises_definiteness_error():
     """Q1 = -I gives alpha_1^2 = -|v|^2: not a breakdown but a bad Q1."""
-    A = aslinop(np.eye(3))
+    A = from_matrix(np.eye(3))
     Rinv, LR = noise_whitener(1.0, 3)
     with pytest.raises(DefinitenessError):
-        mixgk_init(A, Rinv, LR, aslinop(-np.eye(3)), zero_operator(3),
+        mixgk_init(A, Rinv, LR, from_matrix(-np.eye(3)), zero_operator(3),
                    np.ones(3))
 
 
 def test_indefinite_q1_caught_while_stepping():
     """A Q1 positive on v_1 but negative on a later direction fails in step."""
-    A = aslinop(np.eye(2))
+    A = from_matrix(np.eye(2))
     Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, aslinop(np.diag([1.0, -1.0])),
+    state = mixgk_init(A, Rinv, LR, from_matrix(np.diag([1.0, -1.0])),
                        zero_operator(2), np.array([2.0, 1.0]))
     assert not state.terminal
     with pytest.raises(DefinitenessError):
@@ -114,9 +118,9 @@ def test_indefinite_q1_caught_while_stepping():
 def test_indefinite_rinv_raises_definiteness_error():
     """R^{-1} = -I gives beta_1^2 = -|b|^2: a bad noise covariance, not a
     zero right-hand side."""
-    eye = aslinop(np.eye(3))
+    eye = from_matrix(np.eye(3))
     with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
-        mixgk_init(eye, aslinop(-np.eye(3)), eye, eye, zero_operator(3),
+        mixgk_init(eye, from_matrix(-np.eye(3)), eye, eye, zero_operator(3),
                    np.ones(3))
 
 
@@ -126,11 +130,11 @@ def test_indefinite_rinv_caught_while_stepping():
     beta breakdown."""
     A, Q1, Q2, b, sigma = random_problem(3, m=12, n=9)
     Aop, q1op, q2op, _, _ = wrap_problem(A, Q1, Q2, sigma)
-    Rinv = aslinop(np.diag(np.r_[np.ones(11), -1.0]))
+    Rinv = from_matrix(np.diag(np.r_[np.ones(11), -1.0]))
     prior = PriorSpec(mean=np.zeros(9), q1=q1op, q2=q2op)
     assert b @ Rinv.matvec(b) > 0
     with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
-        run_hybrid(Aop, Rinv, aslinop(np.eye(12)), prior, b)
+        run_hybrid(Aop, Rinv, from_matrix(np.eye(12)), prior, b)
 
 
 @pytest.mark.parametrize("which", ["Q1", "Q2"])
@@ -270,9 +274,9 @@ def test_matches_reference_gengk_when_q2_zero():
 def test_identity_problem_beta_breakdown():
     """A=I2, Q1=I, Q2=0, b=e1: step 1 finds the solution subspace and the
     next residual vector vanishes (beta breakdown)."""
-    A = aslinop(np.eye(2))
+    A = from_matrix(np.eye(2))
     Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, aslinop(np.eye(2)), zero_operator(2),
+    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
                        np.array([1.0, 0.0]))
     mixgk_step(state)
     assert state.terminal
@@ -338,6 +342,97 @@ def test_recurrence_relations_property(seed, m, n, steps, data):
             assert state.Y.shape == (m, 0)
             assert state.rank_drops == state.k
     assert worst <= 1e-9
+
+
+def _map_error(state, prior, A, Rinv, Q1, Q2, b, gamma, lam):
+    """Relative distance of the recovered iterate at (gamma, lam) from the
+    dense MAP estimate."""
+    y = solve_projected(build_projected(state, gamma), lam)
+    s = recover_iterate(state, prior, gamma, y)
+    ref = solve_map_dense(A, Rinv, gamma * Q1 + (1 - gamma) * Q2, b,
+                          prior.mean, lam)
+    return np.linalg.norm(s - ref) / np.linalg.norm(ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 10),
+       n=st.integers(2, 10), gamma=st.floats(0.05, 1.0),
+       log10_lam=st.floats(-1.0, 0.5), data=st.data())
+def test_map_agreement_at_termination_property(seed, m, n, gamma, log10_lam,
+                                               data):
+    """Criterion 1 over random small problems: once the process terminates
+    (alpha breakdown at k = n, or beta breakdown at k = m when m < n), the
+    recovered iterate is the MAP estimate of the mixed prior to 1e-8, for
+    Q2 ranks 0..n."""
+    q2_rank = data.draw(st.integers(0, n), label="q2_rank")
+    A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank)
+    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
+    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    run_steps(state, n + 1, mixgk_step)
+    assert state.terminal and state.k == min(m, n)
+    err = _map_error(state, prior, A, np.eye(m) / sigma**2, Q1, Q2, b, gamma,
+                     10.0**log10_lam)
+    assert err <= 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["alpha", "beta", "init"]),
+       seed=st.integers(0, 2**31 - 1), m=st.integers(2, 8),
+       n=st.integers(1, 8))
+def test_first_step_breakdown_property(kind, seed, m, n):
+    """A rank-one A = c w^T closes the subspace at once.
+
+    - ``alpha``: generic b.  Step 1 finds a new left vector, but A^T
+      R^{-1} u_2 is parallel to w, so alpha_2 vanishes; run_hybrid stops
+      with ``breakdown:alpha`` after one iterate.
+    - ``beta``: b in range(A).  A Q1 v_1 is parallel to u_1, so beta_2
+      vanishes and B is 1 x 1; run_hybrid stops after one iterate, on the
+      breakdown or on the residual of the exactly fitted data.
+    - ``init``: b on a zero row of A, so A^T R^{-1} b = 0 exactly; the state
+      is terminal at k = 0 and run_hybrid raises BreakdownError.
+
+    At k = 1 the recovered iterate is the MAP estimate, as at any
+    termination.
+    """
+    rng = np.random.default_rng(seed)
+    c, w = rng.standard_normal(m), rng.standard_normal(n)
+    r = rng.uniform(0.5, 2.0, m)
+    if kind == "init":
+        c[0] = 0.0
+    A = np.outer(c, w)
+    Q1 = spd_matrix(rng, n)
+    Q2 = psd_matrix(rng, n, int(rng.integers(0, n + 1)))
+    if kind == "alpha":
+        b = rng.standard_normal(m)
+    elif kind == "beta":
+        b = A @ rng.standard_normal(n)
+    else:
+        b = np.zeros(m)
+        b[0] = rng.uniform(0.5, 2.0)
+    Rinv, LR = noise_whitener(r)
+    Aop = from_matrix(A)
+    prior = PriorSpec(mean=np.zeros(n), q1=from_matrix(Q1),
+                      q2=from_matrix(Q2))
+    state = mixgk_init(Aop, Rinv, LR, prior.q1, prior.q2, b)
+    if kind == "init":
+        assert state.terminal and state.k == 0
+        assert state.breakdown_reason == "alpha"
+        with pytest.raises(BreakdownError):
+            run_hybrid(Aop, Rinv, LR, prior, b)
+        return
+    assert not state.terminal
+    mixgk_step(state)
+    assert state.terminal and state.k == 1
+    assert state.breakdown_reason == kind
+    assert state.bidiagonal().shape == ((2, 1) if kind == "alpha" else (1, 1))
+    err = _map_error(state, prior, A, np.diag(1.0 / r), Q1, Q2, b, 0.6, 0.5)
+    assert err <= 1e-8
+    result = run_hybrid(Aop, Rinv, LR, prior, b)
+    assert len(result.history) == 1
+    stops = {"alpha": ("breakdown:alpha",),
+             "beta": ("breakdown:beta", "residual")}[kind]
+    assert result.stop_reason in stops
 
 
 # -- QR maintenance -----------------------------------------------------------

@@ -4,13 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from helpers import dense_kernel, grid_distances
+from mixkry.cli import _blend_with_identity
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.operators import (Grid, KernelSpec,
-                              LinearOperator, aslinop, build_kernel_operator,
+from mixkry.operators import (DiagonalOperator, Grid, KernelSpec,
+                              LinearOperator, build_kernel_operator,
                               identity_operator, kernel_eval,
                               load_matrix, load_samples, load_vector,
                               noise_whitener, PriorSpec, sample_covariance,
@@ -161,7 +163,7 @@ def test_grid_validation():
 
 def kernel_matrix(op):
     """The operator's matrix, read off by applying it to the identity."""
-    return op.apply(np.eye(op.rows))
+    return op.matvec(np.eye(op.rows))
 
 
 def test_build_kernel_operator_single_point():
@@ -219,7 +221,7 @@ _FAMILIES = ("squared-exponential", "matern", "gamma-exponential",
        seed=st.integers(0, 2**31 - 1))
 def test_kernel_operator_fft_matches_dense_property(nx, ny, ratio, family, ell,
                                                     nu, gamma_exp, cols, seed):
-    """The FFT apply equals the dense oracle at 1e-12, relative to |K| |x|,
+    """The FFT product equals the dense oracle at 1e-12, relative to |K| |x|,
     for vectors (cols = 0) and n x cols blocks, on non-square grids with
     anisotropic spacing and every kernel family."""
     g = Grid(nx, ny, spacing=(1.0, ratio))
@@ -229,18 +231,10 @@ def test_kernel_operator_fft_matches_dense_property(nx, ny, ratio, family, ell,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((g.n, cols) if cols else g.n)
     K = dense_kernel(spec, g)
-    y = build_kernel_operator(spec, g).apply(x)
+    y = build_kernel_operator(spec, g).matvec(x)
     assert y.shape == x.shape
     scale = np.linalg.norm(np.abs(K) @ np.abs(x))
     assert np.linalg.norm(y - K @ x) <= 1e-12 * scale
-
-
-def test_kernel_operator_apply_rejects_wrong_length():
-    op = build_kernel_operator(KernelSpec("matern", ell=0.3, nu=0.5), Grid(3, 2))
-    with pytest.raises(ArgumentError):
-        op.apply(np.ones(5))
-    with pytest.raises(ArgumentError):
-        op.apply(np.ones((6, 2, 2)))
 
 
 def test_kernel_operator_beyond_old_dense_cap():
@@ -327,18 +321,27 @@ def test_sample_covariance_empty():
         sample_covariance([np.zeros(3), np.zeros(4)])
 
 
-def test_sample_factor_apply_and_counting():
-    """apply goes through the factor (2 matvecs per column), never a dense Qhat."""
+def test_sample_factor_matvec_and_counting():
+    """A sample factor is a symmetric operator whose matvec is S (S^T x),
+    one factor application per call, for a vector and for a block."""
     rng = np.random.default_rng(3)
     S = rng.standard_normal((6, 4))
     sf = SampleFactor(S, np.zeros(6))
+    assert isinstance(sf, LinearOperator)
+    assert sf.shape == (6, 6) and sf.count == 4
+    seen = []
+    product = sf._matvec
+
+    def counted(x):
+        seen.append(x.shape)
+        return product(x)
+
+    sf._matvec = counted
     x = rng.standard_normal(6)
-    np.testing.assert_allclose(sf.apply(x), S @ (S.T @ x), atol=0)
-    assert sf.matvec_count == 2
+    np.testing.assert_array_equal(sf.matvec(x), S @ (S.T @ x))
     X = rng.standard_normal((6, 5))
-    sf.apply(X)
-    assert sf.matvec_count == 2 + 10
-    assert sf.dim == 6 and sf.count == 4
+    np.testing.assert_array_equal(sf.matvec(X), S @ (S.T @ X))
+    assert seen == [(6,), (6, 5)]
 
 
 def test_sample_factor_psd_probe():
@@ -346,7 +349,7 @@ def test_sample_factor_psd_probe():
     sf = SampleFactor(rng.standard_normal((8, 3)), np.zeros(8))
     for _ in range(20):
         x = rng.standard_normal(8)
-        assert x @ sf.apply(x) >= -1e-12 * (x @ x)
+        assert x @ sf.matvec(x) >= -1e-12 * (x @ x)
 
 
 # -- prior mixing and whitening ------------------------------------------------
@@ -394,7 +397,7 @@ def test_adjoint_consistency():
     """<Op x, y> == <x, Op^T y> for dense-backed operators."""
     rng = np.random.default_rng(21)
     A = rng.standard_normal((7, 5))
-    op = aslinop(A)
+    op = LinearOperator.from_matrix(A)
     for _ in range(100):
         x = rng.standard_normal(5)
         y = rng.standard_normal(7)
@@ -410,15 +413,81 @@ def test_identity_and_zero_operators():
     np.testing.assert_allclose(zero_operator(5).matvec(x), 0.0, atol=0)
 
 
-def test_aslinop_passthrough_and_sparse():
-    import scipy.sparse as sp
-
-    op = identity_operator(3)
-    assert aslinop(op) is op
+def test_from_matrix_sparse():
     S = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    ops = aslinop(S)
+    ops = LinearOperator.from_matrix(S)
     np.testing.assert_allclose(ops.matvec(np.array([1.0, 1.0])), [3.0, 3.0])
     np.testing.assert_allclose(ops.rmatvec(np.array([1.0, 1.0])), [1.0, 5.0])
+
+
+def _small_ints(rng, shape):
+    """Integer-valued floats in [-4, 4]: every product and sum over a few
+    dozen terms is exact, so a block and its columns must agree bit for bit
+    whatever order BLAS sums in (gemm and gemv differ in the last digits on
+    general floats)."""
+    return rng.integers(-4, 5, size=shape).astype(float)
+
+
+def _block_case(kind, rng, n, m):
+    """(operator, input drawer) for one operator kind; ``m`` is the row
+    count of the rectangular kinds."""
+    floats = lambda rng, shape: rng.standard_normal(shape)
+    if kind == "dense":
+        return LinearOperator.from_matrix(_small_ints(rng, (m, n))), _small_ints
+    if kind == "sparse":
+        dense = floats(rng, (m, n)) * (rng.random((m, n)) < 0.4)
+        return LinearOperator.from_matrix(sp.csr_matrix(dense)), floats
+    if kind == "diagonal":
+        return DiagonalOperator(rng.uniform(0.5, 2.0, n)), floats
+    if kind == "identity":
+        return identity_operator(n), floats
+    if kind == "zero":
+        return zero_operator(n), floats
+    if kind == "kernel":
+        # a non-square grid of n + 1 columns and one row more
+        spec = KernelSpec("matern", ell=0.3, nu=1.5)
+        return build_kernel_operator(spec, Grid(n + 1, n + 2)), floats
+    sample = SampleFactor(_small_ints(rng, (n, 3)), np.zeros(n))
+    if kind == "sample":
+        return sample, _small_ints
+    return _blend_with_identity(sample, rng.uniform(0.1, 0.9)), _small_ints
+
+
+_BLOCK_KINDS = ("dense", "sparse", "diagonal", "identity", "zero", "kernel",
+                "sample", "blend")
+
+
+@pytest.mark.parametrize("kind", _BLOCK_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(1, 7), m=st.integers(1, 7), width=st.integers(1, 9),
+       seed=st.integers(0, 2**31 - 1))
+def test_block_matvec_is_columnwise_property(kind, n, m, width, seed):
+    """matvec and rmatvec of every operator kind map a block to the exact
+    stack of its column images, for a drawn width and for a square block
+    (the width at which scaling columns instead of rows goes unnoticed by
+    shape); a 3-d input or a wrong length raises ArgumentError."""
+    rng = np.random.default_rng(seed)
+    op, draw = _block_case(kind, rng, n, m)
+    for apply, size in ((op.matvec, op.cols), (op.rmatvec, op.rows)):
+        for cols in (width, size):
+            X = draw(rng, (size, cols))
+            Y = apply(X)
+            stacked = np.column_stack([apply(X[:, j]) for j in range(cols)])
+            assert Y.shape == stacked.shape
+            assert np.array_equal(Y, stacked)
+        for bad in ((size, 2, 2), (size + 1,), (size + 1, 2)):
+            with pytest.raises(ArgumentError):
+                apply(np.ones(bad))
+
+
+def test_matvec_rejects_callback_output_of_wrong_shape():
+    """A callback that drops the block's columns fails at the boundary."""
+    op = LinearOperator(3, 3, lambda x: np.zeros(3), lambda y: np.zeros(3))
+    np.testing.assert_array_equal(op.matvec(np.ones(3)), np.zeros(3))
+    with pytest.raises(ArgumentError, match="returned shape"):
+        op.matvec(np.ones((3, 2)))
+    with pytest.raises(ArgumentError, match="returned shape"):
+        op.rmatvec(np.ones((3, 3)))
 
 
 # -- MatrixMarket round trips ---------------------------------------------------

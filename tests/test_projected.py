@@ -12,7 +12,7 @@ from helpers import (dense_map, random_problem, residual_and_trace_reference,
 from mixkry.errors import (ArgumentError, MixkryError, ParameterDomainError,
                            RankError)
 from mixkry.mixgk import mixgk_init, mixgk_step
-from mixkry.operators import (PriorSpec, aslinop, noise_whitener,
+from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
 from mixkry.params import _LOG10_LAMBDA_BOUNDS, SearchConfig
 from mixkry.projected import (ProjectedSystem, build_projected,
@@ -51,8 +51,9 @@ def test_memoized_bidiagonal_tracks_every_step():
     n = 8
     A = np.diag(np.repeat([1.0, 2.0, 3.0, 4.0], 2))
     Rinv, LR = noise_whitener(1.0, n)
-    state = mixgk_init(aslinop(A), Rinv, LR, aslinop(np.eye(n)),
-                       zero_operator(n), np.arange(1.0, n + 1))
+    wrap = LinearOperator.from_matrix
+    state = mixgk_init(wrap(A), Rinv, LR, wrap(np.eye(n)), zero_operator(n),
+                       np.arange(1.0, n + 1))
     while not state.terminal:
         mixgk_step(state)
         build_projected(state, 0.5)

@@ -1,0 +1,85 @@
+"""Print the SHA-256 of every artifact the acceptance configs write.
+
+Usage: ``python3 tools/artifact_digests.py``.
+
+Runs each config below in this process through ``mixkry.cli.main``, using
+the package in this checkout's ``src/``, and prints one
+``sha256  relative/path`` line per artifact (``*.csv``, ``summary.txt``,
+``*.pgm``), sorted by path.  A refactor that leaves the numerics unchanged
+is checked by running the script at two commits and diffing the outputs.
+The CLI's own stdout is suppressed; a command that exits nonzero aborts
+the script with exit status 1.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from mixkry import cli  # noqa: E402
+
+SPHERICAL = """\
+problem.preset = spherical
+problem.size = 32
+problem.train_count = 49
+noise.level = 0.03
+seed = 101
+"""
+
+CROSSWELL = """\
+problem.preset = crosswell
+problem.size = 64
+noise.level = 0.01
+seed = 202
+select.method = optimal
+compare.variants = mix,q1,q2
+"""
+
+# (output tag, subcommand, config, overrides)
+RUNS = (
+    [(f"sph32-run-{m}", "run", SPHERICAL, [f"select.method={m}"])
+     for m in ("wgcv", "gcv", "upre", "optimal")]
+    + [
+        ("sph32-compare-wgcv", "compare", SPHERICAL,
+         ["select.method=wgcv", "compare.variants=mix,identity"]),
+        ("sph32-compare-optimal", "compare", SPHERICAL,
+         ["select.method=optimal", "compare.variants=mix"]),
+        ("cw64-compare", "compare", CROSSWELL, []),
+        ("sph32-run-gamma", "run", SPHERICAL, ["select.gamma=0.5"]),
+        ("sph32-compare-gamma", "compare", SPHERICAL,
+         ["select.gamma=0.5", "compare.variants=mix,q1,identity"]),
+        ("sph16-fit", "fit", SPHERICAL, ["problem.size=16"]),
+    ]
+)
+
+PATTERNS = ("*.csv", "summary.txt", "*.pgm")
+
+
+def run_all(workdir):
+    """Run every config under ``workdir``; return the artifact paths."""
+    for tag, command, config, overrides in RUNS:
+        cfg = workdir / f"{tag}.cfg"
+        cfg.write_text(config)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([command, str(cfg), *overrides,
+                           "--out", str(workdir / tag)])
+        if rc != 0:
+            raise SystemExit(f"{tag}: mixkry {command} exited with {rc}")
+    return sorted({p for pat in PATTERNS for p in workdir.rglob(pat)})
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for path in run_all(workdir):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(workdir).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
