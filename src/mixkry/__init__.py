@@ -54,6 +54,7 @@ from .projected import (
     projected_residual,
     recover_iterate,
     residual_and_trace,
+    solve_column,
     solve_projected,
 )
 from .params import (
@@ -71,6 +72,7 @@ from .params import (
 )
 from .learn import (
     FitResult,
+    fit_bounds,
     hutchinson_objective,
     learn_matern,
     rademacher_probes,

@@ -26,8 +26,8 @@ from .errors import (
     MixkryError,
     SearchError,
 )
-from .learn import (hutchinson_objective, learn_matern, rademacher_probes,
-                    rblw_gamma)
+from .learn import (fit_bounds, hutchinson_objective, learn_matern,
+                    rademacher_probes, rblw_gamma)
 from .mixgk import mixgk_init, mixgk_step
 from .operators import (
     Grid,
@@ -700,6 +700,13 @@ def _cmd_fit(cfg):
         sweep.append((count, repeats, mean, se))
     _write_csv(outdir / "fit.csv",
                ("probes", "repeats", "mean_objective", "se_objective"), sweep)
+    # a fit on the edge of its box, or with ell below one pixel, says so
+    clamped = [name for name, value, box in zip(("nu", "ell"),
+                                                (fit.nu, fit.ell),
+                                                fit_bounds(work.grid))
+               if np.isclose(np.log(value), np.log(box), rtol=0.0,
+                             atol=1e-9).any()]
+    pixel = min(work.grid.spacing) * work.grid.scale
     summary = [
         f"problem: {work.name}",
         f"family: {family}",
@@ -708,6 +715,8 @@ def _cmd_fit(cfg):
         f"prior.q1.ell={_fmt(fit.ell)}",
         f"objective: {_fmt(fit.objective)}",
         f"probes: {fit.probes}",
+        f"at_clamp: {','.join(clamped) or 'none'}",
+        f"ell_pixels: {_fmt(fit.ell / pixel)}",
     ]
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     print(f"fit: nu={fit.nu:.4g} ell={fit.ell:.4g} ({elapsed:.1f} ms)")

@@ -25,6 +25,7 @@ from .operators import (
 
 __all__ = [
     "FitResult",
+    "fit_bounds",
     "rademacher_probes",
     "hutchinson_objective",
     "learn_matern",
@@ -71,6 +72,12 @@ def _fit_grid(objective, nus, ells):
     return best
 
 
+def fit_bounds(grid):
+    """``((nu_lo, nu_hi), (ell_lo, ell_hi))``, the box :func:`learn_matern`
+    searches; ell is in the grid's kernel length units."""
+    return (0.1, 10.0), (1e-3, grid.diameter())
+
+
 def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     """Learn (nu, ell) for a kernel family against sample snapshots.
 
@@ -86,8 +93,7 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
         raise ArgumentError("need at least one probe")
     xi = rademacher_probes(grid.n, probes, seed)
 
-    nu_lo, nu_hi = 0.1, 10.0
-    ell_lo, ell_hi = 1e-3, grid.diameter()
+    (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
 
     def objective(nu, ell):
         spec = KernelSpec(family=family, nu=nu, ell=ell)

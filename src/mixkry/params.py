@@ -1,9 +1,11 @@
 """Regularization and mixing parameter selection, plus stopping rules.
 
-All selection methods act on the projected system, so each objective
-evaluation costs O(k^3) dense work at most.  The joint (gamma, lambda)
-search is a coarse log-spaced grid followed by Nelder-Mead refinement and
-is fully deterministic.
+All selection methods act on the projected system.  The joint
+(gamma, lambda) search is a coarse log-spaced grid followed by Nelder-Mead
+refinement and is fully deterministic.  The grid is scanned one gamma
+column at a time: a column costs one ``potrf`` of the penalty and one
+``syevd``, shared by all its lambda values.  Each refinement point, and
+the selected point, costs one ``potrf`` plus ``potrs`` of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import build_projected, residual_and_trace, solve_projected
+from .projected import (build_projected, residual_and_trace, solve_column,
+                        solve_projected)
 
 __all__ = [
     "SearchConfig",
@@ -122,8 +125,10 @@ def upre_objective(sys, lam, sigma2):
     """
     if sigma2 is None or sigma2 <= 0:
         raise ConfigError("UPRE requires a positive noise variance sigma2")
-    rows = 2 * sys.k + 1
-    r2, tr = residual_and_trace(sys, lam)
+    return _upre(*residual_and_trace(sys, lam), 2 * sys.k + 1, sigma2)
+
+
+def _upre(r2, tr, rows, sigma2):
     return sigma2 * (r2 + 2.0 * tr) / rows - sigma2
 
 
@@ -146,10 +151,17 @@ def wgcv_objective(sys, lam, omega):
         raise ParameterDomainError("omega must be positive")
     rows = 2 * sys.k + 1
     r2, tr = residual_and_trace(sys, lam)
-    denom = rows - omega * tr
-    if denom == 0.0:
+    if rows - omega * tr == 0.0:
         raise DegenerateTraceError("weighted GCV denominator vanished")
-    return r2 / (denom * denom)
+    return _wgcv(r2, tr, rows, omega)
+
+
+def _wgcv(r2, tr, rows, omega):
+    """r2 / (rows - omega tr)^2; a vanished denominator gives inf or nan
+    on arrays, which the grid scan maps to inf."""
+    denom = rows - omega * tr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return r2 / (denom * denom)
 
 
 class _OptimalCache:
@@ -172,13 +184,20 @@ class _OptimalCache:
         self.P22 = W.T @ W
 
     def value(self, gamma, y):
+        """The squared error at weights y, or per column of a k x M block."""
         g = gamma
         h = 1.0 - gamma
         val = self.c0 + 2.0 * g * (self.b1 @ y) + 2.0 * h * (self.b2 @ y)
-        val += g * g * (y @ (self.P11 @ y))
-        val += 2.0 * g * h * (y @ (self.P12 @ y))
-        val += h * h * (y @ (self.P22 @ y))
-        return float(val)
+        val += g * g * _quad(y, self.P11)
+        val += 2.0 * g * h * _quad(y, self.P12)
+        val += h * h * _quad(y, self.P22)
+        return val
+
+
+def _quad(y, P):
+    """y^T P y, per column when y is a block."""
+    Py = P @ y
+    return y @ Py if y.ndim == 1 else np.einsum("ij,ij->j", y, Py)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +205,12 @@ class _OptimalCache:
 
 
 def _objective_factory(method, state, prior, config):
-    """Return f(gamma, lam) -> float for the requested method.
+    """Return ``(f, column)`` for the requested method.
 
-    Projected systems are cached per gamma so grid columns share assembly;
-    each evaluation factors the projected normal equations once, and the
-    residual and trace of UPRE, GCV and WGCV come from that one factor.
+    ``f(gamma, lam) -> float`` scores one point from its own Cholesky
+    factor of the projected normal equations; ``column(gamma, lams) ->
+    array`` scores a grid column through :func:`solve_column`.  Projected
+    systems are cached per gamma, so both share assembly.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
@@ -213,23 +233,40 @@ def _objective_factory(method, state, prior, config):
 
         def f(gamma, lam):
             y = solve_projected(get_sys(gamma), lam)
-            return cache.value(gamma, y)
+            return float(cache.value(gamma, y))
 
-        return f
+        def column(gamma, lams):
+            return cache.value(gamma, solve_column(get_sys(gamma), lams)[0])
 
+        return f, column
+
+    rows = 2 * state.k + 1
     if method == "upre":
-        return lambda gamma, lam: upre_objective(get_sys(gamma), lam, config.sigma2)
-    if method == "gcv":
-        return lambda gamma, lam: gcv_objective(get_sys(gamma), lam)
+        def f(gamma, lam):
+            return upre_objective(get_sys(gamma), lam, config.sigma2)
 
-    def f(gamma, lam):
-        sys = get_sys(gamma)
-        omega = config.omega
-        if omega is None:
-            omega = (2.0 * state.k + 1.0) / state.m
-        return wgcv_objective(sys, lam, omega)
+        def score(r2, tr):
+            return _upre(r2, tr, rows, config.sigma2)
+    else:
+        omega = 1.0
+        if method == "wgcv":
+            omega = config.omega
+            if omega is None:
+                omega = (2.0 * state.k + 1.0) / state.m
+            if omega <= 0:
+                raise ParameterDomainError("omega must be positive")
 
-    return f
+        def f(gamma, lam):
+            return wgcv_objective(get_sys(gamma), lam, omega)
+
+        def score(r2, tr):
+            return _wgcv(r2, tr, rows, omega)
+
+    def column(gamma, lams):
+        _, r2, tr = solve_column(get_sys(gamma), lams)
+        return score(r2, tr)
+
+    return f, column
 
 
 def _better(cand, best):
@@ -257,7 +294,7 @@ def select_params(method, state, prior, config=None):
     if state.k < 1:
         raise ArgumentError("selection needs at least one completed step")
     gamma_fixed = config.gamma_fixed
-    f_raw = _objective_factory(method, state, prior, config)
+    f_raw, column_raw = _objective_factory(method, state, prior, config)
 
     evals = 0
 
@@ -277,15 +314,18 @@ def select_params(method, state, prior, config=None):
     lo, hi = config.log10_lambda
     lambdas = np.logspace(lo, hi, config.grid_lambda)
 
+    # each column's best cell by (value, lam); _better orders the columns
     best = None
     finite_vals = []
     for gamma in gammas:
-        for lam in lambdas:
-            val = f(gamma, lam)
-            if np.isfinite(val):
-                finite_vals.append(val)
-            if _better((val, lam, gamma), best):
-                best = (val, float(lam), float(gamma))
+        evals += lambdas.size
+        vals = column_raw(gamma, lambdas)
+        finite = np.isfinite(vals)
+        vals = np.where(finite, vals, np.inf)
+        finite_vals.extend(vals[finite])
+        i = np.lexsort((lambdas, vals))[0]
+        if _better((vals[i], lambdas[i], gamma), best):
+            best = (float(vals[i]), float(lambdas[i]), float(gamma))
     if not finite_vals:
         raise SearchError(f"no finite {method} objective on the search grid")
 

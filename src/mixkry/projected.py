@@ -10,10 +10,18 @@ weights solve the regularized normal equations
 
     (Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk)) y = Dk^T rhs.
 
-Each (gamma, lam) evaluation factors that matrix by one LAPACK ``potrf``
+A single (gamma, lam) point factors that matrix by one LAPACK ``potrf``
 and solves with ``potrs``, called directly: the penalty
-gamma I + (1 - gamma) Gk is formed once per system, and the state's
+P = gamma I + (1 - gamma) Gk is formed once per system, and the state's
 gamma-independent blocks (B and the Gram products) once per step.
+
+A whole column of lam values at one gamma shares one decomposition
+instead.  With P = L L^T and L^{-1} Dk^T Dk L^{-T} = V diag(mu) V^T,
+
+    Dk^T Dk + lam^2 P = L V diag(mu + lam^2) V^T L^T,
+
+so one ``potrf`` of P and one ``syevd`` give the weights, the residuals
+and the influence traces at every lam of the column.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ArgumentError,
@@ -37,6 +45,7 @@ __all__ = [
     "recover_iterate",
     "projected_residual",
     "residual_and_trace",
+    "solve_column",
 ]
 
 
@@ -133,6 +142,43 @@ def residual_and_trace(sys, lam):
     r = projected_residual(sys, _solve(L, sys.Dtrhs))
     X = _solve(L, sys.DtD)
     return float(r @ r), float(np.trace(X))
+
+
+def _trsm(L, X, trans=0):
+    """L^{-1} X (trans=0) or L^{-T} X (trans=1) for the lower factor L."""
+    return blas.dtrsm(1.0, L, X, lower=1, trans_a=trans)
+
+
+def solve_column(sys, lams):
+    """Weights, squared residuals and influence traces at every lam of a
+    column, from one Cholesky factor of the penalty and one symmetric
+    eigendecomposition.
+
+    Returns ``(Y, r2, tr)``: column j of ``Y`` is y(lams[j]), ``r2[j]`` is
+    ||Dk y - rhs||^2 taken from the residual itself, and ``tr[j]`` is
+    sum(mu / (mu + lams[j]^2)) with the eigenvalues mu clamped at zero.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(lams > 0):
+        raise ParameterDomainError("lam column must be positive")
+    L, info = lapack.dpotrf(sys._P, lower=1, clean=0)
+    if info > 0:
+        raise ConditioningError(
+            f"mixed penalty not positive definite at gamma = {sys.gamma:g}")
+    if info < 0:
+        raise RuntimeError(f"dpotrf rejected argument {-info}")
+    # L^{-1} [DtD | Dtrhs], then L^{-1} DtD L^{-T} from the first k columns
+    X = _trsm(L, np.column_stack([sys.DtD, sys.Dtrhs]))
+    mu, V, info = lapack.dsyevd(_trsm(L, X[:, :-1].T), lower=1)
+    if info != 0:
+        raise ConditioningError(
+            f"projected eigendecomposition failed at gamma = {sys.gamma:g}")
+    mu = np.maximum(mu, 0.0)
+    c = V.T @ X[:, -1]
+    denom = mu[:, None] + lams * lams
+    Y = _trsm(L, V @ (c[:, None] / denom), trans=1)
+    R = sys.Dk @ Y - sys.rhs[:, None]
+    return Y, np.einsum("ij,ij->j", R, R), (mu[:, None] / denom).sum(axis=0)
 
 
 def recover_iterate(state, prior, gamma, y):

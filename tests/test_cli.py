@@ -347,6 +347,22 @@ def test_fit_summary_paste_ready(fit_dir):
     assert 0.1 <= float(nu_line.split("=")[1]) <= 10.0
 
 
+def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
+    """summary.txt names a parameter left on the edge of the fit box and
+    states ell in pixels (a 16 x 16 grid spans the unit square)."""
+    fields = dict(l.split("=", 1) if "=" in l else l.split(": ", 1)
+                  for l in (fit_dir / "summary.txt").read_text().splitlines())
+    nu, ell = float(fields["prior.q1.nu"]), float(fields["prior.q1.ell"])
+    at_clamp = set(fields["at_clamp"].split(","))
+    # nine training images drive ell to its lower bound, 1e-3
+    assert at_clamp == {"ell"}
+    assert ("nu" in at_clamp) == any(
+        nu == pytest.approx(v, rel=1e-9) for v in (0.1, 10.0))
+    assert ("ell" in at_clamp) == any(
+        ell == pytest.approx(v, rel=1e-9) for v in (1e-3, np.sqrt(2.0)))
+    assert float(fields["ell_pixels"]) == pytest.approx(16.0 * ell, rel=1e-12)
+
+
 def test_fit_requires_samples(tmp_path, capsys):
     save_matrix(tmp_path / "A.mtx", np.eye(4))
     save_vector(tmp_path / "b.mtx", np.ones(4))

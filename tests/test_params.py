@@ -243,8 +243,10 @@ def test_select_flat_grid_reports_unconverged(monkeypatch):
     import mixkry.params as params_mod
 
     state, prior, _ = advance(12, 5)
+    point = lambda gamma, lam: 7.0
+    column = lambda gamma, lams: np.full(lams.size, 7.0)
     monkeypatch.setattr(params_mod, "_objective_factory",
-                        lambda *a: (lambda gamma, lam: 7.0))
+                        lambda *a: (point, column))
     cfg = SearchConfig()
     res = select_params("gcv", state, prior, cfg)
     assert not res.converged
@@ -257,10 +259,49 @@ def test_select_all_infinite_grid_raises(monkeypatch):
     import mixkry.params as params_mod
 
     state, prior, _ = advance(13, 5)
+    point = lambda gamma, lam: np.inf
+    column = lambda gamma, lams: np.full(lams.size, np.nan)
     monkeypatch.setattr(params_mod, "_objective_factory",
-                        lambda *a: (lambda gamma, lam: np.inf))
+                        lambda *a: (point, column))
     with pytest.raises(SearchError):
         select_params("gcv", state, prior, SearchConfig())
+
+
+@pytest.mark.parametrize("method, gamma_fixed, expect", [
+    ("wgcv", None, 280), ("gcv", None, 287), ("upre", None, 287),
+    ("gcv", 0.4, 62)])
+def test_select_counts_one_evaluation_per_grid_cell(monkeypatch, method,
+                                                    gamma_fixed, expect):
+    """Every grid cell counts as one evaluation although a whole column is
+    scored at once, and so does each pointwise (refinement and final)
+    evaluation: the totals on this state are those of a search that
+    scored every cell pointwise."""
+    import mixkry.params as params_mod
+
+    state, prior, parts = advance(7, 10)
+    factory = params_mod._objective_factory
+    calls = {"point": 0, "column": 0}
+
+    def counting(*args):
+        f, column = factory(*args)
+
+        def f_counted(gamma, lam):
+            calls["point"] += 1
+            return f(gamma, lam)
+
+        def column_counted(gamma, lams):
+            calls["column"] += 1
+            return column(gamma, lams)
+
+        return f_counted, column_counted
+
+    monkeypatch.setattr(params_mod, "_objective_factory", counting)
+    cfg = SearchConfig(sigma2=parts[4] ** 2, gamma_fixed=gamma_fixed)
+    res = select_params(method, state, prior, cfg)
+    columns = 1 if gamma_fixed is not None else cfg.grid_gamma
+    assert calls["column"] == columns
+    assert res.evaluations == columns * cfg.grid_lambda + calls["point"]
+    assert res.evaluations == expect
 
 
 def test_search_config_validation():

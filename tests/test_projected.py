@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from helpers import (dense_map, random_problem, residual_and_trace_reference,
                      run_steps, solve_map_dense, solve_projected_reference,
                      wrap_problem)
-from mixkry.errors import (ArgumentError, MixkryError, ParameterDomainError,
-                           RankError)
+from mixkry.errors import (ArgumentError, ConditioningError, MixkryError,
+                           ParameterDomainError, RankError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
-from mixkry.params import _LOG10_LAMBDA_BOUNDS, SearchConfig
+from mixkry.params import (_LOG10_LAMBDA_BOUNDS, METHODS, SearchConfig,
+                           _objective_factory)
 from mixkry.projected import (ProjectedSystem, build_projected,
                               projected_residual, recover_iterate,
-                              residual_and_trace, solve_projected)
+                              residual_and_trace, solve_column,
+                              solve_projected)
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -273,6 +275,108 @@ def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
                 assert y.shape == y_ref.shape and (y == y_ref).all()
             assert (_outcome(residual_and_trace, system, lam)
                     == _outcome(residual_and_trace_reference, system, lam))
+
+
+# -- column evaluator ---------------------------------------------------------
+
+# The eigendecomposition and the per-point Cholesky solve round differently,
+# by up to the condition number (about 6e6 on these systems) times machine
+# epsilon.  Over the draws below the worst relative gaps are 1.6e-11 in the
+# weights (in norm), 4.2e-12 in r2, 2.2e-12 in the trace and 5.6e-12 in the
+# method values; an error in the algebra shows as an O(1) gap.
+_COLUMN_RTOL = 1e-10
+
+
+def _column_lams():
+    lo, hi = SearchConfig().log10_lambda
+    blo, bhi = _LOG10_LAMBDA_BOUNDS
+    grid = np.logspace(lo, hi, SearchConfig().grid_lambda)
+    return np.concatenate([[10.0**blo], grid, [10.0**bhi]])
+
+
+def _assert_column_matches_pointwise(sys, lams):
+    Y, r2, tr = solve_column(sys, lams)
+    for j, lam in enumerate(lams):
+        y = solve_projected(sys, lam)
+        r2_j, tr_j = residual_and_trace(sys, lam)
+        assert (np.linalg.norm(Y[:, j] - y)
+                <= _COLUMN_RTOL * np.linalg.norm(y))
+        assert r2[j] == pytest.approx(r2_j, rel=_COLUMN_RTOL)
+        assert tr[j] == pytest.approx(tr_j, rel=_COLUMN_RTOL)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
+       q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0))
+def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
+                                                     gamma_mid):
+    """One eigendecomposition per gamma gives the pointwise weights,
+    squared residuals, traces and method values at every lam of a column
+    that spans the search grid and both lam bounds, at gamma_min, a random
+    gamma and 1.  Where the pointwise values single out one grid cell by
+    more than 1e-9 relative, the column values pick the same cell.  A copy
+    with Gk = -I fails with the class the pointwise path raises wherever
+    that path fails, and agrees with it where the penalty is positive
+    definite."""
+    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    s_true = np.random.default_rng(seed).standard_normal(state.n)
+    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true)
+    gammas = (cfg.gamma_min, gamma_mid, 1.0)
+    lams = _column_lams()
+    for gamma in gammas:
+        sys = build_projected(state, gamma)
+        _assert_column_matches_pointwise(sys, lams)
+        bad = ProjectedSystem(Dk=sys.Dk, Gk=-np.eye(sys.k), rhs=sys.rhs,
+                              gamma=gamma)
+        # the penalty is (2 gamma - 1) I; the column evaluator needs it
+        # positive definite, the pointwise path fails only where
+        # lam^2 (2 gamma - 1) outweighs Dk^T Dk
+        raised = {p for p in (_outcome(residual_and_trace, bad, lam)
+                              for lam in lams) if isinstance(p, type)}
+        assert raised <= {ConditioningError}
+        if gamma <= 0.5:
+            assert _outcome(solve_column, bad, lams) is ConditioningError
+        else:
+            assert not raised
+            _assert_column_matches_pointwise(bad, lams)
+
+    for method in METHODS:
+        f, column = _objective_factory(method, state, prior, cfg)
+        by_column = np.array([column(gamma, lams) for gamma in gammas])
+        by_point = np.array([[f(gamma, lam) for lam in lams]
+                             for gamma in gammas])
+        # UPRE subtracts sigma2 from a term of that size
+        atol = _COLUMN_RTOL * cfg.sigma2 if method == "upre" else 0.0
+        np.testing.assert_allclose(by_column, by_point, rtol=_COLUMN_RTOL,
+                                   atol=atol)
+        first, second = np.sort(by_point, axis=None)[:2]
+        if second - first > 1e-9 * abs(first):
+            assert np.argmin(by_column) == np.argmin(by_point)
+
+
+def test_column_evaluator_clamps_rounded_eigenvalues():
+    """With a zero column in Dk the transformed matrix is singular, and its
+    zero eigenvalue rounds to about +-1e-11 here.  Counted as zero when
+    negative, it keeps every trace term mu / (mu + lam^2) in [0, 1], so the
+    trace stays within [0, k] even at lam = 1e-8."""
+    for seed in range(10):
+        state, _, _ = advance(seed, 6)
+        for gamma in (0.01, 0.5):
+            sys = build_projected(state, gamma)
+            Dk = sys.Dk.copy()
+            Dk[:, -1] = 0.0
+            singular = ProjectedSystem(Dk=Dk, Gk=sys.Gk, rhs=sys.rhs,
+                                       gamma=gamma)
+            Y, r2, tr = solve_column(singular, [1e-8, 1e-6])
+            assert np.isfinite(Y).all() and np.isfinite(r2).all()
+            assert np.all((tr >= 0.0) & (tr <= sys.k))
+
+
+def test_column_evaluator_rejects_nonpositive_lambda():
+    sys = build_projected(advance(17, 3)[0], 0.5)
+    for lams in ([0.1, 0.0], [-1.0], [[0.1]]):
+        with pytest.raises(ParameterDomainError):
+            solve_column(sys, lams)
 
 
 # -- dense MAP oracle ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Print the SHA-256 of every artifact the acceptance configs write.
 
-Usage: ``python3 tools/artifact_digests.py``.
+Usage: ``python3 tools/artifact_digests.py [--keep DIR]``.
 
 Runs each config below in this process through ``mixkry.cli.main``, using
 the package in this checkout's ``src/``, and prints one
@@ -9,8 +9,13 @@ the package in this checkout's ``src/``, and prints one
 is checked by running the script at two commits and diffing the outputs.
 The CLI's own stdout is suppressed; a command that exits nonzero aborts
 the script with exit status 1.
+
+With ``--keep DIR`` the artifacts are written under ``DIR`` (created if
+missing) in place of a temporary directory and left there, so that two
+commits' outputs can be compared value by value when their digests differ.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -72,12 +77,23 @@ def run_all(workdir):
     return sorted({p for pat in PATTERNS for p in workdir.rglob(pat)})
 
 
-def main():
+def print_digests(workdir):
+    for path in run_all(workdir):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(workdir).as_posix()}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="write the artifacts to DIR and keep them")
+    args = parser.parse_args(argv)
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        print_digests(args.keep)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        for path in run_all(workdir):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(workdir).as_posix()}")
+        print_digests(Path(tmp))
     return 0
 
 
