@@ -53,7 +53,6 @@ from .projected import (
     build_projected,
     projected_residual,
     recover_iterate,
-    residual_and_trace,
     solve_column,
     solve_projected,
 )

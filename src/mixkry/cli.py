@@ -126,7 +126,6 @@ _KEYS = {
     "select.grid_lambda": (int, 15),
     "select.log10_lambda_lo": (float, -6.0),
     "select.log10_lambda_hi": (float, 2.0),
-    "select.refine_evals": (int, 200),
     "stop.max_iter": (int, 100),
     "stop.flat_tol": (float, 1e-4),
     "stop.residual_tol": (float, 1e-6),
@@ -375,7 +374,6 @@ def _search_config(cfg, work, method, gamma_fixed):
         grid_lambda=cfg["select.grid_lambda"],
         log10_lambda=(cfg["select.log10_lambda_lo"],
                       cfg["select.log10_lambda_hi"]),
-        refine_evals=cfg["select.refine_evals"],
         sigma2=sigma2,
         omega=cfg.get("select.omega"),
         s_true=s_true,

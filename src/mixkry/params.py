@@ -1,11 +1,12 @@
 """Regularization and mixing parameter selection, plus stopping rules.
 
-All selection methods act on the projected system.  The joint
-(gamma, lambda) search is a coarse log-spaced grid followed by Nelder-Mead
-refinement and is fully deterministic.  The grid is scanned one gamma
-column at a time: a column costs one ``potrf`` of the penalty and one
-``syevd``, shared by all its lambda values.  Each refinement point, and
-the selected point, costs one ``potrf`` plus ``potrs`` of its own.
+All selection methods act on the projected system and score one gamma
+column at a time through :func:`solve_column`: a column costs one ``potrf``
+of the penalty and one ``syevd``, shared by all its lambda values.  The
+joint (gamma, lambda) search scans a log-spaced grid of such columns, then
+zooms in on the best cell with small stencils of three gamma columns.  It
+is fully deterministic, and every point it reports was scored by that one
+column evaluator.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     ArgumentError,
@@ -22,8 +22,7 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import (build_projected, residual_and_trace, solve_column,
-                        solve_projected)
+from .projected import build_projected, solve_column
 
 __all__ = [
     "SearchConfig",
@@ -41,20 +40,24 @@ __all__ = [
 
 METHODS = ("optimal", "upre", "gcv", "wgcv")
 
-# log10 lambda box for the Nelder-Mead refinement
-_LOG10_LAMBDA_BOUNDS = (-8.0, 8.0)
+# zoom levels after the grid scan; the stencil steps halve at each level
+_ZOOMS = 8
+# objective values this close, relative to the lower one, count as tied
+_TIE_RTOL = 1e-12
 
 
 @dataclass
 class SearchConfig:
-    """Knobs of the deterministic (gamma, lambda) search."""
+    """Knobs of the deterministic (gamma, lambda) search.
+
+    ``log10_lambda`` bounds the whole lambda search, grid and zoom alike.
+    """
 
     gamma_min: float = 0.01
     gamma_fixed: float = None
     grid_gamma: int = 15
     grid_lambda: int = 15
     log10_lambda: tuple = (-6.0, 2.0)
-    refine_evals: int = 200
     sigma2: float = None
     omega: float = None
     s_true: np.ndarray = None
@@ -66,6 +69,10 @@ class SearchConfig:
             raise ParameterDomainError("fixed gamma must lie in (0, 1]")
         if self.grid_gamma < 1 or self.grid_lambda < 2:
             raise ArgumentError("grid must have at least 1 x 2 cells")
+        lo, hi = self.log10_lambda
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ParameterDomainError(
+                f"log10_lambda range ({lo}, {hi}) must be finite with lo < hi")
 
 
 @dataclass
@@ -122,10 +129,12 @@ def upre_objective(sys, lam, sigma2):
     component); the risk is stated in original data units, so the residual
     term is rescaled by sigma2.  The denominator is the nominal projected
     row count 2k+1 whatever the assembled row count turns out to be.
+    Scored through :func:`solve_column`, so the value is the search's own.
     """
     if sigma2 is None or sigma2 <= 0:
         raise ConfigError("UPRE requires a positive noise variance sigma2")
-    return _upre(*residual_and_trace(sys, lam), 2 * sys.k + 1, sigma2)
+    _, r2, tr = solve_column(sys, [lam])
+    return float(_upre(r2, tr, 2 * sys.k + 1, sigma2)[0])
 
 
 def _upre(r2, tr, rows, sigma2):
@@ -145,20 +154,21 @@ def wgcv_objective(sys, lam, omega):
     """Weighted GCV with trace weight omega; omega = 1 is plain GCV.
 
     The default weight (2k+1)/m can exceed one on overdetermined projected
-    problems, so only positivity is required.
+    problems, so only positivity is required.  Scored through
+    :func:`solve_column`, so the value is the search's own.
     """
     if omega <= 0:
         raise ParameterDomainError("omega must be positive")
     rows = 2 * sys.k + 1
-    r2, tr = residual_and_trace(sys, lam)
-    if rows - omega * tr == 0.0:
+    _, r2, tr = solve_column(sys, [lam])
+    if rows - omega * tr[0] == 0.0:
         raise DegenerateTraceError("weighted GCV denominator vanished")
-    return _wgcv(r2, tr, rows, omega)
+    return float(_wgcv(r2, tr, rows, omega)[0])
 
 
 def _wgcv(r2, tr, rows, omega):
-    """r2 / (rows - omega tr)^2; a vanished denominator gives inf or nan
-    on arrays, which the grid scan maps to inf."""
+    """r2 / (rows - omega tr)^2; a vanished denominator gives inf or nan,
+    which the search maps to inf."""
     denom = rows - omega * tr
     with np.errstate(divide="ignore", invalid="ignore"):
         return r2 / (denom * denom)
@@ -180,24 +190,19 @@ class _OptimalCache:
         self.b1 = Q1V.T @ e0
         self.b2 = W.T @ e0
         self.P11 = Q1V.T @ Q1V
-        self.P12 = Q1V.T @ W
+        P12 = Q1V.T @ W
+        self.P12 = P12 + P12.T
         self.P22 = W.T @ W
 
-    def value(self, gamma, y):
-        """The squared error at weights y, or per column of a k x M block."""
+    def value(self, gamma, Y):
+        """The squared error at each row y of the weight block Y (M x k),
+        row by row like :func:`solve_column`."""
         g = gamma
         h = 1.0 - gamma
-        val = self.c0 + 2.0 * g * (self.b1 @ y) + 2.0 * h * (self.b2 @ y)
-        val += g * g * _quad(y, self.P11)
-        val += 2.0 * g * h * _quad(y, self.P12)
-        val += h * h * _quad(y, self.P22)
-        return val
-
-
-def _quad(y, P):
-    """y^T P y, per column when y is a block."""
-    Py = P @ y
-    return y @ Py if y.ndim == 1 else np.einsum("ij,ij->j", y, Py)
+        b = g * self.b1 + h * self.b2
+        P = g * g * self.P11 + g * h * self.P12 + h * h * self.P22
+        PY = np.matmul(P, Y[:, :, None])[:, :, 0]
+        return self.c0 + ((2.0 * b + PY) * Y).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +210,9 @@ def _quad(y, P):
 
 
 def _objective_factory(method, state, prior, config):
-    """Return ``(f, column)`` for the requested method.
-
-    ``f(gamma, lam) -> float`` scores one point from its own Cholesky
-    factor of the projected normal equations; ``column(gamma, lams) ->
-    array`` scores a grid column through :func:`solve_column`.  Projected
-    systems are cached per gamma, so both share assembly.
-    """
+    """Return ``column(gamma, lams) -> array``, the requested method scored
+    at every lam of one gamma through :func:`solve_column`.  Projected
+    systems are cached per gamma."""
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
     if method == "upre" and (config.sigma2 is None or config.sigma2 <= 0):
@@ -231,20 +232,13 @@ def _objective_factory(method, state, prior, config):
     if method == "optimal":
         cache = _OptimalCache(state, prior, config.s_true)
 
-        def f(gamma, lam):
-            y = solve_projected(get_sys(gamma), lam)
-            return float(cache.value(gamma, y))
-
         def column(gamma, lams):
             return cache.value(gamma, solve_column(get_sys(gamma), lams)[0])
 
-        return f, column
+        return column
 
     rows = 2 * state.k + 1
     if method == "upre":
-        def f(gamma, lam):
-            return upre_objective(get_sys(gamma), lam, config.sigma2)
-
         def score(r2, tr):
             return _upre(r2, tr, rows, config.sigma2)
     else:
@@ -256,9 +250,6 @@ def _objective_factory(method, state, prior, config):
             if omega <= 0:
                 raise ParameterDomainError("omega must be positive")
 
-        def f(gamma, lam):
-            return wgcv_objective(get_sys(gamma), lam, omega)
-
         def score(r2, tr):
             return _wgcv(r2, tr, rows, omega)
 
@@ -266,106 +257,101 @@ def _objective_factory(method, state, prior, config):
         _, r2, tr = solve_column(get_sys(gamma), lams)
         return score(r2, tr)
 
-    return f, column
+    return column
+
+
+def _pick(vals):
+    """Index of the first value tied with the minimum of a column whose
+    lambdas ascend: ties go to the smallest lambda."""
+    low = vals.min()
+    return int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
 
 
 def _better(cand, best):
     """Ordering on (value, lam, gamma): smaller value, ties to small lam
-    then small gamma."""
+    then small gamma.  Values within ``_TIE_RTOL`` of the lower one tie."""
     if best is None:
         return True
-    if cand[0] != best[0]:
-        return cand[0] < best[0]
-    if cand[1] != best[1]:
-        return cand[1] < best[1]
-    return cand[2] < best[2]
+    a, b = cand[0], best[0]
+    if abs(a - b) > _TIE_RTOL * abs(min(a, b)):
+        return a < b
+    return cand[1:3] < best[1:3]
 
 
 def select_params(method, state, prior, config=None):
-    """Pick (gamma, lambda) for the current subspace by grid + refinement.
+    """Pick (gamma, lambda) for the current subspace: grid, then zoom.
 
-    Deterministic: a log-spaced coarse grid is scanned (ties broken toward
-    the smallest lambda, then the smallest gamma), then Nelder-Mead refines
-    from the best cell under a hard evaluation cap.  A completely flat grid
-    skips refinement and reports ``converged=False``.
+    Deterministic.  A log-spaced grid is scanned one gamma column at a
+    time.  Then ``_ZOOMS`` levels each scan a stencil centred on the best
+    cell so far: gamma + h_gamma {-1, 0, 1} by log10 lambda + h_lambda
+    {-2, ..., 2}, clipped to the search box, with both steps starting at
+    half a grid step and halving at each level.  A pinned gamma zooms
+    lambda only.  Ties go to the smallest lambda, then the smallest gamma.
+
+    ``objective`` is the selected cell's value as scanned, ``evaluations``
+    counts every scored cell, and ``converged`` is False for a flat grid
+    (no zoom runs) or a selected point on an edge of the box other than
+    gamma = 1.
     """
     if config is None:
         config = SearchConfig()
     if state.k < 1:
         raise ArgumentError("selection needs at least one completed step")
     gamma_fixed = config.gamma_fixed
-    f_raw, column_raw = _objective_factory(method, state, prior, config)
+    column = _objective_factory(method, state, prior, config)
+    lo, hi = config.log10_lambda
 
+    best = None  # (value, lam, gamma, log10 lam)
     evals = 0
 
-    def f(gamma, lam):
-        nonlocal evals
-        evals += 1
-        try:
-            val = f_raw(gamma, lam)
-        except (DegenerateTraceError, ArithmeticError):
-            return np.inf
-        return val if np.isfinite(val) else np.inf
+    def scan(gammas, log10_lams):
+        """Score every cell, keep the best; return the finite values."""
+        nonlocal best, evals
+        lams = 10.0 ** log10_lams
+        finite = []
+        for gamma in gammas:
+            vals = column(gamma, lams)
+            ok = np.isfinite(vals)
+            vals = np.where(ok, vals, np.inf)
+            finite.extend(vals[ok])
+            evals += lams.size
+            i = _pick(vals)
+            cand = (float(vals[i]), float(lams[i]), float(gamma),
+                    float(log10_lams[i]))
+            if _better(cand, best):
+                best = cand
+        return finite
 
     if gamma_fixed is not None:
         gammas = np.array([gamma_fixed])
     else:
         gammas = np.linspace(config.gamma_min, 1.0, config.grid_gamma)
-    lo, hi = config.log10_lambda
-    lambdas = np.logspace(lo, hi, config.grid_lambda)
-
-    # each column's best cell by (value, lam); _better orders the columns
-    best = None
-    finite_vals = []
-    for gamma in gammas:
-        evals += lambdas.size
-        vals = column_raw(gamma, lambdas)
-        finite = np.isfinite(vals)
-        vals = np.where(finite, vals, np.inf)
-        finite_vals.extend(vals[finite])
-        i = np.lexsort((lambdas, vals))[0]
-        if _better((vals[i], lambdas[i], gamma), best):
-            best = (float(vals[i]), float(lambdas[i]), float(gamma))
-    if not finite_vals:
+    finite = scan(gammas, np.linspace(lo, hi, config.grid_lambda))
+    if not finite:
         raise SearchError(f"no finite {method} objective on the search grid")
 
-    flat = max(finite_vals) == min(finite_vals)
-    converged = False
+    flat = max(finite) == min(finite)
     if not flat:
-        # Nelder-Mead runs on x = (log10 lam,) with gamma pinned, else on
-        # (gamma, log10 lam); point(x) clamps it into the search box
-        blo, bhi = _LOG10_LAMBDA_BOUNDS
-        x0 = [np.log10(best[1])]
-        bounds = [(blo, bhi)]
-        if gamma_fixed is None:
-            x0.insert(0, best[2])
-            bounds.insert(0, (config.gamma_min, 1.0))
+        h_gamma = (1.0 - config.gamma_min) / max(config.grid_gamma - 1, 1) / 2
+        h_lam = (hi - lo) / (config.grid_lambda - 1) / 2
+        # three gamma columns by five lambdas: a column costs one
+        # decomposition, while extra lambdas in a column are nearly free
+        for _ in range(_ZOOMS):
+            _, _, g, l = best
+            if gamma_fixed is None:
+                gammas = np.unique(np.clip(g + h_gamma * np.arange(-1.0, 2.0),
+                                           config.gamma_min, 1.0))
+            scan(gammas, np.unique(np.clip(l + h_lam * np.arange(-2.0, 3.0),
+                                           lo, hi)))
+            h_gamma /= 2
+            h_lam /= 2
 
-        def point(x):
-            lam = float(10.0 ** min(max(x[-1], blo), bhi))
-            if gamma_fixed is not None:
-                return float(gamma_fixed), lam
-            return float(min(max(x[0], config.gamma_min), 1.0)), lam
-
-        res = scipy.optimize.minimize(
-            lambda x: f(*point(x)), np.array(x0), method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxfev": config.refine_evals, "xatol": 1e-6,
-                     "fatol": 1e-14, "disp": False},
-        )
-        cand_gamma, cand_lam = point(res.x)
-        cand = (float(res.fun), cand_lam, cand_gamma)
-        if np.isfinite(cand[0]) and _better(cand, best):
-            best = cand
-        converged = bool(res.success)
-
-    gamma_star, lam_star = best[2], best[1]
-    objective = f(gamma_star, lam_star)
-    if not np.isfinite(objective):
-        raise SearchError("selected point has a non-finite objective")
+    value, lam_star, gamma_star, l = best
+    on_edge = l in (lo, hi) or (gamma_fixed is None
+                                and gamma_star == config.gamma_min)
     return SelectionResult(
-        gamma=gamma_star, lam=lam_star, objective=float(objective),
-        method=method, evaluations=evals, converged=converged,
+        gamma=gamma_star, lam=lam_star, objective=value, method=method,
+        evaluations=evals, converged=not flat and not on_edge,
     )
 
 

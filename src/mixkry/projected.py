@@ -10,18 +10,20 @@ weights solve the regularized normal equations
 
     (Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk)) y = Dk^T rhs.
 
-A single (gamma, lam) point factors that matrix by one LAPACK ``potrf``
-and solves with ``potrs``, called directly: the penalty
-P = gamma I + (1 - gamma) Gk is formed once per system, and the state's
-gamma-independent blocks (B and the Gram products) once per step.
-
-A whole column of lam values at one gamma shares one decomposition
-instead.  With P = L L^T and L^{-1} Dk^T Dk L^{-T} = V diag(mu) V^T,
+Parameter selection scores a whole column of lam values at one gamma from
+one decomposition.  With P = gamma I + (1 - gamma) Gk = L L^T and
+L^{-1} Dk^T Dk L^{-T} = V diag(mu) V^T,
 
     Dk^T Dk + lam^2 P = L V diag(mu + lam^2) V^T L^T,
 
 so one ``potrf`` of P and one ``syevd`` give the weights, the residuals
 and the influence traces at every lam of the column.
+
+The iterate at the selected point is solved directly: one LAPACK
+``potrf`` of the penalized normal matrix plus ``potrs``, which also
+defines the solve at lam = 0.  The penalty P is formed once per system,
+and the state's gamma-independent blocks (B and the Gram products) once
+per step.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "solve_projected",
     "recover_iterate",
     "projected_residual",
-    "residual_and_trace",
     "solve_column",
 ]
 
@@ -112,36 +113,20 @@ def _factor(sys, lam):
     return L
 
 
-def _solve(L, rhs):
-    x, info = lapack.dpotrs(L, rhs, lower=1)
-    if info != 0:
-        raise RuntimeError(f"dpotrs rejected argument {-info}")
-    return x
-
-
 def solve_projected(sys, lam):
     """Solve for the projected weights y(lam, gamma)."""
     if lam < 0:
         raise ParameterDomainError("lam must be nonnegative")
-    return _solve(_factor(sys, lam), sys.Dtrhs)
+    y, info = lapack.dpotrs(_factor(sys, lam), sys.Dtrhs, lower=1)
+    if info != 0:
+        raise RuntimeError(f"dpotrs rejected argument {-info}")
+    return y
 
 
 def projected_residual(sys, y):
     """Stacked projected residual Dk y - rhs (its norm equals the whitened
     full-space misfit norm)."""
     return sys.Dk @ y - sys.rhs
-
-
-def residual_and_trace(sys, lam):
-    """Squared projected residual ||Dk y(lam) - rhs||^2 and the projected
-    influence trace tr(Dk (Dk^T Dk + lam^2 P)^{-1} Dk^T) at one lam, both
-    from one Cholesky factor."""
-    if not lam > 0:
-        raise ParameterDomainError("trace term requires lam > 0")
-    L = _factor(sys, lam)
-    r = projected_residual(sys, _solve(L, sys.Dtrhs))
-    X = _solve(L, sys.DtD)
-    return float(r @ r), float(np.trace(X))
 
 
 def _trsm(L, X, trans=0):
@@ -154,9 +139,11 @@ def solve_column(sys, lams):
     column, from one Cholesky factor of the penalty and one symmetric
     eigendecomposition.
 
-    Returns ``(Y, r2, tr)``: column j of ``Y`` is y(lams[j]), ``r2[j]`` is
+    Returns ``(Y, r2, tr)``: row j of ``Y`` is y(lams[j]), ``r2[j]`` is
     ||Dk y - rhs||^2 taken from the residual itself, and ``tr[j]`` is
     sum(mu / (mu + lams[j]^2)) with the eigenvalues mu clamped at zero.
+    Each lam runs through the same operations, one matrix-vector product
+    per lam, so its values do not depend on the other lams passed.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(lams > 0):
@@ -175,10 +162,16 @@ def solve_column(sys, lams):
             f"projected eigendecomposition failed at gamma = {sys.gamma:g}")
     mu = np.maximum(mu, 0.0)
     c = V.T @ X[:, -1]
-    denom = mu[:, None] + lams * lams
-    Y = _trsm(L, V @ (c[:, None] / denom), trans=1)
-    R = sys.Dk @ Y - sys.rhs[:, None]
-    return Y, np.einsum("ij,ij->j", R, R), (mu[:, None] / denom).sum(axis=0)
+    denom = mu + (lams * lams)[:, None]
+    # y(lam) = L^{-T} V (c / (mu + lam^2))
+    Y = _matvecs(_trsm(L, V, trans=1), c / denom)
+    R = _matvecs(sys.Dk, Y) - sys.rhs
+    return Y, (R * R).sum(axis=1), (mu / denom).sum(axis=1)
+
+
+def _matvecs(M, X):
+    """M x for each row x of X, as one matrix-vector product per row."""
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def recover_iterate(state, prior, gamma, y):

@@ -19,7 +19,6 @@ problem.train_count = 9
 stop.max_iter = 6
 select.grid_gamma = 5
 select.grid_lambda = 7
-select.refine_evals = 40
 seed = 5
 """
 
@@ -91,6 +90,20 @@ def test_exit_code_missing_out(tmp_path, capsys):
     rc = cli.main(["run", cfg])
     assert rc == 2
     assert "out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lo, hi", [("3", "-2"), ("2", "2"), ("nan", "2"),
+                                    ("-6", "inf")])
+def test_exit_code_bad_lambda_range(tmp_path, capsys, lo, hi):
+    """A reversed, empty or non-finite lambda range is a config error that
+    names the range, not a search over a reversed grid or a failure inside
+    the column evaluator."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, f"select.log10_lambda_lo={lo}",
+                   f"select.log10_lambda_hi={hi}",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "log10_lambda" in capsys.readouterr().err
 
 
 def test_exit_code_breakdown(tmp_path, capsys):
@@ -402,7 +415,6 @@ def test_gen_and_file_round_trip(tmp_path):
         "stop.max_iter = 4\n"
         "select.grid_gamma = 4\n"
         "select.grid_lambda = 6\n"
-        "select.refine_evals = 30\n"
     ))
     run_out = tmp_path / "run"
     rc = cli.main(["run", str(cfg), "--out", str(run_out)])

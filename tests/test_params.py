@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mixkry.params as params_mod
 from helpers import optimal_objective, random_problem, run_steps, wrap_problem
 from mixkry.errors import (ArgumentError, ConfigError, ParameterDomainError,
                            SearchError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import PriorSpec
-from mixkry.params import (RunRecord, SearchConfig, SelectionResult,
+from mixkry.params import (METHODS, RunRecord, SearchConfig, SelectionResult,
                            StoppingPolicy, gcv_objective, select_params,
                            stopping_check, upre_objective, wgcv_objective)
 from mixkry.projected import build_projected
@@ -89,7 +91,8 @@ def test_upre_requires_noise_variance():
 
 def test_objective_evaluation_factors_once(monkeypatch):
     """Each UPRE, GCV and WGCV evaluation takes its residual and its trace
-    from one LAPACK Cholesky factorization."""
+    from one column decomposition, with one LAPACK Cholesky factorization
+    (of the penalty)."""
     import mixkry.projected as projected_mod
 
     state, _, parts = advance(6, 6)
@@ -239,14 +242,10 @@ def test_select_missing_requirements():
 
 def test_select_flat_grid_reports_unconverged(monkeypatch):
     """A constant objective: scan keeps the first (smallest lambda, then
-    smallest gamma) cell, skips refinement, flags converged=False."""
-    import mixkry.params as params_mod
-
+    smallest gamma) cell, skips the zoom, flags converged=False."""
     state, prior, _ = advance(12, 5)
-    point = lambda gamma, lam: 7.0
     column = lambda gamma, lams: np.full(lams.size, 7.0)
-    monkeypatch.setattr(params_mod, "_objective_factory",
-                        lambda *a: (point, column))
+    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
     cfg = SearchConfig()
     res = select_params("gcv", state, prior, cfg)
     assert not res.converged
@@ -256,52 +255,143 @@ def test_select_flat_grid_reports_unconverged(monkeypatch):
 
 
 def test_select_all_infinite_grid_raises(monkeypatch):
-    import mixkry.params as params_mod
-
     state, prior, _ = advance(13, 5)
-    point = lambda gamma, lam: np.inf
     column = lambda gamma, lams: np.full(lams.size, np.nan)
-    monkeypatch.setattr(params_mod, "_objective_factory",
-                        lambda *a: (point, column))
+    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
     with pytest.raises(SearchError):
         select_params("gcv", state, prior, SearchConfig())
 
 
-@pytest.mark.parametrize("method, gamma_fixed, expect", [
-    ("wgcv", None, 280), ("gcv", None, 287), ("upre", None, 287),
-    ("gcv", 0.4, 62)])
-def test_select_counts_one_evaluation_per_grid_cell(monkeypatch, method,
-                                                    gamma_fixed, expect):
-    """Every grid cell counts as one evaluation although a whole column is
-    scored at once, and so does each pointwise (refinement and final)
-    evaluation: the totals on this state are those of a search that
-    scored every cell pointwise."""
-    import mixkry.params as params_mod
+def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
+    """Values one or two ulps apart tie.  Within a column the smaller
+    lambda wins over a value 1 ulp lower at a larger lambda, and across
+    columns the smaller gamma wins over a value 2 ulps lower at the same
+    lambda, so rounding does not decide the pick."""
+    state, prior, _ = advance(12, 5)
+    cfg = SearchConfig()
+    gammas = np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma)
+    lams = np.logspace(*cfg.log10_lambda, cfg.grid_lambda)
+    ulp = np.spacing(1.0) / 2  # spacing just below 1.0
+    cells = {(gammas[3], lams[4]): 1.0,
+             (gammas[3], lams[6]): 1.0 - ulp,
+             (gammas[8], lams[4]): 1.0 - 2 * ulp}
 
+    def column(gamma, column_lams):
+        vals = np.full(column_lams.size, 2.0)
+        for (g, lam), value in cells.items():
+            if gamma == g:
+                vals[column_lams == lam] = value
+        return vals
+
+    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    res = select_params("gcv", state, prior, cfg)
+    assert (res.gamma, res.lam, res.objective) == (gammas[3], lams[4], 1.0)
+
+
+@pytest.mark.parametrize("log10_lam, gamma, converged", [
+    (-1.3, 0.6, True), (5.0, 2.0, False), (-9.0, 0.6, False),
+    (-1.3, -1.0, False)])
+def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
+                                              converged):
+    """The zoom homes in on an interior minimum and reports converged.  A
+    minimum beyond a lambda end or below gamma_min selects that edge and
+    reports converged=False; beyond gamma = 1 it selects gamma = 1, an
+    edge that counts as converged."""
+    state, prior, _ = advance(12, 5)
+    column = lambda g, lams: ((np.log10(lams) - log10_lam) ** 2
+                              + (g - gamma) ** 2)
+    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    cfg = SearchConfig()
+    lo, hi = cfg.log10_lambda
+    res = select_params("gcv", state, prior, cfg)
+    assert res.converged is converged
+    assert np.log10(res.lam) == pytest.approx(np.clip(log10_lam, lo, hi),
+                                              abs=3e-3)
+    assert res.gamma == pytest.approx(np.clip(gamma, cfg.gamma_min, 1.0),
+                                      abs=3e-3)
+    if log10_lam > hi:
+        assert res.lam == 10.0 ** hi
+    if gamma > 1.0:
+        assert res.gamma == 1.0
+
+
+@pytest.mark.parametrize("method, gamma_fixed, expect", [
+    ("wgcv", None, 335), ("gcv", None, 335), ("upre", None, 335),
+    ("gcv", 0.4, 55)])
+def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
+                                              gamma_fixed, expect):
+    """Every scored cell counts as one evaluation although a whole gamma
+    column is scored at once: the grid's columns, then at most three
+    columns of at most five lambdas per zoom level (one column when gamma
+    is pinned)."""
     state, prior, parts = advance(7, 10)
     factory = params_mod._objective_factory
-    calls = {"point": 0, "column": 0}
+    widths = []
 
     def counting(*args):
-        f, column = factory(*args)
-
-        def f_counted(gamma, lam):
-            calls["point"] += 1
-            return f(gamma, lam)
+        column = factory(*args)
 
         def column_counted(gamma, lams):
-            calls["column"] += 1
+            widths.append(lams.size)
             return column(gamma, lams)
 
-        return f_counted, column_counted
+        return column_counted
 
     monkeypatch.setattr(params_mod, "_objective_factory", counting)
     cfg = SearchConfig(sigma2=parts[4] ** 2, gamma_fixed=gamma_fixed)
     res = select_params(method, state, prior, cfg)
     columns = 1 if gamma_fixed is not None else cfg.grid_gamma
-    assert calls["column"] == columns
-    assert res.evaluations == columns * cfg.grid_lambda + calls["point"]
-    assert res.evaluations == expect
+    assert widths[:columns] == [cfg.grid_lambda] * columns
+    assert len(widths) - columns <= params_mod._ZOOMS * (
+        1 if gamma_fixed is not None else 3)
+    assert max(widths[columns:]) <= 5
+    assert res.evaluations == sum(widths) == expect
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
+       q2_rank=st.integers(0, 20),
+       gamma_fixed=st.one_of(st.none(), st.floats(0.01, 1.0)))
+def test_select_property(seed, steps, q2_rank, gamma_fixed):
+    """For every method: the selection is never worse than the best grid
+    cell, lies in the search box, reports the public pointwise objective at
+    (gamma*, lambda*) bit for bit, and returns a pinned gamma exactly."""
+    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    s_true = np.random.default_rng(seed).standard_normal(state.n)
+    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
+                       gamma_fixed=gamma_fixed)
+    lo, hi = cfg.log10_lambda
+    gammas = ([gamma_fixed] if gamma_fixed is not None
+              else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
+    lams = np.logspace(lo, hi, cfg.grid_lambda)
+    omega = (2.0 * state.k + 1.0) / state.m
+    for method in METHODS:
+        column = params_mod._objective_factory(method, state, prior, cfg)
+        grid = np.array([column(g, lams) for g in gammas])
+        grid_best = grid[np.isfinite(grid)].min()
+        sel = select_params(method, state, prior, cfg)
+        assert sel.objective <= grid_best + 1e-12 * abs(grid_best)
+        assert cfg.gamma_min <= sel.gamma <= 1.0
+        assert np.power(10.0, lo) <= sel.lam <= np.power(10.0, hi)
+        if gamma_fixed is not None:
+            assert sel.gamma == gamma_fixed
+        sys = build_projected(state, sel.gamma)
+        point = {
+            "optimal": lambda: column(sel.gamma, np.array([sel.lam]))[0],
+            "upre": lambda: upre_objective(sys, sel.lam, cfg.sigma2),
+            "gcv": lambda: gcv_objective(sys, sel.lam),
+            "wgcv": lambda: wgcv_objective(sys, sel.lam, omega),
+        }[method]()
+        assert sel.objective == point
+
+
+@pytest.mark.parametrize("lo, hi", [(3.0, -2.0), (2.0, 2.0), (np.nan, 2.0),
+                                    (-6.0, np.inf)])
+def test_search_config_rejects_bad_lambda_range(lo, hi):
+    """A reversed, empty or non-finite lambda range fails at construction
+    with the class the CLI maps to exit 2."""
+    with pytest.raises(ParameterDomainError, match="log10_lambda"):
+        SearchConfig(log10_lambda=(lo, hi))
 
 
 def test_search_config_validation():

@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (dense_map, random_problem, residual_and_trace_reference,
-                     run_steps, solve_map_dense, solve_projected_reference,
-                     wrap_problem)
+from helpers import (dense_map, optimal_objective, random_problem,
+                     residual_and_trace_reference, run_steps, solve_map_dense,
+                     solve_projected_reference, wrap_problem)
 from mixkry.errors import (ArgumentError, ConditioningError, MixkryError,
                            ParameterDomainError, RankError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
-from mixkry.params import (_LOG10_LAMBDA_BOUNDS, METHODS, SearchConfig,
-                           _objective_factory)
+from mixkry.params import METHODS, SearchConfig, _objective_factory
 from mixkry.projected import (ProjectedSystem, build_projected,
                               projected_residual, recover_iterate,
-                              residual_and_trace, solve_column,
-                              solve_projected)
+                              solve_column, solve_projected)
+
+# a log10 lambda range wider than any search box, for the solve checks
+_WIDE_LOG10_LAMBDA = (-8.0, 8.0)
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -206,14 +207,18 @@ def test_projected_residual_at_zero_weights():
 # -- influence trace ----------------------------------------------------------
 
 
+def _trace(sys, lam):
+    return solve_column(sys, [lam])[2][0]
+
+
 def test_trace_limits():
     state, _, _ = advance(14, 6)
     sys = build_projected(state, 0.6)
-    assert residual_and_trace(sys, 1e9)[1] <= 1e-10
+    assert _trace(sys, 1e9) <= 1e-10
     # full column rank data: trace tends to k as lam -> 0
-    assert residual_and_trace(sys, 1e-8)[1] == pytest.approx(state.k, abs=1e-6)
+    assert _trace(sys, 1e-8) == pytest.approx(state.k, abs=1e-6)
     with pytest.raises(ParameterDomainError):
-        residual_and_trace(sys, 0.0)
+        _trace(sys, 0.0)
 
 
 def test_trace_single_step_scalar():
@@ -224,8 +229,7 @@ def test_trace_single_step_scalar():
         g = float(sys.Gk[0, 0])
         lam = 0.8
         expect = d2 / (d2 + lam * lam * (gamma + (1 - gamma) * g))
-        assert residual_and_trace(sys, lam)[1] == pytest.approx(expect,
-                                                                rel=1e-12)
+        assert _trace(sys, lam) == pytest.approx(expect, rel=1e-12)
 
 
 def test_trace_matches_dense_influence():
@@ -234,8 +238,7 @@ def test_trace_matches_dense_influence():
     lam = 0.6
     M = sys.penalty(lam)
     influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
-    assert residual_and_trace(sys, lam)[1] == pytest.approx(
-        np.trace(influence), rel=1e-11)
+    assert _trace(sys, lam) == pytest.approx(np.trace(influence), rel=1e-11)
 
 
 def _outcome(fn, *args):
@@ -249,7 +252,7 @@ def _outcome(fn, *args):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
        q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0),
-       log10_lam=st.floats(*_LOG10_LAMBDA_BOUNDS))
+       log10_lam=st.floats(*_WIDE_LOG10_LAMBDA))
 def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
                                                        gamma_mid, log10_lam):
     """The direct potrf/potrs path gives the bits of scipy's cho_factor /
@@ -258,7 +261,7 @@ def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
     A copy with a zero last column and Gk = -I (singular at lam = 0,
     indefinite for gamma < 1/2) must fail with the oracle's error class."""
     state, _, _ = advance(seed, steps, q2_rank=q2_rank)
-    lo, hi = _LOG10_LAMBDA_BOUNDS
+    lo, hi = _WIDE_LOG10_LAMBDA
     lams = (0.0, 10.0**lo, 10.0**log10_lam, 10.0**hi)
     for gamma in (SearchConfig().gamma_min, gamma_mid, 1.0):
         sys = build_projected(state, gamma)
@@ -273,23 +276,21 @@ def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
                 assert y is y_ref
             else:
                 assert y.shape == y_ref.shape and (y == y_ref).all()
-            assert (_outcome(residual_and_trace, system, lam)
-                    == _outcome(residual_and_trace_reference, system, lam))
 
 
 # -- column evaluator ---------------------------------------------------------
 
 # The eigendecomposition and the per-point Cholesky solve round differently,
 # by up to the condition number (about 6e6 on these systems) times machine
-# epsilon.  Over the draws below the worst relative gaps are 1.6e-11 in the
-# weights (in norm), 4.2e-12 in r2, 2.2e-12 in the trace and 5.6e-12 in the
+# epsilon.  Over the draws below the worst relative gaps are 5.0e-11 in the
+# weights (in norm), 1.1e-11 in r2, 4.1e-12 in the trace and 1.2e-11 in the
 # method values; an error in the algebra shows as an O(1) gap.
 _COLUMN_RTOL = 1e-10
 
 
 def _column_lams():
     lo, hi = SearchConfig().log10_lambda
-    blo, bhi = _LOG10_LAMBDA_BOUNDS
+    blo, bhi = _WIDE_LOG10_LAMBDA
     grid = np.logspace(lo, hi, SearchConfig().grid_lambda)
     return np.concatenate([[10.0**blo], grid, [10.0**bhi]])
 
@@ -298,8 +299,8 @@ def _assert_column_matches_pointwise(sys, lams):
     Y, r2, tr = solve_column(sys, lams)
     for j, lam in enumerate(lams):
         y = solve_projected(sys, lam)
-        r2_j, tr_j = residual_and_trace(sys, lam)
-        assert (np.linalg.norm(Y[:, j] - y)
+        r2_j, tr_j = residual_and_trace_reference(sys, lam)
+        assert (np.linalg.norm(Y[j] - y)
                 <= _COLUMN_RTOL * np.linalg.norm(y))
         assert r2[j] == pytest.approx(r2_j, rel=_COLUMN_RTOL)
         assert tr[j] == pytest.approx(tr_j, rel=_COLUMN_RTOL)
@@ -311,7 +312,8 @@ def _assert_column_matches_pointwise(sys, lams):
 def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
                                                      gamma_mid):
     """One eigendecomposition per gamma gives the pointwise weights,
-    squared residuals, traces and method values at every lam of a column
+    squared residuals, traces and method values of the scipy Cholesky
+    oracle (optimal: of the full-space error) at every lam of a column
     that spans the search grid and both lam bounds, at gamma_min, a random
     gamma and 1.  Where the pointwise values single out one grid cell by
     more than 1e-9 relative, the column values pick the same cell.  A copy
@@ -331,7 +333,7 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
         # the penalty is (2 gamma - 1) I; the column evaluator needs it
         # positive definite, the pointwise path fails only where
         # lam^2 (2 gamma - 1) outweighs Dk^T Dk
-        raised = {p for p in (_outcome(residual_and_trace, bad, lam)
+        raised = {p for p in (_outcome(residual_and_trace_reference, bad, lam)
                               for lam in lams) if isinstance(p, type)}
         assert raised <= {ConditioningError}
         if gamma <= 0.5:
@@ -341,10 +343,10 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
             _assert_column_matches_pointwise(bad, lams)
 
     for method in METHODS:
-        f, column = _objective_factory(method, state, prior, cfg)
+        column = _objective_factory(method, state, prior, cfg)
         by_column = np.array([column(gamma, lams) for gamma in gammas])
-        by_point = np.array([[f(gamma, lam) for lam in lams]
-                             for gamma in gammas])
+        by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
+                              for lam in lams] for gamma in gammas])
         # UPRE subtracts sigma2 from a term of that size
         atol = _COLUMN_RTOL * cfg.sigma2 if method == "upre" else 0.0
         np.testing.assert_allclose(by_column, by_point, rtol=_COLUMN_RTOL,
@@ -352,6 +354,19 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
         first, second = np.sort(by_point, axis=None)[:2]
         if second - first > 1e-9 * abs(first):
             assert np.argmin(by_column) == np.argmin(by_point)
+
+
+def _pointwise(method, state, prior, cfg, gamma, lam):
+    """A method's value at one point from the scipy Cholesky oracle, with
+    optimal assembled in full space."""
+    if method == "optimal":
+        return optimal_objective(state, prior, gamma, lam, cfg.s_true)
+    r2, tr = residual_and_trace_reference(build_projected(state, gamma), lam)
+    rows = 2 * state.k + 1
+    if method == "upre":
+        return cfg.sigma2 * (r2 + 2.0 * tr) / rows - cfg.sigma2
+    omega = rows / state.m if method == "wgcv" else 1.0
+    return r2 / (rows - omega * tr) ** 2
 
 
 def test_column_evaluator_clamps_rounded_eigenvalues():

@@ -22,7 +22,8 @@ MODULES = ("operators", "mixgk", "projected", "params", "learn",
 RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "optimal_objective", "trace_term", "MixGKOptions",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
-           "CapacityError", "aslinop")
+           "CapacityError", "aslinop", "residual_and_trace",
+           "_LOG10_LAMBDA_BOUNDS")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -30,6 +31,7 @@ RETIRED_ATTRS = (
     (LinearOperator, "__matmul__"),
     (ProjectedSystem, "rows"),
     (SearchConfig, "log10_lambda_bounds"),
+    (SearchConfig, "refine_evals"),
     (KernelOperator, "apply"),
     (SampleFactor, "apply"),
     (SampleFactor, "operator"),

@@ -1,6 +1,6 @@
 """Print the SHA-256 of every artifact the acceptance configs write.
 
-Usage: ``python3 tools/artifact_digests.py [--keep DIR]``.
+Usage: ``python3 tools/artifact_digests.py [--keep DIR] [--summary]``.
 
 Runs each config below in this process through ``mixkry.cli.main``, using
 the package in this checkout's ``src/``, and prints one
@@ -13,10 +13,18 @@ the script with exit status 1.
 With ``--keep DIR`` the artifacts are written under ``DIR`` (created if
 missing) in place of a temporary directory and left there, so that two
 commits' outputs can be compared value by value when their digests differ.
+
+With ``--summary`` the script prints, in place of the digests, one line per
+run directory (each directory holding a ``params.csv``), sorted by path:
+the final k, ``stop_reason`` and ``rel_error`` from ``summary.txt``, and the
+``evaluations`` summed over the steps of ``params.csv`` with the number of
+steps whose search did not converge.  Diffing these lines at two commits
+gives a before/after quality table for a change that moves the numerics.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import sys
@@ -83,17 +91,39 @@ def print_digests(workdir):
         print(f"{digest}  {path.relative_to(workdir).as_posix()}")
 
 
+def print_summary(workdir):
+    run_all(workdir)
+    for params in sorted(workdir.rglob("params.csv")):
+        rundir = params.parent
+        summary = {}
+        for line in (rundir / "summary.txt").read_text().splitlines():
+            key, _, value = line.partition(":")
+            summary[key] = value.strip()
+        with params.open(newline="") as f:
+            steps = list(csv.DictReader(f))
+        evaluations = sum(int(step["evaluations"]) for step in steps)
+        unconverged = sum(step["converged"] != "true" for step in steps)
+        print(f"{rundir.relative_to(workdir).as_posix()}"
+              f"  k={summary['iterations']} stop={summary['stop_reason']}"
+              f" rel_error={summary['rel_error']} evaluations={evaluations}"
+              f" unconverged={unconverged}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", metavar="DIR", type=Path,
                         help="write the artifacts to DIR and keep them")
+    parser.add_argument("--summary", action="store_true",
+                        help="print one quality line per run directory in "
+                             "place of the digests")
     args = parser.parse_args(argv)
+    report = print_summary if args.summary else print_digests
     if args.keep is not None:
         args.keep.mkdir(parents=True, exist_ok=True)
-        print_digests(args.keep)
+        report(args.keep)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        print_digests(Path(tmp))
+        report(Path(tmp))
     return 0
 
 
