@@ -51,10 +51,8 @@ from .mixgk import (
 from .projected import (
     ProjectedSystem,
     build_projected,
-    projected_residual,
     recover_iterate,
     solve_column,
-    solve_projected,
 )
 from .params import (
     METHODS,

@@ -53,12 +53,7 @@ from .params import (
     select_params,
     stopping_check,
 )
-from .projected import (
-    build_projected,
-    projected_residual,
-    recover_iterate,
-    solve_projected,
-)
+from .projected import recover_iterate
 from .testproblems import (
     add_noise,
     crosswell_tomo,
@@ -408,10 +403,11 @@ class HybridResult:
 
 def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
                s_true=None):
-    """Iterate expansion, selection, and projected solves until stopping.
+    """Iterate expansion and selection until stopping.
 
     Each outer iteration advances the subspace once, picks (gamma, lambda)
-    for the current projection, and records the resulting iterate.  Raises
+    for the current projection, and records the iterate recovered from the
+    selected cell's projected weights.  Raises
     :class:`BreakdownError` if the very first basis vector cannot be built.
     """
     if search is None:
@@ -435,11 +431,8 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
     while True:
         mixgk_step(state)
         sel = select_params(method, state, prior, search)
-        sys_k = build_projected(state, sel.gamma)
-        y = solve_projected(sys_k, sel.lam)
-        resid = projected_residual(sys_k, y)
-        rel_res = float(np.linalg.norm(resid)) / state.beta1
-        solution = recover_iterate(state, prior, sel.gamma, y)
+        rel_res = float(np.sqrt(sel.r2)) / state.beta1
+        solution = recover_iterate(state, prior, sel.gamma, sel.weights)
         rel_err = None
         if s_true is not None and norm_true > 0:
             rel_err = float(np.linalg.norm(solution - s_true) / norm_true)

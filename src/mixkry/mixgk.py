@@ -101,6 +101,13 @@ def _check_symmetric(Q, name):
                                 f"(|x^T Q y - y^T Q x| = {gap:.3g})")
 
 
+def _norm_estimate(A):
+    """Lower estimate of ||A||: ||A^T x|| / ||x|| for a Gaussian probe x
+    from a fixed seed, so reruns apply A^T to the same input."""
+    x = np.random.default_rng(0).standard_normal(A.rows)
+    return np.linalg.norm(A.rmatvec(x)) / np.linalg.norm(x)
+
+
 def _givens(a, b):
     """Rotation (c, s, h) with [c s; -s c] @ [a, b] = [h, 0]."""
     h = np.hypot(a, b)
@@ -276,7 +283,11 @@ class MixGKState:
         _require_finite(q1v, "Q1 A^T R^{-1} u_1")
         alpha1 = _form_norm(vraw, q1v, "Q1")
         scale = np.linalg.norm(vraw)
-        if alpha1 <= _BREAKDOWN_TOL * max(scale, _TINY):
+        # the terms of A^T R^{-1} u_1 are of size ||A|| ||R^{-1} u_1||; data
+        # orthogonal to range(A) cancels them down to rounding
+        reach = _norm_estimate(A) * np.linalg.norm(self.RinvU[:, 0])
+        if (alpha1 <= _BREAKDOWN_TOL * max(scale, _TINY)
+                or scale <= _BREAKDOWN_TOL * reach):
             # Immediate breakdown: no usable subspace exists.
             self.terminal = True
             self.breakdown_reason = "alpha"
@@ -456,8 +467,10 @@ def mixgk_init(A, Rinv, LR, Q1, Q2, b):
     Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
     when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
     :class:`DefinitenessError` when R^{-1} or Q1 shows a negative form or a
-    two-vector probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes the
-    returned state is already terminal with k = 0 (no usable subspace).
+    two-vector probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes, or
+    A^T R^{-1} u_1 cancels to rounding against a probe estimate of
+    ||A|| ||R^{-1} u_1|| (data orthogonal to range(A)), the returned state
+    is already terminal with k = 0 (no usable subspace).
     """
     m, n = A.rows, A.cols
     if Rinv.shape != (m, m) or LR.shape != (m, m):

@@ -340,19 +340,26 @@ class KernelOperator(LinearOperator):
     __slots__ = ("ny", "nx", "spectrum")
 
     def __init__(self, ny, nx, spectrum):
-        super().__init__(ny * nx, ny * nx, self._fft_apply, self._fft_apply)
+        # a closure over the spectrum, not a bound method: the operator
+        # holds no reference to itself, so dropping it frees it at once
+        apply = _circulant_apply(ny, nx, spectrum)
+        super().__init__(ny * nx, ny * nx, apply, apply)
         self.ny = ny
         self.nx = nx
         self.spectrum = spectrum
 
-    def _fft_apply(self, x):
-        ny, nx = self.ny, self.nx
-        pad = (2 * ny, 2 * nx)
+
+def _circulant_apply(ny, nx, spectrum):
+    pad = (2 * ny, 2 * nx)
+
+    def apply(x):
         img = x.reshape((ny, nx) + x.shape[1:])
-        spec = self.spectrum if x.ndim == 1 else self.spectrum[:, :, None]
+        spec = spectrum if x.ndim == 1 else spectrum[:, :, None]
         f = np.fft.rfft2(img, s=pad, axes=(0, 1))
         y = np.fft.irfft2(f * spec, s=pad, axes=(0, 1))
         return y[:ny, :nx].reshape(x.shape)
+
+    return apply
 
 
 def build_kernel_operator(spec, grid):

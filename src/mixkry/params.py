@@ -1,17 +1,18 @@
 """Regularization and mixing parameter selection, plus stopping rules.
 
 All selection methods act on the projected system and score one gamma
-column at a time through :func:`solve_column`: a column costs one ``potrf``
-of the penalty and one ``syevd``, shared by all its lambda values.  The
+column at a time through :func:`solve_column`: a gamma costs one ``potrf``
+of the penalty and one ``syevd``, shared by every lambda scored at it.  The
 joint (gamma, lambda) search scans a log-spaced grid of such columns, then
 zooms in on the best cell with small stencils of three gamma columns.  It
 is fully deterministic, and every point it reports was scored by that one
-column evaluator.
+column evaluator.  The selected cell's weights are the iterate, so nothing
+is solved again after the search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,12 +78,17 @@ class SearchConfig:
 
 @dataclass
 class SelectionResult:
+    """The selected cell.  ``weights`` is y(gamma, lam) there and ``r2`` its
+    squared projected residual ||Dk y - rhs||^2, both as scanned."""
+
     gamma: float
     lam: float
     objective: float
     method: str
     evaluations: int
     converged: bool
+    weights: np.ndarray = field(repr=False, compare=False)
+    r2: float
 
 
 @dataclass
@@ -210,9 +216,10 @@ class _OptimalCache:
 
 
 def _objective_factory(method, state, prior, config):
-    """Return ``column(gamma, lams) -> array``, the requested method scored
-    at every lam of one gamma through :func:`solve_column`.  Projected
-    systems are cached per gamma."""
+    """Return ``column(gamma, lams) -> (values, Y, r2)``: the requested
+    method scored at every lam of one gamma, with the weights and squared
+    residuals :func:`solve_column` gives there.  Projected systems are
+    cached per gamma, so each gamma is decomposed once per step."""
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
     if method == "upre" and (config.sigma2 is None or config.sigma2 <= 0):
@@ -233,7 +240,8 @@ def _objective_factory(method, state, prior, config):
         cache = _OptimalCache(state, prior, config.s_true)
 
         def column(gamma, lams):
-            return cache.value(gamma, solve_column(get_sys(gamma), lams)[0])
+            Y, r2, _ = solve_column(get_sys(gamma), lams)
+            return cache.value(gamma, Y), Y, r2
 
         return column
 
@@ -254,8 +262,8 @@ def _objective_factory(method, state, prior, config):
             return _wgcv(r2, tr, rows, omega)
 
     def column(gamma, lams):
-        _, r2, tr = solve_column(get_sys(gamma), lams)
-        return score(r2, tr)
+        Y, r2, tr = solve_column(get_sys(gamma), lams)
+        return score(r2, tr), Y, r2
 
     return column
 
@@ -288,10 +296,10 @@ def select_params(method, state, prior, config=None):
     half a grid step and halving at each level.  A pinned gamma zooms
     lambda only.  Ties go to the smallest lambda, then the smallest gamma.
 
-    ``objective`` is the selected cell's value as scanned, ``evaluations``
-    counts every scored cell, and ``converged`` is False for a flat grid
-    (no zoom runs) or a selected point on an edge of the box other than
-    gamma = 1.
+    ``objective``, ``weights`` and ``r2`` are the selected cell's as
+    scanned, ``evaluations`` counts every scored cell, and ``converged`` is
+    False for a flat grid (no zoom runs) or a selected point on an edge of
+    the box other than gamma = 1.
     """
     if config is None:
         config = SearchConfig()
@@ -301,7 +309,7 @@ def select_params(method, state, prior, config=None):
     column = _objective_factory(method, state, prior, config)
     lo, hi = config.log10_lambda
 
-    best = None  # (value, lam, gamma, log10 lam)
+    best = None  # (value, lam, gamma, log10 lam, weights, r2)
     evals = 0
 
     def scan(gammas, log10_lams):
@@ -310,14 +318,14 @@ def select_params(method, state, prior, config=None):
         lams = 10.0 ** log10_lams
         finite = []
         for gamma in gammas:
-            vals = column(gamma, lams)
+            vals, Y, r2 = column(gamma, lams)
             ok = np.isfinite(vals)
             vals = np.where(ok, vals, np.inf)
             finite.extend(vals[ok])
             evals += lams.size
             i = _pick(vals)
             cand = (float(vals[i]), float(lams[i]), float(gamma),
-                    float(log10_lams[i]))
+                    float(log10_lams[i]), Y[i], float(r2[i]))
             if _better(cand, best):
                 best = cand
         return finite
@@ -334,10 +342,11 @@ def select_params(method, state, prior, config=None):
     if not flat:
         h_gamma = (1.0 - config.gamma_min) / max(config.grid_gamma - 1, 1) / 2
         h_lam = (hi - lo) / (config.grid_lambda - 1) / 2
-        # three gamma columns by five lambdas: a column costs one
-        # decomposition, while extra lambdas in a column are nearly free
+        # three gamma columns by five lambdas: a new gamma costs one
+        # decomposition (the centre one is decomposed already), while extra
+        # lambdas are nearly free
         for _ in range(_ZOOMS):
-            _, _, g, l = best
+            _, _, g, l = best[:4]
             if gamma_fixed is None:
                 gammas = np.unique(np.clip(g + h_gamma * np.arange(-1.0, 2.0),
                                            config.gamma_min, 1.0))
@@ -346,12 +355,13 @@ def select_params(method, state, prior, config=None):
             h_gamma /= 2
             h_lam /= 2
 
-    value, lam_star, gamma_star, l = best
+    value, lam_star, gamma_star, l, weights, r2 = best
     on_edge = l in (lo, hi) or (gamma_fixed is None
                                 and gamma_star == config.gamma_min)
     return SelectionResult(
         gamma=gamma_star, lam=lam_star, objective=value, method=method,
         evaluations=evals, converged=not flat and not on_edge,
+        weights=weights, r2=r2,
     )
 
 

@@ -1,4 +1,5 @@
-"""Projected mixed-prior subproblem: assembly, solves, and recovery.
+"""Projected mixed-prior subproblem: assembly, the column solver, and
+recovery.
 
 For a state at step k and mixing weight gamma, the stacked system is
 
@@ -8,22 +9,21 @@ For a state at step k and mixing weight gamma, the stacked system is
 with k + 1 + r rows (2k + 1 when the QR factor is full rank).  The iterate
 weights solve the regularized normal equations
 
-    (Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk)) y = Dk^T rhs.
+    (Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk)) y = Dk^T rhs,   lam > 0.
 
-Parameter selection scores a whole column of lam values at one gamma from
-one decomposition.  With P = gamma I + (1 - gamma) Gk = L L^T and
-L^{-1} Dk^T Dk L^{-T} = V diag(mu) V^T,
+One decomposition serves every lam at one gamma.  With
+P = gamma I + (1 - gamma) Gk = L L^T and L^{-1} Dk^T Dk L^{-T} =
+V diag(mu) V^T,
 
     Dk^T Dk + lam^2 P = L V diag(mu + lam^2) V^T L^T,
 
 so one ``potrf`` of P and one ``syevd`` give the weights, the residuals
-and the influence traces at every lam of the column.
-
-The iterate at the selected point is solved directly: one LAPACK
-``potrf`` of the penalized normal matrix plus ``potrs``, which also
-defines the solve at lam = 0.  The penalty P is formed once per system,
-and the state's gamma-independent blocks (B and the Gram products) once
-per step.
+and the influence traces at every lam.  A :class:`ProjectedSystem` is one
+(step, gamma) pair: it computes that decomposition on first use and keeps
+it, and :func:`solve_column` only reads it.  Parameter selection scores
+whole lam columns this way and returns the winning cell's weights, which
+are the iterate.  The state's gamma-independent blocks (B and the Gram
+products) are formed once per step.
 """
 
 from __future__ import annotations
@@ -33,19 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import (
-    ArgumentError,
-    ConditioningError,
-    ParameterDomainError,
-    RankError,
-)
+from .errors import ArgumentError, ConditioningError, ParameterDomainError
 
 __all__ = [
     "ProjectedSystem",
     "build_projected",
-    "solve_projected",
     "recover_iterate",
-    "projected_residual",
     "solve_column",
 ]
 
@@ -54,8 +47,9 @@ __all__ = [
 class ProjectedSystem:
     """Assembled projected system at one (step, gamma) pair.
 
-    ``DtD`` and ``Dtrhs`` are cached products used by every solve, and the
-    mixed penalty gamma I + (1 - gamma) Gk is formed once at construction.
+    ``DtD`` and ``Dtrhs`` are cached products used by every solve.  The
+    decomposition of the penalized normal matrix at this gamma is computed
+    on the first :func:`solve_column` call and kept.
     """
 
     Dk: np.ndarray
@@ -64,20 +58,43 @@ class ProjectedSystem:
     gamma: float
     DtD: np.ndarray = field(default=None, repr=False)
     Dtrhs: np.ndarray = field(default=None, repr=False)
+    _parts: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.DtD is None:
             self.DtD = self.Dk.T @ self.Dk
         if self.Dtrhs is None:
             self.Dtrhs = self.Dk.T @ self.rhs
-        self._P = self.gamma * np.eye(self.k) + (1.0 - self.gamma) * self.Gk
 
     @property
     def k(self):
         return self.Dk.shape[1]
 
-    def penalty(self, lam):
-        return self.DtD + (lam * lam) * self._P
+    def _decompose(self):
+        """``(mu, c, T)``: the eigenvalues mu of L^{-1} Dk^T Dk L^{-T}
+        (clamped at zero), c = V^T L^{-1} Dk^T rhs and T = L^{-T} V, so that
+        y(lam) = T (c / (mu + lam^2)).  Computed once per system."""
+        if self._parts is None:
+            P = self.gamma * np.eye(self.k) + (1.0 - self.gamma) * self.Gk
+            L, info = lapack.dpotrf(P, lower=1, clean=0, overwrite_a=1)
+            if info > 0:
+                raise ConditioningError(
+                    "mixed penalty not positive definite at "
+                    f"gamma = {self.gamma:g}")
+            if info < 0:
+                raise RuntimeError(f"dpotrf rejected argument {-info}")
+            # L^{-1} [DtD | Dtrhs], then L^{-1} DtD L^{-T} from the first k
+            # columns
+            X = _trsm(L, np.column_stack([self.DtD, self.Dtrhs]))
+            mu, V, info = lapack.dsyevd(_trsm(L, X[:, :-1].T), lower=1)
+            if info != 0:
+                raise ConditioningError(
+                    "projected eigendecomposition failed at "
+                    f"gamma = {self.gamma:g}")
+            self._parts = (np.maximum(mu, 0.0), V.T @ X[:, -1],
+                           _trsm(L, V, trans=1))
+        return self._parts
 
 
 def build_projected(state, gamma):
@@ -99,36 +116,6 @@ def build_projected(state, gamma):
     return ProjectedSystem(Dk, state.G, rhs, gamma, DtD=DtD, Dtrhs=Dtrhs)
 
 
-def _factor(sys, lam):
-    """Lower Cholesky factor of the penalized normal matrix (upper triangle
-    left as scratch, which ``potrs`` never reads)."""
-    L, info = lapack.dpotrf(sys.penalty(lam), lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        if lam == 0.0:
-            raise RankError("projected system singular at lam = 0")
-        raise ConditioningError(
-            f"projected normal equations indefinite at lam = {lam:g}")
-    if info < 0:
-        raise RuntimeError(f"dpotrf rejected argument {-info}")
-    return L
-
-
-def solve_projected(sys, lam):
-    """Solve for the projected weights y(lam, gamma)."""
-    if lam < 0:
-        raise ParameterDomainError("lam must be nonnegative")
-    y, info = lapack.dpotrs(_factor(sys, lam), sys.Dtrhs, lower=1)
-    if info != 0:
-        raise RuntimeError(f"dpotrs rejected argument {-info}")
-    return y
-
-
-def projected_residual(sys, y):
-    """Stacked projected residual Dk y - rhs (its norm equals the whitened
-    full-space misfit norm)."""
-    return sys.Dk @ y - sys.rhs
-
-
 def _trsm(L, X, trans=0):
     """L^{-1} X (trans=0) or L^{-T} X (trans=1) for the lower factor L."""
     return blas.dtrsm(1.0, L, X, lower=1, trans_a=trans)
@@ -136,8 +123,7 @@ def _trsm(L, X, trans=0):
 
 def solve_column(sys, lams):
     """Weights, squared residuals and influence traces at every lam of a
-    column, from one Cholesky factor of the penalty and one symmetric
-    eigendecomposition.
+    column, from the system's one decomposition.
 
     Returns ``(Y, r2, tr)``: row j of ``Y`` is y(lams[j]), ``r2[j]`` is
     ||Dk y - rhs||^2 taken from the residual itself, and ``tr[j]`` is
@@ -148,23 +134,9 @@ def solve_column(sys, lams):
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ParameterDomainError("lam column must be positive")
-    L, info = lapack.dpotrf(sys._P, lower=1, clean=0)
-    if info > 0:
-        raise ConditioningError(
-            f"mixed penalty not positive definite at gamma = {sys.gamma:g}")
-    if info < 0:
-        raise RuntimeError(f"dpotrf rejected argument {-info}")
-    # L^{-1} [DtD | Dtrhs], then L^{-1} DtD L^{-T} from the first k columns
-    X = _trsm(L, np.column_stack([sys.DtD, sys.Dtrhs]))
-    mu, V, info = lapack.dsyevd(_trsm(L, X[:, :-1].T), lower=1)
-    if info != 0:
-        raise ConditioningError(
-            f"projected eigendecomposition failed at gamma = {sys.gamma:g}")
-    mu = np.maximum(mu, 0.0)
-    c = V.T @ X[:, -1]
+    mu, c, T = sys._decompose()
     denom = mu + (lams * lams)[:, None]
-    # y(lam) = L^{-T} V (c / (mu + lam^2))
-    Y = _matvecs(_trsm(L, V, trans=1), c / denom)
+    Y = _matvecs(T, c / denom)
     R = _matvecs(sys.Dk, Y) - sys.rhs
     return Y, (R * R).sum(axis=1), (mu / denom).sum(axis=1)
 

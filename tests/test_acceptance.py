@@ -20,7 +20,7 @@ from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
                               sample_covariance)
 from mixkry.params import upre_objective, wgcv_objective
-from mixkry.projected import build_projected, recover_iterate, solve_projected
+from mixkry.projected import build_projected, recover_iterate, solve_column
 
 SPHERICAL_CFG = """\
 problem.preset = spherical
@@ -72,7 +72,7 @@ def test_criterion_1_finite_termination():
 
     worst = 0.0
     for gamma, lam in ((1.0, 0.7), (0.5, 0.3), (0.2, 1.1)):
-        y = solve_projected(build_projected(state, gamma), lam)
+        y = solve_column(build_projected(state, gamma), [lam])[0][0]
         s = recover_iterate(state, prior, gamma, y)
         Q = gamma * Q1 + (1 - gamma) * Q2
         s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b,

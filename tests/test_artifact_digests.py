@@ -49,3 +49,39 @@ def test_summary_one_line_per_run_directory(monkeypatch, capsys, tmp_path):
         "evaluations": str(sum(int(row[5]) for row in rows)),
         "unconverged": str(sum(row[6] == "false" for row in rows)),
     }
+
+
+def test_drift_per_csv_column_and_one_sided_files(capsys, tmp_path):
+    """--drift compares two trees without running anything: one line per
+    file only on one side, per non-CSV artifact whose bytes differ, per CSV
+    whose shape differs, and per CSV file name and column the largest
+    relative difference over all directories."""
+    tool = load_tool()
+    a, b = tmp_path / "a", tmp_path / "b"
+    files = {
+        "run1/run.csv": ("k,lambda,rel_error,stop\n1,0.5,,flat\n2,0.25,0.4,flat\n",
+                         "k,lambda,rel_error,stop\n1,0.5,,flat\n2,0.25,0.3,flat\n"),
+        "run2/run.csv": ("k,lambda,rel_error,stop\n1,2.0,0.1,flat\n",
+                         "k,lambda,rel_error,stop\n1,2.5,0.1,max_iter\n"),
+        "run2/params.csv": ("k,gamma\n1,0.5\n", "k,gamma\n1,0.5\n2,0.5\n"),
+        "run2/x.pgm": ("P5 same", "P5 same"),
+        "run2/y.pgm": ("P5 one", "P5 two"),
+    }
+    for rel, (text_a, text_b) in files.items():
+        for root, text in ((a, text_a), (b, text_b)):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+    (a / "run1" / "summary.txt").write_text("k: 2\n")
+    (b / "run3").mkdir()
+    (b / "run3" / "run.csv").write_text("k\n1\n")
+    assert tool.main(["--drift", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {a}: run1/summary.txt",
+        f"only in {b}: run3/run.csv",
+        "rows differ: run2/params.csv",
+        "changed: run2/y.pgm",
+        "run.csv k 0",
+        "run.csv lambda 0.2",
+        "run.csv rel_error 0.25",
+        "run.csv stop inf",
+    ]

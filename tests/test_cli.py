@@ -120,6 +120,26 @@ def test_exit_code_breakdown(tmp_path, capsys):
     assert "broke down" in capsys.readouterr().err
 
 
+def test_exit_code_breakdown_on_rounding_cancellation(tmp_path, capsys):
+    """Data orthogonal to the range of a rank-one A only up to rounding
+    (A^T b about 1e-17) breaks down at once as well: exit 3, not a run on
+    a rounding direction."""
+    rng = np.random.default_rng(0)
+    c, w = rng.standard_normal(6), rng.standard_normal(5)
+    b = rng.standard_normal(6)
+    b -= (b @ c) / (c @ c) * c
+    save_matrix(tmp_path / "A.mtx", np.outer(c, w))
+    save_vector(tmp_path / "b.mtx", b)
+    cfg = write_cfg(tmp_path / "f.cfg", (
+        "problem.preset = file\n"
+        f"file.a = {tmp_path / 'A.mtx'}\n"
+        f"file.b = {tmp_path / 'b.mtx'}\n"
+    ))
+    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "broke down" in capsys.readouterr().err
+
+
 def test_exit_code_search_failure(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SearchError("no finite objective anywhere")

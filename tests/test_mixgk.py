@@ -15,7 +15,7 @@ from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
 
-from mixkry.projected import build_projected, recover_iterate, solve_projected
+from mixkry.projected import build_projected, recover_iterate, solve_column
 
 from_matrix = LinearOperator.from_matrix
 
@@ -347,7 +347,7 @@ def test_recurrence_relations_property(seed, m, n, steps, data):
 def _map_error(state, prior, A, Rinv, Q1, Q2, b, gamma, lam):
     """Relative distance of the recovered iterate at (gamma, lam) from the
     dense MAP estimate."""
-    y = solve_projected(build_projected(state, gamma), lam)
+    y = solve_column(build_projected(state, gamma), [lam])[0][0]
     s = recover_iterate(state, prior, gamma, y)
     ref = solve_map_dense(A, Rinv, gamma * Q1 + (1 - gamma) * Q2, b,
                           prior.mean, lam)
@@ -433,6 +433,31 @@ def test_first_step_breakdown_property(kind, seed, m, n):
     stops = {"alpha": ("breakdown:alpha",),
              "beta": ("breakdown:beta", "residual")}[kind]
     assert result.stop_reason in stops
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_init_breakdown_on_rounding_cancellation(seed):
+    """A rank-one A = c w^T (m = 6, n = 5) and b orthogonal to R^{-1} c:
+    A^T R^{-1} b cancels to rounding (about 1e-17), not to zero.  That is a
+    breakdown at k = 0, judged against the size of the terms before the
+    cancellation, so run_hybrid raises BreakdownError and does not iterate
+    on a rounding direction."""
+    rng = np.random.default_rng(seed)
+    c, w = rng.standard_normal(6), rng.standard_normal(5)
+    r = rng.uniform(0.5, 2.0, 6)
+    b = rng.standard_normal(6)
+    b -= (b @ (c / r)) / ((c / r) @ (c / r)) * (c / r)
+    A = np.outer(c, w)
+    assert 0 < np.linalg.norm(A.T @ (b / r)) < 1e-14
+    Rinv, LR = noise_whitener(r)
+    Aop = from_matrix(A)
+    prior = PriorSpec(mean=np.zeros(5), q1=from_matrix(np.eye(5)),
+                      q2=from_matrix(np.eye(5)))
+    state = mixgk_init(Aop, Rinv, LR, prior.q1, prior.q2, b)
+    assert state.terminal and state.k == 0
+    assert state.breakdown_reason == "alpha"
+    with pytest.raises(BreakdownError):
+        run_hybrid(Aop, Rinv, LR, prior, b)
 
 
 # -- QR maintenance -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Operator layer: kernels, grids, sample factors, whitening, file I/O."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,22 @@ def test_kernel_operator_memory_is_linear():
         tracemalloc.stop()
     assert np.all(np.isfinite(y))
     assert peak < 16 * 2**20
+
+
+def test_kernel_operator_is_freed_without_the_cyclic_gc():
+    """A kernel operator holds no reference to itself, so dropping it
+    frees it at once: with the cyclic GC off, a later collection finds
+    nothing to collect."""
+    gc.collect()
+    gc.disable()
+    try:
+        op = build_kernel_operator(KernelSpec("matern", ell=0.25, nu=1.5),
+                                   Grid(8, 8))
+        op.matvec(np.ones(64))
+        del op
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grid_distances_consistency():

@@ -13,7 +13,7 @@ from mixkry.operators import PriorSpec
 from mixkry.params import (METHODS, RunRecord, SearchConfig, SelectionResult,
                            StoppingPolicy, gcv_objective, select_params,
                            stopping_check, upre_objective, wgcv_objective)
-from mixkry.projected import build_projected
+from mixkry.projected import build_projected, solve_column
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -89,28 +89,47 @@ def test_upre_requires_noise_variance():
         upre_objective(sys, 0.5, 0.0)
 
 
-def test_objective_evaluation_factors_once(monkeypatch):
-    """Each UPRE, GCV and WGCV evaluation takes its residual and its trace
-    from one column decomposition, with one LAPACK Cholesky factorization
-    (of the penalty)."""
+def test_select_decomposes_each_gamma_once(monkeypatch):
+    """A projected system is decomposed on first use and kept: one
+    select_params makes one dsyevd per distinct gamma it scans (the zoom
+    returns to the centre gamma at every level), and repeated objective
+    evaluations on one system make no further LAPACK factorization."""
     import mixkry.projected as projected_mod
 
-    state, _, parts = advance(6, 6)
+    state, prior, parts = advance(6, 6)
+    lapack_calls = []
+    for name in ("dpotrf", "dsyevd"):
+        routine = getattr(projected_mod.lapack, name)
+
+        def counting(*args, _routine=routine, _name=name, **kwargs):
+            lapack_calls.append(_name)
+            return _routine(*args, **kwargs)
+
+        monkeypatch.setattr(projected_mod.lapack, name, counting)
+    gammas = []
+    build = params_mod.build_projected
+
+    def recording(state, gamma):
+        gammas.append(gamma)
+        return build(state, gamma)
+
+    monkeypatch.setattr(params_mod, "build_projected", recording)
+    cfg = SearchConfig(sigma2=parts[4] ** 2)
+    for method in ("wgcv", "upre"):
+        gammas.clear()
+        lapack_calls.clear()
+        select_params(method, state, prior, cfg)
+        assert len(set(gammas)) == len(gammas)
+        assert lapack_calls.count("dsyevd") == len(gammas)
+        assert lapack_calls.count("dpotrf") == len(gammas)
+
     sys = build_projected(state, 0.4)
-    dpotrf = projected_mod.lapack.dpotrf
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return dpotrf(*args, **kwargs)
-
-    monkeypatch.setattr(projected_mod.lapack, "dpotrf", counting)
+    lapack_calls.clear()
     for evaluate in (lambda: upre_objective(sys, 0.3, parts[4] ** 2),
                      lambda: gcv_objective(sys, 0.3),
-                     lambda: wgcv_objective(sys, 0.3, 0.5)):
-        calls.clear()
+                     lambda: wgcv_objective(sys, 0.7, 0.5)):
         assert np.isfinite(evaluate())
-        assert len(calls) == 1
+    assert lapack_calls == ["dpotrf", "dsyevd"]
 
 
 def test_gcv_scale_invariant_minimizer():
@@ -240,24 +259,37 @@ def test_select_missing_requirements():
         select_params("tikhonov", state, prior, SearchConfig())
 
 
+def _fake_factory(values):
+    """An ``_objective_factory`` stand-in whose columns score
+    ``values(gamma, lams)``.  Row j of a column's weights is
+    (gamma, lams[j]) and its squared residual is lams[j], so a selection
+    shows which cell it took them from."""
+    def column(gamma, lams):
+        weights = np.column_stack([np.full(lams.size, gamma), lams])
+        return values(gamma, lams), weights, lams.copy()
+
+    return lambda *args: column
+
+
 def test_select_flat_grid_reports_unconverged(monkeypatch):
     """A constant objective: scan keeps the first (smallest lambda, then
     smallest gamma) cell, skips the zoom, flags converged=False."""
     state, prior, _ = advance(12, 5)
-    column = lambda gamma, lams: np.full(lams.size, 7.0)
-    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+        lambda gamma, lams: np.full(lams.size, 7.0)))
     cfg = SearchConfig()
     res = select_params("gcv", state, prior, cfg)
     assert not res.converged
     assert res.lam == pytest.approx(10.0 ** cfg.log10_lambda[0])
     assert res.gamma == pytest.approx(cfg.gamma_min)
     assert res.objective == 7.0
+    assert tuple(res.weights) == (res.gamma, res.lam) and res.r2 == res.lam
 
 
 def test_select_all_infinite_grid_raises(monkeypatch):
     state, prior, _ = advance(13, 5)
-    column = lambda gamma, lams: np.full(lams.size, np.nan)
-    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+        lambda gamma, lams: np.full(lams.size, np.nan)))
     with pytest.raises(SearchError):
         select_params("gcv", state, prior, SearchConfig())
 
@@ -276,16 +308,18 @@ def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
              (gammas[3], lams[6]): 1.0 - ulp,
              (gammas[8], lams[4]): 1.0 - 2 * ulp}
 
-    def column(gamma, column_lams):
+    def values(gamma, column_lams):
         vals = np.full(column_lams.size, 2.0)
         for (g, lam), value in cells.items():
             if gamma == g:
                 vals[column_lams == lam] = value
         return vals
 
-    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    monkeypatch.setattr(params_mod, "_objective_factory",
+                        _fake_factory(values))
     res = select_params("gcv", state, prior, cfg)
     assert (res.gamma, res.lam, res.objective) == (gammas[3], lams[4], 1.0)
+    assert tuple(res.weights) == (res.gamma, res.lam) and res.r2 == res.lam
 
 
 @pytest.mark.parametrize("log10_lam, gamma, converged", [
@@ -298,9 +332,8 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
     reports converged=False; beyond gamma = 1 it selects gamma = 1, an
     edge that counts as converged."""
     state, prior, _ = advance(12, 5)
-    column = lambda g, lams: ((np.log10(lams) - log10_lam) ** 2
-                              + (g - gamma) ** 2)
-    monkeypatch.setattr(params_mod, "_objective_factory", lambda *a: column)
+    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+        lambda g, lams: (np.log10(lams) - log10_lam) ** 2 + (g - gamma) ** 2))
     cfg = SearchConfig()
     lo, hi = cfg.log10_lambda
     res = select_params("gcv", state, prior, cfg)
@@ -313,6 +346,7 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
         assert res.lam == 10.0 ** hi
     if gamma > 1.0:
         assert res.gamma == 1.0
+    assert tuple(res.weights) == (res.gamma, res.lam) and res.r2 == res.lam
 
 
 @pytest.mark.parametrize("method, gamma_fixed, expect", [
@@ -355,7 +389,8 @@ def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
 def test_select_property(seed, steps, q2_rank, gamma_fixed):
     """For every method: the selection is never worse than the best grid
     cell, lies in the search box, reports the public pointwise objective at
-    (gamma*, lambda*) bit for bit, and returns a pinned gamma exactly."""
+    (gamma*, lambda*) bit for bit with the weights and squared residual of
+    solve_column there, and returns a pinned gamma exactly."""
     state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
     cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
@@ -367,7 +402,7 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     omega = (2.0 * state.k + 1.0) / state.m
     for method in METHODS:
         column = params_mod._objective_factory(method, state, prior, cfg)
-        grid = np.array([column(g, lams) for g in gammas])
+        grid = np.array([column(g, lams)[0] for g in gammas])
         grid_best = grid[np.isfinite(grid)].min()
         sel = select_params(method, state, prior, cfg)
         assert sel.objective <= grid_best + 1e-12 * abs(grid_best)
@@ -377,12 +412,14 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
             assert sel.gamma == gamma_fixed
         sys = build_projected(state, sel.gamma)
         point = {
-            "optimal": lambda: column(sel.gamma, np.array([sel.lam]))[0],
+            "optimal": lambda: column(sel.gamma, np.array([sel.lam]))[0][0],
             "upre": lambda: upre_objective(sys, sel.lam, cfg.sigma2),
             "gcv": lambda: gcv_objective(sys, sel.lam),
             "wgcv": lambda: wgcv_objective(sys, sel.lam, omega),
         }[method]()
         assert sel.objective == point
+        Y, r2, _ = solve_column(sys, [sel.lam])
+        assert (sel.weights == Y[0]).all() and sel.r2 == r2[0]
 
 
 @pytest.mark.parametrize("lo, hi", [(3.0, -2.0), (2.0, 2.0), (np.nan, 2.0),

@@ -1,7 +1,5 @@
 """Projected subproblem: assembly, solves, recovery, and dense MAP oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 from helpers import (dense_map, optimal_objective, random_problem,
                      residual_and_trace_reference, run_steps, solve_map_dense,
                      solve_projected_reference, wrap_problem)
+from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, ConditioningError, MixkryError,
-                           ParameterDomainError, RankError)
+                           ParameterDomainError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
-from mixkry.params import METHODS, SearchConfig, _objective_factory
+from mixkry.params import (METHODS, SearchConfig, StoppingPolicy,
+                           _objective_factory)
 from mixkry.projected import (ProjectedSystem, build_projected,
-                              projected_residual, recover_iterate,
-                              solve_column, solve_projected)
+                              recover_iterate, solve_column)
 
 # a log10 lambda range wider than any search box, for the solve checks
 _WIDE_LOG10_LAMBDA = (-8.0, 8.0)
@@ -93,6 +92,10 @@ def test_cached_normal_products_match_dense():
 # -- solves -------------------------------------------------------------------
 
 
+def _solve(sys, lam):
+    return solve_column(sys, [lam])[0][0]
+
+
 def test_single_step_scalar_solve():
     """k=1, gamma=1: y = alpha1 beta1 / (alpha1^2 + beta2^2 + lam^2)."""
     state, _, _ = advance(4, 1)
@@ -100,7 +103,7 @@ def test_single_step_scalar_solve():
     b2 = state.betas[0]
     lam = 0.37
     sys = build_projected(state, 1.0)
-    y = solve_projected(sys, lam)
+    y = _solve(sys, lam)
     expect = a1 * state.beta1 / (a1 * a1 + b2 * b2 + lam * lam)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(expect, rel=1e-12)
@@ -109,7 +112,7 @@ def test_single_step_scalar_solve():
 def test_large_lambda_shrinks_weights():
     state, _, _ = advance(5, 6)
     sys = build_projected(state, 0.5)
-    y = solve_projected(sys, 1e8)
+    y = _solve(sys, 1e8)
     assert np.linalg.norm(y) <= 1e-12 * state.beta1
 
 
@@ -124,7 +127,7 @@ def test_solve_matches_stacked_least_squares():
         stacked = np.vstack([sys.Dk, lam * Lp.T])
         rhs = np.concatenate([sys.rhs, np.zeros(sys.k)])
         y_ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-        y = solve_projected(sys, lam)
+        y = _solve(sys, lam)
         np.testing.assert_allclose(y, y_ref, atol=1e-10)
 
 
@@ -132,25 +135,7 @@ def test_solve_rejects_negative_lambda():
     state, _, _ = advance(7, 3)
     sys = build_projected(state, 1.0)
     with pytest.raises(ParameterDomainError):
-        solve_projected(sys, -0.1)
-
-
-def test_rank_error_at_zero_lambda_singular():
-    """Column-rank-deficient data at lam = 0 surfaces as a rank failure;
-    an indefinite penalty at lam > 0 surfaces as a conditioning failure."""
-    from mixkry.errors import ConditioningError
-    from mixkry.projected import ProjectedSystem
-
-    Dk = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    sys = ProjectedSystem(Dk=Dk, Gk=np.zeros((2, 2)),
-                          rhs=np.array([1.0, 0.0, 0.0]), gamma=1.0)
-    with pytest.raises(RankError):
-        solve_projected(sys, 0.0)
-
-    bad = ProjectedSystem(Dk=np.zeros((3, 2)), Gk=-3.0 * np.eye(2),
-                          rhs=np.zeros(3), gamma=0.5)
-    with pytest.raises(ConditioningError):
-        solve_projected(bad, 1.0)
+        _solve(sys, -0.1)
 
 
 # -- recovery and residual ----------------------------------------------------
@@ -183,25 +168,30 @@ def test_recover_validates_shapes():
 
 
 def test_projected_residual_norm_equals_full_misfit():
-    """|| Dk y - beta1 e1 || == || L_R (A s - b) || for s recovered from y."""
+    """|| Dk y - beta1 e1 ||^2 equals || L_R (A s - b) ||^2 for s recovered
+    from y: for solve_column's weights and its r2, and for any y."""
     state, prior, parts = advance(12, 8)
     A, Q1, Q2, b, sigma = parts
     rng = np.random.default_rng(0)
     for gamma in (1.0, 0.55):
         sys = build_projected(state, gamma)
-        y = rng.standard_normal(state.k)
-        r_proj = projected_residual(sys, y)
-        s = recover_iterate(state, prior, gamma, y)
-        r_full = (A @ s - b) / sigma
-        assert np.linalg.norm(r_proj) == pytest.approx(
-            np.linalg.norm(r_full), rel=1e-9)
+        Y, r2, _ = solve_column(sys, [1e-3, 0.4, 7.0])
+        y_any = rng.standard_normal(state.k)
+        r = sys.Dk @ y_any - sys.rhs
+        for y, r2_y in [*zip(Y, r2), (y_any, r @ r)]:
+            s = recover_iterate(state, prior, gamma, y)
+            r_full = (A @ s - b) / sigma
+            assert r2_y == pytest.approx(r_full @ r_full, rel=1e-9)
 
 
 def test_projected_residual_at_zero_weights():
+    """At a lam so large that the weights vanish the residual is rhs, of
+    norm beta1."""
     state, _, _ = advance(13, 4)
     sys = build_projected(state, 0.8)
-    r = projected_residual(sys, np.zeros(state.k))
-    assert np.linalg.norm(r) == pytest.approx(state.beta1, rel=1e-14)
+    Y, r2, _ = solve_column(sys, [1e12])
+    assert np.linalg.norm(Y) <= 1e-20 * state.beta1
+    assert np.sqrt(r2[0]) == pytest.approx(state.beta1, rel=1e-14)
 
 
 # -- influence trace ----------------------------------------------------------
@@ -236,7 +226,7 @@ def test_trace_matches_dense_influence():
     state, _, _ = advance(16, 5)
     sys = build_projected(state, 0.4)
     lam = 0.6
-    M = sys.penalty(lam)
+    M = sys.DtD + lam * lam * (0.4 * np.eye(sys.k) + 0.6 * sys.Gk)
     influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
     assert _trace(sys, lam) == pytest.approx(np.trace(influence), rel=1e-11)
 
@@ -247,35 +237,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except MixkryError as exc:
         return type(exc)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
-       q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0),
-       log10_lam=st.floats(*_WIDE_LOG10_LAMBDA))
-def test_projected_solves_match_wrapper_oracle_property(seed, steps, q2_rank,
-                                                       gamma_mid, log10_lam):
-    """The direct potrf/potrs path gives the bits of scipy's cho_factor /
-    cho_solve route, with the penalty formed per call, at gamma_min, a
-    random gamma and 1, and at lam = 0, both lam bounds and inside them.
-    A copy with a zero last column and Gk = -I (singular at lam = 0,
-    indefinite for gamma < 1/2) must fail with the oracle's error class."""
-    state, _, _ = advance(seed, steps, q2_rank=q2_rank)
-    lo, hi = _WIDE_LOG10_LAMBDA
-    lams = (0.0, 10.0**lo, 10.0**log10_lam, 10.0**hi)
-    for gamma in (SearchConfig().gamma_min, gamma_mid, 1.0):
-        sys = build_projected(state, gamma)
-        Dk = sys.Dk.copy()
-        Dk[:, -1] = 0.0
-        bad = ProjectedSystem(Dk=Dk, Gk=-np.eye(sys.k), rhs=sys.rhs,
-                              gamma=gamma)
-        for system, lam in itertools.product((sys, bad), lams):
-            y = _outcome(solve_projected, system, lam)
-            y_ref = _outcome(solve_projected_reference, system, lam)
-            if isinstance(y_ref, type):
-                assert y is y_ref
-            else:
-                assert y.shape == y_ref.shape and (y == y_ref).all()
 
 
 # -- column evaluator ---------------------------------------------------------
@@ -298,7 +259,7 @@ def _column_lams():
 def _assert_column_matches_pointwise(sys, lams):
     Y, r2, tr = solve_column(sys, lams)
     for j, lam in enumerate(lams):
-        y = solve_projected(sys, lam)
+        y = solve_projected_reference(sys, lam)
         r2_j, tr_j = residual_and_trace_reference(sys, lam)
         assert (np.linalg.norm(Y[j] - y)
                 <= _COLUMN_RTOL * np.linalg.norm(y))
@@ -344,7 +305,7 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
 
     for method in METHODS:
         column = _objective_factory(method, state, prior, cfg)
-        by_column = np.array([column(gamma, lams) for gamma in gammas])
+        by_column = np.array([column(gamma, lams)[0] for gamma in gammas])
         by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
                               for lam in lams] for gamma in gammas])
         # UPRE subtracts sigma2 from a term of that size
@@ -392,6 +353,36 @@ def test_column_evaluator_rejects_nonpositive_lambda():
     for lams in ([0.1, 0.0], [-1.0], [[0.1]]):
         with pytest.raises(ParameterDomainError):
             solve_column(sys, lams)
+
+
+# -- the iterate --------------------------------------------------------------
+
+
+def test_run_hybrid_iterate_is_the_selected_cell():
+    """run_hybrid recovers its solution from the selection's own weights and
+    reports sqrt(r2) / beta1 as the relative residual, with no second solve.
+    The weights match the scipy Cholesky oracle at (gamma*, lam*), and the
+    residual matches the full-space misfit of the solution."""
+    A, Q1, Q2, b, sigma = random_problem(30, 25, 20, q2_rank=6)
+    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    prior = PriorSpec(mean=np.linspace(-0.5, 0.5, 20), q1=q1op, q2=q2op)
+    result = run_hybrid(Aop, Rinv, LR, prior, b, method="wgcv",
+                        policy=StoppingPolicy(max_iter=6, flat_tol=1e-12))
+    state = result.state
+    for rec, sel in zip(result.history, result.selections):
+        assert (rec.lam, rec.gamma) == (sel.lam, sel.gamma)
+        assert rec.rel_residual == np.sqrt(sel.r2) / state.beta1
+    sel = result.selections[-1]
+    assert sel.weights.shape == (state.k,)
+    s = recover_iterate(state, prior, sel.gamma, sel.weights)
+    assert (result.solution == s).all()
+    y_ref = solve_projected_reference(build_projected(state, sel.gamma),
+                                      sel.lam)
+    assert (np.linalg.norm(sel.weights - y_ref)
+            <= _COLUMN_RTOL * np.linalg.norm(y_ref))
+    r = (A @ result.solution - b) / sigma
+    assert result.final.rel_residual == pytest.approx(
+        np.linalg.norm(r) / state.beta1, rel=1e-9)
 
 
 # -- dense MAP oracle ---------------------------------------------------------
@@ -452,7 +443,7 @@ def test_full_run_reproduces_dense_map(gamma, lam):
     A, Q1, Q2, b, sigma = parts
     assert state.terminal or state.k == 20
     sys = build_projected(state, gamma)
-    y = solve_projected(sys, lam)
+    y = _solve(sys, lam)
     s = recover_iterate(state, prior, gamma, y)
     Q = gamma * Q1 + (1 - gamma) * Q2
     s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b, np.zeros(20), lam)
@@ -472,7 +463,7 @@ def test_full_run_with_nonzero_mean():
     prior_mu = PriorSpec(mean=mu, q1=q1op, q2=q2op)
     gamma, lam = 0.6, 0.45
     sys = build_projected(state, gamma)
-    y = solve_projected(sys, lam)
+    y = _solve(sys, lam)
     s = recover_iterate(state, prior_mu, gamma, y)
     Q = gamma * Q1 + (1 - gamma) * Q2
     s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b, mu, lam)
@@ -490,7 +481,6 @@ def test_misfit_monotone_in_k():
             break
         mixgk_step(state)
         sys = build_projected(state, 0.5)
-        y = solve_projected(sys, 1e-6)
-        r = np.linalg.norm(projected_residual(sys, y))
+        r = np.sqrt(solve_column(sys, [1e-6])[1][0])
         assert r <= prev + 1e-10
         prev = r

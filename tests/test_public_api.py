@@ -23,13 +23,15 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "optimal_objective", "trace_term", "MixGKOptions",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
            "CapacityError", "aslinop", "residual_and_trace",
-           "_LOG10_LAMBDA_BOUNDS")
+           "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
+           "_factor")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
     (LinearOperator, "T"),
     (LinearOperator, "__matmul__"),
     (ProjectedSystem, "rows"),
+    (ProjectedSystem, "penalty"),
     (SearchConfig, "log10_lambda_bounds"),
     (SearchConfig, "refine_evals"),
     (KernelOperator, "apply"),

@@ -1,6 +1,7 @@
 """Print the SHA-256 of every artifact the acceptance configs write.
 
-Usage: ``python3 tools/artifact_digests.py [--keep DIR] [--summary]``.
+Usage: ``python3 tools/artifact_digests.py [--keep DIR] [--summary]``
+or ``python3 tools/artifact_digests.py --drift DIR_A DIR_B``.
 
 Runs each config below in this process through ``mixkry.cli.main``, using
 the package in this checkout's ``src/``, and prints one
@@ -20,6 +21,15 @@ the final k, ``stop_reason`` and ``rel_error`` from ``summary.txt``, and the
 ``evaluations`` summed over the steps of ``params.csv`` with the number of
 steps whose search did not converge.  Diffing these lines at two commits
 gives a before/after quality table for a change that moves the numerics.
+
+With ``--drift DIR_A DIR_B`` nothing is run: two ``--keep`` trees are
+compared.  The script prints ``only in DIR: path`` for each artifact found
+on one side only, ``changed: path`` for each non-CSV artifact whose bytes
+differ, ``rows differ: path`` for a CSV whose header or row count differs,
+and then one ``file column drift`` line per CSV file name and column: the
+largest relative difference |a - b| / max(|a|, |b|) of that column over all
+run directories.  Equal cells count 0; text cells that differ, or a number
+against an empty cell, count inf.
 """
 
 import argparse
@@ -27,6 +37,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -109,6 +120,53 @@ def print_summary(workdir):
               f" unconverged={unconverged}")
 
 
+def _artifacts(root):
+    return {p.relative_to(root).as_posix()
+            for pat in PATTERNS for p in root.rglob(pat)}
+
+
+def _read_csv(path):
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
+def _cell_drift(a, b):
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def print_drift(dir_a, dir_b):
+    files_a, files_b = _artifacts(dir_a), _artifacts(dir_b)
+    for root, only in ((dir_a, files_a - files_b), (dir_b, files_b - files_a)):
+        for rel in sorted(only):
+            print(f"only in {root}: {rel}")
+    drift = {}
+    for rel in sorted(files_a & files_b):
+        path_a, path_b = dir_a / rel, dir_b / rel
+        if not rel.endswith(".csv"):
+            if path_a.read_bytes() != path_b.read_bytes():
+                print(f"changed: {rel}")
+            continue
+        rows_a, rows_b = _read_csv(path_a), _read_csv(path_b)
+        if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+            print(f"rows differ: {rel}")
+            continue
+        name = path_a.name
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            for col, a, b in zip(rows_a[0], row_a, row_b):
+                key = (name, col)
+                drift[key] = max(drift.get(key, 0.0), _cell_drift(a, b))
+    for (name, col), value in sorted(drift.items()):
+        print(f"{name} {col} {value:.3g}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", metavar="DIR", type=Path,
@@ -116,7 +174,14 @@ def main(argv=None):
     parser.add_argument("--summary", action="store_true",
                         help="print one quality line per run directory in "
                              "place of the digests")
+    parser.add_argument("--drift", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        type=Path,
+                        help="compare two --keep trees column by column "
+                             "in place of running the configs")
     args = parser.parse_args(argv)
+    if args.drift is not None:
+        print_drift(*args.drift)
+        return 0
     report = print_summary if args.summary else print_digests
     if args.keep is not None:
         args.keep.mkdir(parents=True, exist_ok=True)
