@@ -53,6 +53,7 @@ from .projected import (
     build_projected,
     recover_iterate,
     solve_column,
+    trace_term,
 )
 from .params import (
     METHODS,

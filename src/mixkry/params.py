@@ -23,7 +23,7 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import build_projected, solve_column
+from .projected import build_projected, solve_column, trace_term
 
 __all__ = [
     "SearchConfig",
@@ -219,7 +219,7 @@ def _objective_factory(method, state, prior, config):
     """Return ``column(gamma, lams) -> (values, Y, r2)``: the requested
     method scored at every lam of one gamma, with the weights and squared
     residuals :func:`solve_column` gives there.  Projected systems are
-    cached per gamma, so each gamma is decomposed once per step."""
+    built, decomposed and cached per gamma: one decomposition per gamma."""
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
     if method == "upre" and (config.sigma2 is None or config.sigma2 <= 0):
@@ -233,6 +233,7 @@ def _objective_factory(method, state, prior, config):
         sys = sys_cache.get(gamma)
         if sys is None:
             sys = build_projected(state, gamma)
+            trace_term(sys)  # one traced factorization per gamma
             sys_cache[gamma] = sys
         return sys
 
@@ -342,9 +343,8 @@ def select_params(method, state, prior, config=None):
     if not flat:
         h_gamma = (1.0 - config.gamma_min) / max(config.grid_gamma - 1, 1) / 2
         h_lam = (hi - lo) / (config.grid_lambda - 1) / 2
-        # three gamma columns by five lambdas: a new gamma costs one
-        # decomposition (the centre one is decomposed already), while extra
-        # lambdas are nearly free
+        # three gamma columns by five lambdas: only a new gamma costs a
+        # decomposition, while extra lambdas are nearly free
         for _ in range(_ZOOMS):
             _, _, g, l = best[:4]
             if gamma_fixed is None:

@@ -19,10 +19,10 @@ V diag(mu) V^T,
 
 so one ``potrf`` of P and one ``syevd`` give the weights, the residuals
 and the influence traces at every lam.  A :class:`ProjectedSystem` is one
-(step, gamma) pair: it computes that decomposition on first use and keeps
-it, and :func:`solve_column` only reads it.  Parameter selection scores
-whole lam columns this way and returns the winning cell's weights, which
-are the iterate.  The state's gamma-independent blocks (B and the Gram
+(step, gamma) pair: :func:`trace_term` computes its decomposition on first
+use and the system keeps it, and :func:`solve_column` only reads it.
+Parameter selection scores whole lam columns this way and returns the
+winning cell's weights, which are the iterate.  The state's gamma-independent blocks (B and the Gram
 products) are formed once per step.
 """
 
@@ -40,6 +40,7 @@ __all__ = [
     "build_projected",
     "recover_iterate",
     "solve_column",
+    "trace_term",
 ]
 
 
@@ -49,7 +50,7 @@ class ProjectedSystem:
 
     ``DtD`` and ``Dtrhs`` are cached products used by every solve.  The
     decomposition of the penalized normal matrix at this gamma is computed
-    on the first :func:`solve_column` call and kept.
+    by the first :func:`trace_term` call and kept.
     """
 
     Dk: np.ndarray
@@ -70,31 +71,6 @@ class ProjectedSystem:
     @property
     def k(self):
         return self.Dk.shape[1]
-
-    def _decompose(self):
-        """``(mu, c, T)``: the eigenvalues mu of L^{-1} Dk^T Dk L^{-T}
-        (clamped at zero), c = V^T L^{-1} Dk^T rhs and T = L^{-T} V, so that
-        y(lam) = T (c / (mu + lam^2)).  Computed once per system."""
-        if self._parts is None:
-            P = self.gamma * np.eye(self.k) + (1.0 - self.gamma) * self.Gk
-            L, info = lapack.dpotrf(P, lower=1, clean=0, overwrite_a=1)
-            if info > 0:
-                raise ConditioningError(
-                    "mixed penalty not positive definite at "
-                    f"gamma = {self.gamma:g}")
-            if info < 0:
-                raise RuntimeError(f"dpotrf rejected argument {-info}")
-            # L^{-1} [DtD | Dtrhs], then L^{-1} DtD L^{-T} from the first k
-            # columns
-            X = _trsm(L, np.column_stack([self.DtD, self.Dtrhs]))
-            mu, V, info = lapack.dsyevd(_trsm(L, X[:, :-1].T), lower=1)
-            if info != 0:
-                raise ConditioningError(
-                    "projected eigendecomposition failed at "
-                    f"gamma = {self.gamma:g}")
-            self._parts = (np.maximum(mu, 0.0), V.T @ X[:, -1],
-                           _trsm(L, V, trans=1))
-        return self._parts
 
 
 def build_projected(state, gamma):
@@ -121,9 +97,36 @@ def _trsm(L, X, trans=0):
     return blas.dtrsm(1.0, L, X, lower=1, trans_a=trans)
 
 
+def trace_term(sys):
+    """The system's decomposition ``(mu, c, T)``, computed on the first
+    call and kept: mu holds the eigenvalues of L^{-1} Dk^T Dk L^{-T}
+    (clamped at zero), c = V^T L^{-1} Dk^T rhs and T = L^{-T} V.  The
+    influence trace term at lam is sum(mu / (mu + lam^2)) and y(lam) =
+    T (c / (mu + lam^2)).  It is the projected layer's one factorization,
+    which ``bench/spans.py`` traces under this name."""
+    if sys._parts is None:
+        P = sys.gamma * np.eye(sys.k) + (1.0 - sys.gamma) * sys.Gk
+        L, info = lapack.dpotrf(P, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise ConditioningError(
+                f"mixed penalty not positive definite at gamma = {sys.gamma:g}")
+        if info < 0:
+            raise RuntimeError(f"dpotrf rejected argument {-info}")
+        # L^{-1} [DtD | Dtrhs], then L^{-1} DtD L^{-T} from the first k
+        # columns
+        X = _trsm(L, np.column_stack([sys.DtD, sys.Dtrhs]))
+        mu, V, info = lapack.dsyevd(_trsm(L, X[:, :-1].T), lower=1)
+        if info != 0:
+            raise ConditioningError(
+                f"projected eigendecomposition failed at gamma = {sys.gamma:g}")
+        sys._parts = (np.maximum(mu, 0.0), V.T @ X[:, -1],
+                      _trsm(L, V, trans=1))
+    return sys._parts
+
+
 def solve_column(sys, lams):
     """Weights, squared residuals and influence traces at every lam of a
-    column, from the system's one decomposition.
+    column, from the system's one decomposition (:func:`trace_term`).
 
     Returns ``(Y, r2, tr)``: row j of ``Y`` is y(lams[j]), ``r2[j]`` is
     ||Dk y - rhs||^2 taken from the residual itself, and ``tr[j]`` is
@@ -134,7 +137,7 @@ def solve_column(sys, lams):
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(lams > 0):
         raise ParameterDomainError("lam column must be positive")
-    mu, c, T = sys._decompose()
+    mu, c, T = trace_term(sys)
     denom = mu + (lams * lams)[:, None]
     Y = _matvecs(T, c / denom)
     R = _matvecs(sys.Dk, Y) - sys.rhs

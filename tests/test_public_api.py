@@ -20,7 +20,7 @@ MODULES = ("operators", "mixgk", "projected", "params", "learn",
            "testproblems", "cli")
 
 RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
-           "optimal_objective", "trace_term", "MixGKOptions",
+           "optimal_objective", "MixGKOptions",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
            "CapacityError", "aslinop", "residual_and_trace",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
