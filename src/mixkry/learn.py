@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ArgumentError, DegenerateDataError, FitError
 from .operators import (
@@ -31,6 +30,9 @@ __all__ = [
     "learn_matern",
     "rblw_gamma",
 ]
+
+# zoom levels after the (nu, ell) grid, each a 3 x 3 stencil in log space
+_ZOOMS = 8
 
 
 @dataclass
@@ -62,16 +64,6 @@ def hutchinson_objective(spec, grid, sample, probes):
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
 
-def _fit_grid(objective, nus, ells):
-    best = None
-    for nu in nus:
-        for ell in ells:
-            val = objective(nu, ell)
-            if best is None or val < best[0]:
-                best = (val, nu, ell)
-    return best
-
-
 def fit_bounds(grid):
     """``((nu_lo, nu_hi), (ell_lo, ell_hi))``, the box :func:`learn_matern`
     searches; ell is in the grid's kernel length units."""
@@ -81,10 +73,15 @@ def fit_bounds(grid):
 def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     """Learn (nu, ell) for a kernel family against sample snapshots.
 
-    Coarse log-grid scan followed by Nelder-Mead in (log nu, log ell),
-    clamped to nu in [0.1, 10] and ell in [1e-3, grid diameter].  The same
-    probe matrix is reused for every candidate, so objective values are
-    directly comparable across the search.
+    Deterministic.  A 7 x 9 log grid over nu in [0.1, 10] and ell in
+    [1e-3, grid diameter] is scanned.  Then ``_ZOOMS`` levels each score a
+    3 x 3 stencil in (log nu, log ell) centred on the best point so far,
+    clipped to the box and deduplicated, with both steps starting at half a
+    grid step and halving at each level; the centre, already scored, is
+    skipped.  The same probe matrix is reused for every candidate, so
+    objective values are directly comparable across the search, and the
+    returned ``objective`` is the one scored at the returned (nu, ell).
+    Ties keep the point scored first.
     """
     sample = samples if isinstance(samples, SampleFactor) else sample_covariance(samples)
     if sample.rows != grid.n:
@@ -94,33 +91,43 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     xi = rademacher_probes(grid.n, probes, seed)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
+    lo, hi = np.array([nu_lo, ell_lo]), np.array([nu_hi, ell_hi])
+    log_lo, log_hi = np.log(lo), np.log(hi)
+    best = None  # (value, nu, ell, [log nu, log ell])
 
-    def objective(nu, ell):
+    def score(nu, ell, x):
+        nonlocal best
         spec = KernelSpec(family=family, nu=nu, ell=ell)
-        return hutchinson_objective(spec, grid, sample, xi)
+        val = hutchinson_objective(spec, grid, sample, xi)
+        if not np.isfinite(val):
+            val = np.inf
+        if best is None or val < best[0]:
+            best = (val, nu, ell, x)
 
-    nus = np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7)
-    ells = np.logspace(np.log10(ell_lo), np.log10(ell_hi), 9)
-    best = _fit_grid(objective, nus, ells)
-    if best is None or not np.isfinite(best[0]):
+    nus = np.clip(np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7),
+                  nu_lo, nu_hi)
+    ells = np.clip(np.logspace(np.log10(ell_lo), np.log10(ell_hi), 9),
+                   ell_lo, ell_hi)
+    for nu in nus:
+        for ell in ells:
+            score(float(nu), float(ell),
+                  np.clip(np.log([nu, ell]), log_lo, log_hi))
+    if not np.isfinite(best[0]):
         raise FitError("no finite mismatch on the (nu, ell) grid")
 
-    lb = np.log([nu_lo, ell_lo])
-    ub = np.log([nu_hi, ell_hi])
-
-    def fun(x):
-        z = np.clip(x, lb, ub)
-        return objective(float(np.exp(z[0])), float(np.exp(z[1])))
-
-    x0 = np.log([best[1], best[2]])
-    res = scipy.optimize.minimize(
-        fun, x0, method="Nelder-Mead",
-        bounds=list(zip(lb, ub)),
-        options={"maxfev": 200, "xatol": 1e-6, "fatol": 1e-12, "disp": False},
-    )
-    if np.isfinite(res.fun) and res.fun < best[0]:
-        z = np.clip(res.x, lb, ub)
-        best = (float(res.fun), float(np.exp(z[0])), float(np.exp(z[1])))
+    # half a grid step in each log coordinate, halved per level
+    h = (log_hi - log_lo) / (2.0 * np.array([nus.size - 1, ells.size - 1]))
+    stencil = np.array([(a, b) for a in (-1.0, 0.0, 1.0)
+                        for b in (-1.0, 0.0, 1.0)])
+    for _ in range(_ZOOMS):
+        centre = best[3]
+        for x in np.unique(np.clip(centre + h * stencil, log_lo, log_hi),
+                           axis=0):
+            if np.array_equal(x, centre):
+                continue
+            nu, ell = np.clip(np.exp(x), lo, hi)
+            score(float(nu), float(ell), x)
+        h = h / 2.0
     return FitResult(nu=best[1], ell=best[2], objective=best[0],
                      probes=probes)
 

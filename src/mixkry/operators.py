@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 from scipy.special import gammaln, kve
 
@@ -486,10 +485,13 @@ def noise_whitener(r, size=None):
 
 # ---------------------------------------------------------------------------
 # MatrixMarket I/O (dense arrays use the array format, sparse the coordinate
-# format; vectors are stored as n x 1 arrays)
+# format; vectors are stored as n x 1 arrays).  scipy.io is imported on first
+# use: only ``gen`` and the ``file`` preset read or write these files.
 
 
 def save_matrix(path, mat):
+    import scipy.io
+
     if sp.issparse(mat):
         scipy.io.mmwrite(str(path), mat.tocoo())
     else:
@@ -497,11 +499,15 @@ def save_matrix(path, mat):
 
 
 def load_matrix(path):
+    import scipy.io
+
     mat = scipy.io.mmread(str(path))
     return mat.tocsr() if sp.issparse(mat) else np.asarray(mat, dtype=float)
 
 
 def save_vector(path, vec):
+    import scipy.io
+
     vec = np.asarray(vec, dtype=float).ravel()
     scipy.io.mmwrite(str(path), vec[:, None])
 

@@ -72,23 +72,21 @@ def circle_mask(size):
 # training images
 
 
-def _sine_mixture(rng, size):
-    L = float(size)
-    iy, ix = np.mgrid[0:size, 0:size]
+def _sine_mixture(rng, iy, ix):
+    L = float(ix.shape[0])
     coeffs = rng.uniform(0.5, 1.0, 6)
-    img = np.zeros((size, size))
+    img = np.zeros(ix.shape)
     for c in coeffs:
         a, b, phi = rng.uniform(0.0, L, 3)
         img += c * np.sin((a * ix + b * iy) / L + phi) ** 2
     return img / coeffs.sum()
 
 
-def _add_freckles(rng, img):
+def _add_freckles(rng, img, iy, ix):
     """Stamp 8 white disks: 5 of radius 3 and 3 of radius 4 at reference
     scale 128, radii scaled proportionally to the image size."""
     size = img.shape[0]
     radii = [3.0 * size / 128.0] * 5 + [4.0 * size / 128.0] * 3
-    iy, ix = np.mgrid[0:size, 0:size]
     for rad in radii:
         theta = rng.uniform(0.0, 2.0 * np.pi)
         rr = 0.35 * size * np.sqrt(rng.uniform())
@@ -96,6 +94,20 @@ def _add_freckles(rng, img):
         cy = size / 2.0 + rr * np.sin(theta)
         img[(ix - cx) ** 2 + (iy - cy) ** 2 <= rad * rad] = 1.0
     return img
+
+
+def _training_images(rng, count, size):
+    """``count`` freckled sine mixtures drawn in turn from ``rng``, masked
+    to the disk and clipped to [0, 1]; the pixel grid and mask are built
+    once for the whole stack."""
+    iy, ix = np.mgrid[0:size, 0:size]
+    outside = ~circle_mask(size)
+    images = np.zeros((count, size, size))
+    for i in range(count):
+        img = _add_freckles(rng, _sine_mixture(rng, iy, ix), iy, ix)
+        img[outside] = 0.0
+        images[i] = np.clip(img, 0.0, 1.0)
+    return images
 
 
 def gen_training_images(count, size, seed):
@@ -109,53 +121,78 @@ def gen_training_images(count, size, seed):
     if size < 4 or count < 1:
         raise ArgumentError("need size >= 4 and count >= 1")
     rng = np.random.default_rng(seed)
-    mask = circle_mask(size)
-    images = np.zeros((count, size, size))
-    for i in range(count):
-        img = _add_freckles(rng, _sine_mixture(rng, size))
-        img[~mask] = 0.0
-        images[i] = np.clip(img, 0.0, 1.0)
-    return TrainingSet(images=images, seed=seed)
+    return TrainingSet(images=_training_images(rng, count, size), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # spherical means
 
 
-def _deposit_arc(rows, cols, vals, row, center, radius, size):
-    """Integrate over a semicircular arc by quarter-pixel sampling with
-    bilinear deposition.  The arc opens toward the center of the region of
-    interest; samples outside the masked disk are clipped (no weight).
+def _spherical_matrix(size, n_angles, n_circles):
+    """Sparse spherical-means matrix, all arcs in one vectorized pass.
+
+    Each arc is integrated by quarter-pixel sampling with bilinear
+    deposition; it opens toward the center of the region of interest, and
+    samples outside the masked disk are clipped (no weight).  The COO
+    triplets are laid out arc by arc, then corner by corner, then sample by
+    sample, so the duplicate sums of ``tocsr`` run in a fixed order.
     """
     h = 1.0 / size
     ds = 0.25 / size
-    nsamp = max(8, int(np.ceil(np.pi * radius / ds)))
+    arcs = n_angles * n_circles
+    theta = np.deg2rad(np.arange(n_angles) * (90.0 / n_angles))
+    cx = np.repeat(0.5 + 0.5 * np.cos(theta), n_circles)
+    cy = np.repeat(0.5 + 0.5 * np.sin(theta), n_circles)
+    radius = np.tile((np.arange(n_circles) + 1) / n_circles, n_angles)
+    nsamp = np.maximum(8, np.ceil(np.pi * radius / ds).astype(int))
     w = np.pi * radius / nsamp
-    inward = np.arctan2(0.5 - center[1], 0.5 - center[0])
-    t = inward - np.pi / 2.0 + (np.arange(nsamp) + 0.5) * (np.pi / nsamp)
-    px = center[0] + radius * np.cos(t)
-    py = center[1] + radius * np.sin(t)
+    inward = np.arctan2(0.5 - cy, 0.5 - cx)
+
+    # sample angles t = inward - pi/2 + (i + 1/2) pi / nsamp, built in place
+    t = np.arange(nsamp.sum()) - np.repeat(np.cumsum(nsamp) - nsamp, nsamp)
+    t = t + 0.5
+    t *= np.repeat(np.pi / nsamp, nsamp)
+    t += np.repeat(inward - np.pi / 2.0, nsamp)
+    px = np.cos(t)
+    px *= np.repeat(radius, nsamp)
+    px += np.repeat(cx, nsamp)
+    py = np.sin(t, out=t)
+    py *= np.repeat(radius, nsamp)
+    py += np.repeat(cy, nsamp)
     inside = (px - 0.5) ** 2 + (py - 0.5) ** 2 <= 0.25
-    if not np.any(inside):
-        return
+    arc = np.repeat(np.arange(arcs), nsamp)[inside]
     px, py = px[inside], py[inside]
+    del t, inside
+
     fx = px / h - 0.5
     fy = py / h - 0.5
     j0 = np.floor(fx).astype(int)
     i0 = np.floor(fy).astype(int)
     wx = fx - j0
     wy = fy - i0
-    for dj, di, wgt in (
-        (0, 0, (1.0 - wx) * (1.0 - wy)),
-        (1, 0, wx * (1.0 - wy)),
-        (0, 1, (1.0 - wx) * wy),
-        (1, 1, wx * wy),
-    ):
-        jj = np.clip(j0 + dj, 0, size - 1)
-        ii = np.clip(i0 + di, 0, size - 1)
-        rows.append(np.full(px.size, row))
-        cols.append(ii * size + jj)
-        vals.append(w * wgt)
+    del px, py, fx, fy
+
+    # kept sample i, the l-th of an arc whose kept samples start at s and
+    # number c, writes its corner k triplet to 4 s + k c + l = 3 s + i + k c;
+    # int32 indices are what scipy stores anyway
+    count = np.bincount(arc, minlength=arcs)
+    base = np.arange(arc.size)
+    base += 3 * (np.cumsum(count) - count)[arc]
+    stride = count[arc]
+    w = w[arc]
+    rows = np.empty(4 * arc.size, dtype=np.int32)
+    cols = np.empty(4 * arc.size, dtype=np.int32)
+    vals = np.empty(4 * arc.size)
+    for corner, (dj, di) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        ux = wx if dj else 1.0 - wx
+        uy = wy if di else 1.0 - wy
+        pos = base + corner * stride
+        rows[pos] = arc
+        cols[pos] = (np.clip(i0 + di, 0, size - 1) * size
+                     + np.clip(j0 + dj, 0, size - 1))
+        vals[pos] = w * (ux * uy)
+    return scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                   shape=(arcs, size * size)).tocsr()
 
 
 def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
@@ -170,30 +207,15 @@ def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
         raise ArgumentError("spherical geometry needs size >= 16")
     if n_angles < 1 or n_circles < 1:
         raise ArgumentError("degenerate spherical geometry")
-    rows, cols, vals = [], [], []
-    for ia in range(n_angles):
-        theta = np.deg2rad(ia * (90.0 / n_angles))
-        center = (0.5 + 0.5 * np.cos(theta), 0.5 + 0.5 * np.sin(theta))
-        for ic in range(n_circles):
-            radius = (ic + 1) / n_circles
-            _deposit_arc(rows, cols, vals, ia * n_circles + ic,
-                         center, radius, size)
-    m = n_angles * n_circles
-    n = size * size
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n),
-    ).tocsr()
+    A = _spherical_matrix(size, n_angles, n_circles)
+    if A.nnz == 0:
+        raise ArgumentError("degenerate spherical geometry: no arc crosses "
+                            "the region of interest")
 
-    rng_img = np.random.default_rng(seed)
-    mask = circle_mask(size)
-    img = _add_freckles(rng_img, _sine_mixture(rng_img, size))
-    img[~mask] = 0.0
-    s_true = np.clip(img, 0.0, 1.0).ravel()
-
+    s_true = _training_images(np.random.default_rng(seed), 1, size).ravel()
     op = LinearOperator.from_matrix(A)
     return TomoProblem(A=op, b_clean=op.matvec(s_true), s_true=s_true,
-                       grid=Grid(size, size), mask=mask.ravel())
+                       grid=Grid(size, size), mask=circle_mask(size).ravel())
 
 
 # ---------------------------------------------------------------------------

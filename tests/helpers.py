@@ -8,11 +8,14 @@ optimal-method cache against the package's own recovery.
 :func:`solve_projected_reference` and :func:`residual_and_trace_reference`
 are the scipy ``cho_factor``/``cho_solve`` route to the projected solve, a
 pointwise Cholesky solve per lam that the package's one eigendecomposition
-per gamma must match to rounding.
+per gamma must match to rounding.  :func:`spherical_matrix_reference` is
+the per-arc loop that the package's vectorized spherical-means assembly
+must reproduce byte for byte.
 """
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from mixkry.errors import ConditioningError, ParameterDomainError
 from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
@@ -57,6 +60,61 @@ def grid_distances(grid):
     """Pairwise distance matrix |z_i - z_j| of the grid points."""
     z = grid.points()
     return np.hypot(z[:, None, 0] - z[None, :, 0], z[:, None, 1] - z[None, :, 1])
+
+
+def _deposit_arc(rows, cols, vals, row, center, radius, size):
+    """Integrate over a semicircular arc by quarter-pixel sampling with
+    bilinear deposition.  The arc opens toward the center of the region of
+    interest; samples outside the masked disk are clipped (no weight).
+    """
+    h = 1.0 / size
+    ds = 0.25 / size
+    nsamp = max(8, int(np.ceil(np.pi * radius / ds)))
+    w = np.pi * radius / nsamp
+    inward = np.arctan2(0.5 - center[1], 0.5 - center[0])
+    t = inward - np.pi / 2.0 + (np.arange(nsamp) + 0.5) * (np.pi / nsamp)
+    px = center[0] + radius * np.cos(t)
+    py = center[1] + radius * np.sin(t)
+    inside = (px - 0.5) ** 2 + (py - 0.5) ** 2 <= 0.25
+    if not np.any(inside):
+        return
+    px, py = px[inside], py[inside]
+    fx = px / h - 0.5
+    fy = py / h - 0.5
+    j0 = np.floor(fx).astype(int)
+    i0 = np.floor(fy).astype(int)
+    wx = fx - j0
+    wy = fy - i0
+    for dj, di, wgt in (
+        (0, 0, (1.0 - wx) * (1.0 - wy)),
+        (1, 0, wx * (1.0 - wy)),
+        (0, 1, (1.0 - wx) * wy),
+        (1, 1, wx * wy),
+    ):
+        jj = np.clip(j0 + dj, 0, size - 1)
+        ii = np.clip(i0 + di, 0, size - 1)
+        rows.append(np.full(px.size, row))
+        cols.append(ii * size + jj)
+        vals.append(w * wgt)
+
+
+def spherical_matrix_reference(size, n_angles, n_circles):
+    """Spherical-means matrix assembled one arc at a time: arc centers at
+    angles i * 90 deg / n_angles on the disk boundary, radii (j + 1) /
+    n_circles, one row per (angle, radius) pair."""
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [
+        np.zeros(0)]
+    for ia in range(n_angles):
+        theta = np.deg2rad(ia * (90.0 / n_angles))
+        center = (0.5 + 0.5 * np.cos(theta), 0.5 + 0.5 * np.sin(theta))
+        for ic in range(n_circles):
+            radius = (ic + 1) / n_circles
+            _deposit_arc(rows, cols, vals, ia * n_circles + ic,
+                         center, radius, size)
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_angles * n_circles, size * size),
+    ).tocsr()
 
 
 def dense_kernel(spec, grid):

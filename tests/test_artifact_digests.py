@@ -51,6 +51,29 @@ def test_summary_one_line_per_run_directory(monkeypatch, capsys, tmp_path):
     }
 
 
+def test_summary_one_line_per_fit_directory(monkeypatch, capsys, tmp_path):
+    """--summary also prints, per directory holding a fit.csv, the learned
+    nu and ell, the objective and at_clamp of the fit's summary.txt, in
+    path order with the run directories."""
+    tool = load_tool()
+    monkeypatch.setattr(tool, "RUNS", (
+        ("tiny-run", "run", TINY, []),
+        ("tiny-fit", "fit", TINY, ["fit.probes=4", "fit.repeats=2"]),
+    ))
+    assert tool.main(["--summary", "--keep", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["tiny-fit", "tiny-run"]
+    fields = dict(f.split("=", 1) for f in lines[0].split()[1:])
+    summary = (tmp_path / "tiny-fit" / "summary.txt").read_text().splitlines()
+    assert fields == {
+        "nu": summary[3].split("prior.q1.nu=")[1],
+        "ell": summary[4].split("prior.q1.ell=")[1],
+        "objective": summary[5].split("objective: ")[1],
+        "at_clamp": summary[7].split("at_clamp: ")[1],
+    }
+    assert lines[1].split()[1].startswith("k=")
+
+
 def test_drift_per_csv_column_and_one_sided_files(capsys, tmp_path):
     """--drift compares two trees without running anything: one line per
     file only on one side, per non-CSV artifact whose bytes differ, per CSV

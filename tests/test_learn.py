@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mixkry.learn
 from helpers import dense_kernel
 from mixkry.errors import ArgumentError, DegenerateDataError
-from mixkry.learn import (hutchinson_objective, learn_matern,
+from mixkry.learn import (fit_bounds, hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
 from mixkry.operators import (Grid, KernelSpec, SampleFactor,
                               sample_covariance)
@@ -194,6 +196,50 @@ def test_learn_probe_doubling_is_stable():
     r2 = learn_matern(X, grid, probes=40, seed=3)
     assert r2.objective == pytest.approx(r1.objective, rel=0.25)
     assert r2.ell == pytest.approx(r1.ell, rel=0.5)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), nx=st.integers(2, 6),
+       ny=st.integers(2, 6), count=st.integers(2, 30),
+       probes=st.integers(1, 12))
+def test_learn_search_properties(seed, nx, ny, count, probes):
+    """On random snapshots the search returns a point inside its box that
+    scores no worse than the best 7 x 9 grid cell, with the objective of
+    that very point under the same probes, deterministically; the zoom
+    scores at most 8 new points per level and never re-scores a centre."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(nx, ny)
+    X = list(rng.standard_normal((count, grid.n)))
+    sample = sample_covariance(X)
+    xi = rademacher_probes(grid.n, probes, seed)
+
+    def objective(nu, ell):
+        return hutchinson_objective(KernelSpec(family="matern", nu=nu,
+                                               ell=ell), grid, sample, xi)
+
+    scored = []
+
+    def recording(spec, *args):
+        scored.append((spec.nu, spec.ell))
+        return hutchinson_objective(spec, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixkry.learn, "hutchinson_objective", recording)
+        res = learn_matern(X, grid, probes=probes, seed=seed)
+
+    (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
+    assert nu_lo <= res.nu <= nu_hi and ell_lo <= res.ell <= ell_hi
+    grid_best = min(objective(nu, ell)
+                    for nu in np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7)
+                    for ell in np.logspace(np.log10(ell_lo), np.log10(ell_hi),
+                                           9))
+    assert res.objective <= grid_best
+    assert res.objective == objective(res.nu, res.ell)
+    assert 63 < len(scored) <= 63 + 8 * 8
+    assert scored.count((res.nu, res.ell)) == 1
+    again = learn_matern(X, grid, probes=probes, seed=seed)
+    assert (again.nu, again.ell, again.objective) == (res.nu, res.ell,
+                                                      res.objective)
 
 
 def test_learn_validation():

@@ -3,6 +3,9 @@
 import dataclasses
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
            "CapacityError", "aslinop", "residual_and_trace",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
-           "_factor")
+           "_factor", "_deposit_arc", "_fit_grid")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -78,6 +81,25 @@ def test_retired_names_not_exported():
         assert name not in {f.name for f in dataclasses.fields(owner)}, name
     for fn, name in RETIRED_PARAMS:
         assert name not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_import_leaves_out_optimize_and_io():
+    """Importing the package and its CLI loads neither scipy.optimize (no
+    command uses it) nor scipy.io (imported on first use by the Matrix
+    Market helpers); a fresh interpreter sees the import graph alone."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(Path(mixkry.__file__).parents[1])!r})\n"
+            "import mixkry, mixkry.cli\n"
+            "print(' '.join(m for m in ('scipy.optimize', 'scipy.io')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
+    # the probe itself can see the modules it names
+    probe = code.replace("import mixkry, mixkry.cli", "import scipy.io")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["scipy.io"]
 
 
 def _subclasses(cls):

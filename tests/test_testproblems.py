@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import spherical_matrix_reference
 from mixkry.errors import ArgumentError, DegenerateDataError
 from mixkry.testproblems import (add_noise, circle_mask, crosswell_tomo,
                                  gen_training_images, read_pgm,
@@ -83,6 +85,41 @@ def test_spherical_size_guard():
         spherical_tomo(size=8)
     with pytest.raises(ArgumentError):
         spherical_tomo(size=32, n_angles=0)
+    # radius 1 from a boundary point only grazes the disk's far side
+    with pytest.raises(ArgumentError, match="no arc crosses"):
+        spherical_tomo(size=16, n_angles=1, n_circles=1)
+
+
+def assert_same_assembly(size, n_angles, n_circles, seed=7):
+    """The vectorized assembly reproduces the per-arc loop byte for byte:
+    same CSR arrays (so the same duplicate sums) and the same data."""
+    prob = spherical_tomo(size, n_angles, n_circles, seed=seed)
+    ref = spherical_matrix_reference(size, n_angles, n_circles)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(prob.matrix, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert prob.b_clean.tobytes() == (ref @ prob.s_true).tobytes()
+
+
+@pytest.mark.parametrize("size", [16, 17, 32, 48])
+def test_spherical_matches_per_arc_reference(size):
+    assert_same_assembly(size, 16, 24)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(size=st.integers(16, 40), n_angles=st.integers(1, 20),
+       n_circles=st.integers(1, 30))
+def test_spherical_matches_per_arc_reference_property(size, n_angles,
+                                                      n_circles):
+    """Any geometry: byte-identical to the loop, or, when no arc crosses
+    the disk (one circle of radius 1 only grazes it), rejected at the
+    boundary."""
+    if spherical_matrix_reference(size, n_angles, n_circles).nnz == 0:
+        with pytest.raises(ArgumentError, match="no arc crosses"):
+            spherical_tomo(size, n_angles, n_circles)
+    else:
+        assert_same_assembly(size, n_angles, n_circles)
 
 
 def test_spherical_full_scale_dimensions():

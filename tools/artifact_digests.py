@@ -16,11 +16,14 @@ missing) in place of a temporary directory and left there, so that two
 commits' outputs can be compared value by value when their digests differ.
 
 With ``--summary`` the script prints, in place of the digests, one line per
-run directory (each directory holding a ``params.csv``), sorted by path:
-the final k, ``stop_reason`` and ``rel_error`` from ``summary.txt``, and the
+run directory (each directory holding a ``params.csv``) and per fit
+directory (one holding a ``fit.csv``), sorted by path.  A run line gives the
+final k, ``stop_reason`` and ``rel_error`` from ``summary.txt``, and the
 ``evaluations`` summed over the steps of ``params.csv`` with the number of
-steps whose search did not converge.  Diffing these lines at two commits
-gives a before/after quality table for a change that moves the numerics.
+steps whose search did not converge.  A fit line gives the learned nu and
+ell, the ``objective`` and ``at_clamp`` from ``summary.txt``.  Diffing these
+lines at two commits gives a before/after quality table for a change that
+moves the numerics.
 
 With ``--drift DIR_A DIR_B`` nothing is run: two ``--keep`` trees are
 compared.  The script prints ``only in DIR: path`` for each artifact found
@@ -102,22 +105,42 @@ def print_digests(workdir):
         print(f"{digest}  {path.relative_to(workdir).as_posix()}")
 
 
+def _read_summary(rundir):
+    summary = {}
+    for line in (rundir / "summary.txt").read_text().splitlines():
+        key, sep, value = line.partition(":")
+        if not sep:  # the fit's paste-ready ``prior.q1.nu=...`` lines
+            key, _, value = line.partition("=")
+        summary[key] = value.strip()
+    return summary
+
+
+def _run_line(rundir):
+    summary = _read_summary(rundir)
+    with (rundir / "params.csv").open(newline="") as f:
+        steps = list(csv.DictReader(f))
+    evaluations = sum(int(step["evaluations"]) for step in steps)
+    unconverged = sum(step["converged"] != "true" for step in steps)
+    return (f"k={summary['iterations']} stop={summary['stop_reason']}"
+            f" rel_error={summary['rel_error']} evaluations={evaluations}"
+            f" unconverged={unconverged}")
+
+
+def _fit_line(rundir):
+    summary = _read_summary(rundir)
+    return (f"nu={summary['prior.q1.nu']} ell={summary['prior.q1.ell']}"
+            f" objective={summary['objective']}"
+            f" at_clamp={summary['at_clamp']}")
+
+
 def print_summary(workdir):
     run_all(workdir)
-    for params in sorted(workdir.rglob("params.csv")):
-        rundir = params.parent
-        summary = {}
-        for line in (rundir / "summary.txt").read_text().splitlines():
-            key, _, value = line.partition(":")
-            summary[key] = value.strip()
-        with params.open(newline="") as f:
-            steps = list(csv.DictReader(f))
-        evaluations = sum(int(step["evaluations"]) for step in steps)
-        unconverged = sum(step["converged"] != "true" for step in steps)
-        print(f"{rundir.relative_to(workdir).as_posix()}"
-              f"  k={summary['iterations']} stop={summary['stop_reason']}"
-              f" rel_error={summary['rel_error']} evaluations={evaluations}"
-              f" unconverged={unconverged}")
+    lines = {}
+    for name, describe in (("params.csv", _run_line), ("fit.csv", _fit_line)):
+        for path in workdir.rglob(name):
+            lines[path.parent] = describe(path.parent)
+    for rundir in sorted(lines):
+        print(f"{rundir.relative_to(workdir).as_posix()}  {lines[rundir]}")
 
 
 def _artifacts(root):
