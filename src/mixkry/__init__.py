@@ -42,16 +42,18 @@ from .operators import (
 )
 from .mixgk import (
     MixGKState,
-    OpCounter,
     mixgk_init,
     mixgk_step,
     qr_append_update,
     qr_recompute,
 )
 from .projected import (
+    PenaltyBasis,
     ProjectedSystem,
     build_projected,
+    penalty_basis,
     recover_iterate,
+    solve_cells,
     solve_column,
     trace_term,
 )

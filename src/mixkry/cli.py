@@ -11,6 +11,8 @@ printed to stdout instead of being written to files.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -754,7 +756,42 @@ def _load_cfg(args):
     return resolve_config(pairs)
 
 
+# package whose bundled OpenBLAS build the CLI pins -> its thread setter
+_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
+                 ("scipy", "scipy_openblas_set_num_threads"))
+
+
+def _pin_blas_threads():
+    """Run the OpenBLAS builds bundled with numpy and scipy on one thread,
+    unless ``OPENBLAS_NUM_THREADS`` is set.
+
+    Selection makes thousands of small LAPACK and BLAS calls, and more than
+    one thread makes each of them pay thread start-up.  Only a library this
+    process has already loaded is touched; where neither is found this does
+    nothing.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    for package, symbol in _BLAS_SETTERS:
+        module = sys.modules.get(package)
+        if module is None:
+            continue
+        libs = Path(module.__file__).parents[1] / f"{package}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path),
+                                  mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:  # not loaded in this process
+                continue
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
+
 def main(argv=None):
+    _pin_blas_threads()
     parser = argparse.ArgumentParser(
         prog="mixkry",
         description="Hybrid projection solver for mixed Gaussian priors",

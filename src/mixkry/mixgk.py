@@ -14,7 +14,6 @@ fallback.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,10 @@ from .errors import (
     DegenerateDataError,
     RankError,
 )
+from .projected import penalty_basis
 
 __all__ = [
     "MixGKState",
-    "OpCounter",
     "mixgk_init",
     "mixgk_step",
     "qr_append_update",
@@ -47,16 +46,6 @@ _RANK_TOL = 1e-12
 # n = 16384); a form below -_DEFINITE_TOL ||x|| ||Q x|| is a negative
 # direction of Q, not roundoff
 _DEFINITE_TOL = 1e-8
-
-
-@dataclass
-class OpCounter:
-    """Rough floating-point operation tally for the QR maintenance paths."""
-
-    flops: int = 0
-
-    def add(self, n):
-        self.flops += int(n)
 
 
 def _form_norm(x, qx, name, scale=None):
@@ -168,6 +157,9 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
     to skip deflation.  ``input_norm`` is the norm of the raw column before
     any projection; a Gram-Schmidt remainder at or below ``_RANK_TOL`` times
     it means the column is dependent and the basis does not grow.
+
+    ``counter``, when given, is any object with an ``add(n)`` method; it is
+    handed a rough floating-point operation count of each stage.
 
     Returns the new ``(Y, Rup)``.  Raises :class:`RankError` when deflation
     hits numerical rank deficiency (``u_new`` essentially inside range(Y));
@@ -332,17 +324,15 @@ class MixGKState:
         return self.Q1V[:, : self.k]
 
     def projection_grams(self):
-        """``(B, BtB, H2, H3)``: the bidiagonal block and the
-        gamma-independent k x k blocks of D^T D, memoized per step.  The
-        arrays are shared between calls; callers must not write to them."""
+        """The step's projected blocks in the eigenbasis of ``G``, a
+        :class:`~mixkry.projected.PenaltyBasis` memoized per step, so that
+        every system assembled and every gamma searched at this step share
+        one eigendecomposition of ``G``.  Its arrays are shared between
+        calls; callers must not write to them."""
         if self._grams is None or self._grams[0] != self.k:
-            B = self.bidiagonal()
-            BtB = B.T @ B
-            BtC = B.T @ self.C
-            H2 = BtC + BtC.T
-            H3 = self.C.T @ self.C + self.Rup.T @ self.Rup
-            self._grams = (self.k, B, BtB, H2, H3)
-        return self._grams[1:]
+            self._grams = (self.k, penalty_basis(
+                self.bidiagonal(), self.C, self.Rup, self.G, self.beta1))
+        return self._grams[1]
 
     # -- stepping -----------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Regularization and mixing parameter selection, plus stopping rules.
 
-All selection methods act on the projected system and score one gamma
-column at a time through :func:`solve_column`: a gamma costs one ``potrf``
-of the penalty and one ``syevd``, shared by every lambda scored at it.  The
-joint (gamma, lambda) search scans a log-spaced grid of such columns, then
-zooms in on the best cell with small stencils of three gamma columns.  It
-is fully deterministic, and every point it reports was scored by that one
-column evaluator.  The selected cell's weights are the iterate, so nothing
-is solved again after the search.
+All selection methods act on the projected system.  A scan hands the
+gammas it has not decomposed yet at this step to one :func:`trace_term`
+call, a single stacked ``eigh`` in the step's penalty eigenbasis, and then
+scores every (gamma, lambda) cell of the scan through :func:`solve_cells`,
+one matrix-vector product per cell.  The joint search scans a log-spaced
+grid, then zooms in on the best cell with small stencils of three gammas
+by five lambdas.  It is fully deterministic, and every point it reports was
+scored by that one cell evaluator, so a cell's value is the same bits as
+the single-point objectives give.  The selected cell's weights are the
+iterate, so nothing is solved again after the search.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import build_projected, solve_column, trace_term
+from .projected import solve_cells, solve_column, trace_term
 
 __all__ = [
     "SearchConfig",
@@ -74,6 +76,11 @@ class SearchConfig:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ParameterDomainError(
                 f"log10_lambda range ({lo}, {hi}) must be finite with lo < hi")
+        for name in ("sigma2", "omega"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ParameterDomainError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 @dataclass
@@ -200,15 +207,16 @@ class _OptimalCache:
         self.P12 = P12 + P12.T
         self.P22 = W.T @ W
 
-    def value(self, gamma, Y):
-        """The squared error at each row y of the weight block Y (M x k),
-        row by row like :func:`solve_column`."""
-        g = gamma
-        h = 1.0 - gamma
+    def value(self, gammas, Y):
+        """The squared error at each weight vector ``Y[i, j]`` of a block
+        shaped (gammas, lams, k), cell by cell like :func:`solve_cells`."""
+        g = np.asarray(gammas, dtype=float)[:, None]
+        h = 1.0 - g
         b = g * self.b1 + h * self.b2
-        P = g * g * self.P11 + g * h * self.P12 + h * h * self.P22
-        PY = np.matmul(P, Y[:, :, None])[:, :, 0]
-        return self.c0 + ((2.0 * b + PY) * Y).sum(axis=1)
+        g3, h3 = g[:, :, None], h[:, :, None]
+        P = (g3 * g3) * self.P11 + (g3 * h3) * self.P12 + (h3 * h3) * self.P22
+        PY = np.matmul(P[:, None], Y[..., None])[..., 0]
+        return self.c0 + ((2.0 * b[:, None, :] + PY) * Y).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +224,43 @@ class _OptimalCache:
 
 
 def _objective_factory(method, state, prior, config):
-    """Return ``column(gamma, lams) -> (values, Y, r2)``: the requested
-    method scored at every lam of one gamma, with the weights and squared
-    residuals :func:`solve_column` gives there.  Projected systems are
-    built, decomposed and cached per gamma: one decomposition per gamma."""
+    """Return ``cells(gammas, lams) -> (values, Y, r2)``: the requested
+    method scored at every (gamma, lam) cell, one row per gamma, with the
+    weights and squared residuals :func:`solve_cells` gives there.  Each
+    gamma is decomposed once per step: the gammas a call has not seen yet
+    go to one :func:`trace_term` call together."""
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
-    if method == "upre" and (config.sigma2 is None or config.sigma2 <= 0):
+    if method == "upre" and config.sigma2 is None:
         raise ConfigError("select.method=upre requires select.sigma2")
     if method == "optimal" and config.s_true is None:
         raise ConfigError("select.method=optimal requires s_true")
 
-    sys_cache = {}
+    basis = state.projection_grams()
+    rhs = basis.rhs
+    known = {}  # gamma -> its (mu, c, T, Dk), each a batch of one
 
-    def get_sys(gamma):
-        sys = sys_cache.get(gamma)
-        if sys is None:
-            sys = build_projected(state, gamma)
-            trace_term(sys)  # one traced factorization per gamma
-            sys_cache[gamma] = sys
-        return sys
+    def solve(gammas, lams):
+        new = [g for g in gammas if g not in known]
+        if new:  # one traced factorization for all the new gammas
+            blocks = (*trace_term(basis, new), basis.assemble(new))
+            for i, gamma in enumerate(new):
+                known[gamma] = [b[i:i + 1] for b in blocks]
+        if len(new) < len(gammas):
+            rows = [known[g] for g in gammas]
+            blocks = (rows[0] if len(rows) == 1
+                      else [np.concatenate(b) for b in zip(*rows)])
+        mu, c, T, Dk = blocks
+        return solve_cells((mu, c, T), Dk, rhs, lams)
 
     if method == "optimal":
         cache = _OptimalCache(state, prior, config.s_true)
 
-        def column(gamma, lams):
-            Y, r2, _ = solve_column(get_sys(gamma), lams)
-            return cache.value(gamma, Y), Y, r2
+        def cells(gammas, lams):
+            Y, r2, _ = solve(gammas, lams)
+            return cache.value(gammas, Y), Y, r2
 
-        return column
+        return cells
 
     rows = 2 * state.k + 1
     if method == "upre":
@@ -256,24 +272,23 @@ def _objective_factory(method, state, prior, config):
             omega = config.omega
             if omega is None:
                 omega = (2.0 * state.k + 1.0) / state.m
-            if omega <= 0:
-                raise ParameterDomainError("omega must be positive")
 
         def score(r2, tr):
             return _wgcv(r2, tr, rows, omega)
 
-    def column(gamma, lams):
-        Y, r2, tr = solve_column(get_sys(gamma), lams)
+    def cells(gammas, lams):
+        Y, r2, tr = solve(gammas, lams)
         return score(r2, tr), Y, r2
 
-    return column
+    return cells
 
 
 def _pick(vals):
-    """Index of the first value tied with the minimum of a column whose
-    lambdas ascend: ties go to the smallest lambda."""
-    low = vals.min()
-    return int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+    """Per row of a block whose lambdas ascend along each row, the index of
+    the first value tied with the row's minimum: ties go to the smallest
+    lambda."""
+    low = vals.min(axis=1, keepdims=True)
+    return np.argmax(vals <= low + _TIE_RTOL * np.abs(low), axis=1)
 
 
 def _better(cand, best):
@@ -290,12 +305,13 @@ def _better(cand, best):
 def select_params(method, state, prior, config=None):
     """Pick (gamma, lambda) for the current subspace: grid, then zoom.
 
-    Deterministic.  A log-spaced grid is scanned one gamma column at a
-    time.  Then ``_ZOOMS`` levels each scan a stencil centred on the best
-    cell so far: gamma + h_gamma {-1, 0, 1} by log10 lambda + h_lambda
-    {-2, ..., 2}, clipped to the search box, with both steps starting at
-    half a grid step and halving at each level.  A pinned gamma zooms
-    lambda only.  Ties go to the smallest lambda, then the smallest gamma.
+    Deterministic.  A log-spaced grid is scored as one block of cells.
+    Then ``_ZOOMS`` levels each scan a stencil centred on the best cell so
+    far, also as one block: gamma + h_gamma {-1, 0, 1} by
+    log10 lambda + h_lambda {-2, ..., 2}, clipped to the search box, with
+    both steps starting at half a grid step and halving at each level.  A
+    pinned gamma zooms lambda only.  Ties go to the smallest lambda, then
+    the smallest gamma.
 
     ``objective``, ``weights`` and ``r2`` are the selected cell's as
     scanned, ``evaluations`` counts every scored cell, and ``converged`` is
@@ -307,7 +323,7 @@ def select_params(method, state, prior, config=None):
     if state.k < 1:
         raise ArgumentError("selection needs at least one completed step")
     gamma_fixed = config.gamma_fixed
-    column = _objective_factory(method, state, prior, config)
+    cells = _objective_factory(method, state, prior, config)
     lo, hi = config.log10_lambda
 
     best = None  # (value, lam, gamma, log10 lam, weights, r2)
@@ -317,33 +333,30 @@ def select_params(method, state, prior, config=None):
         """Score every cell, keep the best; return the finite values."""
         nonlocal best, evals
         lams = 10.0 ** log10_lams
-        finite = []
-        for gamma in gammas:
-            vals, Y, r2 = column(gamma, lams)
-            ok = np.isfinite(vals)
-            vals = np.where(ok, vals, np.inf)
-            finite.extend(vals[ok])
-            evals += lams.size
-            i = _pick(vals)
-            cand = (float(vals[i]), float(lams[i]), float(gamma),
-                    float(log10_lams[i]), Y[i], float(r2[i]))
+        vals, Y, r2 = cells(gammas, lams)
+        ok = np.isfinite(vals)
+        vals = np.where(ok, vals, np.inf)
+        evals += vals.size
+        for i, j in enumerate(_pick(vals)):
+            cand = (float(vals[i, j]), float(lams[j]), float(gammas[i]),
+                    float(log10_lams[j]), Y[i, j], float(r2[i, j]))
             if _better(cand, best):
                 best = cand
-        return finite
+        return vals[ok]
 
     if gamma_fixed is not None:
         gammas = np.array([gamma_fixed])
     else:
         gammas = np.linspace(config.gamma_min, 1.0, config.grid_gamma)
     finite = scan(gammas, np.linspace(lo, hi, config.grid_lambda))
-    if not finite:
+    if not finite.size:
         raise SearchError(f"no finite {method} objective on the search grid")
 
-    flat = max(finite) == min(finite)
+    flat = finite.max() == finite.min()
     if not flat:
         h_gamma = (1.0 - config.gamma_min) / max(config.grid_gamma - 1, 1) / 2
         h_lam = (hi - lo) / (config.grid_lambda - 1) / 2
-        # three gamma columns by five lambdas: only a new gamma costs a
+        # three gamma columns by five lambdas: only the new gammas cost a
         # decomposition, while extra lambdas are nearly free
         for _ in range(_ZOOMS):
             _, _, g, l = best[:4]
@@ -361,7 +374,7 @@ def select_params(method, state, prior, config=None):
     return SelectionResult(
         gamma=gamma_star, lam=lam_star, objective=value, method=method,
         evaluations=evals, converged=not flat and not on_edge,
-        weights=weights, r2=r2,
+        weights=weights.copy(), r2=r2,
     )
 
 

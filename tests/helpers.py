@@ -10,8 +10,12 @@ are the scipy ``cho_factor``/``cho_solve`` route to the projected solve, a
 pointwise Cholesky solve per lam that the package's one eigendecomposition
 per gamma must match to rounding.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
-must reproduce byte for byte.
+must reproduce byte for byte.  :class:`OpCounter` is the flop tally the
+QR-maintenance tests hand to the package's duck-typed ``counter``
+arguments.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +25,16 @@ from mixkry.errors import ConditioningError, ParameterDomainError
 from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
                               zero_operator)
 from mixkry.projected import build_projected, recover_iterate
+
+
+@dataclass
+class OpCounter:
+    """Rough floating-point operation tally for the QR maintenance paths."""
+
+    flops: int = 0
+
+    def add(self, n):
+        self.flops += int(n)
 
 
 def spd_matrix(rng, n, shift=0.5):
@@ -148,9 +162,10 @@ def solve_map_dense(A, Rinv, Q, b, mu, lam):
 
 def _cho_reference(sys, lam):
     """Cholesky factor of Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk), with
-    the penalty formed from its definition at every call."""
+    the normal matrix and the penalty formed from their definitions at
+    every call."""
     k = sys.k
-    M = sys.DtD + (lam * lam) * (
+    M = sys.Dk.T @ sys.Dk + (lam * lam) * (
         sys.gamma * np.eye(k) + (1.0 - sys.gamma) * sys.Gk
     )
     try:
@@ -166,7 +181,7 @@ def solve_projected_reference(sys, lam):
     if not lam > 0:
         raise ParameterDomainError("lam must be positive")
     cho = _cho_reference(sys, lam)
-    return scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+    return scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.rhs, check_finite=False)
 
 
 def residual_and_trace_reference(sys, lam):
@@ -175,9 +190,9 @@ def residual_and_trace_reference(sys, lam):
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
     cho = _cho_reference(sys, lam)
-    y = scipy.linalg.cho_solve(cho, sys.Dtrhs, check_finite=False)
+    y = scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.rhs, check_finite=False)
     r = sys.Dk @ y - sys.rhs
-    X = scipy.linalg.cho_solve(cho, sys.DtD, check_finite=False)
+    X = scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.Dk, check_finite=False)
     return float(r @ r), float(np.trace(X))
 
 

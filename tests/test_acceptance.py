@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (dense_kernel, max_principal_angle, random_problem,
-                     recurrence_residual, run_steps, solve_map_dense,
-                     wrap_problem)
+from helpers import (OpCounter, dense_kernel, max_principal_angle,
+                     random_problem, recurrence_residual, run_steps,
+                     solve_map_dense, wrap_problem)
 from mixkry import cli
 from mixkry.learn import hutchinson_objective, rademacher_probes
-from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
+from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
                               sample_covariance)

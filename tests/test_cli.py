@@ -1,5 +1,10 @@
 """Config parsing, the batch driver, and its on-disk artifacts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,6 +111,24 @@ def test_exit_code_bad_lambda_range(tmp_path, capsys, lo, hi):
     assert "log10_lambda" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["select.omega=nan", "select.omega=inf",
+                                      "select.omega=0", "select.sigma2=nan",
+                                      "select.sigma2=inf",
+                                      "select.sigma2=-1"])
+def test_exit_code_bad_omega_sigma2(tmp_path, capsys, override):
+    """A non-finite or non-positive select.omega or select.sigma2 is a
+    parameter error (exit 2) that names the key, under the method that
+    reads it: not a search that finds no finite objective (exit 4) or one
+    that scores meaningless values (exit 0)."""
+    key = override.split("=")[0]
+    method = "upre" if key == "select.sigma2" else "wgcv"
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, override, f"select.method={method}",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key.split(".")[1] in capsys.readouterr().err
+
+
 def test_exit_code_breakdown(tmp_path, capsys):
     """Data orthogonal to the range of A: no first basis vector, exit 3."""
     save_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -195,6 +218,40 @@ def test_optimal_without_truth_names_the_key(tmp_path, capsys):
     rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "file.s_true" in capsys.readouterr().err
+
+
+# -- BLAS threads -------------------------------------------------------------------
+
+
+_BLAS_PROBE = """\
+import ctypes, sys
+sys.path.insert(0, {src!r})
+from mixkry import cli
+rc = cli.main(["gen", "spherical", "--size", "16", "--out", {out!r}])
+lib = ctypes.CDLL({lib!r})
+get = lib.scipy_openblas_get_num_threads64_
+get.restype = ctypes.c_int
+print(rc, get())
+"""
+
+
+@pytest.mark.parametrize("env_value, expect", [(None, 1), ("2", 2)])
+def test_cli_pins_one_blas_thread_unless_set(tmp_path, env_value, expect):
+    """With OPENBLAS_NUM_THREADS unset, a CLI command runs numpy's bundled
+    OpenBLAS on one thread; with it set, the count it sets stands."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs")
+                  .glob("libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    code = _BLAS_PROBE.format(src=str(Path(cli.__file__).parents[1]),
+                              out=str(tmp_path / "gen"), lib=str(libs[0]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1].split() == ["0", str(expect)]
 
 
 # -- run artifacts -----------------------------------------------------------------

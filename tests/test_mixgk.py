@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (max_principal_angle, psd_matrix, random_problem,
-                     recurrence_residual, reference_gengk, run_steps,
-                     solve_map_dense, spd_matrix, wrap_problem)
+from helpers import (OpCounter, max_principal_angle, psd_matrix,
+                     random_problem, recurrence_residual, reference_gengk,
+                     run_steps, solve_map_dense, spd_matrix, wrap_problem)
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
                            DegenerateDataError)
-from mixkry.mixgk import (OpCounter, mixgk_init, mixgk_step, qr_append_update,
+from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)

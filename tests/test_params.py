@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import mixkry.params as params_mod
 from helpers import optimal_objective, random_problem, run_steps, wrap_problem
-from mixkry.errors import (ArgumentError, ConfigError, ParameterDomainError,
-                           SearchError)
+from mixkry.errors import (ArgumentError, ConditioningError, ConfigError,
+                           ParameterDomainError, SearchError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import PriorSpec
 from mixkry.params import (METHODS, RunRecord, SearchConfig, SelectionResult,
                            StoppingPolicy, gcv_objective, select_params,
                            stopping_check, upre_objective, wgcv_objective)
-from mixkry.projected import build_projected, solve_column
+from mixkry.projected import (build_projected, penalty_basis, solve_column,
+                              trace_term)
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -90,46 +91,51 @@ def test_upre_requires_noise_variance():
 
 
 def test_select_decomposes_each_gamma_once(monkeypatch):
-    """A projected system is decomposed on first use and kept: one
-    select_params makes one dsyevd per distinct gamma it scans (the zoom
-    returns to the centre gamma at every level), and repeated objective
-    evaluations on one system make no further LAPACK factorization."""
-    import mixkry.projected as projected_mod
-
+    """One select_params decomposes each distinct gamma it scans once: the
+    grid's gammas in one trace_term call, then each zoom level's new gammas
+    (the centre gamma is kept) in at most one more.  The eigendecompositions
+    are those gammas plus one of Gk for the step, whatever the number of
+    searches; repeated objective evaluations on one system decompose it
+    once."""
     state, prior, parts = advance(6, 6)
-    lapack_calls = []
-    for name in ("dpotrf", "dsyevd"):
-        routine = getattr(projected_mod.lapack, name)
+    batches = []
+    decompose = params_mod.trace_term
 
-        def counting(*args, _routine=routine, _name=name, **kwargs):
-            lapack_calls.append(_name)
-            return _routine(*args, **kwargs)
+    def recording(basis, gammas):
+        batches.append(list(gammas))
+        return decompose(basis, gammas)
 
-        monkeypatch.setattr(projected_mod.lapack, name, counting)
-    gammas = []
-    build = params_mod.build_projected
+    monkeypatch.setattr(params_mod, "trace_term", recording)
+    eigh_sizes = []
+    eigh = np.linalg.eigh
 
-    def recording(state, gamma):
-        gammas.append(gamma)
-        return build(state, gamma)
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        eigh_sizes.append(a.shape[0] if a.ndim == 3 else 1)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(params_mod, "build_projected", recording)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     cfg = SearchConfig(sigma2=parts[4] ** 2)
-    for method in ("wgcv", "upre"):
-        gammas.clear()
-        lapack_calls.clear()
+    for i, method in enumerate(("wgcv", "upre")):
+        batches.clear()
+        eigh_sizes.clear()
         select_params(method, state, prior, cfg)
+        gammas = [g for batch in batches for g in batch]
         assert len(set(gammas)) == len(gammas)
-        assert lapack_calls.count("dsyevd") == len(gammas)
-        assert lapack_calls.count("dpotrf") == len(gammas)
+        assert batches[0] == list(np.linspace(cfg.gamma_min, 1.0,
+                                              cfg.grid_gamma))
+        assert 1 <= len(batches) <= 1 + params_mod._ZOOMS
+        assert all(len(batch) <= 2 for batch in batches[1:])
+        # the step's Gk is decomposed by the first search only
+        assert eigh_sizes == [1] * (i == 0) + [len(b) for b in batches]
 
     sys = build_projected(state, 0.4)
-    lapack_calls.clear()
+    eigh_sizes.clear()
     for evaluate in (lambda: upre_objective(sys, 0.3, parts[4] ** 2),
                      lambda: gcv_objective(sys, 0.3),
                      lambda: wgcv_objective(sys, 0.7, 0.5)):
         assert np.isfinite(evaluate())
-    assert lapack_calls == ["dpotrf", "dsyevd"]
+    assert eigh_sizes == [1]
 
 
 def test_gcv_scale_invariant_minimizer():
@@ -260,15 +266,16 @@ def test_select_missing_requirements():
 
 
 def _fake_factory(values):
-    """An ``_objective_factory`` stand-in whose columns score
-    ``values(gamma, lams)``.  Row j of a column's weights is
-    (gamma, lams[j]) and its squared residual is lams[j], so a selection
-    shows which cell it took them from."""
-    def column(gamma, lams):
-        weights = np.column_stack([np.full(lams.size, gamma), lams])
-        return values(gamma, lams), weights, lams.copy()
+    """An ``_objective_factory`` stand-in whose cells in the row of gamma
+    score ``values(gamma, lams)``.  The weights of cell (gamma, lam) are
+    (gamma, lam) and its squared residual is lam, so a selection shows
+    which cell it took them from."""
+    def cells(gammas, lams):
+        vals = np.array([values(gamma, lams) for gamma in gammas])
+        G, L = np.meshgrid(gammas, lams, indexing="ij")
+        return vals, np.stack([G, L], axis=-1), L.copy()
 
-    return lambda *args: column
+    return lambda *args: cells
 
 
 def test_select_flat_grid_reports_unconverged(monkeypatch):
@@ -354,32 +361,32 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
     ("gcv", 0.4, 55)])
 def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
                                               gamma_fixed, expect):
-    """Every scored cell counts as one evaluation although a whole gamma
-    column is scored at once: the grid's columns, then at most three
-    columns of at most five lambdas per zoom level (one column when gamma
-    is pinned)."""
+    """Every scored cell counts as one evaluation although each scan is
+    scored as one block: the grid, then at most three gammas by at most
+    five lambdas per zoom level (one gamma when gamma is pinned)."""
     state, prior, parts = advance(7, 10)
     factory = params_mod._objective_factory
-    widths = []
+    blocks = []
 
     def counting(*args):
-        column = factory(*args)
+        cells = factory(*args)
 
-        def column_counted(gamma, lams):
-            widths.append(lams.size)
-            return column(gamma, lams)
+        def cells_counted(gammas, lams):
+            blocks.append((len(gammas), lams.size))
+            return cells(gammas, lams)
 
-        return column_counted
+        return cells_counted
 
     monkeypatch.setattr(params_mod, "_objective_factory", counting)
     cfg = SearchConfig(sigma2=parts[4] ** 2, gamma_fixed=gamma_fixed)
     res = select_params(method, state, prior, cfg)
     columns = 1 if gamma_fixed is not None else cfg.grid_gamma
-    assert widths[:columns] == [cfg.grid_lambda] * columns
-    assert len(widths) - columns <= params_mod._ZOOMS * (
-        1 if gamma_fixed is not None else 3)
-    assert max(widths[columns:]) <= 5
-    assert res.evaluations == sum(widths) == expect
+    assert blocks[0] == (columns, cfg.grid_lambda)
+    assert 1 <= len(blocks) <= 1 + params_mod._ZOOMS
+    assert max(g for g, _ in blocks[1:]) <= (1 if gamma_fixed is not None
+                                             else 3)
+    assert max(n for _, n in blocks[1:]) <= 5
+    assert res.evaluations == sum(g * n for g, n in blocks) == expect
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -401,8 +408,8 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     lams = np.logspace(lo, hi, cfg.grid_lambda)
     omega = (2.0 * state.k + 1.0) / state.m
     for method in METHODS:
-        column = params_mod._objective_factory(method, state, prior, cfg)
-        grid = np.array([column(g, lams)[0] for g in gammas])
+        cells = params_mod._objective_factory(method, state, prior, cfg)
+        grid = cells(np.asarray(gammas), lams)[0]
         grid_best = grid[np.isfinite(grid)].min()
         sel = select_params(method, state, prior, cfg)
         assert sel.objective <= grid_best + 1e-12 * abs(grid_best)
@@ -412,7 +419,7 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
             assert sel.gamma == gamma_fixed
         sys = build_projected(state, sel.gamma)
         point = {
-            "optimal": lambda: column(sel.gamma, np.array([sel.lam]))[0][0],
+            "optimal": lambda: cells([sel.gamma], np.array([sel.lam]))[0][0, 0],
             "upre": lambda: upre_objective(sys, sel.lam, cfg.sigma2),
             "gcv": lambda: gcv_objective(sys, sel.lam),
             "wgcv": lambda: wgcv_objective(sys, sel.lam, omega),
@@ -439,6 +446,70 @@ def test_search_config_validation():
     with pytest.raises(ArgumentError):
         SearchConfig(grid_lambda=1)
 
+
+@pytest.mark.parametrize("name", ["omega", "sigma2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_search_config_rejects_bad_omega_sigma2(name, value):
+    """A given omega or sigma2 that is not finite and positive fails at
+    construction with the class the CLI maps to exit 2, not later as a
+    search with no finite objective or with meaningless scores."""
+    with pytest.raises(ParameterDomainError, match=name):
+        SearchConfig(**{name: value})
+    assert getattr(SearchConfig(**{name: 0.5}), name) == 0.5
+
+
+# -- batching --------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
+       q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0))
+def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
+                                                   gamma_mid):
+    """For every method, scoring a set of gammas in one batch gives values,
+    weights and squared residuals bit-identical to scoring each gamma alone,
+    and those equal upre_objective, gcv_objective, wgcv_objective (for
+    optimal, a one-cell batch) and solve_column at the same cell.  With the
+    penalty made indefinite (Gk = -I, so P = (2 gamma - 1) I) the batch
+    path raises ConditioningError as soon as one gamma <= 1/2 is in it."""
+    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    s_true = np.random.default_rng(seed).standard_normal(state.n)
+    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true)
+    gammas = np.append(np.linspace(cfg.gamma_min, 1.0, 5), gamma_mid)
+    lams = np.logspace(*cfg.log10_lambda, 7)
+    omega = (2.0 * state.k + 1.0) / state.m
+    systems = [build_projected(state, g) for g in gammas]
+    for method in METHODS:
+        batch = params_mod._objective_factory(method, state, prior, cfg)(
+            gammas, lams)
+        for i, (gamma, sys) in enumerate(zip(gammas, systems)):
+            alone = params_mod._objective_factory(method, state, prior, cfg)(
+                [gamma], lams)
+            for got, want in zip(batch, alone):
+                assert (got[i] == want[0]).all()
+            point = {
+                "optimal": lambda lam: params_mod._objective_factory(
+                    method, state, prior, cfg)([gamma], [lam])[0][0, 0],
+                "upre": lambda lam: upre_objective(sys, lam, cfg.sigma2),
+                "gcv": lambda lam: gcv_objective(sys, lam),
+                "wgcv": lambda lam: wgcv_objective(sys, lam, omega),
+            }[method]
+            for j, lam in enumerate(lams):
+                vals, Y, r2 = (part[i, j] for part in batch)
+                y, r2_point, _ = solve_column(sys, [lam])
+                assert vals == point(lam) or (np.isnan(vals)
+                                              and np.isnan(point(lam)))
+                assert (Y == y[0]).all() and r2 == r2_point[0]
+
+    basis = state.projection_grams()
+    bad = penalty_basis(basis.B, basis.C, basis.Rup, -np.eye(state.k),
+                        basis.beta1)
+    with pytest.raises(ConditioningError):
+        trace_term(bad, [0.9, 0.5, 1.0])
+    with pytest.raises(ConditioningError):
+        trace_term(bad, gammas)
+    mu, c, T = trace_term(bad, [0.75, 1.0])
+    assert np.isfinite(mu).all() and np.isfinite(T).all()
 
 
 

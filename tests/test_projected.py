@@ -16,7 +16,7 @@ from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
 from mixkry.params import (METHODS, SearchConfig, StoppingPolicy,
                            _objective_factory)
 from mixkry.projected import (ProjectedSystem, build_projected,
-                              recover_iterate, solve_column)
+                              penalty_basis, recover_iterate, solve_column)
 
 # a log10 lambda range wider than any search box, for the solve checks
 _WIDE_LOG10_LAMBDA = (-8.0, 8.0)
@@ -29,6 +29,18 @@ def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
     run_steps(state, steps, mixgk_step)
     prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
     return state, prior, (A, Q1, Q2, b, sigma)
+
+
+def altered(state, gamma, G=None, zero_last_column=False):
+    """The state's system at gamma, rebuilt from its blocks with G replaced
+    or with the last column of Dk zeroed at every gamma."""
+    basis = state.projection_grams()
+    B, C, Rup = basis.B.copy(), basis.C.copy(), basis.Rup.copy()
+    if zero_last_column:
+        B[:, -1] = C[:, -1] = Rup[:, -1] = 0.0
+    basis = penalty_basis(B, C, Rup, basis.G if G is None else G,
+                          basis.beta1)
+    return ProjectedSystem(basis, gamma)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -82,11 +94,23 @@ def test_build_validates_inputs():
 
 
 def test_cached_normal_products_match_dense():
-    state, _, _ = advance(3, 7)
+    """The memoized basis diagonalizes Gk, and its rotated blocks combine
+    into U^T Dk^T Dk U and U^T Dk^T rhs at every gamma."""
+    state, _, _ = advance(3, 7, q2_rank=4)
+    basis = state.projection_grams()
+    U = basis.U
+    np.testing.assert_allclose(U.T @ U, np.eye(state.k), atol=1e-13)
+    np.testing.assert_allclose(U @ np.diag(basis.g) @ U.T, state.G,
+                               atol=1e-12 * np.abs(state.G).max())
     for gamma in (0.25, 0.7, 1.0):
         sys = build_projected(state, gamma)
-        np.testing.assert_allclose(sys.DtD, sys.Dk.T @ sys.Dk, atol=1e-10)
-        np.testing.assert_allclose(sys.Dtrhs, sys.Dk.T @ sys.rhs, atol=1e-10)
+        h = 1.0 - gamma
+        Nt = (gamma * gamma * basis.grams[0] + gamma * h * basis.grams[1]
+              + h * h * basis.grams[2])
+        np.testing.assert_allclose(U @ Nt @ U.T, sys.Dk.T @ sys.Dk,
+                                   atol=1e-10)
+        ft = gamma * basis.rows[0] + h * basis.rows[1]
+        np.testing.assert_allclose(U @ ft, sys.Dk.T @ sys.rhs, atol=1e-10)
 
 
 # -- solves -------------------------------------------------------------------
@@ -215,7 +239,7 @@ def test_trace_single_step_scalar():
     state, _, _ = advance(15, 1)
     for gamma in (1.0, 0.5):
         sys = build_projected(state, gamma)
-        d2 = float(sys.DtD[0, 0])
+        d2 = float(sys.Dk[:, 0] @ sys.Dk[:, 0])
         g = float(sys.Gk[0, 0])
         lam = 0.8
         expect = d2 / (d2 + lam * lam * (gamma + (1 - gamma) * g))
@@ -226,7 +250,7 @@ def test_trace_matches_dense_influence():
     state, _, _ = advance(16, 5)
     sys = build_projected(state, 0.4)
     lam = 0.6
-    M = sys.DtD + lam * lam * (0.4 * np.eye(sys.k) + 0.6 * sys.Gk)
+    M = sys.Dk.T @ sys.Dk + lam * lam * (0.4 * np.eye(sys.k) + 0.6 * sys.Gk)
     influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
     assert _trace(sys, lam) == pytest.approx(np.trace(influence), rel=1e-11)
 
@@ -241,10 +265,10 @@ def _outcome(fn, *args):
 
 # -- column evaluator ---------------------------------------------------------
 
-# The eigendecomposition and the per-point Cholesky solve round differently,
+# The eigendecompositions and the per-point Cholesky solve round differently,
 # by up to the condition number (about 6e6 on these systems) times machine
-# epsilon.  Over the draws below the worst relative gaps are 5.0e-11 in the
-# weights (in norm), 1.1e-11 in r2, 4.1e-12 in the trace and 1.2e-11 in the
+# epsilon.  Over the draws below the worst relative gaps are 1.8e-11 in the
+# weights (in norm), 6.8e-12 in r2, 1.4e-12 in the trace and 9.1e-12 in the
 # method values; an error in the algebra shows as an O(1) gap.
 _COLUMN_RTOL = 1e-10
 
@@ -272,11 +296,11 @@ def _assert_column_matches_pointwise(sys, lams):
        q2_rank=st.integers(0, 20), gamma_mid=st.floats(0.01, 1.0))
 def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
                                                      gamma_mid):
-    """One eigendecomposition per gamma gives the pointwise weights,
-    squared residuals, traces and method values of the scipy Cholesky
-    oracle (optimal: of the full-space error) at every lam of a column
-    that spans the search grid and both lam bounds, at gamma_min, a random
-    gamma and 1.  Where the pointwise values single out one grid cell by
+    """One eigendecomposition per gamma in the step's penalty eigenbasis
+    gives the pointwise weights, squared residuals, traces and method
+    values of the scipy Cholesky oracle (optimal: of the full-space error)
+    at every lam of a column that spans the search grid and both lam
+    bounds, at gamma_min, a random gamma and 1.  Where the pointwise values single out one grid cell by
     more than 1e-9 relative, the column values pick the same cell.  A copy
     with Gk = -I fails with the class the pointwise path raises wherever
     that path fails, and agrees with it where the penalty is positive
@@ -289,8 +313,7 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
     for gamma in gammas:
         sys = build_projected(state, gamma)
         _assert_column_matches_pointwise(sys, lams)
-        bad = ProjectedSystem(Dk=sys.Dk, Gk=-np.eye(sys.k), rhs=sys.rhs,
-                              gamma=gamma)
+        bad = altered(state, gamma, G=-np.eye(sys.k))
         # the penalty is (2 gamma - 1) I; the column evaluator needs it
         # positive definite, the pointwise path fails only where
         # lam^2 (2 gamma - 1) outweighs Dk^T Dk
@@ -304,8 +327,8 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
             _assert_column_matches_pointwise(bad, lams)
 
     for method in METHODS:
-        column = _objective_factory(method, state, prior, cfg)
-        by_column = np.array([column(gamma, lams)[0] for gamma in gammas])
+        cells = _objective_factory(method, state, prior, cfg)
+        by_column = cells(np.array(gammas), lams)[0]
         by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
                               for lam in lams] for gamma in gammas])
         # UPRE subtracts sigma2 from a term of that size
@@ -338,14 +361,11 @@ def test_column_evaluator_clamps_rounded_eigenvalues():
     for seed in range(10):
         state, _, _ = advance(seed, 6)
         for gamma in (0.01, 0.5):
-            sys = build_projected(state, gamma)
-            Dk = sys.Dk.copy()
-            Dk[:, -1] = 0.0
-            singular = ProjectedSystem(Dk=Dk, Gk=sys.Gk, rhs=sys.rhs,
-                                       gamma=gamma)
+            singular = altered(state, gamma, zero_last_column=True)
+            assert (singular.Dk[:, -1] == 0.0).all()
             Y, r2, tr = solve_column(singular, [1e-8, 1e-6])
             assert np.isfinite(Y).all() and np.isfinite(r2).all()
-            assert np.all((tr >= 0.0) & (tr <= sys.k))
+            assert np.all((tr >= 0.0) & (tr <= state.k))
 
 
 def test_column_evaluator_rejects_nonpositive_lambda():

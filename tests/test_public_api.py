@@ -27,7 +27,7 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
            "CapacityError", "aslinop", "residual_and_trace",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
-           "_factor", "_deposit_arc", "_fit_grid")
+           "_factor", "_deposit_arc", "_fit_grid", "OpCounter", "_trsm")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -83,23 +83,46 @@ def test_retired_names_not_exported():
         assert name not in inspect.signature(fn).parameters, fn.__name__
 
 
-def test_import_leaves_out_optimize_and_io():
-    """Importing the package and its CLI loads neither scipy.optimize (no
-    command uses it) nor scipy.io (imported on first use by the Matrix
-    Market helpers); a fresh interpreter sees the import graph alone."""
+_SPHERICAL_16 = """\
+problem.preset = spherical
+problem.size = 16
+problem.angles = 4
+problem.circles = 5
+problem.train_count = 9
+stop.max_iter = 4
+seed = 5
+"""
+
+_GUARDED = ("scipy.optimize", "scipy.io", "scipy.linalg")
+
+
+def test_import_and_run_leave_out_optimize_io_and_linalg(tmp_path):
+    """Importing the package and its CLI loads none of scipy.optimize (no
+    command uses it), scipy.io (imported on first use by the Matrix Market
+    helpers) and scipy.linalg (selection runs on numpy's eigh), and a tiny
+    in-process spherical run loads none of them either; a fresh interpreter
+    sees the import graph alone."""
+    cfg = tmp_path / "sph16.cfg"
+    cfg.write_text(_SPHERICAL_16)
     code = ("import sys\n"
             f"sys.path.insert(0, {str(Path(mixkry.__file__).parents[1])!r})\n"
             "import mixkry, mixkry.cli\n"
-            "print(' '.join(m for m in ('scipy.optimize', 'scipy.io')"
-            " if m in sys.modules))")
+            f"guarded = {_GUARDED!r}\n"
+            "print(' '.join(m for m in guarded if m in sys.modules))\n"
+            f"rc = mixkry.cli.main(['run', {str(cfg)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            "print(rc, ' '.join(m for m in guarded if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == ""
+    lines = out.stdout.splitlines()
+    # the run's own stdout line sits between the two probes
+    assert lines[0] == "" and lines[-1].split() == ["0"]
     # the probe itself can see the modules it names
-    probe = code.replace("import mixkry, mixkry.cli", "import scipy.io")
+    probe = code.replace("import mixkry, mixkry.cli",
+                         "import mixkry, mixkry.cli, scipy.io, scipy.linalg")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["scipy.io"]
+    assert out.stdout.splitlines()[0].split() == ["scipy.io", "scipy.linalg"]
 
 
 def _subclasses(cls):
