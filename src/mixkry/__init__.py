@@ -49,12 +49,9 @@ from .mixgk import (
 )
 from .projected import (
     PenaltyBasis,
-    ProjectedSystem,
-    build_projected,
     penalty_basis,
     recover_iterate,
     solve_cells,
-    solve_column,
     trace_term,
 )
 from .params import (

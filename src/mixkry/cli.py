@@ -208,6 +208,10 @@ def resolve_config(pairs):
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             raise ConfigError(f"config key {key} must be one of {allowed}")
+    for key in ("noise.level", "noise.sigma"):
+        if key in cfg and not (np.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"config key {key} must be finite and "
+                              f"positive, got {cfg[key]}")
     return cfg
 
 
@@ -349,15 +353,9 @@ def assemble_workload(cfg):
     return work
 
 
-def _whitener(sigma, m):
-    if sigma > 0:
-        return noise_whitener(sigma**2, m)
-    return identity_operator(m), identity_operator(m)
-
-
 def _search_config(cfg, work, method, gamma_fixed):
     sigma2 = cfg.get("select.sigma2")
-    if sigma2 is None and work.sigma > 0:
+    if sigma2 is None:
         sigma2 = work.sigma**2
     s_true = None
     if method == "optimal":
@@ -548,7 +546,7 @@ def _solve_and_write(cfg, work, prior, gamma, outdir):
     method = cfg["select.method"]
     search = _search_config(cfg, work, method, gamma)
     policy = _stopping_policy(cfg)
-    Rinv, LR = _whitener(work.sigma, work.m)
+    Rinv, LR = noise_whitener(work.sigma**2, work.m)
 
     start = time.perf_counter()
     result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,

@@ -23,7 +23,6 @@ from .errors import (
     DegenerateDataError,
     RankError,
 )
-from .projected import penalty_basis
 
 __all__ = [
     "MixGKState",
@@ -71,7 +70,7 @@ def _require_finite(vec, what):
 
 
 def _check_symmetric(Q, name):
-    """Two-vector symmetry probe of a covariance operator.
+    """Two-vector symmetry probe of R^{-1} or a covariance operator.
 
     For a symmetric Q, x^T Q y and y^T Q x differ only by roundoff; a gap
     above the ``_DEFINITE_TOL`` allowance of ``_form_norm`` raises
@@ -253,7 +252,6 @@ class MixGKState:
         self.breakdown_reason = None
         self.rank_drops = 0
         self.qr_fallbacks = 0
-        self._grams = None
 
         b = np.asarray(b, dtype=float)
         if b.shape != (self.m,):
@@ -323,17 +321,6 @@ class MixGKState:
     def Q1Vk(self):
         return self.Q1V[:, : self.k]
 
-    def projection_grams(self):
-        """The step's projected blocks in the eigenbasis of ``G``, a
-        :class:`~mixkry.projected.PenaltyBasis` memoized per step, so that
-        every system assembled and every gamma searched at this step share
-        one eigendecomposition of ``G``.  Its arrays are shared between
-        calls; callers must not write to them."""
-        if self._grams is None or self._grams[0] != self.k:
-            self._grams = (self.k, penalty_basis(
-                self.bidiagonal(), self.C, self.Rup, self.G, self.beta1))
-        return self._grams[1]
-
     # -- stepping -----------------------------------------------------------
 
     def step(self):
@@ -363,7 +350,6 @@ class MixGKState:
             # truncated k x k bidiagonal block and the existing left basis.
             self._advance_q2(v_k, new_u=None)
             self.k = k
-            self._grams = None
             self.terminal = True
             self.breakdown_reason = "beta"
             return
@@ -390,7 +376,6 @@ class MixGKState:
         scale_v = np.sqrt(max(arm @ q1_arm, 0.0))
 
         self.k = k
-        self._grams = None
         if alpha_new <= _BREAKDOWN_TOL * max(scale_v, _TINY):
             self.terminal = True
             self.breakdown_reason = "alpha"
@@ -457,10 +442,10 @@ def mixgk_init(A, Rinv, LR, Q1, Q2, b):
     Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
     when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
     :class:`DefinitenessError` when R^{-1} or Q1 shows a negative form or a
-    two-vector probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes, or
-    A^T R^{-1} u_1 cancels to rounding against a probe estimate of
-    ||A|| ||R^{-1} u_1|| (data orthogonal to range(A)), the returned state
-    is already terminal with k = 0 (no usable subspace).
+    two-vector probe finds R^{-1}, Q1 or Q2 not symmetric.  If alpha_1
+    vanishes, or A^T R^{-1} u_1 cancels to rounding against a probe
+    estimate of ||A|| ||R^{-1} u_1|| (data orthogonal to range(A)), the
+    returned state is already terminal with k = 0 (no usable subspace).
     """
     m, n = A.rows, A.cols
     if Rinv.shape != (m, m) or LR.shape != (m, m):
@@ -468,6 +453,7 @@ def mixgk_init(A, Rinv, LR, Q1, Q2, b):
     if Q1.shape != (n, n) or Q2.shape != (n, n):
         raise ArgumentError("prior covariance shapes do not match the forward map")
     state = MixGKState(A, Rinv, LR, Q1, Q2, b)
+    _check_symmetric(Rinv, "R^{-1}")
     _check_symmetric(Q1, "Q1")
     _check_symmetric(Q2, "Q2")
     return state

@@ -1,7 +1,7 @@
 """Regularization and mixing parameter selection, plus stopping rules.
 
 All selection methods act on the projected system.  A scan hands the
-gammas it has not decomposed yet at this step to one :func:`trace_term`
+gammas it has not decomposed yet in this search to one :func:`trace_term`
 call, a single stacked ``eigh`` in the step's penalty eigenbasis, and then
 scores every (gamma, lambda) cell of the scan through :func:`solve_cells`,
 one matrix-vector product per cell.  The joint search scans a log-spaced
@@ -25,7 +25,7 @@ from .errors import (
     ParameterDomainError,
     SearchError,
 )
-from .projected import solve_cells, solve_column, trace_term
+from .projected import penalty_basis, solve_cells, trace_term
 
 __all__ = [
     "SearchConfig",
@@ -135,48 +135,55 @@ class RunRecord:
 # objectives
 
 
-def upre_objective(sys, lam, sigma2):
-    """Projected unbiased predictive risk at (sys.gamma, lam).
+def upre_objective(state, gamma, lam, sigma2):
+    """Projected unbiased predictive risk at the cell (gamma, lam).
 
     The projected residual carries whitened units (noise variance one per
     component); the risk is stated in original data units, so the residual
     term is rescaled by sigma2.  The denominator is the nominal projected
     row count 2k+1 whatever the assembled row count turns out to be.
-    Scored through :func:`solve_column`, so the value is the search's own.
+    Scored as a one-cell search, so the value is the search's own.
     """
     if sigma2 is None or sigma2 <= 0:
         raise ConfigError("UPRE requires a positive noise variance sigma2")
-    _, r2, tr = solve_column(sys, [lam])
-    return float(_upre(r2, tr, 2 * sys.k + 1, sigma2)[0])
+    return _score_cell("upre", state, gamma, lam, sigma2=sigma2)
 
 
 def _upre(r2, tr, rows, sigma2):
     return sigma2 * (r2 + 2.0 * tr) / rows - sigma2
 
 
-def gcv_objective(sys, lam):
-    """Projected generalized cross validation at (sys.gamma, lam).
+def gcv_objective(state, gamma, lam):
+    """Projected generalized cross validation at the cell (gamma, lam).
 
     Works in whitened residual units; rescaling b only multiplies the
     value, never moves the minimizer.
     """
-    return wgcv_objective(sys, lam, 1.0)
+    return wgcv_objective(state, gamma, lam, 1.0)
 
 
-def wgcv_objective(sys, lam, omega):
+def wgcv_objective(state, gamma, lam, omega):
     """Weighted GCV with trace weight omega; omega = 1 is plain GCV.
 
     The default weight (2k+1)/m can exceed one on overdetermined projected
-    problems, so only positivity is required.  Scored through
-    :func:`solve_column`, so the value is the search's own.
+    problems, so only positivity is required.  Scored as a one-cell search,
+    so the value is the search's own.
     """
     if omega <= 0:
         raise ParameterDomainError("omega must be positive")
-    rows = 2 * sys.k + 1
-    _, r2, tr = solve_column(sys, [lam])
-    if rows - omega * tr[0] == 0.0:
+    value = _score_cell("wgcv", state, gamma, lam, omega=omega)
+    # r2 / (2k+1 - omega tr)^2 with r2 <= beta1^2: a nonzero denominator
+    # is at least about an ulp of 2k+1, so only a vanished one gives inf or
+    # nan
+    if not np.isfinite(value):
         raise DegenerateTraceError("weighted GCV denominator vanished")
-    return float(_wgcv(r2, tr, rows, omega)[0])
+    return value
+
+
+def _score_cell(method, state, gamma, lam, **knobs):
+    """The search's value of ``method`` at the one cell (gamma, lam)."""
+    cells = _objective_factory(method, state, None, SearchConfig(**knobs))
+    return float(cells([gamma], [lam])[0][0, 0])
 
 
 def _wgcv(r2, tr, rows, omega):
@@ -226,9 +233,12 @@ class _OptimalCache:
 def _objective_factory(method, state, prior, config):
     """Return ``cells(gammas, lams) -> (values, Y, r2)``: the requested
     method scored at every (gamma, lam) cell, one row per gamma, with the
-    weights and squared residuals :func:`solve_cells` gives there.  Each
-    gamma is decomposed once per step: the gammas a call has not seen yet
-    go to one :func:`trace_term` call together."""
+    weights and squared residuals :func:`solve_cells` gives there.  The
+    step's Gk is decomposed once here, and each gamma once over all calls:
+    the gammas a call has not seen yet go to one :func:`trace_term` call
+    together."""
+    if state.k < 1:
+        raise ArgumentError("selection needs at least one completed step")
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
     if method == "upre" and config.sigma2 is None:
@@ -236,7 +246,8 @@ def _objective_factory(method, state, prior, config):
     if method == "optimal" and config.s_true is None:
         raise ConfigError("select.method=optimal requires s_true")
 
-    basis = state.projection_grams()
+    basis = penalty_basis(state.bidiagonal(), state.C, state.Rup, state.G,
+                          state.beta1)
     rhs = basis.rhs
     known = {}  # gamma -> its (mu, c, T, Dk), each a batch of one
 
@@ -320,8 +331,6 @@ def select_params(method, state, prior, config=None):
     """
     if config is None:
         config = SearchConfig()
-    if state.k < 1:
-        raise ArgumentError("selection needs at least one completed step")
     gamma_fixed = config.gamma_fixed
     cells = _objective_factory(method, state, prior, config)
     lo, hi = config.log10_lambda

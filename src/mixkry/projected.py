@@ -29,9 +29,9 @@ Cholesky factor and no triangular solve.
 :func:`trace_term` decomposes a whole batch of gammas with one stacked
 ``eigh``, and :func:`solve_cells` scores every (gamma, lam) cell of a batch
 with one matrix-vector product per cell, so a cell's values do not depend
-on the other cells of its batch.  A :class:`ProjectedSystem` is one
-(step, gamma) pair scored the same way, which makes the single-point
-objectives bit-identical to the search's cells.
+on the other cells of its batch.  The search in :mod:`mixkry.params` is
+the one caller of both, and its single-point objectives score a batch of
+one cell.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ from .errors import ArgumentError, ConditioningError, ParameterDomainError
 
 __all__ = [
     "PenaltyBasis",
-    "ProjectedSystem",
-    "build_projected",
     "penalty_basis",
     "recover_iterate",
     "solve_cells",
-    "solve_column",
     "trace_term",
 ]
 
@@ -169,57 +166,6 @@ def _matvecs(M, X):
     """M x for each vector x along the last axis of X, with M broadcast
     over the leading axes: one matrix-vector product per vector."""
     return np.matmul(M, X[..., None])[..., 0]
-
-
-@dataclass
-class ProjectedSystem:
-    """Assembled projected system at one (step, gamma) pair.
-
-    ``basis`` holds the step's blocks, and ``Dk`` and ``rhs`` are assembled
-    from it.  The decomposition at this gamma is computed by the first
-    :func:`solve_column` call and kept.
-    """
-
-    basis: PenaltyBasis
-    gamma: float
-    Dk: np.ndarray = field(init=False, repr=False)
-    rhs: np.ndarray = field(init=False, repr=False)
-    _parts: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self):
-        self.Dk = self.basis.assemble([self.gamma])[0]
-        self.rhs = self.basis.rhs
-
-    @property
-    def Gk(self):
-        return self.basis.G
-
-    @property
-    def k(self):
-        return self.Dk.shape[1]
-
-
-def build_projected(state, gamma):
-    """Assemble the projected system from the state's memoized basis."""
-    if not 0 < gamma <= 1:
-        raise ParameterDomainError("gamma must lie in (0, 1]")
-    if state.k < 1:
-        raise ArgumentError("projection needs at least one completed step")
-    return ProjectedSystem(state.projection_grams(), gamma)
-
-
-def solve_column(sys, lams):
-    """Weights, squared residuals and influence traces at every lam of one
-    system's column: :func:`solve_cells` for a batch of one gamma.
-
-    Returns ``(Y, r2, tr)`` shaped ``(L, k)``, ``(L,)`` and ``(L,)``, bit for
-    bit the row a batched search scores at ``sys.gamma``.
-    """
-    if sys._parts is None:
-        sys._parts = trace_term(sys.basis, [sys.gamma])
-    Y, r2, tr = solve_cells(sys._parts, sys.Dk[None], sys.rhs, lams)
-    return Y[0], r2[0], tr[0]
 
 
 def recover_iterate(state, prior, gamma, y):

@@ -8,7 +8,9 @@ optimal-method cache against the package's own recovery.
 :func:`solve_projected_reference` and :func:`residual_and_trace_reference`
 are the scipy ``cho_factor``/``cho_solve`` route to the projected solve, a
 pointwise Cholesky solve per lam that the package's one eigendecomposition
-per gamma must match to rounding.  :func:`spherical_matrix_reference` is
+per gamma must match to rounding; they read Dk, rhs and Gk from a
+:class:`~mixkry.projected.PenaltyBasis` (:func:`state_basis`) and a gamma.
+:func:`solve_row` is the package's own one-gamma row of cells.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
 must reproduce byte for byte.  :class:`OpCounter` is the flop tally the
 QR-maintenance tests hand to the package's duck-typed ``counter``
@@ -24,7 +26,8 @@ import scipy.sparse
 from mixkry.errors import ConditioningError, ParameterDomainError
 from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
                               zero_operator)
-from mixkry.projected import build_projected, recover_iterate
+from mixkry.projected import (penalty_basis, recover_iterate, solve_cells,
+                              trace_term)
 
 
 @dataclass
@@ -160,46 +163,63 @@ def solve_map_dense(A, Rinv, Q, b, mu, lam):
     return mu + Q @ x
 
 
-def _cho_reference(sys, lam):
-    """Cholesky factor of Dk^T Dk + lam^2 (gamma I + (1 - gamma) Gk), with
-    the normal matrix and the penalty formed from their definitions at
-    every call."""
-    k = sys.k
-    M = sys.Dk.T @ sys.Dk + (lam * lam) * (
-        sys.gamma * np.eye(k) + (1.0 - sys.gamma) * sys.Gk
+def state_basis(state):
+    """The state's current blocks in the eigenbasis of its Gram matrix, as
+    the search assembles them."""
+    return penalty_basis(state.bidiagonal(), state.C, state.Rup, state.G,
+                         state.beta1)
+
+
+def solve_row(basis, gamma, lams):
+    """Weights, squared residuals and traces at every lam: the one-gamma
+    row of :func:`mixkry.projected.solve_cells`, as the search scores it."""
+    parts = trace_term(basis, [gamma])
+    Y, r2, tr = solve_cells(parts, basis.assemble([gamma]), basis.rhs, lams)
+    return Y[0], r2[0], tr[0]
+
+
+def _cho_reference(basis, gamma, lam):
+    """Dk and the Cholesky factor of Dk^T Dk + lam^2 (gamma I +
+    (1 - gamma) Gk), with the normal matrix and the penalty formed from
+    their definitions at every call."""
+    Dk = basis.assemble([gamma])[0]
+    k = Dk.shape[1]
+    M = Dk.T @ Dk + (lam * lam) * (
+        gamma * np.eye(k) + (1.0 - gamma) * basis.G
     )
     try:
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+        return Dk, scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"projected normal equations indefinite at lam = {lam:g}"
         ) from exc
 
 
-def solve_projected_reference(sys, lam):
+def solve_projected_reference(basis, gamma, lam):
     """Projected weights y(lam, gamma) through scipy's Cholesky wrappers."""
     if not lam > 0:
         raise ParameterDomainError("lam must be positive")
-    cho = _cho_reference(sys, lam)
-    return scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.rhs, check_finite=False)
+    Dk, cho = _cho_reference(basis, gamma, lam)
+    return scipy.linalg.cho_solve(cho, Dk.T @ basis.rhs, check_finite=False)
 
 
-def residual_and_trace_reference(sys, lam):
+def residual_and_trace_reference(basis, gamma, lam):
     """Squared projected residual and influence trace through scipy's
     Cholesky wrappers, both from one factor."""
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
-    cho = _cho_reference(sys, lam)
-    y = scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.rhs, check_finite=False)
-    r = sys.Dk @ y - sys.rhs
-    X = scipy.linalg.cho_solve(cho, sys.Dk.T @ sys.Dk, check_finite=False)
+    Dk, cho = _cho_reference(basis, gamma, lam)
+    rhs = basis.rhs
+    y = scipy.linalg.cho_solve(cho, Dk.T @ rhs, check_finite=False)
+    r = Dk @ y - rhs
+    X = scipy.linalg.cho_solve(cho, Dk.T @ Dk, check_finite=False)
     return float(r @ r), float(np.trace(X))
 
 
 def optimal_objective(state, prior, gamma, lam, s_true):
     """Squared error ||s_k(gamma, lam) - s_true||^2 of the recovered
     iterate, assembled in full space."""
-    y = solve_projected_reference(build_projected(state, gamma), lam)
+    y = solve_projected_reference(state_basis(state), gamma, lam)
     s = recover_iterate(state, prior, gamma, y)
     d = s - np.asarray(s_true, dtype=float)
     return float(d @ d)
@@ -226,13 +246,14 @@ def recurrence_residual(state, prior, A, Q1, Q2, b, sigma):
     proj = Z - state.Ut @ (state.Ut.T @ Z)
     errs.append(np.linalg.norm(state.Y @ state.Rup - proj)
                 / max(np.linalg.norm(Z), 1.0))
+    basis = state_basis(state)
     for gamma in (0.4, 1.0):
-        sys = build_projected(state, gamma)
+        Dk = basis.assemble([gamma])[0]
         M = (A @ (gamma * Q1 + (1 - gamma) * Q2) @ V) / sigma
-        errs.append(np.max(np.abs(sys.Dk.T @ sys.Dk - M.T @ M))
+        errs.append(np.max(np.abs(Dk.T @ Dk - M.T @ M))
                     / max(np.linalg.norm(M.T @ M), 1.0))
         y = np.sin(np.arange(1.0, k + 1))
-        r_proj = np.linalg.norm(sys.Dk @ y - sys.rhs)
+        r_proj = np.linalg.norm(Dk @ y - basis.rhs)
         s = recover_iterate(state, prior, gamma, y)
         r_full = np.linalg.norm(A @ s - b) / sigma
         errs.append(abs(r_proj - r_full) / r_full)

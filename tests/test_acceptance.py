@@ -12,7 +12,7 @@ import pytest
 
 from helpers import (OpCounter, dense_kernel, max_principal_angle,
                      random_problem, recurrence_residual, run_steps,
-                     solve_map_dense, wrap_problem)
+                     solve_map_dense, solve_row, state_basis, wrap_problem)
 from mixkry import cli
 from mixkry.learn import hutchinson_objective, rademacher_probes
 from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
@@ -20,7 +20,7 @@ from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
                               sample_covariance)
 from mixkry.params import upre_objective, wgcv_objective
-from mixkry.projected import build_projected, recover_iterate, solve_column
+from mixkry.projected import recover_iterate
 
 SPHERICAL_CFG = """\
 problem.preset = spherical
@@ -72,7 +72,7 @@ def test_criterion_1_finite_termination():
 
     worst = 0.0
     for gamma, lam in ((1.0, 0.7), (0.5, 0.3), (0.2, 1.1)):
-        y = solve_column(build_projected(state, gamma), [lam])[0][0]
+        y = solve_row(state_basis(state), gamma, [lam])[0][0]
         s = recover_iterate(state, prior, gamma, y)
         Q = gamma * Q1 + (1 - gamma) * Q2
         s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b,
@@ -181,15 +181,16 @@ def test_criterion_4_parameter_rules_at_full_dimension():
     F_upre = np.zeros((40, 40))
     F_gcv = np.zeros((40, 40))
     for gi, gamma in enumerate(gammas):
-        sys = build_projected(state, float(gamma))
         Q = gamma * Q1 + (1 - gamma) * Q2
         K = (A @ Q @ A.T) / sigma**2
         theta, V = np.linalg.eigh(K)
         theta = np.maximum(theta, 0.0)
         c = V.T @ (b / sigma)
         for li, lam in enumerate(lams):
-            P_upre[gi, li] = upre_objective(sys, float(lam), sigma**2)
-            P_wgcv[gi, li] = wgcv_objective(sys, float(lam), omega)
+            P_upre[gi, li] = upre_objective(state, float(gamma), float(lam),
+                                            sigma**2)
+            P_wgcv[gi, li] = wgcv_objective(state, float(gamma), float(lam),
+                                            omega)
             h = theta / (theta + lam * lam)
             r2 = float(np.sum(((1.0 - h) * c) ** 2))
             tr = float(np.sum(h))

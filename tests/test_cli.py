@@ -129,6 +129,33 @@ def test_exit_code_bad_omega_sigma2(tmp_path, capsys, override):
     assert key.split(".")[1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "noise.sigma=nan", "noise.sigma=inf", "noise.sigma=-1", "noise.sigma=0",
+    "noise.level=nan", "noise.level=inf", "noise.level=-0.1",
+    "noise.level=0"])
+def test_exit_code_bad_noise(tmp_path, capsys, override):
+    """A non-finite or non-positive noise.sigma (file preset) or noise.level
+    (spherical preset) is a config error (exit 2) that names the key: not
+    an unwhitened run that records the bad value (exit 0), and not a
+    failure reported against b or sigma2."""
+    key = override.split("=")[0]
+    if key == "noise.sigma":
+        rng = np.random.default_rng(0)
+        save_matrix(tmp_path / "A.mtx", rng.standard_normal((6, 4)))
+        save_vector(tmp_path / "b.mtx", rng.standard_normal(6))
+        cfg = write_cfg(tmp_path / "f.cfg", (
+            "problem.preset = file\n"
+            f"file.a = {tmp_path / 'A.mtx'}\n"
+            f"file.b = {tmp_path / 'b.mtx'}\n"
+            "stop.max_iter = 2\n"
+        ))
+    else:
+        cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_exit_code_breakdown(tmp_path, capsys):
     """Data orthogonal to the range of A: no first basis vector, exit 3."""
     save_matrix(tmp_path / "A.mtx", np.array([[1.0, 0.0], [0.0, 0.0]]))

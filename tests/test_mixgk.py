@@ -1,12 +1,15 @@
 """Bidiagonalization process: recurrences, orthogonality, QR maintenance."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (OpCounter, max_principal_angle, psd_matrix,
                      random_problem, recurrence_residual, reference_gengk,
-                     run_steps, solve_map_dense, spd_matrix, wrap_problem)
+                     run_steps, solve_map_dense, solve_row, spd_matrix,
+                     state_basis, wrap_problem)
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
                            DegenerateDataError)
@@ -14,8 +17,7 @@ from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
-
-from mixkry.projected import build_projected, recover_iterate, solve_column
+from mixkry.projected import recover_iterate
 
 from_matrix = LinearOperator.from_matrix
 
@@ -137,19 +139,26 @@ def test_indefinite_rinv_caught_while_stepping():
         run_hybrid(Aop, Rinv, from_matrix(np.eye(12)), prior, b)
 
 
-@pytest.mark.parametrize("which", ["Q1", "Q2"])
+@pytest.mark.parametrize("which", ["R^{-1}", "Q1", "Q2"])
 def test_non_symmetric_covariance_raises_definiteness_error(which):
     """Adding a skew part keeps x^T Q x positive but breaks symmetry; the
-    two-vector probe at init rejects it for either covariance."""
+    two-vector probe at init rejects it for the inverse noise covariance
+    and for either prior covariance."""
     A, Q1, Q2, b, sigma = random_problem(8, m=12, n=9)
     B = np.random.default_rng(8).standard_normal((9, 9))
     skew = 0.5 * (B - B.T)
     if which == "Q1":
         Q1 = Q1 + skew
-    else:
+    elif which == "Q2":
         Q2 = Q2 + skew
     Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    with pytest.raises(DefinitenessError, match=f"{which} is not symmetric"):
+    if which == "R^{-1}":
+        # a skewed R^{-1} used to run 12 steps with no error, its U far
+        # from R^{-1}-orthonormal
+        B = np.random.default_rng(8).standard_normal((12, 12))
+        Rinv = from_matrix((np.eye(12) + 0.15 * (B - B.T)) / sigma**2)
+    with pytest.raises(DefinitenessError,
+                       match=re.escape(f"{which} is not symmetric")):
         mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
 
 
@@ -221,15 +230,13 @@ def test_recurrence_suite(seed):
 @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.0])
 def test_stacked_gram_identity(gamma):
     """D_k(g)^T D_k(g) equals (L_R A Q V_k)^T (L_R A Q V_k) entrywise."""
-    from mixkry.projected import build_projected
-
     state, parts = make_state(7, m=22, n=16)
     A, Q1, Q2, b, sigma = parts
     run_steps(state, 9, mixgk_step)
-    sys = build_projected(state, gamma)
+    Dk = state_basis(state).assemble([gamma])[0]
     Q = gamma * Q1 + (1 - gamma) * Q2
     M = (A @ Q @ state.Vk) / sigma
-    np.testing.assert_allclose(sys.Dk.T @ sys.Dk, M.T @ M, atol=1e-9)
+    np.testing.assert_allclose(Dk.T @ Dk, M.T @ M, atol=1e-9)
 
 
 def test_orthogonality_long_run():
@@ -347,7 +354,7 @@ def test_recurrence_relations_property(seed, m, n, steps, data):
 def _map_error(state, prior, A, Rinv, Q1, Q2, b, gamma, lam):
     """Relative distance of the recovered iterate at (gamma, lam) from the
     dense MAP estimate."""
-    y = solve_column(build_projected(state, gamma), [lam])[0][0]
+    y = solve_row(state_basis(state), gamma, [lam])[0][0]
     s = recover_iterate(state, prior, gamma, y)
     ref = solve_map_dense(A, Rinv, gamma * Q1 + (1 - gamma) * Q2, b,
                           prior.mean, lam)

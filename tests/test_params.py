@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixkry.params as params_mod
-from helpers import optimal_objective, random_problem, run_steps, wrap_problem
+from helpers import (optimal_objective, random_problem, run_steps, solve_row,
+                     state_basis, wrap_problem)
 from mixkry.errors import (ArgumentError, ConditioningError, ConfigError,
-                           ParameterDomainError, SearchError)
+                           DegenerateTraceError, ParameterDomainError,
+                           SearchError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import PriorSpec
 from mixkry.params import (METHODS, RunRecord, SearchConfig, SelectionResult,
                            StoppingPolicy, gcv_objective, select_params,
                            stopping_check, upre_objective, wgcv_objective)
-from mixkry.projected import (build_projected, penalty_basis, solve_column,
-                              trace_term)
+from mixkry.projected import penalty_basis, trace_term
 
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
@@ -47,56 +48,61 @@ def full_space_curves(A, Q, sigma, b, lambdas):
 
 def test_gcv_large_lambda_limit():
     state, _, _ = advance(0, 6)
-    sys = build_projected(state, 0.7)
     rows = 2 * state.k + 1
     expect = state.beta1**2 / rows**2
-    assert gcv_objective(sys, 1e10) == pytest.approx(expect, rel=1e-6)
+    assert gcv_objective(state, 0.7, 1e10) == pytest.approx(expect, rel=1e-6)
 
 
 def test_upre_large_lambda_limit_in_data_units():
     """UPRE flattens to ||b||^2 / (2k+1) - sigma^2 as lambda grows."""
     state, _, parts = advance(1, 6)
     b, sigma = parts[3], parts[4]
-    sys = build_projected(state, 1.0)
     rows = 2 * state.k + 1
     expect = float(b @ b) / rows - sigma**2
-    got = upre_objective(sys, 1e10, sigma**2)
+    got = upre_objective(state, 1.0, 1e10, sigma**2)
     assert got == pytest.approx(expect, rel=1e-6)
 
 
 def test_wgcv_omega_one_is_gcv():
     state, _, _ = advance(2, 5)
-    sys = build_projected(state, 0.5)
     for lam in (0.01, 0.3, 2.0):
-        assert wgcv_objective(sys, lam, 1.0) == pytest.approx(
-            gcv_objective(sys, lam), rel=1e-14)
+        assert wgcv_objective(state, 0.5, lam, 1.0) == pytest.approx(
+            gcv_objective(state, 0.5, lam), rel=1e-14)
 
 
 def test_wgcv_rejects_nonpositive_omega():
     state, _, _ = advance(3, 4)
-    sys = build_projected(state, 1.0)
     with pytest.raises(ParameterDomainError):
-        wgcv_objective(sys, 0.5, 0.0)
+        wgcv_objective(state, 1.0, 0.5, 0.0)
     with pytest.raises(ParameterDomainError):
-        wgcv_objective(sys, 0.5, -1.0)
+        wgcv_objective(state, 1.0, 0.5, -1.0)
+
+
+def test_wgcv_vanished_denominator_raises():
+    """After one step (2k+1 = 3 rows) a tiny lam drives the influence trace
+    to 1 in floating point, so omega = 3 makes the denominator exactly
+    zero."""
+    state, _, _ = advance(3, 1)
+    assert state.k == 1
+    with pytest.raises(DegenerateTraceError):
+        wgcv_objective(state, 1.0, 1e-20, 3.0)
+    assert np.isfinite(wgcv_objective(state, 1.0, 1e-20, 2.0))
 
 
 def test_upre_requires_noise_variance():
     state, _, _ = advance(4, 4)
-    sys = build_projected(state, 1.0)
     with pytest.raises(ConfigError):
-        upre_objective(sys, 0.5, None)
+        upre_objective(state, 1.0, 0.5, None)
     with pytest.raises(ConfigError):
-        upre_objective(sys, 0.5, 0.0)
+        upre_objective(state, 1.0, 0.5, 0.0)
 
 
 def test_select_decomposes_each_gamma_once(monkeypatch):
     """One select_params decomposes each distinct gamma it scans once: the
     grid's gammas in one trace_term call, then each zoom level's new gammas
-    (the centre gamma is kept) in at most one more.  The eigendecompositions
-    are those gammas plus one of Gk for the step, whatever the number of
-    searches; repeated objective evaluations on one system decompose it
-    once."""
+    (the centre gamma is kept) in at most one more.  Each search's
+    eigendecompositions are those gammas plus one of Gk, and a point
+    objective decomposes Gk once and its gamma once."""
     state, prior, parts = advance(6, 6)
     batches = []
     decompose = params_mod.trace_term
@@ -116,7 +122,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     cfg = SearchConfig(sigma2=parts[4] ** 2)
-    for i, method in enumerate(("wgcv", "upre")):
+    for method in ("wgcv", "upre"):
         batches.clear()
         eigh_sizes.clear()
         select_params(method, state, prior, cfg)
@@ -126,16 +132,15 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
                                               cfg.grid_gamma))
         assert 1 <= len(batches) <= 1 + params_mod._ZOOMS
         assert all(len(batch) <= 2 for batch in batches[1:])
-        # the step's Gk is decomposed by the first search only
-        assert eigh_sizes == [1] * (i == 0) + [len(b) for b in batches]
+        assert eigh_sizes == [1] + [len(b) for b in batches]
 
-    sys = build_projected(state, 0.4)
-    eigh_sizes.clear()
-    for evaluate in (lambda: upre_objective(sys, 0.3, parts[4] ** 2),
-                     lambda: gcv_objective(sys, 0.3),
-                     lambda: wgcv_objective(sys, 0.7, 0.5)):
+    for evaluate in (lambda: upre_objective(state, 0.4, 0.3, parts[4] ** 2),
+                     lambda: gcv_objective(state, 0.4, 0.3),
+                     lambda: wgcv_objective(state, 0.4, 0.7, 0.5)):
+        batches.clear()
+        eigh_sizes.clear()
         assert np.isfinite(evaluate())
-    assert eigh_sizes == [1]
+        assert batches == [[0.4]] and eigh_sizes == [1, 1]
 
 
 def test_gcv_scale_invariant_minimizer():
@@ -148,8 +153,8 @@ def test_gcv_scale_invariant_minimizer():
         Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
         state = mixgk_init(Aop, Rinv, LR, q1op, q2op, c * b)
         run_steps(state, 8, mixgk_step)
-        sys = build_projected(state, 0.6)
-        curves.append(np.array([gcv_objective(sys, l) for l in lambdas]))
+        curves.append(np.array([gcv_objective(state, 0.6, l)
+                                for l in lambdas]))
     base = curves[0]
     np.testing.assert_allclose(curves[1] / base, 0.01, rtol=1e-9)
     np.testing.assert_allclose(curves[2] / base, 100.0, rtol=1e-9)
@@ -172,11 +177,10 @@ def test_full_dimension_upre_affine_relation(gamma):
     Q = gamma * Q1 + (1 - gamma) * Q2
     lambdas = np.logspace(-3, 1, 25)
     full = full_space_curves(A, Q, sigma, b, lambdas)
-    sys = build_projected(state, gamma)
 
     proj_vals, full_vals = [], []
     for lam, (r2f, trf) in zip(lambdas, full):
-        up = upre_objective(sys, lam, sigma**2)
+        up = upre_objective(state, gamma, lam, sigma**2)
         uf = sigma**2 * (r2f + 2.0 * trf) / m - sigma**2
         proj_vals.append(up)
         full_vals.append(uf)
@@ -199,12 +203,11 @@ def test_full_dimension_wgcv_matches_gcv_argmin(gamma):
     Q = gamma * Q1 + (1 - gamma) * Q2
     lambdas = np.logspace(-3, 1, 25)
     full = full_space_curves(A, Q, sigma, b, lambdas)
-    sys = build_projected(state, gamma)
 
     ratio = (m / rows) ** 2
     proj_vals, full_vals = [], []
     for lam, (r2f, trf) in zip(lambdas, full):
-        wp = wgcv_objective(sys, lam, omega)
+        wp = wgcv_objective(state, gamma, lam, omega)
         gf = r2f / (m - trf) ** 2
         proj_vals.append(wp)
         full_vals.append(gf)
@@ -397,7 +400,7 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     """For every method: the selection is never worse than the best grid
     cell, lies in the search box, reports the public pointwise objective at
     (gamma*, lambda*) bit for bit with the weights and squared residual of
-    solve_column there, and returns a pinned gamma exactly."""
+    a one-gamma row of cells there, and returns a pinned gamma exactly."""
     state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
     cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
@@ -417,15 +420,15 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
         assert np.power(10.0, lo) <= sel.lam <= np.power(10.0, hi)
         if gamma_fixed is not None:
             assert sel.gamma == gamma_fixed
-        sys = build_projected(state, sel.gamma)
         point = {
             "optimal": lambda: cells([sel.gamma], np.array([sel.lam]))[0][0, 0],
-            "upre": lambda: upre_objective(sys, sel.lam, cfg.sigma2),
-            "gcv": lambda: gcv_objective(sys, sel.lam),
-            "wgcv": lambda: wgcv_objective(sys, sel.lam, omega),
+            "upre": lambda: upre_objective(state, sel.gamma, sel.lam,
+                                           cfg.sigma2),
+            "gcv": lambda: gcv_objective(state, sel.gamma, sel.lam),
+            "wgcv": lambda: wgcv_objective(state, sel.gamma, sel.lam, omega),
         }[method]()
         assert sel.objective == point
-        Y, r2, _ = solve_column(sys, [sel.lam])
+        Y, r2, _ = solve_row(state_basis(state), sel.gamma, [sel.lam])
         assert (sel.weights == Y[0]).all() and sel.r2 == r2[0]
 
 
@@ -469,8 +472,8 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
     """For every method, scoring a set of gammas in one batch gives values,
     weights and squared residuals bit-identical to scoring each gamma alone,
     and those equal upre_objective, gcv_objective, wgcv_objective (for
-    optimal, a one-cell batch) and solve_column at the same cell.  With the
-    penalty made indefinite (Gk = -I, so P = (2 gamma - 1) I) the batch
+    optimal, a one-cell batch) and a one-gamma row at the same cell.  With
+    the penalty made indefinite (Gk = -I, so P = (2 gamma - 1) I) the batch
     path raises ConditioningError as soon as one gamma <= 1/2 is in it."""
     state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
@@ -478,11 +481,11 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
     gammas = np.append(np.linspace(cfg.gamma_min, 1.0, 5), gamma_mid)
     lams = np.logspace(*cfg.log10_lambda, 7)
     omega = (2.0 * state.k + 1.0) / state.m
-    systems = [build_projected(state, g) for g in gammas]
+    basis = state_basis(state)
     for method in METHODS:
         batch = params_mod._objective_factory(method, state, prior, cfg)(
             gammas, lams)
-        for i, (gamma, sys) in enumerate(zip(gammas, systems)):
+        for i, gamma in enumerate(gammas):
             alone = params_mod._objective_factory(method, state, prior, cfg)(
                 [gamma], lams)
             for got, want in zip(batch, alone):
@@ -490,18 +493,18 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
             point = {
                 "optimal": lambda lam: params_mod._objective_factory(
                     method, state, prior, cfg)([gamma], [lam])[0][0, 0],
-                "upre": lambda lam: upre_objective(sys, lam, cfg.sigma2),
-                "gcv": lambda lam: gcv_objective(sys, lam),
-                "wgcv": lambda lam: wgcv_objective(sys, lam, omega),
+                "upre": lambda lam: upre_objective(state, gamma, lam,
+                                                   cfg.sigma2),
+                "gcv": lambda lam: gcv_objective(state, gamma, lam),
+                "wgcv": lambda lam: wgcv_objective(state, gamma, lam, omega),
             }[method]
             for j, lam in enumerate(lams):
                 vals, Y, r2 = (part[i, j] for part in batch)
-                y, r2_point, _ = solve_column(sys, [lam])
+                y, r2_point, _ = solve_row(basis, gamma, [lam])
                 assert vals == point(lam) or (np.isnan(vals)
                                               and np.isnan(point(lam)))
                 assert (Y == y[0]).all() and r2 == r2_point[0]
 
-    basis = state.projection_grams()
     bad = penalty_basis(basis.B, basis.C, basis.Rup, -np.eye(state.k),
                         basis.beta1)
     with pytest.raises(ConditioningError):

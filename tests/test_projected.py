@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (dense_map, optimal_objective, random_problem,
                      residual_and_trace_reference, run_steps, solve_map_dense,
-                     solve_projected_reference, wrap_problem)
+                     solve_projected_reference, solve_row, state_basis,
+                     wrap_problem)
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, ConditioningError, MixkryError,
                            ParameterDomainError)
@@ -14,9 +15,8 @@ from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
 from mixkry.params import (METHODS, SearchConfig, StoppingPolicy,
-                           _objective_factory)
-from mixkry.projected import (ProjectedSystem, build_projected,
-                              penalty_basis, recover_iterate, solve_column)
+                           _objective_factory, gcv_objective)
+from mixkry.projected import penalty_basis, recover_iterate
 
 # a log10 lambda range wider than any search box, for the solve checks
 _WIDE_LOG10_LAMBDA = (-8.0, 8.0)
@@ -31,16 +31,14 @@ def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
     return state, prior, (A, Q1, Q2, b, sigma)
 
 
-def altered(state, gamma, G=None, zero_last_column=False):
-    """The state's system at gamma, rebuilt from its blocks with G replaced
-    or with the last column of Dk zeroed at every gamma."""
-    basis = state.projection_grams()
-    B, C, Rup = basis.B.copy(), basis.C.copy(), basis.Rup.copy()
+def altered(state, G=None, zero_last_column=False):
+    """The state's basis, rebuilt from its blocks with G replaced or with
+    the last column of Dk zeroed at every gamma."""
+    B, C, Rup = state.bidiagonal(), state.C.copy(), state.Rup.copy()
     if zero_last_column:
         B[:, -1] = C[:, -1] = Rup[:, -1] = 0.0
-    basis = penalty_basis(B, C, Rup, basis.G if G is None else G,
-                          basis.beta1)
-    return ProjectedSystem(basis, gamma)
+    return penalty_basis(B, C, Rup, state.G if G is None else G,
+                         state.beta1)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -48,20 +46,21 @@ def altered(state, gamma, G=None, zero_last_column=False):
 
 def test_gamma_one_collapses_to_bidiagonal():
     state, _, _ = advance(0, 5)
-    sys = build_projected(state, 1.0)
+    basis = state_basis(state)
+    Dk, rhs = basis.assemble([1.0])[0], basis.rhs
     B = state.bidiagonal()
     r = state.Rup.shape[0]
-    np.testing.assert_allclose(sys.Dk[: B.shape[0]], B, atol=1e-14)
+    np.testing.assert_allclose(Dk[: B.shape[0]], B, atol=1e-14)
     if r:
-        np.testing.assert_allclose(sys.Dk[B.shape[0]:], 0.0, atol=0)
-    assert sys.rhs[0] == pytest.approx(state.beta1)
-    np.testing.assert_allclose(sys.rhs[1:], 0.0, atol=0)
+        np.testing.assert_allclose(Dk[B.shape[0]:], 0.0, atol=0)
+    assert rhs[0] == pytest.approx(state.beta1)
+    np.testing.assert_allclose(rhs[1:], 0.0, atol=0)
 
 
 def test_memoized_bidiagonal_tracks_every_step():
-    """B is memoized with the Gram blocks per step; through a run that ends
-    in a beta breakdown (B turns k x k) gamma = 1 assembles exactly the
-    current bidiagonal, even when the previous step's memo is filled."""
+    """Through a run that ends in a beta breakdown (B turns k x k), the
+    basis assembled at each step gives exactly the current bidiagonal at
+    gamma = 1."""
     n = 8
     A = np.diag(np.repeat([1.0, 2.0, 3.0, 4.0], 2))
     Rinv, LR = noise_whitener(1.0, n)
@@ -70,9 +69,8 @@ def test_memoized_bidiagonal_tracks_every_step():
                        np.arange(1.0, n + 1))
     while not state.terminal:
         mixgk_step(state)
-        build_projected(state, 0.5)
         B = state.bidiagonal()
-        Dk = build_projected(state, 1.0).Dk
+        Dk = state_basis(state).assemble([1.0])[0]
         assert Dk.shape == B.shape and (Dk == B).all()
     assert state.breakdown_reason == "beta"
     assert state.k == 4 and B.shape == (4, 4)
@@ -80,44 +78,43 @@ def test_memoized_bidiagonal_tracks_every_step():
 
 def test_q2_zero_gives_zero_gram():
     state, _, _ = advance(1, 5, q2_rank=0)
-    sys = build_projected(state, 0.6)
-    np.testing.assert_allclose(sys.Gk, 0.0, atol=0)
-    assert sys.Dk.shape[0] == state.k + 1
+    basis = state_basis(state)
+    np.testing.assert_allclose(basis.G, 0.0, atol=0)
+    assert basis.assemble([0.6])[0].shape[0] == state.k + 1
 
 
 def test_build_validates_inputs():
     state, _, _ = advance(2, 3)
     with pytest.raises(ParameterDomainError):
-        build_projected(state, 0.0)
+        gcv_objective(state, 0.0, 0.5)
     with pytest.raises(ParameterDomainError):
-        build_projected(state, 1.5)
+        gcv_objective(state, 1.5, 0.5)
 
 
 def test_cached_normal_products_match_dense():
-    """The memoized basis diagonalizes Gk, and its rotated blocks combine
+    """The step's basis diagonalizes Gk, and its rotated blocks combine
     into U^T Dk^T Dk U and U^T Dk^T rhs at every gamma."""
     state, _, _ = advance(3, 7, q2_rank=4)
-    basis = state.projection_grams()
+    basis = state_basis(state)
     U = basis.U
     np.testing.assert_allclose(U.T @ U, np.eye(state.k), atol=1e-13)
     np.testing.assert_allclose(U @ np.diag(basis.g) @ U.T, state.G,
                                atol=1e-12 * np.abs(state.G).max())
     for gamma in (0.25, 0.7, 1.0):
-        sys = build_projected(state, gamma)
+        Dk = basis.assemble([gamma])[0]
         h = 1.0 - gamma
         Nt = (gamma * gamma * basis.grams[0] + gamma * h * basis.grams[1]
               + h * h * basis.grams[2])
-        np.testing.assert_allclose(U @ Nt @ U.T, sys.Dk.T @ sys.Dk,
-                                   atol=1e-10)
+        np.testing.assert_allclose(U @ Nt @ U.T, Dk.T @ Dk, atol=1e-10)
         ft = gamma * basis.rows[0] + h * basis.rows[1]
-        np.testing.assert_allclose(U @ ft, sys.Dk.T @ sys.rhs, atol=1e-10)
+        np.testing.assert_allclose(U @ ft, Dk.T @ basis.rhs, atol=1e-10)
 
 
 # -- solves -------------------------------------------------------------------
 
 
-def _solve(sys, lam):
-    return solve_column(sys, [lam])[0][0]
+def _solve(basis, gamma, lam):
+    return solve_row(basis, gamma, [lam])[0][0]
 
 
 def test_single_step_scalar_solve():
@@ -126,8 +123,7 @@ def test_single_step_scalar_solve():
     a1 = state.alphas[0]
     b2 = state.betas[0]
     lam = 0.37
-    sys = build_projected(state, 1.0)
-    y = _solve(sys, lam)
+    y = _solve(state_basis(state), 1.0, lam)
     expect = a1 * state.beta1 / (a1 * a1 + b2 * b2 + lam * lam)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(expect, rel=1e-12)
@@ -135,8 +131,7 @@ def test_single_step_scalar_solve():
 
 def test_large_lambda_shrinks_weights():
     state, _, _ = advance(5, 6)
-    sys = build_projected(state, 0.5)
-    y = _solve(sys, 1e8)
+    y = _solve(state_basis(state), 0.5, 1e8)
     assert np.linalg.norm(y) <= 1e-12 * state.beta1
 
 
@@ -144,22 +139,22 @@ def test_solve_matches_stacked_least_squares():
     """The normal-equations solve agrees with an explicit stacked Tikhonov
     least-squares oracle built from a penalty square root."""
     state, _, _ = advance(6, 4)
+    basis = state_basis(state)
+    k = state.k
     for gamma, lam in ((1.0, 0.5), (0.4, 0.9)):
-        sys = build_projected(state, gamma)
-        P = gamma * np.eye(sys.k) + (1 - gamma) * sys.Gk
+        P = gamma * np.eye(k) + (1 - gamma) * basis.G
         Lp = np.linalg.cholesky(P)
-        stacked = np.vstack([sys.Dk, lam * Lp.T])
-        rhs = np.concatenate([sys.rhs, np.zeros(sys.k)])
+        stacked = np.vstack([basis.assemble([gamma])[0], lam * Lp.T])
+        rhs = np.concatenate([basis.rhs, np.zeros(k)])
         y_ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-        y = _solve(sys, lam)
+        y = _solve(basis, gamma, lam)
         np.testing.assert_allclose(y, y_ref, atol=1e-10)
 
 
 def test_solve_rejects_negative_lambda():
     state, _, _ = advance(7, 3)
-    sys = build_projected(state, 1.0)
     with pytest.raises(ParameterDomainError):
-        _solve(sys, -0.1)
+        _solve(state_basis(state), 1.0, -0.1)
 
 
 # -- recovery and residual ----------------------------------------------------
@@ -193,15 +188,16 @@ def test_recover_validates_shapes():
 
 def test_projected_residual_norm_equals_full_misfit():
     """|| Dk y - beta1 e1 ||^2 equals || L_R (A s - b) ||^2 for s recovered
-    from y: for solve_column's weights and its r2, and for any y."""
+    from y: for the search's weights and r2 at a row of cells, and for any
+    y."""
     state, prior, parts = advance(12, 8)
     A, Q1, Q2, b, sigma = parts
     rng = np.random.default_rng(0)
+    basis = state_basis(state)
     for gamma in (1.0, 0.55):
-        sys = build_projected(state, gamma)
-        Y, r2, _ = solve_column(sys, [1e-3, 0.4, 7.0])
+        Y, r2, _ = solve_row(basis, gamma, [1e-3, 0.4, 7.0])
         y_any = rng.standard_normal(state.k)
-        r = sys.Dk @ y_any - sys.rhs
+        r = basis.assemble([gamma])[0] @ y_any - basis.rhs
         for y, r2_y in [*zip(Y, r2), (y_any, r @ r)]:
             s = recover_iterate(state, prior, gamma, y)
             r_full = (A @ s - b) / sigma
@@ -212,8 +208,7 @@ def test_projected_residual_at_zero_weights():
     """At a lam so large that the weights vanish the residual is rhs, of
     norm beta1."""
     state, _, _ = advance(13, 4)
-    sys = build_projected(state, 0.8)
-    Y, r2, _ = solve_column(sys, [1e12])
+    Y, r2, _ = solve_row(state_basis(state), 0.8, [1e12])
     assert np.linalg.norm(Y) <= 1e-20 * state.beta1
     assert np.sqrt(r2[0]) == pytest.approx(state.beta1, rel=1e-14)
 
@@ -221,38 +216,41 @@ def test_projected_residual_at_zero_weights():
 # -- influence trace ----------------------------------------------------------
 
 
-def _trace(sys, lam):
-    return solve_column(sys, [lam])[2][0]
+def _trace(basis, gamma, lam):
+    return solve_row(basis, gamma, [lam])[2][0]
 
 
 def test_trace_limits():
     state, _, _ = advance(14, 6)
-    sys = build_projected(state, 0.6)
-    assert _trace(sys, 1e9) <= 1e-10
+    basis = state_basis(state)
+    assert _trace(basis, 0.6, 1e9) <= 1e-10
     # full column rank data: trace tends to k as lam -> 0
-    assert _trace(sys, 1e-8) == pytest.approx(state.k, abs=1e-6)
+    assert _trace(basis, 0.6, 1e-8) == pytest.approx(state.k, abs=1e-6)
     with pytest.raises(ParameterDomainError):
-        _trace(sys, 0.0)
+        _trace(basis, 0.6, 0.0)
 
 
 def test_trace_single_step_scalar():
     state, _, _ = advance(15, 1)
+    basis = state_basis(state)
     for gamma in (1.0, 0.5):
-        sys = build_projected(state, gamma)
-        d2 = float(sys.Dk[:, 0] @ sys.Dk[:, 0])
-        g = float(sys.Gk[0, 0])
+        Dk = basis.assemble([gamma])[0]
+        d2 = float(Dk[:, 0] @ Dk[:, 0])
+        g = float(basis.G[0, 0])
         lam = 0.8
         expect = d2 / (d2 + lam * lam * (gamma + (1 - gamma) * g))
-        assert _trace(sys, lam) == pytest.approx(expect, rel=1e-12)
+        assert _trace(basis, gamma, lam) == pytest.approx(expect, rel=1e-12)
 
 
 def test_trace_matches_dense_influence():
     state, _, _ = advance(16, 5)
-    sys = build_projected(state, 0.4)
+    basis = state_basis(state)
+    Dk = basis.assemble([0.4])[0]
     lam = 0.6
-    M = sys.Dk.T @ sys.Dk + lam * lam * (0.4 * np.eye(sys.k) + 0.6 * sys.Gk)
-    influence = sys.Dk @ np.linalg.solve(M, sys.Dk.T)
-    assert _trace(sys, lam) == pytest.approx(np.trace(influence), rel=1e-11)
+    M = Dk.T @ Dk + lam * lam * (0.4 * np.eye(state.k) + 0.6 * basis.G)
+    influence = Dk @ np.linalg.solve(M, Dk.T)
+    assert _trace(basis, 0.4, lam) == pytest.approx(np.trace(influence),
+                                                    rel=1e-11)
 
 
 def _outcome(fn, *args):
@@ -280,11 +278,11 @@ def _column_lams():
     return np.concatenate([[10.0**blo], grid, [10.0**bhi]])
 
 
-def _assert_column_matches_pointwise(sys, lams):
-    Y, r2, tr = solve_column(sys, lams)
+def _assert_column_matches_pointwise(basis, gamma, lams):
+    Y, r2, tr = solve_row(basis, gamma, lams)
     for j, lam in enumerate(lams):
-        y = solve_projected_reference(sys, lam)
-        r2_j, tr_j = residual_and_trace_reference(sys, lam)
+        y = solve_projected_reference(basis, gamma, lam)
+        r2_j, tr_j = residual_and_trace_reference(basis, gamma, lam)
         assert (np.linalg.norm(Y[j] - y)
                 <= _COLUMN_RTOL * np.linalg.norm(y))
         assert r2[j] == pytest.approx(r2_j, rel=_COLUMN_RTOL)
@@ -310,21 +308,22 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
     cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true)
     gammas = (cfg.gamma_min, gamma_mid, 1.0)
     lams = _column_lams()
+    basis = state_basis(state)
+    bad = altered(state, G=-np.eye(state.k))
     for gamma in gammas:
-        sys = build_projected(state, gamma)
-        _assert_column_matches_pointwise(sys, lams)
-        bad = altered(state, gamma, G=-np.eye(sys.k))
+        _assert_column_matches_pointwise(basis, gamma, lams)
         # the penalty is (2 gamma - 1) I; the column evaluator needs it
         # positive definite, the pointwise path fails only where
         # lam^2 (2 gamma - 1) outweighs Dk^T Dk
-        raised = {p for p in (_outcome(residual_and_trace_reference, bad, lam)
+        raised = {p for p in (_outcome(residual_and_trace_reference, bad,
+                                       gamma, lam)
                               for lam in lams) if isinstance(p, type)}
         assert raised <= {ConditioningError}
         if gamma <= 0.5:
-            assert _outcome(solve_column, bad, lams) is ConditioningError
+            assert _outcome(solve_row, bad, gamma, lams) is ConditioningError
         else:
             assert not raised
-            _assert_column_matches_pointwise(bad, lams)
+            _assert_column_matches_pointwise(bad, gamma, lams)
 
     for method in METHODS:
         cells = _objective_factory(method, state, prior, cfg)
@@ -345,7 +344,7 @@ def _pointwise(method, state, prior, cfg, gamma, lam):
     optimal assembled in full space."""
     if method == "optimal":
         return optimal_objective(state, prior, gamma, lam, cfg.s_true)
-    r2, tr = residual_and_trace_reference(build_projected(state, gamma), lam)
+    r2, tr = residual_and_trace_reference(state_basis(state), gamma, lam)
     rows = 2 * state.k + 1
     if method == "upre":
         return cfg.sigma2 * (r2 + 2.0 * tr) / rows - cfg.sigma2
@@ -360,19 +359,19 @@ def test_column_evaluator_clamps_rounded_eigenvalues():
     trace stays within [0, k] even at lam = 1e-8."""
     for seed in range(10):
         state, _, _ = advance(seed, 6)
+        singular = altered(state, zero_last_column=True)
         for gamma in (0.01, 0.5):
-            singular = altered(state, gamma, zero_last_column=True)
-            assert (singular.Dk[:, -1] == 0.0).all()
-            Y, r2, tr = solve_column(singular, [1e-8, 1e-6])
+            assert (singular.assemble([gamma])[0][:, -1] == 0.0).all()
+            Y, r2, tr = solve_row(singular, gamma, [1e-8, 1e-6])
             assert np.isfinite(Y).all() and np.isfinite(r2).all()
             assert np.all((tr >= 0.0) & (tr <= state.k))
 
 
 def test_column_evaluator_rejects_nonpositive_lambda():
-    sys = build_projected(advance(17, 3)[0], 0.5)
+    basis = state_basis(advance(17, 3)[0])
     for lams in ([0.1, 0.0], [-1.0], [[0.1]]):
         with pytest.raises(ParameterDomainError):
-            solve_column(sys, lams)
+            solve_row(basis, 0.5, lams)
 
 
 # -- the iterate --------------------------------------------------------------
@@ -396,7 +395,7 @@ def test_run_hybrid_iterate_is_the_selected_cell():
     assert sel.weights.shape == (state.k,)
     s = recover_iterate(state, prior, sel.gamma, sel.weights)
     assert (result.solution == s).all()
-    y_ref = solve_projected_reference(build_projected(state, sel.gamma),
+    y_ref = solve_projected_reference(state_basis(state), sel.gamma,
                                       sel.lam)
     assert (np.linalg.norm(sel.weights - y_ref)
             <= _COLUMN_RTOL * np.linalg.norm(y_ref))
@@ -462,8 +461,7 @@ def test_full_run_reproduces_dense_map(gamma, lam):
     state, prior, parts = advance(20, 30, m=25, n=20, q2_rank=5)
     A, Q1, Q2, b, sigma = parts
     assert state.terminal or state.k == 20
-    sys = build_projected(state, gamma)
-    y = _solve(sys, lam)
+    y = _solve(state_basis(state), gamma, lam)
     s = recover_iterate(state, prior, gamma, y)
     Q = gamma * Q1 + (1 - gamma) * Q2
     s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b, np.zeros(20), lam)
@@ -482,8 +480,7 @@ def test_full_run_with_nonzero_mean():
     run_steps(state, 30, mixgk_step)
     prior_mu = PriorSpec(mean=mu, q1=q1op, q2=q2op)
     gamma, lam = 0.6, 0.45
-    sys = build_projected(state, gamma)
-    y = _solve(sys, lam)
+    y = _solve(state_basis(state), gamma, lam)
     s = recover_iterate(state, prior_mu, gamma, y)
     Q = gamma * Q1 + (1 - gamma) * Q2
     s_ref = solve_map_dense(A, np.eye(25) / sigma**2, Q, b, mu, lam)
@@ -500,7 +497,6 @@ def test_misfit_monotone_in_k():
         if state.terminal:
             break
         mixgk_step(state)
-        sys = build_projected(state, 0.5)
-        r = np.sqrt(solve_column(sys, [1e-6])[1][0])
+        r = np.sqrt(solve_row(state_basis(state), 0.5, [1e-6])[1][0])
         assert r <= prev + 1e-10
         prev = r

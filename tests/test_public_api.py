@@ -13,10 +13,10 @@ import pytest
 import mixkry
 from mixkry.cli import Workload
 from mixkry.learn import FitResult
-from mixkry.mixgk import _gs_append, qr_append_update, qr_recompute
+from mixkry.mixgk import (MixGKState, _gs_append, qr_append_update,
+                          qr_recompute)
 from mixkry.operators import KernelOperator, LinearOperator, SampleFactor
 from mixkry.params import SearchConfig
-from mixkry.projected import ProjectedSystem
 from mixkry.testproblems import TomoProblem
 
 MODULES = ("operators", "mixgk", "projected", "params", "learn",
@@ -27,20 +27,20 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "grid_distances", "_distance_matrix", "DENSE_KERNEL_CAP",
            "CapacityError", "aslinop", "residual_and_trace",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
-           "_factor", "_deposit_arc", "_fit_grid", "OpCounter", "_trsm")
+           "_factor", "_deposit_arc", "_fit_grid", "OpCounter", "_trsm",
+           "ProjectedSystem", "build_projected", "solve_column")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
     (LinearOperator, "T"),
     (LinearOperator, "__matmul__"),
-    (ProjectedSystem, "rows"),
-    (ProjectedSystem, "penalty"),
     (SearchConfig, "log10_lambda_bounds"),
     (SearchConfig, "refine_evals"),
     (KernelOperator, "apply"),
     (SampleFactor, "apply"),
     (SampleFactor, "operator"),
     (SampleFactor, "dim"),
+    (MixGKState, "projection_grams"),
 )
 
 RETIRED_FIELDS = (
