@@ -2,10 +2,11 @@
 
 Subcommands: ``run`` (one hybrid reconstruction), ``compare`` (prior
 variants on one data realization), ``fit`` (kernel hyperparameters from
-training samples), ``gen`` (export a problem to files).  Configuration is
-a flat key=value text file; unknown keys are rejected.  Every artifact
-byte is determined by the config plus its seed, so wall-clock timing is
-printed to stdout instead of being written to files.
+training samples), ``gen`` (export a problem to files).  Every command
+reads a flat key=value config file; unknown keys, and keys that the chosen
+preset does not read, are rejected.  Every artifact byte is determined by
+the config plus its seed, so wall-clock timing is printed to stdout instead
+of being written to files.
 """
 
 from __future__ import annotations
@@ -87,33 +88,38 @@ def _bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (caster, default); None defaults are filled per preset or left unset
+# key -> (caster, default).  A dict default maps each preset that reads the
+# key to its default there; a scalar default means every preset reads it.
+# A None default leaves the key unset.
 _KEYS = {
     "problem.preset": (str, "spherical"),
-    "problem.size": (int, None),
-    "problem.angles": (int, 16),
-    "problem.circles": (int, 24),
-    "problem.sources": (int, 10),
-    "problem.receivers": (int, 20),
-    "problem.train_count": (int, 49),
-    "noise.level": (float, None),
-    "noise.sigma": (float, None),
-    "prior.mean": (str, None),
-    "prior.q1.kernel": (str, None),
+    "problem.size": (int, {"spherical": 32, "crosswell": 64}),
+    "problem.angles": (int, {"spherical": 16}),
+    "problem.circles": (int, {"spherical": 24}),
+    "problem.sources": (int, {"crosswell": 10}),
+    "problem.receivers": (int, {"crosswell": 20}),
+    "problem.train_count": (int, {"spherical": 49}),
+    "noise.level": (float, {"spherical": 0.03, "crosswell": 0.01}),
+    "noise.sigma": (float, {"file": 1.0}),
+    "prior.mean": (str, {"spherical": "train", "crosswell": "zero",
+                         "file": "zero"}),
+    "prior.q1.kernel": (str, {"spherical": "matern", "crosswell": "matern",
+                              "file": "identity"}),
     "prior.q1.ell": (float, 0.25),
     "prior.q1.nu": (float, 0.5),
     "prior.q1.gamma_exp": (float, 1.0),
     "prior.q1.learn": (_bool, False),
-    "prior.q2.source": (str, None),
+    "prior.q2.source": (str, {"spherical": "samples", "crosswell": "kernel",
+                              "file": "identity"}),
     "prior.q2.kernel": (str, "rational-quadratic"),
     "prior.q2.ell": (float, 0.1),
     "prior.q2.nu": (float, 2.0),
     "prior.q2.gamma_exp": (float, 1.0),
-    "file.a": (str, None),
-    "file.b": (str, None),
-    "file.s_true": (str, None),
-    "file.mean": (str, None),
-    "file.samples": (str, None),
+    "file.a": (str, {"file": None}),
+    "file.b": (str, {"file": None}),
+    "file.s_true": (str, {"file": None}),
+    "file.mean": (str, {"file": None}),
+    "file.samples": (str, {"file": None}),
     "select.method": (str, "wgcv"),
     "select.gamma": (float, None),
     "select.gamma_min": (float, 0.01),
@@ -132,29 +138,6 @@ _KEYS = {
     "compare.variants": (str, "mix,q1,q2,identity"),
     "fit.probes": (int, 20),
     "fit.repeats": (int, 6),
-}
-
-_PRESET_DEFAULTS = {
-    "spherical": {
-        "problem.size": 32,
-        "noise.level": 0.03,
-        "prior.mean": "train",
-        "prior.q1.kernel": "matern",
-        "prior.q2.source": "samples",
-    },
-    "crosswell": {
-        "problem.size": 64,
-        "noise.level": 0.01,
-        "prior.mean": "zero",
-        "prior.q1.kernel": "matern",
-        "prior.q2.source": "kernel",
-    },
-    "file": {
-        "prior.mean": "zero",
-        "prior.q1.kernel": "identity",
-        "prior.q2.source": "identity",
-        "noise.sigma": 1.0,
-    },
 }
 
 _CHOICES = {
@@ -187,7 +170,10 @@ def read_config(path):
 
 
 def resolve_config(pairs):
-    """Validate raw key=value pairs and fill preset-dependent defaults."""
+    """Validate raw key=value pairs and fill the chosen preset's defaults.
+
+    A key that the preset does not read is an error, not a silent no-op.
+    """
     cfg = {}
     for key, value in pairs.items():
         if key not in _KEYS:
@@ -200,9 +186,14 @@ def resolve_config(pairs):
     preset = cfg.get("problem.preset", _KEYS["problem.preset"][1])
     if preset not in _PRESETS:
         raise ConfigError(f"problem.preset must be one of {_PRESETS}")
-    for key, value in _PRESET_DEFAULTS[preset].items():
-        cfg.setdefault(key, value)
     for key, (_, default) in _KEYS.items():
+        if isinstance(default, dict):
+            if preset not in default:
+                if key in cfg:
+                    raise ConfigError(f"config key {key} is not read by "
+                                      f"problem.preset={preset}")
+                continue
+            default = default[preset]
         if key not in cfg and default is not None:
             cfg[key] = default
     for key, allowed in _CHOICES.items():
@@ -212,6 +203,9 @@ def resolve_config(pairs):
         if key in cfg and not (np.isfinite(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"config key {key} must be finite and "
                               f"positive, got {cfg[key]}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"config key seed must be non-negative, "
+                          f"got {cfg['seed']}")
     return cfg
 
 
@@ -234,7 +228,6 @@ class Workload:
     sample: object
     q1: LinearOperator
     q2: LinearOperator
-    q2_source: str
     learned: object = None
 
     @property
@@ -261,21 +254,19 @@ def _kernel_operator(prefix, cfg, grid, n):
     return build_kernel_operator(spec, grid)
 
 
-def _maybe_learn_q1(cfg, work):
-    if not cfg["prior.q1.learn"]:
-        return None
+def _learn_q1(cfg, work):
+    """Fit the Q1 kernel's (nu, ell) to the workload's training samples."""
     if work.sample is None:
-        raise ConfigError("prior.q1.learn=true needs training samples")
+        raise ConfigError("learning the Q1 kernel needs training samples "
+                          "(spherical preset or file.samples)")
+    if work.grid is None:
+        raise ConfigError("learning the Q1 kernel needs a square grid")
     family = cfg["prior.q1.kernel"]
     if family == "identity":
-        raise ConfigError("prior.q1.learn=true needs a kernel family")
-    fit = learn_matern(work.sample, work.grid, probes=cfg["fit.probes"],
-                       seed=cfg["seed"] + 3, family=family)
-    spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu,
-                      gamma_exp=cfg["prior.q1.gamma_exp"])
-    work.q1 = build_kernel_operator(spec, work.grid)
-    work.learned = fit
-    return fit
+        raise ConfigError("learning the Q1 kernel needs a kernel family in "
+                          "prior.q1.kernel")
+    return learn_matern(work.sample, work.grid, probes=cfg["fit.probes"],
+                        seed=cfg["seed"] + 3, family=family)
 
 
 def assemble_workload(cfg):
@@ -322,7 +313,7 @@ def assemble_workload(cfg):
 
     n = A.cols
     mean_mode = cfg["prior.mean"]
-    if preset == "file" and cfg.get("file.mean"):
+    if cfg.get("file.mean"):
         mean = load_vector(cfg["file.mean"])
         if mean.size != n:
             raise ConfigError("file.mean length does not match file.a columns")
@@ -332,8 +323,6 @@ def assemble_workload(cfg):
         mean = sample.mean.copy()
     else:
         mean = np.zeros(n)
-
-    q1 = _kernel_operator("prior.q1", cfg, grid, n)
 
     q2_source = cfg["prior.q2.source"]
     if q2_source == "samples":
@@ -348,8 +337,12 @@ def assemble_workload(cfg):
     work = Workload(name=name, A=A, b=np.asarray(b, dtype=float),
                     b_true=np.asarray(b_true, dtype=float), s_true=s_true,
                     sigma=float(sigma), mean=mean, grid=grid,
-                    sample=sample, q1=q1, q2=q2, q2_source=q2_source)
-    _maybe_learn_q1(cfg, work)
+                    sample=sample, q1=None, q2=q2)
+    if cfg["prior.q1.learn"]:
+        work.learned = _learn_q1(cfg, work)
+        cfg = {**cfg, "prior.q1.ell": work.learned.ell,
+               "prior.q1.nu": work.learned.nu}
+    work.q1 = _kernel_operator("prior.q1", cfg, grid, n)
     return work
 
 
@@ -604,7 +597,7 @@ def _variant_runs(cfg, work):
         elif tag == "q1":
             prior = PriorSpec(mean=work.mean, q1=work.q1, q2=zero)
         elif tag == "q2":
-            if work.q2_source == "samples":
+            if work.q2 is work.sample:
                 rho = rblw_gamma(work.sample)
                 op = _blend_with_identity(work.sample, rho)
                 note = f"rblw_rho: {_fmt(rho)}"
@@ -655,24 +648,18 @@ def _cmd_compare(cfg):
 
 def _cmd_fit(cfg):
     outdir = _outdir(cfg)
-    work = assemble_workload(cfg)
-    if work.sample is None:
-        raise ConfigError(
-            "fit needs training samples (spherical preset or file.samples)")
-    if work.grid is None:
-        raise ConfigError("fit needs a square grid for the kernel")
-    family = cfg["prior.q1.kernel"]
-    if family == "identity":
-        raise ConfigError("fit needs a kernel family in prior.q1.kernel")
     probes = cfg["fit.probes"]
     repeats = cfg["fit.repeats"]
     if repeats < 2:
         raise ConfigError("fit.repeats must be at least 2")
     seed = cfg["seed"]
+    family = cfg["prior.q1.kernel"]
 
+    # with prior.q1.learn=true assembly has fitted the kernel already, so
+    # the printed time covers assembly and fit
     start = time.perf_counter()
-    fit = learn_matern(work.sample, work.grid, probes=probes, seed=seed + 3,
-                       family=family)
+    work = assemble_workload(cfg)
+    fit = work.learned or _learn_q1(cfg, work)
     elapsed = (time.perf_counter() - start) * 1e3
 
     # probe-count sweep at the learned parameters: standard error of the
@@ -796,32 +783,17 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in (("run", _cmd_run), ("compare", _cmd_compare),
-                          ("fit", _cmd_fit)):
+                          ("fit", _cmd_fit), ("gen", _cmd_gen)):
         p = sub.add_parser(name)
         p.add_argument("config", help="flat key=value config file")
         p.add_argument("overrides", nargs="*",
                        help="key=value overrides applied after the file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.set_defaults(handler=handler, gen=False)
-    g = sub.add_parser("gen")
-    g.add_argument("preset", choices=_PRESETS[:2],
-                   help="problem preset to export")
-    g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--size", type=int, default=None)
-    g.set_defaults(handler=_cmd_gen, gen=True)
+        p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:
-        if args.gen:
-            pairs = {"problem.preset": args.preset, "out": args.out,
-                     "seed": args.seed}
-            if args.size is not None:
-                pairs["problem.size"] = args.size
-            cfg = resolve_config(pairs)
-        else:
-            cfg = _load_cfg(args)
-        return args.handler(cfg)
+        return args.handler(_load_cfg(args))
     except (ConfigError, ArgumentError, DefinitenessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ import pytest
 
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
-from mixkry.operators import save_matrix, save_vector
+from mixkry.operators import load_matrix, save_matrix, save_vector
 from mixkry.testproblems import read_pgm
 
 SPHERICAL_TINY = """\
@@ -129,6 +129,24 @@ def test_exit_code_bad_omega_sigma2(tmp_path, capsys, override):
     assert key.split(".")[1] in capsys.readouterr().err
 
 
+def preset_cfg(tmp_path, preset):
+    """A config for a small, quick run of each preset."""
+    if preset == "spherical":
+        return write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY)
+    if preset == "crosswell":
+        return write_cfg(tmp_path / "c.cfg", "problem.preset = crosswell\n"
+                         "problem.size = 16\nstop.max_iter = 2\n")
+    rng = np.random.default_rng(0)
+    save_matrix(tmp_path / "A.mtx", rng.standard_normal((6, 4)))
+    save_vector(tmp_path / "b.mtx", rng.standard_normal(6))
+    return write_cfg(tmp_path / "f.cfg", (
+        "problem.preset = file\n"
+        f"file.a = {tmp_path / 'A.mtx'}\n"
+        f"file.b = {tmp_path / 'b.mtx'}\n"
+        "stop.max_iter = 2\n"
+    ))
+
+
 @pytest.mark.parametrize("override", [
     "noise.sigma=nan", "noise.sigma=inf", "noise.sigma=-1", "noise.sigma=0",
     "noise.level=nan", "noise.level=inf", "noise.level=-0.1",
@@ -139,21 +157,38 @@ def test_exit_code_bad_noise(tmp_path, capsys, override):
     an unwhitened run that records the bad value (exit 0), and not a
     failure reported against b or sigma2."""
     key = override.split("=")[0]
-    if key == "noise.sigma":
-        rng = np.random.default_rng(0)
-        save_matrix(tmp_path / "A.mtx", rng.standard_normal((6, 4)))
-        save_vector(tmp_path / "b.mtx", rng.standard_normal(6))
-        cfg = write_cfg(tmp_path / "f.cfg", (
-            "problem.preset = file\n"
-            f"file.a = {tmp_path / 'A.mtx'}\n"
-            f"file.b = {tmp_path / 'b.mtx'}\n"
-            "stop.max_iter = 2\n"
-        ))
-    else:
-        cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    cfg = preset_cfg(tmp_path,
+                     "file" if key == "noise.sigma" else "spherical")
     rc = cli.main(["run", cfg, override, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, override", [
+    ("spherical", "noise.sigma=50"), ("file", "noise.level=0.05"),
+    ("crosswell", "problem.angles=8"), ("spherical", "problem.sources=3"),
+    ("spherical", "file.a=A.mtx"), ("file", "problem.size=16")])
+def test_exit_code_key_the_preset_does_not_read(tmp_path, capsys, preset,
+                                                override):
+    """A key that the chosen preset never reads is a config error (exit 2)
+    that names the key and the preset, not a run that ignores it."""
+    key = override.split("=")[0]
+    cfg = preset_cfg(tmp_path, preset)
+    rc = cli.main(["run", cfg, override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert f"problem.preset={preset}" in err
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_exit_code_negative_seed(tmp_path, capsys, command):
+    """A negative seed fails at the boundary (exit 2, naming the key), not
+    inside the random generator of the assembly."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main([command, cfg, "seed=-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_exit_code_breakdown(tmp_path, capsys):
@@ -254,7 +289,7 @@ _BLAS_PROBE = """\
 import ctypes, sys
 sys.path.insert(0, {src!r})
 from mixkry import cli
-rc = cli.main(["gen", "spherical", "--size", "16", "--out", {out!r}])
+rc = cli.main(["gen", {cfg!r}, "problem.size=16", "--out", {out!r}])
 lib = ctypes.CDLL({lib!r})
 get = lib.scipy_openblas_get_num_threads64_
 get.restype = ctypes.c_int
@@ -274,7 +309,8 @@ def test_cli_pins_one_blas_thread_unless_set(tmp_path, env_value, expect):
            if k != "OPENBLAS_NUM_THREADS"}
     if env_value is not None:
         env["OPENBLAS_NUM_THREADS"] = env_value
-    code = _BLAS_PROBE.format(src=str(Path(cli.__file__).parents[1]),
+    cfg = write_cfg(tmp_path / "g.cfg", "problem.preset = spherical\n")
+    code = _BLAS_PROBE.format(src=str(Path(cli.__file__).parents[1]), cfg=cfg,
                               out=str(tmp_path / "gen"), lib=str(libs[0]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
@@ -480,6 +516,26 @@ def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
     assert float(fields["ell_pixels"]) == pytest.approx(16.0 * ell, rel=1e-12)
 
 
+def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
+    """With prior.q1.learn=true, fit reuses the kernel that assembly learned:
+    one learn_matern call, and the same artifacts as a fit without it."""
+    learn, calls = cli.learn_matern, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "learn_matern", counted)
+    cfg = write_cfg(tmp_path / "fit.cfg",
+                    SPHERICAL_TINY + "fit.probes = 6\nfit.repeats = 4\n")
+    out = tmp_path / "out"
+    rc = cli.main(["fit", cfg, "prior.q1.learn=true", "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 1
+    for fname in ("fit.csv", "summary.txt"):
+        assert (out / fname).read_bytes() == (fit_dir / fname).read_bytes()
+
+
 def test_fit_requires_samples(tmp_path, capsys):
     save_matrix(tmp_path / "A.mtx", np.eye(4))
     save_vector(tmp_path / "b.mtx", np.ones(4))
@@ -498,7 +554,8 @@ def test_fit_requires_samples(tmp_path, capsys):
 
 def test_gen_and_file_round_trip(tmp_path):
     gen_out = tmp_path / "gen"
-    rc = cli.main(["gen", "crosswell", "--out", str(gen_out), "--size", "16"])
+    gen_cfg = write_cfg(tmp_path / "gen.cfg", "problem.preset = crosswell\n")
+    rc = cli.main(["gen", gen_cfg, "problem.size=16", "--out", str(gen_out)])
     assert rc == 0
     for fname in ("A.mtx", "b.mtx", "b_true.mtx", "s_true.mtx", "truth.pgm",
                   "summary.txt"):
@@ -529,6 +586,18 @@ def test_gen_and_file_round_trip(tmp_path):
     assert (run_out / "recon.pgm").exists()
 
 
+def test_gen_exports_configured_geometry(tmp_path):
+    """gen reads a config like run, so geometry keys reach the export: A has
+    one row per spherical-means arc, angles x circles."""
+    cfg = write_cfg(tmp_path / "g.cfg", SPHERICAL_TINY)
+    out = tmp_path / "gen"
+    rc = cli.main(["gen", cfg, "problem.angles=5", "problem.circles=6",
+                   "--out", str(out)])
+    assert rc == 0
+    assert load_matrix(out / "A.mtx").shape == (5 * 6, 16 * 16)
+    assert "m: 30" in (out / "summary.txt").read_text()
+
+
 def test_cli_override_precedence(tmp_path):
     cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
     out = tmp_path / "out"
@@ -536,3 +605,12 @@ def test_cli_override_precedence(tmp_path):
     assert rc == 0
     lines = (out / "run.csv").read_text().splitlines()
     assert len(lines) == 3  # header + two iterations
+
+
+# -- docs ----------------------------------------------------------------------------
+
+
+def test_readme_names_every_config_key():
+    """README's config table spells out every key verbatim, in backticks."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [key for key in cli._KEYS if f"`{key}`" not in text] == []
