@@ -31,6 +31,7 @@ from .operators import (
     build_kernel_operator,
     identity_operator,
     kernel_eval,
+    kernel_table,
     load_matrix,
     load_samples,
     load_vector,
@@ -70,6 +71,7 @@ from .params import (
 from .learn import (
     FitResult,
     fit_bounds,
+    frobenius_mismatch,
     hutchinson_objective,
     learn_matern,
     rademacher_probes,

@@ -203,9 +203,11 @@ def resolve_config(pairs):
         if key in cfg and not (np.isfinite(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"config key {key} must be finite and "
                               f"positive, got {cfg[key]}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"config key seed must be non-negative, "
-                          f"got {cfg['seed']}")
+    for key, least in (("seed", 0), ("problem.train_count", 2),
+                       ("fit.probes", 1), ("fit.repeats", 2)):
+        if key in cfg and cfg[key] < least:
+            raise ConfigError(f"config key {key} must be at least {least}, "
+                              f"got {cfg[key]}")
     return cfg
 
 
@@ -265,8 +267,7 @@ def _learn_q1(cfg, work):
     if family == "identity":
         raise ConfigError("learning the Q1 kernel needs a kernel family in "
                           "prior.q1.kernel")
-    return learn_matern(work.sample, work.grid, probes=cfg["fit.probes"],
-                        seed=cfg["seed"] + 3, family=family)
+    return learn_matern(work.sample, work.grid, family=family)
 
 
 def assemble_workload(cfg):
@@ -306,7 +307,11 @@ def assemble_workload(cfg):
         grid = Grid(side, side) if side * side == A.cols else None
         sigma = cfg["noise.sigma"]
         if cfg.get("file.samples"):
-            sample = sample_covariance(load_samples(cfg["file.samples"]).T)
+            cols = load_samples(cfg["file.samples"])
+            if len(cols) < 2:
+                raise ConfigError(f"file.samples must hold at least 2 "
+                                  f"samples, got {len(cols)}")
+            sample = sample_covariance(cols)
             if sample.rows != A.cols:
                 raise ConfigError("file.samples dimension does not match file.a")
         name = "file"
@@ -650,8 +655,6 @@ def _cmd_fit(cfg):
     outdir = _outdir(cfg)
     probes = cfg["fit.probes"]
     repeats = cfg["fit.repeats"]
-    if repeats < 2:
-        raise ConfigError("fit.repeats must be at least 2")
     seed = cfg["seed"]
     family = cfg["prior.q1.kernel"]
 
@@ -692,7 +695,6 @@ def _cmd_fit(cfg):
         f"prior.q1.nu={_fmt(fit.nu)}",
         f"prior.q1.ell={_fmt(fit.ell)}",
         f"objective: {_fmt(fit.objective)}",
-        f"probes: {fit.probes}",
         f"at_clamp: {','.join(clamped) or 'none'}",
         f"ell_pixels: {_fmt(fit.ell / pixel)}",
     ]

@@ -1,11 +1,12 @@
 """Fitting kernel hyperparameters to sample covariances.
 
-A stochastic Frobenius mismatch between a candidate kernel matrix and a
-low-rank sample covariance is minimized over (nu, ell).  Both covariances
-are operators, and the whole probe block goes through one ``matvec`` of
-each: the sample covariance is applied through its factor and the kernel
-by FFT, so the cost per probe is two factor products plus one
-O(n log n) kernel product.
+The Frobenius mismatch ||K(nu, ell) - Qhat||_F^2 between a grid kernel and
+a low-rank sample covariance is minimized over (nu, ell).  A grid kernel
+takes one value per pixel offset, so :func:`frobenius_mismatch` reduces
+the sample covariance once to one number per offset and then scores each
+candidate exactly in O(n), with no n x n array and no kernel operator.
+:func:`hutchinson_objective` estimates the same mismatch stochastically
+from +-1 probes; ``mixkry fit`` reports that estimate at the fitted point.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .operators import (
     KernelSpec,
     SampleFactor,
     build_kernel_operator,
+    kernel_table,
     sample_covariance,
 )
 
@@ -27,6 +29,7 @@ __all__ = [
     "fit_bounds",
     "rademacher_probes",
     "hutchinson_objective",
+    "frobenius_mismatch",
     "learn_matern",
     "rblw_gamma",
 ]
@@ -40,7 +43,6 @@ class FitResult:
     nu: float
     ell: float
     objective: float
-    probes: int
 
 
 def rademacher_probes(n, count, seed):
@@ -64,13 +66,65 @@ def hutchinson_objective(spec, grid, sample, probes):
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
 
+def frobenius_mismatch(grid, samples):
+    """``spec -> ||K(spec) - Qhat||_F^2`` for kernels on ``grid`` against
+    the sample covariance Qhat of ``samples`` (snapshots or their
+    :class:`SampleFactor`), exactly.
+
+    K takes the value kappa(i, j) of :func:`kernel_table` on every pixel
+    pair i rows and j columns apart, a class of w(i, j) ordered pairs.  With
+    a(i, j) the sum of Qhat over the class,
+
+        ||K - Qhat||_F^2 = sum w (kappa - a / w)^2 + ||Qhat - Pi Qhat||_F^2,
+
+    where Pi Qhat averages Qhat over each class.  The first sum has no
+    cancellation, and the second does not depend on the kernel: it is
+    computed once, as ||Qhat||_F^2 - sum a^2 / w floored at 0, with an
+    absolute rounding of order eps ||Qhat||_F^2.  a is the autocorrelation
+    of the sample images summed over samples and folded over the four signs
+    of each offset; it comes from one zero-padded ``rfft2`` per sample,
+    accumulated so that no temporary exceeds O(n).  A score then costs one
+    kernel table and O(n) arithmetic.
+    """
+    sample = (samples if isinstance(samples, SampleFactor)
+              else sample_covariance(samples))
+    if sample.rows != grid.n:
+        raise ArgumentError("sample dimension does not match the grid")
+    ny, nx = grid.ny, grid.nx
+    pad = (2 * ny, 2 * nx)
+    power = np.zeros((2 * ny, nx + 1))
+    for col in sample.factor.T:
+        f = np.fft.rfft2(col.reshape(ny, nx), s=pad)
+        power += f.real * f.real + f.imag * f.imag
+    corr = np.fft.irfft2(power, s=pad)
+    # fold offsets -i and -j (rows 2 ny - i, columns 2 nx - j) onto i and j
+    rows = corr[:ny]
+    rows[1:] += corr[:ny:-1]
+    a = rows[:, :nx]
+    a[:, 1:] += rows[:, :nx:-1]
+    # ordered pixel pairs per class: ny - i row placements, doubled for the
+    # two signs of a nonzero offset, times the same for columns
+    wy, wx = 2.0 * (ny - np.arange(ny)), 2.0 * (nx - np.arange(nx))
+    wy[0], wx[0] = ny, nx
+    w = np.outer(wy, wx)
+    mean = a / w
+    gram = sample.factor.T @ sample.factor
+    spread = max(float(np.sum(gram * gram)) - float(np.sum(a * mean)), 0.0)
+
+    def mismatch(spec):
+        d = kernel_table(spec, grid) - mean
+        return float(np.sum(w * (d * d))) + spread
+
+    return mismatch
+
+
 def fit_bounds(grid):
     """``((nu_lo, nu_hi), (ell_lo, ell_hi))``, the box :func:`learn_matern`
     searches; ell is in the grid's kernel length units."""
     return (0.1, 10.0), (1e-3, grid.diameter())
 
 
-def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
+def learn_matern(samples, grid, family="matern"):
     """Learn (nu, ell) for a kernel family against sample snapshots.
 
     Deterministic.  A 7 x 9 log grid over nu in [0.1, 10] and ell in
@@ -78,17 +132,11 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
     3 x 3 stencil in (log nu, log ell) centred on the best point so far,
     clipped to the box and deduplicated, with both steps starting at half a
     grid step and halving at each level; the centre, already scored, is
-    skipped.  The same probe matrix is reused for every candidate, so
-    objective values are directly comparable across the search, and the
-    returned ``objective`` is the one scored at the returned (nu, ell).
-    Ties keep the point scored first.
+    skipped.  Every candidate is scored by the exact mismatch of
+    :func:`frobenius_mismatch`, and the returned ``objective`` is the one
+    scored at the returned (nu, ell).  Ties keep the point scored first.
     """
-    sample = samples if isinstance(samples, SampleFactor) else sample_covariance(samples)
-    if sample.rows != grid.n:
-        raise ArgumentError("sample dimension does not match the grid")
-    if probes < 1:
-        raise ArgumentError("need at least one probe")
-    xi = rademacher_probes(grid.n, probes, seed)
+    mismatch = frobenius_mismatch(grid, samples)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     lo, hi = np.array([nu_lo, ell_lo]), np.array([nu_hi, ell_hi])
@@ -97,8 +145,7 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
 
     def score(nu, ell, x):
         nonlocal best
-        spec = KernelSpec(family=family, nu=nu, ell=ell)
-        val = hutchinson_objective(spec, grid, sample, xi)
+        val = mismatch(KernelSpec(family=family, nu=nu, ell=ell))
         if not np.isfinite(val):
             val = np.inf
         if best is None or val < best[0]:
@@ -128,8 +175,7 @@ def learn_matern(samples, grid, probes=20, seed=0, family="matern"):
             nu, ell = np.clip(np.exp(x), lo, hi)
             score(float(nu), float(ell), x)
         h = h / 2.0
-    return FitResult(nu=best[1], ell=best[2], objective=best[0],
-                     probes=probes)
+    return FitResult(nu=best[1], ell=best[2], objective=best[0])
 
 
 def rblw_gamma(sample):

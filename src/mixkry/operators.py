@@ -36,6 +36,7 @@ __all__ = [
     "KernelSpec",
     "KernelOperator",
     "kernel_eval",
+    "kernel_table",
     "build_kernel_operator",
     "SampleFactor",
     "sample_covariance",
@@ -361,19 +362,30 @@ def _circulant_apply(ny, nx, spectrum):
     return apply
 
 
-def build_kernel_operator(spec, grid):
-    """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
+def kernel_table(spec, grid):
+    """kappa on the ny x nx table of grid offsets.
 
-    kappa is evaluated once on the ny x nx table of grid offsets, with a unit
-    value at offset zero; the returned :class:`KernelOperator` applies K by
-    FFT in O(n log n) time and O(n) memory, at any grid size.
+    Entry (i, j) is the kernel between two pixels i rows and j columns
+    apart, and entry (0, 0) is exactly 1.  Every entry of the grid's kernel
+    matrix is one of these values.
     """
     hx, hy = grid.spacing
     s = grid.scale
-    ny, nx = grid.ny, grid.nx
-    t = kernel_eval(spec, np.hypot(np.arange(ny)[:, None] * (hy * s),
-                                   np.arange(nx)[None, :] * (hx * s)))
+    t = kernel_eval(spec, np.hypot(np.arange(grid.ny)[:, None] * (hy * s),
+                                   np.arange(grid.nx)[None, :] * (hx * s)))
     t[0, 0] = 1.0
+    return t
+
+
+def build_kernel_operator(spec, grid):
+    """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
+
+    kappa is evaluated once, by :func:`kernel_table`; the returned
+    :class:`KernelOperator` applies K by FFT in O(n log n) time and O(n)
+    memory, at any grid size.
+    """
+    ny, nx = grid.ny, grid.nx
+    t = kernel_table(spec, grid)
     # even extension: entry (i, j) holds the kernel at offset
     # (min(i, 2 ny - i), min(j, 2 nx - j)); the rows and columns at ny and nx
     # are never reached by a cropped product and stay zero

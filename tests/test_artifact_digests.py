@@ -69,7 +69,7 @@ def test_summary_one_line_per_fit_directory(monkeypatch, capsys, tmp_path):
         "nu": summary[3].split("prior.q1.nu=")[1],
         "ell": summary[4].split("prior.q1.ell=")[1],
         "objective": summary[5].split("objective: ")[1],
-        "at_clamp": summary[7].split("at_clamp: ")[1],
+        "at_clamp": summary[6].split("at_clamp: ")[1],
     }
     assert lines[1].split()[1].startswith("k=")
 

@@ -10,7 +10,8 @@ import pytest
 
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
-from mixkry.operators import load_matrix, save_matrix, save_vector
+from mixkry.learn import frobenius_mismatch
+from mixkry.operators import KernelSpec, load_matrix, save_matrix, save_vector
 from mixkry.testproblems import read_pgm
 
 SPHERICAL_TINY = """\
@@ -500,20 +501,117 @@ def test_fit_summary_paste_ready(fit_dir):
     assert 0.1 <= float(nu_line.split("=")[1]) <= 10.0
 
 
+def summary_fields(outdir):
+    return dict(l.split("=", 1) if "=" in l else l.split(": ", 1)
+                for l in (outdir / "summary.txt").read_text().splitlines())
+
+
 def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
     """summary.txt names a parameter left on the edge of the fit box and
     states ell in pixels (a 16 x 16 grid spans the unit square)."""
-    fields = dict(l.split("=", 1) if "=" in l else l.split(": ", 1)
-                  for l in (fit_dir / "summary.txt").read_text().splitlines())
+    fields = summary_fields(fit_dir)
     nu, ell = float(fields["prior.q1.nu"]), float(fields["prior.q1.ell"])
     at_clamp = set(fields["at_clamp"].split(","))
-    # nine training images drive ell to its lower bound, 1e-3
-    assert at_clamp == {"ell"}
     assert ("nu" in at_clamp) == any(
         nu == pytest.approx(v, rel=1e-9) for v in (0.1, 10.0))
     assert ("ell" in at_clamp) == any(
         ell == pytest.approx(v, rel=1e-9) for v in (1e-3, np.sqrt(2.0)))
+    assert at_clamp == {"none"} or "none" not in at_clamp
     assert float(fields["ell_pixels"]) == pytest.approx(16.0 * ell, rel=1e-12)
+
+
+def test_fit_ladder_estimates_the_minimized_mismatch(tmp_path):
+    """On spherical-16 the fit minimizes the exact mismatch, and fit.csv's
+    Hutchinson ladder estimates that same value at the learned (nu, ell):
+    each rung's mean lies within 3 standard errors of it."""
+    text = ("problem.preset = spherical\nproblem.size = 16\n"
+            "problem.train_count = 49\nseed = 101\n")
+    out = tmp_path / "out"
+    assert cli.main(["fit", write_cfg(tmp_path / "f.cfg", text),
+                     "--out", str(out)]) == 0
+    fields = summary_fields(out)
+    work = cli.assemble_workload(cli.resolve_config(cli.read_config(
+        tmp_path / "f.cfg")))
+    spec = KernelSpec(family="matern", nu=float(fields["prior.q1.nu"]),
+                      ell=float(fields["prior.q1.ell"]))
+    exact = frobenius_mismatch(work.grid, work.sample)(spec)
+    assert float(fields["objective"]) == exact
+    rows = [line.split(",")
+            for line in (out / "fit.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for _, _, mean, se in rows:
+        assert abs(float(mean) - exact) <= 3.0 * float(se)
+
+
+def file_cfg(tmp_path, samples, extra=""):
+    """A file-preset config on a 4 x 4 grid with the given sample columns."""
+    rng = np.random.default_rng(0)
+    save_matrix(tmp_path / "A.mtx", rng.standard_normal((6, 16)))
+    save_vector(tmp_path / "b.mtx", rng.standard_normal(6))
+    save_matrix(tmp_path / "samples.mtx", samples)
+    return write_cfg(tmp_path / "f.cfg", (
+        "problem.preset = file\n"
+        f"file.a = {tmp_path / 'A.mtx'}\n"
+        f"file.b = {tmp_path / 'b.mtx'}\n"
+        f"file.samples = {tmp_path / 'samples.mtx'}\n"
+        "prior.q1.kernel = matern\n"
+        "stop.max_iter = 2\n" + extra
+    ))
+
+
+def test_fit_flat_samples_clamp_both_parameters(tmp_path):
+    """Identical samples give Qhat = 0, so the mismatch is the kernel mass
+    alone.  It is least, and ties at 0 off the diagonal for every nu, at
+    the smallest ell: the fit stops in the (nu, ell) corner and says so."""
+    cfg = file_cfg(tmp_path, np.ones((16, 3)))
+    rc = cli.main(["fit", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    fields = summary_fields(tmp_path / "out")
+    assert fields["at_clamp"] == "nu,ell"
+    assert float(fields["prior.q1.nu"]) == pytest.approx(0.1)
+    assert float(fields["prior.q1.ell"]) == pytest.approx(1e-3)
+    assert float(fields["objective"]) == 16.0
+
+
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_file_samples_feed_the_sample_prior(tmp_path, command):
+    """file.samples holds one sample per column; run uses it as Q2 and fit
+    learns the Q1 kernel from it."""
+    rng = np.random.default_rng(1)
+    cfg = file_cfg(tmp_path, rng.standard_normal((16, 5)),
+                   "prior.q2.source = samples\n")
+    rc = cli.main([command, cfg, "--out", str(tmp_path / "out")])
+    assert rc == 0
+    if command == "fit":
+        assert summary_fields(tmp_path / "out")["samples"] == "5"
+
+
+@pytest.mark.parametrize("command", ["run", "fit"])
+def test_exit_code_one_training_sample(tmp_path, capsys, command):
+    """One training image, or a file.samples with one sample, has a zero
+    sample covariance: exit 2 naming the key, not a run or fit on it."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main([command, cfg, "problem.train_count=1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "problem.train_count" in capsys.readouterr().err
+    cfg = file_cfg(tmp_path, np.arange(16.0)[:, None])
+    rc = cli.main([command, cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "file.samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["fit.probes=0", "fit.repeats=1"])
+def test_exit_code_bad_fit_ladder(tmp_path, capsys, override):
+    """fit.probes below 1 or fit.repeats below 2 fails when the config is
+    read (exit 2, naming the key), before any assembly."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    with pytest.raises(ConfigError, match=override.split("=")[0]):
+        cli.resolve_config({**cli.read_config(cfg),
+                            override.split("=")[0]: override.split("=")[1]})
+    rc = cli.main(["fit", cfg, override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert override.split("=")[0] in capsys.readouterr().err
 
 
 def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):

@@ -1,4 +1,5 @@
-"""Kernel-parameter fitting: probes, mismatch estimator, and shrinkage."""
+"""Kernel-parameter fitting: probes, the mismatch and its estimator, and
+shrinkage."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import mixkry.learn
 from helpers import dense_kernel
 from mixkry.errors import ArgumentError, DegenerateDataError
-from mixkry.learn import (fit_bounds, hutchinson_objective, learn_matern,
+from mixkry.learn import (fit_bounds, frobenius_mismatch,
+                          hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
 from mixkry.operators import (Grid, KernelSpec, SampleFactor,
                               sample_covariance)
@@ -134,6 +136,55 @@ def test_estimator_counts_factor_applications():
     assert seen == [(6, 25)]
 
 
+# -- exact mismatch ---------------------------------------------------------------
+
+
+FAMILIES = ("squared-exponential", "matern", "gamma-exponential",
+            "rational-quadratic", "sinc")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), family=st.sampled_from(FAMILIES),
+       nx=st.integers(1, 7), ny=st.integers(1, 7),
+       hx=st.floats(0.2, 5.0), hy=st.floats(0.2, 5.0),
+       count=st.integers(2, 20), nu=st.floats(0.1, 10.0),
+       ell=st.floats(1e-3, 2.0), gamma_exp=st.floats(0.1, 2.0))
+def test_frobenius_mismatch_matches_dense(seed, family, nx, ny, hx, hy, count,
+                                          nu, ell, gamma_exp):
+    """The offset-table mismatch equals the dense ||K - Qhat||_F^2 to
+    1e-12 relative, for every family and on anisotropic grids."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(nx, ny, spacing=(hx, hy))
+    sample = sample_covariance(list(rng.standard_normal((count, grid.n))))
+    spec = KernelSpec(family=family, nu=nu, ell=ell, gamma_exp=gamma_exp)
+    Qhat = sample.factor @ sample.factor.T
+    exact = float(np.sum((dense_kernel(spec, grid) - Qhat) ** 2))
+    assert frobenius_mismatch(grid, sample)(spec) == pytest.approx(
+        exact, rel=1e-12, abs=0.0)
+
+
+def test_frobenius_mismatch_vanishes_when_sample_is_the_kernel():
+    """Qhat = K (factor = Cholesky of K): the mismatch is non-negative and
+    at rounding level of ||K||_F^2."""
+    grid = Grid(5, 4, spacing=(1.0, 2.0))
+    spec = KernelSpec(family="matern", nu=1.5, ell=0.4)
+    K = dense_kernel(spec, grid)
+    sample = SampleFactor(np.linalg.cholesky(K), np.zeros(grid.n))
+    val = frobenius_mismatch(grid, sample)(spec)
+    assert 0.0 <= val <= 1e-12 * float(np.sum(K * K))
+
+
+def test_frobenius_mismatch_takes_snapshots_or_their_factor():
+    rng = np.random.default_rng(6)
+    grid = Grid(3, 2)
+    X = list(rng.standard_normal((4, grid.n)))
+    spec = KernelSpec(family="matern", nu=0.7, ell=0.3)
+    assert (frobenius_mismatch(grid, X)(spec)
+            == frobenius_mismatch(grid, sample_covariance(X))(spec))
+    with pytest.raises(ArgumentError):
+        frobenius_mismatch(grid, [np.zeros(5), np.ones(5)])
+
+
 # -- hyperparameter search -------------------------------------------------------
 
 
@@ -146,86 +197,82 @@ def test_learn_recovers_correlation_length():
     K_true = kernel_dense("matern", 0.5, 0.2, grid)
     L = np.linalg.cholesky(K_true + 1e-12 * np.eye(n))
     X = (L @ rng.standard_normal((n, 500))).T
-    res = learn_matern(list(X), grid, probes=20, seed=0)
+    res = learn_matern(list(X), grid)
     assert abs(res.ell - 0.2) / 0.2 <= 0.25
     assert 0.1 <= res.nu <= 10.0
     assert np.isfinite(res.objective)
-    assert res.probes == 20
 
 
 def test_learn_zero_sample_hits_smallest_correlation_corner():
     """No variation in the data: the objective is the kernel mass alone,
-    minimized at the smallest (nu, ell) cell of the box.
-
-    Kernel mass is monotone in ell for the exact Frobenius norm; the
-    estimate shares the argmin whenever the probes' empirical sign
-    correlation is nonnegative (seed 1 here), since the cross term then
-    only adds mass.  On this two-point grid that makes the corner exact.
-    """
+    ||K||_F^2, which is smallest where the off-diagonal kernel vanishes.
+    At ell = 1e-3 every nu underflows it to 0 on this two-point grid, and
+    the tie keeps the first cell scored, the smallest (nu, ell) corner."""
     grid = Grid(2, 1)
     flat = [np.full(grid.n, 3.0)] * 4
-    res = learn_matern(flat, grid, probes=10, seed=1)
+    res = learn_matern(flat, grid)
     assert res.ell == pytest.approx(1e-3)
     assert res.nu == pytest.approx(0.1)
-    assert res.objective == pytest.approx(grid.n)
-
-    # dense-oracle version of the same statement, no Monte-Carlo noise
-    ells = np.logspace(-3, np.log10(grid.diameter()), 9)
-    mass = [np.sum(kernel_dense("matern", 0.1, e, grid) ** 2) for e in ells]
-    assert np.argmin(mass) == 0
+    assert res.objective == grid.n
 
 
 def test_learn_deterministic():
     rng = np.random.default_rng(14)
     grid = Grid(4, 4)
     X = list(rng.standard_normal((60, 16)))
-    r1 = learn_matern(X, grid, probes=8, seed=2)
-    r2 = learn_matern(X, grid, probes=8, seed=2)
+    r1 = learn_matern(X, grid)
+    r2 = learn_matern(X, grid)
     assert (r1.nu, r1.ell, r1.objective) == (r2.nu, r2.ell, r2.objective)
 
 
-def test_learn_probe_doubling_is_stable():
-    """Doubling the probe count moves the fitted objective only within its
-    Monte-Carlo band, not structurally."""
-    rng = np.random.default_rng(15)
-    grid = Grid(6, 6)
-    K_true = kernel_dense("matern", 1.5, 0.3, grid)
-    L = np.linalg.cholesky(K_true + 1e-12 * np.eye(grid.n))
-    X = list((L @ rng.standard_normal((grid.n, 300))).T)
-    r1 = learn_matern(X, grid, probes=20, seed=3)
-    r2 = learn_matern(X, grid, probes=40, seed=3)
-    assert r2.objective == pytest.approx(r1.objective, rel=0.25)
-    assert r2.ell == pytest.approx(r1.ell, rel=0.5)
+def test_learn_scores_kernel_tables_only(monkeypatch):
+    """A fit builds no kernel operator: each candidate costs one kernel
+    table, at most 63 grid cells plus 8 zoom levels of 8 points."""
+    rng = np.random.default_rng(3)
+    grid = Grid(6, 5)
+    X = list(rng.standard_normal((12, grid.n)))
+    builds, tables = [], []
+    table = mixkry.learn.kernel_table
+
+    def counted_table(spec, g):
+        tables.append(spec)
+        return table(spec, g)
+
+    monkeypatch.setattr(mixkry.learn, "build_kernel_operator",
+                        lambda *args: builds.append(args))
+    monkeypatch.setattr(mixkry.learn, "kernel_table", counted_table)
+    learn_matern(X, grid)
+    assert builds == []
+    assert 63 < len(tables) <= 127
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1), nx=st.integers(2, 6),
-       ny=st.integers(2, 6), count=st.integers(2, 30),
-       probes=st.integers(1, 12))
-def test_learn_search_properties(seed, nx, ny, count, probes):
+       ny=st.integers(2, 6), count=st.integers(2, 30))
+def test_learn_search_properties(seed, nx, ny, count):
     """On random snapshots the search returns a point inside its box that
-    scores no worse than the best 7 x 9 grid cell, with the objective of
-    that very point under the same probes, deterministically; the zoom
-    scores at most 8 new points per level and never re-scores a centre."""
+    scores no worse than the best 7 x 9 grid cell, with the exact mismatch
+    of that very point, deterministically; the zoom scores at most 8 new
+    points per level and never re-scores a centre."""
     rng = np.random.default_rng(seed)
     grid = Grid(nx, ny)
     X = list(rng.standard_normal((count, grid.n)))
     sample = sample_covariance(X)
-    xi = rademacher_probes(grid.n, probes, seed)
+    mismatch = frobenius_mismatch(grid, sample)
 
     def objective(nu, ell):
-        return hutchinson_objective(KernelSpec(family="matern", nu=nu,
-                                               ell=ell), grid, sample, xi)
+        return mismatch(KernelSpec(family="matern", nu=nu, ell=ell))
 
     scored = []
+    table = mixkry.learn.kernel_table
 
-    def recording(spec, *args):
+    def recording(spec, g):
         scored.append((spec.nu, spec.ell))
-        return hutchinson_objective(spec, *args)
+        return table(spec, g)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mixkry.learn, "hutchinson_objective", recording)
-        res = learn_matern(X, grid, probes=probes, seed=seed)
+        mp.setattr(mixkry.learn, "kernel_table", recording)
+        res = learn_matern(X, grid)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     assert nu_lo <= res.nu <= nu_hi and ell_lo <= res.ell <= ell_hi
@@ -237,7 +284,7 @@ def test_learn_search_properties(seed, nx, ny, count, probes):
     assert res.objective == objective(res.nu, res.ell)
     assert 63 < len(scored) <= 63 + 8 * 8
     assert scored.count((res.nu, res.ell)) == 1
-    again = learn_matern(X, grid, probes=probes, seed=seed)
+    again = learn_matern(X, grid)
     assert (again.nu, again.ell, again.objective) == (res.nu, res.ell,
                                                       res.objective)
 
@@ -246,8 +293,6 @@ def test_learn_validation():
     grid = Grid(3, 3)
     with pytest.raises(ArgumentError):
         learn_matern([np.zeros(5)], grid)
-    with pytest.raises(ArgumentError):
-        learn_matern([np.zeros(9), np.ones(9)], grid, probes=0)
 
 
 # -- shrinkage weight -------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import mixkry
 from mixkry.cli import Workload
-from mixkry.learn import FitResult
+from mixkry.learn import FitResult, learn_matern
 from mixkry.mixgk import (MixGKState, _gs_append, qr_append_update,
                           qr_recompute)
 from mixkry.operators import KernelOperator, LinearOperator, SampleFactor
@@ -47,12 +47,15 @@ RETIRED_FIELDS = (
     (Workload, "mask"),
     (TomoProblem, "meta"),
     (FitResult, "seed"),
+    (FitResult, "probes"),
 )
 
 RETIRED_PARAMS = (
     (qr_append_update, "rank_tol"),
     (qr_recompute, "rank_tol"),
     (_gs_append, "rank_tol"),
+    (learn_matern, "probes"),
+    (learn_matern, "seed"),
 )
 
 

@@ -80,6 +80,8 @@ RUNS = (
         ("sph32-compare-gamma", "compare", SPHERICAL,
          ["select.gamma=0.5", "compare.variants=mix,q1,identity"]),
         ("sph16-fit", "fit", SPHERICAL, ["problem.size=16"]),
+        ("sph16-run-learn", "run", SPHERICAL,
+         ["problem.size=16", "prior.q1.learn=true"]),
     ]
 )
 
