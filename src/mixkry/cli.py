@@ -33,6 +33,7 @@ from .learn import (fit_bounds, hutchinson_objective, learn_matern,
                     rademacher_probes, rblw_gamma)
 from .mixgk import mixgk_init, mixgk_step
 from .operators import (
+    FAMILY_PARAMS,
     Grid,
     KernelSpec,
     LinearOperator,
@@ -199,10 +200,13 @@ def resolve_config(pairs):
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             raise ConfigError(f"config key {key} must be one of {allowed}")
+    for key, value in cfg.items():
+        if _KEYS[key][0] is float and not np.isfinite(value):
+            raise ConfigError(f"config key {key} must be finite, got {value}")
     for key in ("noise.level", "noise.sigma"):
-        if key in cfg and not (np.isfinite(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"config key {key} must be finite and "
-                              f"positive, got {cfg[key]}")
+        if key in cfg and not cfg[key] > 0:
+            raise ConfigError(f"config key {key} must be positive, "
+                              f"got {cfg[key]}")
     for key, least in (("seed", 0), ("problem.train_count", 2),
                        ("fit.probes", 1), ("fit.repeats", 2)):
         if key in cfg and cfg[key] < least:
@@ -618,10 +622,12 @@ def _parse_variants(cfg):
     tags = [t.strip() for t in cfg["compare.variants"].split(",") if t.strip()]
     if not tags:
         raise ConfigError("compare.variants is empty")
-    for tag in tags:
+    for i, tag in enumerate(tags):
         if tag not in _VARIANTS:
             raise ConfigError(
                 f"unknown compare variant {tag!r}; allowed: {_VARIANTS}")
+        if tag in tags[:i]:
+            raise ConfigError(f"compare.variants names {tag!r} twice")
     return tags
 
 
@@ -668,6 +674,7 @@ def _cmd_fit(cfg):
     # probe-count sweep at the learned parameters: standard error of the
     # mismatch estimate shrinks as the probe count grows
     spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu)
+    kernel = build_kernel_operator(spec, work.grid)
     ladder = sorted({max(2, probes // 4), probes, 4 * probes})
     sweep = []
     for mi, count in enumerate(ladder):
@@ -675,18 +682,21 @@ def _cmd_fit(cfg):
         for rep in range(repeats):
             xi = rademacher_probes(work.grid.n, count,
                                    seed + 1000 * (mi + 1) + rep)
-            vals.append(hutchinson_objective(spec, work.grid, work.sample, xi))
+            vals.append(hutchinson_objective(spec, work.grid, work.sample, xi,
+                                             kernel=kernel))
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(repeats))
         sweep.append((count, repeats, mean, se))
     _write_csv(outdir / "fit.csv",
                ("probes", "repeats", "mean_objective", "se_objective"), sweep)
-    # a fit on the edge of its box, or with ell below one pixel, says so
+    # a fit on the edge of its box, or with ell below one pixel, says so;
+    # a parameter the family does not read is never reported
     clamped = [name for name, value, box in zip(("nu", "ell"),
                                                 (fit.nu, fit.ell),
                                                 fit_bounds(work.grid))
-               if np.isclose(np.log(value), np.log(box), rtol=0.0,
-                             atol=1e-9).any()]
+               if name in FAMILY_PARAMS[family]
+               and np.isclose(np.log(value), np.log(box), rtol=0.0,
+                              atol=1e-9).any()]
     pixel = min(work.grid.spacing) * work.grid.scale
     summary = [
         f"problem: {work.name}",

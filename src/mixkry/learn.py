@@ -4,9 +4,12 @@ The Frobenius mismatch ||K(nu, ell) - Qhat||_F^2 between a grid kernel and
 a low-rank sample covariance is minimized over (nu, ell).  A grid kernel
 takes one value per pixel offset, so :func:`frobenius_mismatch` reduces
 the sample covariance once to one number per offset and then scores each
-candidate exactly in O(n), with no n x n array and no kernel operator.
+candidate exactly in O(n), with no n x n array and no kernel operator:
+one :func:`~mixkry.operators.kernel_table`, which evaluates kappa once per
+distinct offset distance, and O(n) arithmetic.
 :func:`hutchinson_objective` estimates the same mismatch stochastically
-from +-1 probes; ``mixkry fit`` reports that estimate at the fitted point.
+from +-1 probes; ``mixkry fit`` reports that estimate at the fitted point,
+with one kernel operator for all of its estimates.
 """
 
 from __future__ import annotations
@@ -53,15 +56,21 @@ def rademacher_probes(n, count, seed):
     return rng.integers(0, 2, size=(n, count)).astype(float) * 2.0 - 1.0
 
 
-def hutchinson_objective(spec, grid, sample, probes):
+def hutchinson_objective(spec, grid, sample, probes, *, kernel=None):
     """Mean squared probe norm of (K(spec) - Qhat), an unbiased Frobenius
-    estimate of the kernel/sample mismatch."""
+    estimate of the kernel/sample mismatch.
+
+    ``kernel`` is K(spec) on ``grid`` when the caller has built it already,
+    as ``mixkry fit`` does once for all the estimates of its ladder; by
+    default it is built here.
+    """
     probes = np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[0] != grid.n:
         raise ArgumentError("probes must be n x M")
     if not np.all(np.abs(probes) == 1.0):
         raise ArgumentError("probes must be +-1 entries")
-    kernel = build_kernel_operator(spec, grid)
+    if kernel is None:
+        kernel = build_kernel_operator(spec, grid)
     diff = kernel.matvec(probes) - sample.matvec(probes)
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
@@ -84,7 +93,8 @@ def frobenius_mismatch(grid, samples):
     of the sample images summed over samples and folded over the four signs
     of each offset; it comes from one zero-padded ``rfft2`` per sample,
     accumulated so that no temporary exceeds O(n).  A score then costs one
-    kernel table and O(n) arithmetic.
+    kernel table, kappa at each distinct offset distance, and O(n)
+    arithmetic.
     """
     sample = (samples if isinstance(samples, SampleFactor)
               else sample_covariance(samples))

@@ -16,6 +16,7 @@ O(n) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,9 @@ class Grid:
         hx, hy = self.spacing
         if hx <= 0 or hy <= 0:
             raise ArgumentError("grid spacing must be positive")
+        # a tuple of floats keeps the grid hashable, so kernel_table can
+        # cache its offset distances per grid
+        object.__setattr__(self, "spacing", (float(hx), float(hy)))
 
     @property
     def n(self):
@@ -206,23 +210,24 @@ class Grid:
         return float(np.hypot(self.nx * hx * s, self.ny * hy * s))
 
 
-_FAMILIES = (
-    "squared-exponential",
-    "matern",
-    "gamma-exponential",
-    "rational-quadratic",
-    "sinc",
-)
+# kernel family -> the shape parameters its profile reads
+FAMILY_PARAMS = {
+    "squared-exponential": ("ell",),
+    "matern": ("nu", "ell"),
+    "gamma-exponential": ("ell",),
+    "rational-quadratic": ("nu", "ell"),
+    "sinc": ("nu",),
+}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Isotropic covariance kernel family with its shape parameters.
 
-    ``ell`` is the length scale (unused by ``sinc``), ``nu`` the smoothness
-    or shape parameter (unused by ``squared-exponential`` and
-    ``gamma-exponential``), and ``gamma_exp`` the exponent of the
-    gamma-exponential family.
+    ``ell`` is the length scale and ``nu`` the smoothness or shape
+    parameter; :data:`FAMILY_PARAMS` lists which of the two each family
+    reads.  ``gamma_exp`` is the exponent of the gamma-exponential family.
+    Every parameter must be finite.
     """
 
     family: str
@@ -231,13 +236,19 @@ class KernelSpec:
     gamma_exp: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILY_PARAMS:
             raise ParameterDomainError(
-                f"unknown kernel family {self.family!r}; choose from {_FAMILIES}"
+                f"unknown kernel family {self.family!r}; choose from "
+                f"{tuple(FAMILY_PARAMS)}"
             )
+        for name in ("ell", "nu", "gamma_exp"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterDomainError(
+                    f"kernel parameter {name} must be finite, got "
+                    f"{getattr(self, name)}")
         if not self.ell > 0:
             raise ParameterDomainError("kernel length scale ell must be positive")
-        if self.family in ("matern", "rational-quadratic", "sinc") and not self.nu > 0:
+        if "nu" in FAMILY_PARAMS[self.family] and not self.nu > 0:
             raise ParameterDomainError(f"{self.family} kernel requires nu > 0")
         if self.family == "gamma-exponential" and not 0 < self.gamma_exp <= 2:
             raise ParameterDomainError("gamma-exponential exponent must lie in (0, 2]")
@@ -362,17 +373,39 @@ def _circulant_apply(ny, nx, spectrum):
     return apply
 
 
+@lru_cache(maxsize=8)
+def _offset_distances(grid):
+    """The sorted distinct distances of the grid's ny x nx offset table and
+    the ny x nx index that maps them back, both read-only.
+
+    Offsets (i, j) and (j, i) share a distance on a square grid with equal
+    spacing, as do other offsets on one circle, so far fewer distances than
+    offsets remain: 120 of 256 at 16 x 16 and 5,853 of 16,384 at
+    128 x 128.
+    """
+    hx, hy = grid.spacing
+    s = grid.scale
+    dist, where = np.unique(np.hypot(np.arange(grid.ny)[:, None] * (hy * s),
+                                     np.arange(grid.nx)[None, :] * (hx * s)),
+                            return_inverse=True)
+    where = where.reshape(grid.ny, grid.nx)
+    dist.flags.writeable = False
+    where.flags.writeable = False
+    return dist, where
+
+
 def kernel_table(spec, grid):
     """kappa on the ny x nx table of grid offsets.
 
     Entry (i, j) is the kernel between two pixels i rows and j columns
     apart, and entry (0, 0) is exactly 1.  Every entry of the grid's kernel
-    matrix is one of these values.
+    matrix is one of these values.  kappa is elementwise in the distance,
+    so it is evaluated once per distinct offset distance (cached per grid)
+    and scattered back; the table equals kappa over every offset bit for
+    bit.
     """
-    hx, hy = grid.spacing
-    s = grid.scale
-    t = kernel_eval(spec, np.hypot(np.arange(grid.ny)[:, None] * (hy * s),
-                                   np.arange(grid.nx)[None, :] * (hx * s)))
+    dist, where = _offset_distances(grid)
+    t = kernel_eval(spec, dist)[where]
     t[0, 0] = 1.0
     return t
 

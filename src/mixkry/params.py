@@ -108,8 +108,9 @@ class StoppingPolicy:
     def __post_init__(self):
         if self.max_iter < 1 or self.window < 2:
             raise ArgumentError("max_iter >= 1 and window >= 2 required")
-        if self.flat_tol <= 0 or self.residual_tol < 0:
-            raise ArgumentError("tolerances must be positive")
+        if not (0 < self.flat_tol < np.inf and 0 <= self.residual_tol < np.inf):
+            raise ArgumentError("tolerances must be finite, with flat_tol > 0 "
+                                "and residual_tol >= 0")
 
 
 @dataclass

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mixkry.learn
+import mixkry.operators
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.learn import frobenius_mismatch
-from mixkry.operators import KernelSpec, load_matrix, save_matrix, save_vector
+from mixkry.operators import (FAMILY_PARAMS, KernelSpec, load_matrix,
+                              save_matrix, save_vector)
 from mixkry.testproblems import read_pgm
 
 SPHERICAL_TINY = """\
@@ -180,6 +183,31 @@ def test_exit_code_key_the_preset_does_not_read(tmp_path, capsys, preset,
     err = capsys.readouterr().err
     assert key in err
     assert f"problem.preset={preset}" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset, override", [
+    ("spherical", "prior.q1.nu=inf"), ("spherical", "prior.q1.ell=inf"),
+    ("spherical", "prior.q1.ell=-inf"), ("spherical", "prior.q1.nu=nan"),
+    ("spherical", "prior.q1.gamma_exp=inf"), ("crosswell", "prior.q2.nu=inf"),
+    ("crosswell", "prior.q2.ell=nan"), ("spherical", "stop.flat_tol=nan"),
+    ("spherical", "stop.residual_tol=nan"), ("spherical", "stop.flat_tol=inf"),
+    ("crosswell", "stop.residual_tol=inf")])
+def test_exit_code_non_finite_key(tmp_path, capsys, monkeypatch, preset,
+                                  override):
+    """A non-finite kernel parameter or stopping tolerance is a config error
+    (exit 2) that names the key before any kernel is evaluated: no warning
+    from the Bessel profile's logarithms, no NaN blamed on the data later,
+    and no run with its stopping rule silently switched off."""
+    def evaluated(*args):
+        raise AssertionError("a kernel was evaluated")
+
+    monkeypatch.setattr(mixkry.operators, "kernel_eval", evaluated)
+    key = override.split("=")[0]
+    rc = cli.main(["run", preset_cfg(tmp_path, preset), override,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])
@@ -457,6 +485,20 @@ def test_compare_rejects_unknown_variant(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_compare_rejects_duplicate_variant(tmp_path, capsys):
+    """A variant named twice would run twice into one directory and write
+    two compare.csv rows: exit 2 naming the key, before any run."""
+    cfg = write_cfg(tmp_path / "c.cfg", SPHERICAL_TINY)
+    with pytest.raises(ConfigError, match="compare.variants"):
+        cli._parse_variants(cli.resolve_config(
+            {**cli.read_config(cfg), "compare.variants": "mix,q1,mix"}))
+    rc = cli.main(["compare", cfg, "compare.variants=mix,mix",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "compare.variants" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "mix").exists()
+
+
 def test_run_crosswell_paper_scale(tmp_path):
     """crosswell at problem.size=128 (n = 16384, the paper's grid) runs end
     to end, because its kernel priors are FFT-applied, not dense."""
@@ -518,6 +560,46 @@ def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
         ell == pytest.approx(v, rel=1e-9) for v in (1e-3, np.sqrt(2.0)))
     assert at_clamp == {"none"} or "none" not in at_clamp
     assert float(fields["ell_pixels"]) == pytest.approx(16.0 * ell, rel=1e-12)
+
+
+def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
+    """fit builds two kernel operators, assembly's Q1 and one for the whole
+    ladder, not one per ladder estimate; and fit.csv is byte-identical to
+    a ladder that rebuilds the kernel for every estimate."""
+    builds = []
+    for module in (cli, mixkry.learn):
+        def counted(*args, build=module.build_kernel_operator):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, "build_kernel_operator", counted)
+    cfg = write_cfg(tmp_path / "fit.cfg", SPHERICAL_TINY)
+    assert cli.main(["fit", cfg, "--out", str(tmp_path / "once")]) == 0
+    assert len(builds) == 2
+
+    builds.clear()
+    estimate = cli.hutchinson_objective
+    monkeypatch.setattr(cli, "hutchinson_objective",
+                        lambda *args, kernel: estimate(*args))
+    assert cli.main(["fit", cfg, "--out", str(tmp_path / "each")]) == 0
+    assert len(builds) == 2 + 18
+    assert ((tmp_path / "once" / "fit.csv").read_bytes()
+            == (tmp_path / "each" / "fit.csv").read_bytes())
+
+
+@pytest.mark.parametrize("family", ["squared-exponential", "matern", "sinc"])
+def test_fit_at_clamp_names_only_parameters_the_family_reads(tmp_path,
+                                                             family):
+    """With flat samples the fit stops in the (nu, ell) corner.  at_clamp
+    names the clamped parameters that the family reads: ell alone for the
+    squared-exponential kernel, which ignores nu, both for Matern."""
+    cfg = file_cfg(tmp_path, np.ones((16, 3)))
+    assert cli.main(["fit", cfg, f"prior.q1.kernel={family}",
+                     "--out", str(tmp_path / "out")]) == 0
+    at_clamp = summary_fields(tmp_path / "out")["at_clamp"].split(",")
+    assert set(at_clamp) <= set(FAMILY_PARAMS[family]) | {"none"}
+    if family != "sinc":
+        assert at_clamp == ["nu", "ell"][2 - len(FAMILY_PARAMS[family]):]
 
 
 def test_fit_ladder_estimates_the_minimized_mismatch(tmp_path):

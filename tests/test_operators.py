@@ -13,9 +13,10 @@ from helpers import dense_kernel, grid_distances
 from mixkry.cli import _blend_with_identity
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.operators import (DiagonalOperator, Grid, KernelSpec,
-                              LinearOperator, build_kernel_operator,
-                              identity_operator, kernel_eval,
+from mixkry.operators import (DiagonalOperator, FAMILY_PARAMS, Grid,
+                              KernelSpec, LinearOperator,
+                              build_kernel_operator, identity_operator,
+                              kernel_eval, kernel_table,
                               load_matrix, load_samples, load_vector,
                               noise_whitener, PriorSpec, sample_covariance,
                               SampleFactor, save_matrix, save_vector,
@@ -132,6 +133,16 @@ def test_kernel_spec_validation():
         kernel_eval(KernelSpec("matern", ell=1.0, nu=0.5), -0.1)
 
 
+@pytest.mark.parametrize("name", ["ell", "nu", "gamma_exp"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_kernel_spec_rejects_non_finite_parameters(name, value):
+    """Every parameter must be finite, read by the family or not: an
+    infinite nu would otherwise reach the Bessel profile's logarithms."""
+    for family in FAMILY_PARAMS:
+        with pytest.raises(ParameterDomainError, match=name):
+            KernelSpec(family, **{name: value})
+
+
 # -- grids and kernel operators ----------------------------------------------
 
 
@@ -161,6 +172,60 @@ def test_grid_validation():
         Grid(0, 3)
     with pytest.raises(ArgumentError):
         Grid(2, 2, spacing=(0.0, 1.0))
+
+
+# (family, nu, ell) strategies; the Matern cases reach its half-integer
+# closed forms, the kve Bessel route, kve's overflow at small x (the
+# quadratic fallback, at nu > 25 with a long ell) and the Debye series
+_TABLE_CASES = {
+    "squared-exponential": ("squared-exponential", st.floats(0.1, 20.0),
+                            st.floats(0.02, 2.0)),
+    "gamma-exponential": ("gamma-exponential", st.floats(0.1, 20.0),
+                          st.floats(0.02, 2.0)),
+    "rational-quadratic": ("rational-quadratic", st.floats(0.1, 20.0),
+                           st.floats(0.02, 2.0)),
+    "sinc": ("sinc", st.floats(0.1, 40.0), st.floats(0.02, 2.0)),
+    "matern-closed": ("matern", st.sampled_from([0.5, 1.5, 2.5]),
+                      st.floats(0.02, 2.0)),
+    "matern-bessel": ("matern", st.floats(0.1, 20.0), st.floats(0.02, 2.0)),
+    "matern-small-x": ("matern", st.floats(100.0, 119.9),
+                       st.floats(60.0, 400.0)),
+    "matern-debye": ("matern", st.floats(120.5, 2000.0),
+                     st.floats(0.02, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data(), nx=st.integers(1, 20), ny=st.integers(1, 20),
+       hx=st.floats(0.2, 5.0), hy=st.floats(0.2, 5.0),
+       gamma_exp=st.floats(0.1, 2.0))
+def test_kernel_table_equals_kernel_over_every_offset(case, data, nx, ny, hx,
+                                                      hy, gamma_exp):
+    """Evaluating kappa once per distinct offset distance gives, bit for
+    bit, kappa over the full ny x nx table of offset distances with entry
+    (0, 0) set to 1: every family, rectangular grids, unequal spacing and
+    each Matern branch."""
+    family, nus, ells = _TABLE_CASES[case]
+    spec = KernelSpec(family, nu=data.draw(nus), ell=data.draw(ells),
+                      gamma_exp=gamma_exp)
+    g = Grid(nx, ny, spacing=(hx, hy))
+    s = g.scale
+    want = kernel_eval(spec, np.hypot(np.arange(ny)[:, None] * (hy * s),
+                                      np.arange(nx)[None, :] * (hx * s)))
+    want[0, 0] = 1.0
+    assert np.array_equal(kernel_table(spec, g), want)
+
+
+def test_kernel_table_is_a_fresh_array():
+    """kernel_table caches distances per grid but never hands out cached
+    memory: each table is a new, writable array."""
+    g = Grid(16, 16)
+    spec = KernelSpec("matern", ell=0.3, nu=1.2)
+    first = kernel_table(spec, g)
+    first[:] = 0.0
+    second = kernel_table(spec, g)
+    assert second.flags.writeable and second[0, 0] == 1.0
 
 
 def kernel_matrix(op):

@@ -581,3 +581,10 @@ def test_stop_validation():
         StoppingPolicy(window=1)
     with pytest.raises(ArgumentError):
         StoppingPolicy(flat_tol=0.0)
+    # a NaN tolerance would switch its rule off (abs(x) < nan is false),
+    # and an infinite one would make it fire at once
+    for tols in ({"flat_tol": np.nan}, {"flat_tol": np.inf},
+                 {"residual_tol": np.nan}, {"residual_tol": np.inf},
+                 {"residual_tol": -1e-6}):
+        with pytest.raises(ArgumentError, match="finite"):
+            StoppingPolicy(**tols)
