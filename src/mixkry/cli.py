@@ -408,9 +408,10 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
     """Iterate expansion and selection until stopping.
 
     Each outer iteration advances the subspace once, picks (gamma, lambda)
-    for the current projection, and records the iterate recovered from the
-    selected cell's projected weights.  Raises
-    :class:`BreakdownError` if the very first basis vector cannot be built.
+    for the current projection, warm-started from the previous pick, and
+    records the iterate recovered from the selected cell's projected
+    weights.  Raises :class:`BreakdownError` if the very first basis vector
+    cannot be built.
     """
     if search is None:
         search = SearchConfig()
@@ -432,7 +433,8 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
     stop_reason = None
     while True:
         mixgk_step(state)
-        sel = select_params(method, state, prior, search)
+        sel = select_params(method, state, prior, search,
+                            start=selections[-1] if selections else None)
         rel_res = float(np.sqrt(sel.r2)) / state.beta1
         solution = recover_iterate(state, prior, sel.gamma, sel.weights)
         rel_err = None

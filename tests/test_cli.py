@@ -10,6 +10,7 @@ import pytest
 
 import mixkry.learn
 import mixkry.operators
+import mixkry.params
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.learn import frobenius_mismatch
@@ -29,6 +30,16 @@ stop.max_iter = 6
 select.grid_gamma = 5
 select.grid_lambda = 7
 seed = 5
+"""
+
+
+# the acceptance configs' spherical-32 instance (tools/artifact_digests.py)
+SPHERICAL_32 = """\
+problem.preset = spherical
+problem.size = 32
+problem.train_count = 49
+noise.level = 0.03
+seed = 101
 """
 
 
@@ -101,18 +112,34 @@ def test_exit_code_missing_out(tmp_path, capsys):
     assert "out" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lo, hi", [("3", "-2"), ("2", "2"), ("nan", "2"),
-                                    ("-6", "inf")])
+                                    ("-6", "inf"), ("-6", "300"),
+                                    ("-300", "2")])
 def test_exit_code_bad_lambda_range(tmp_path, capsys, lo, hi):
-    """A reversed, empty or non-finite lambda range is a config error that
-    names the range, not a search over a reversed grid or a failure inside
-    the column evaluator."""
+    """A reversed, empty, non-finite or out-of-domain lambda range is a
+    config error that names the range, not a search over a reversed grid,
+    an overflow inside the cell evaluator (log10 lambda = 300) or an
+    unregularized solve at lambda = 1e-300."""
     cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
     rc = cli.main(["run", cfg, f"select.log10_lambda_lo={lo}",
                    f"select.log10_lambda_hi={hi}",
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "log10_lambda" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["wgcv", "upre", "optimal"])
+def test_lambda_range_at_its_domain_ends_runs_clean(tmp_path, method):
+    """log10 lambda in [-150, 150] keeps lambda^2 a normal float: a search
+    over the whole domain runs without a floating-point warning."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, f"select.method={method}",
+                   "select.log10_lambda_lo=-150",
+                   "select.log10_lambda_hi=150",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("override", ["select.omega=nan", "select.omega=inf",
@@ -419,6 +446,26 @@ def test_run_byte_deterministic(run_dirs):
     for fname in ("run.csv", "params.csv", "summary.txt", "recon.pgm",
                   "truth.pgm"):
         assert (one / fname).read_bytes() == (two / fname).read_bytes(), fname
+
+
+def test_run_warm_start_halves_the_decomposed_gammas(tmp_path, monkeypatch):
+    """The acceptance run sph32-run-upre (44 steps) decomposes 586 gammas.
+    A cold search at every step, refining gamma at all eight zoom levels,
+    decomposes 1,203 there; the warm-started window and the lambda-only
+    late zoom levels must keep the count at most half of that."""
+    decomposed = []
+    decompose = mixkry.params.trace_term
+
+    def counting(basis, gammas):
+        decomposed.extend(gammas)
+        return decompose(basis, gammas)
+
+    monkeypatch.setattr(mixkry.params, "trace_term", counting)
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_32)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "select.method=upre", "--out", str(out)]) == 0
+    assert "iterations: 44" in (out / "summary.txt").read_text()
+    assert len(decomposed) == 586 <= 1203 // 2
 
 
 # -- compare -----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Selection objectives, the joint search, and the stopping rule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,10 +101,11 @@ def test_upre_requires_noise_variance():
 
 def test_select_decomposes_each_gamma_once(monkeypatch):
     """One select_params decomposes each distinct gamma it scans once: the
-    grid's gammas in one trace_term call, then each zoom level's new gammas
-    (the centre gamma is kept) in at most one more.  Each search's
-    eigendecompositions are those gammas plus one of Gk, and a point
-    objective decomposes Gk once and its gamma once."""
+    grid's gammas in one trace_term call, then the new gammas of each of
+    the first ``_GAMMA_ZOOMS`` zoom levels (the centre gamma is kept) in at
+    most one more.  Each search's eigendecompositions are those gammas plus
+    one of Gk, and a point objective decomposes Gk once and its gamma
+    once."""
     state, prior, parts = advance(6, 6)
     batches = []
     decompose = params_mod.trace_term
@@ -130,7 +133,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
         assert len(set(gammas)) == len(gammas)
         assert batches[0] == list(np.linspace(cfg.gamma_min, 1.0,
                                               cfg.grid_gamma))
-        assert 1 <= len(batches) <= 1 + params_mod._ZOOMS
+        assert 1 <= len(batches) <= 1 + params_mod._GAMMA_ZOOMS
         assert all(len(batch) <= 2 for batch in batches[1:])
         assert eigh_sizes == [1] + [len(b) for b in batches]
 
@@ -359,15 +362,9 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
     assert tuple(res.weights) == (res.gamma, res.lam) and res.r2 == res.lam
 
 
-@pytest.mark.parametrize("method, gamma_fixed, expect", [
-    ("wgcv", None, 335), ("gcv", None, 335), ("upre", None, 335),
-    ("gcv", 0.4, 55)])
-def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
-                                              gamma_fixed, expect):
-    """Every scored cell counts as one evaluation although each scan is
-    scored as one block: the grid, then at most three gammas by at most
-    five lambdas per zoom level (one gamma when gamma is pinned)."""
-    state, prior, parts = advance(7, 10)
+def record_blocks(monkeypatch):
+    """Patch the search's cell evaluator to record the (gammas, lambdas)
+    shape of every block it scores; return the list it appends to."""
     factory = params_mod._objective_factory
     blocks = []
 
@@ -381,13 +378,28 @@ def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
         return cells_counted
 
     monkeypatch.setattr(params_mod, "_objective_factory", counting)
+    return blocks
+
+
+@pytest.mark.parametrize("method, gamma_fixed, expect", [
+    ("wgcv", None, 295), ("gcv", None, 295), ("upre", None, 295),
+    ("gcv", 0.4, 55)])
+def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
+                                              gamma_fixed, expect):
+    """Every scored cell counts as one evaluation although each scan is
+    scored as one block: the grid, then at most three gammas by at most
+    five lambdas per zoom level, and one gamma at the levels after
+    ``_GAMMA_ZOOMS`` or when gamma is pinned."""
+    state, prior, parts = advance(7, 10)
+    blocks = record_blocks(monkeypatch)
     cfg = SearchConfig(sigma2=parts[4] ** 2, gamma_fixed=gamma_fixed)
     res = select_params(method, state, prior, cfg)
     columns = 1 if gamma_fixed is not None else cfg.grid_gamma
     assert blocks[0] == (columns, cfg.grid_lambda)
-    assert 1 <= len(blocks) <= 1 + params_mod._ZOOMS
+    assert len(blocks) == 1 + params_mod._ZOOMS
     assert max(g for g, _ in blocks[1:]) <= (1 if gamma_fixed is not None
                                              else 3)
+    assert all(g == 1 for g, _ in blocks[1 + params_mod._GAMMA_ZOOMS:])
     assert max(n for _, n in blocks[1:]) <= 5
     assert res.evaluations == sum(g * n for g, n in blocks) == expect
 
@@ -432,13 +444,98 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
         assert (sel.weights == Y[0]).all() and sel.r2 == r2[0]
 
 
+def test_warm_window_matches_cold_search_property(monkeypatch):
+    """A search warm-started from a cell of the grid scans the 5 x 5 window
+    around it and falls back to the full grid exactly when the window's
+    best cell lies on a window edge other than gamma = 1 or its finite
+    values are all equal.  It returns the cold search's gamma, lambda,
+    objective, weights and r2 bit for bit whenever its window holds the
+    full grid's best cell or it falls back, and ``evaluations`` counts
+    exactly the cells it scanned.  Each case starts once at the grid's
+    best cell and once at a drawn offset from it; both the case where the
+    window's own pick stands and the fallback occur.  At a step count that
+    is a multiple of ``_RESCAN`` the warm search is the cold one."""
+    factory = params_mod._objective_factory
+    blocks = record_blocks(monkeypatch)
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 15),
+           q2_rank=st.integers(0, 20), method=st.sampled_from(METHODS),
+           gamma_fixed=st.one_of(st.none(), st.floats(0.01, 1.0)),
+           shift=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    def check(seed, steps, q2_rank, method, gamma_fixed, shift):
+        state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+        s_true = np.random.default_rng(seed).standard_normal(state.n)
+        cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
+                           gamma_fixed=gamma_fixed)
+        gammas = (np.array([gamma_fixed]) if gamma_fixed is not None
+                  else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
+        log10_lams = np.linspace(*cfg.log10_lambda, cfg.grid_lambda)
+        vals = factory(method, state, prior, cfg)(gammas,
+                                                  10.0 ** log10_lams)[0]
+        vals = np.where(np.isfinite(vals), vals, np.inf)
+
+        def pick(rows, cols):
+            """The grid index of the search's best cell in a block."""
+            best = None
+            for i, j in enumerate(params_mod._pick(vals[rows, cols])):
+                i, j = i + rows.start, j + cols.start
+                cand = (vals[i, j], log10_lams[j], gammas[i], i, j)
+                if params_mod._better(cand, best):
+                    best = cand
+            return best[3:]
+
+        bi, bj = pick(slice(0, None), slice(0, None))
+        cold = select_params(method, state, prior, cfg)
+        full = (gammas.size, log10_lams.size)
+        for di, dj in ((0, 0), shift):
+            i = int(np.clip(bi + di, 0, gammas.size - 1))
+            j = int(np.clip(bj + dj, 0, log10_lams.size - 1))
+            start = dataclasses.replace(cold, gamma=float(gammas[i]),
+                                        lam=float(10.0 ** log10_lams[j]))
+            blocks.clear()
+            warm = select_params(method, state, prior, cfg, start=start)
+            assert warm.evaluations == sum(g * n for g, n in blocks)
+            if not state.k % params_mod._RESCAN:
+                assert blocks[0] == full
+                assert warm == cold
+                continue
+            rows = slice(max(i - 2, 0), min(i + 3, gammas.size))
+            cols = slice(max(j - 2, 0), min(j + 3, log10_lams.size))
+            assert blocks[0] == (rows.stop - rows.start,
+                                 cols.stop - cols.start)
+            wi, wj = pick(rows, cols)
+            window = vals[rows, cols]
+            finite = window[window < np.inf]
+            fell_back = len(blocks) > 1 and blocks[1] == full
+            assert fell_back == (
+                not finite.size or finite.max() == finite.min()
+                or wj in (cols.start, cols.stop - 1)
+                or (gamma_fixed is None and gammas[wi] != 1.0
+                    and wi in (rows.start, rows.stop - 1)))
+            if not fell_back and (wi, wj) != (bi, bj):
+                continue
+            seen.add("fallback" if fell_back else "window")
+            assert (warm.gamma, warm.lam, warm.objective, warm.r2) == (
+                cold.gamma, cold.lam, cold.objective, cold.r2)
+            assert (warm.weights == cold.weights).all()
+
+    check()
+    assert seen == {"fallback", "window"}
+
+
 @pytest.mark.parametrize("lo, hi", [(3.0, -2.0), (2.0, 2.0), (np.nan, 2.0),
-                                    (-6.0, np.inf)])
+                                    (-6.0, np.inf), (-6.0, 150.5),
+                                    (-150.5, 2.0)])
 def test_search_config_rejects_bad_lambda_range(lo, hi):
-    """A reversed, empty or non-finite lambda range fails at construction
-    with the class the CLI maps to exit 2."""
+    """A reversed, empty or non-finite lambda range, or one reaching beyond
+    [-150, 150], fails at construction with the class the CLI maps to exit
+    2."""
     with pytest.raises(ParameterDomainError, match="log10_lambda"):
         SearchConfig(log10_lambda=(lo, hi))
+    assert SearchConfig(log10_lambda=(-150.0, 150.0)).log10_lambda == (
+        -150.0, 150.0)
 
 
 def test_search_config_validation():
