@@ -21,6 +21,7 @@ from .errors import (
     SearchError,
 )
 from .operators import (
+    CSRMatrix,
     DiagonalOperator,
     Grid,
     KernelOperator,
@@ -32,6 +33,7 @@ from .operators import (
     identity_operator,
     kernel_eval,
     kernel_table,
+    kernel_tables,
     load_matrix,
     load_samples,
     load_vector,

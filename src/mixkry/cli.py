@@ -173,7 +173,9 @@ def read_config(path):
 def resolve_config(pairs):
     """Validate raw key=value pairs and fill the chosen preset's defaults.
 
-    A key that the preset does not read is an error, not a silent no-op.
+    A key that the preset does not read is an error, not a silent no-op,
+    and so is a kernel parameter that the chosen kernel family does not
+    read (every parameter, for the identity).
     """
     cfg = {}
     for key, value in pairs.items():
@@ -200,6 +202,17 @@ def resolve_config(pairs):
     for key, allowed in _CHOICES.items():
         if key in cfg and cfg[key] not in allowed:
             raise ConfigError(f"config key {key} must be one of {allowed}")
+    for prefix in ("prior.q1", "prior.q2"):
+        family = cfg.get(f"{prefix}.kernel")
+        if family != "identity" and family not in FAMILY_PARAMS:
+            continue  # an unknown family fails where the kernel is built
+        reads = FAMILY_PARAMS.get(family, ()) + (
+            ("gamma_exp",) if family == "gamma-exponential" else ())
+        for name in ("ell", "nu", "gamma_exp"):
+            key = f"{prefix}.{name}"
+            if key in pairs and name not in reads:
+                raise ConfigError(f"config key {key} is not read by "
+                                  f"{prefix}.kernel={family}")
     for key, value in cfg.items():
         if _KEYS[key][0] is float and not np.isfinite(value):
             raise ConfigError(f"config key {key} must be finite, got {value}")
@@ -755,18 +768,19 @@ def _load_cfg(args):
     return resolve_config(pairs)
 
 
-# package whose bundled OpenBLAS build the CLI pins -> its thread setter
-_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),
-                 ("scipy", "scipy_openblas_set_num_threads"))
+# package whose bundled OpenBLAS build the CLI pins -> its thread setter.
+# scipy's build is not pinned: only the Matrix Market I/O imports scipy,
+# and it makes no BLAS calls
+_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),)
 
 
 def _pin_blas_threads():
-    """Run the OpenBLAS builds bundled with numpy and scipy on one thread,
-    unless ``OPENBLAS_NUM_THREADS`` is set.
+    """Run the OpenBLAS build bundled with numpy on one thread, unless
+    ``OPENBLAS_NUM_THREADS`` is set.
 
     Selection makes thousands of small LAPACK and BLAS calls, and more than
     one thread makes each of them pay thread start-up.  Only a library this
-    process has already loaded is touched; where neither is found this does
+    process has already loaded is touched; where none is found this does
     nothing.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ:

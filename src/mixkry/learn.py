@@ -5,8 +5,10 @@ a low-rank sample covariance is minimized over (nu, ell).  A grid kernel
 takes one value per pixel offset, so :func:`frobenius_mismatch` reduces
 the sample covariance once to one number per offset and then scores each
 candidate exactly in O(n), with no n x n array and no kernel operator:
-one :func:`~mixkry.operators.kernel_table`, which evaluates kappa once per
-distinct offset distance, and O(n) arithmetic.
+one kernel table, which evaluates kappa once per distinct offset distance,
+and O(n) arithmetic.  :func:`learn_matern` asks
+:func:`~mixkry.operators.kernel_tables` for the tables of each nu at once,
+so the kernel profile is evaluated once per nu.
 :func:`hutchinson_objective` estimates the same mismatch stochastically
 from +-1 probes; ``mixkry fit`` reports that estimate at the fitted point,
 with one kernel operator for all of its estimates.
@@ -24,6 +26,7 @@ from .operators import (
     SampleFactor,
     build_kernel_operator,
     kernel_table,
+    kernel_tables,
     sample_covariance,
 )
 
@@ -96,6 +99,14 @@ def frobenius_mismatch(grid, samples):
     kernel table, kappa at each distinct offset distance, and O(n)
     arithmetic.
     """
+    score = _table_mismatch(grid, samples)
+    return lambda spec: score(kernel_table(spec, grid))
+
+
+def _table_mismatch(grid, samples):
+    """``table -> ||K - Qhat||_F^2`` for the grid kernel K whose
+    :func:`~mixkry.operators.kernel_table` is ``table``, as derived in
+    :func:`frobenius_mismatch`."""
     sample = (samples if isinstance(samples, SampleFactor)
               else sample_covariance(samples))
     if sample.rows != grid.n:
@@ -121,8 +132,8 @@ def frobenius_mismatch(grid, samples):
     gram = sample.factor.T @ sample.factor
     spread = max(float(np.sum(gram * gram)) - float(np.sum(a * mean)), 0.0)
 
-    def mismatch(spec):
-        d = kernel_table(spec, grid) - mean
+    def mismatch(table):
+        d = table - mean
         return float(np.sum(w * (d * d))) + spread
 
     return mismatch
@@ -145,30 +156,36 @@ def learn_matern(samples, grid, family="matern"):
     skipped.  Every candidate is scored by the exact mismatch of
     :func:`frobenius_mismatch`, and the returned ``objective`` is the one
     scored at the returned (nu, ell).  Ties keep the point scored first.
+    The kernel tables of a grid row, and of each nu of a stencil, come from
+    one :func:`~mixkry.operators.kernel_tables` call, which evaluates the
+    kernel profile once for them: at most 7 + 3 ``_ZOOMS`` evaluations.
     """
-    mismatch = frobenius_mismatch(grid, samples)
+    mismatch = _table_mismatch(grid, samples)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     lo, hi = np.array([nu_lo, ell_lo]), np.array([nu_hi, ell_hi])
     log_lo, log_hi = np.log(lo), np.log(hi)
     best = None  # (value, nu, ell, [log nu, log ell])
 
-    def score(nu, ell, x):
+    def score(points):
+        """Score (nu, ell, [log nu, log ell]) points in order."""
         nonlocal best
-        val = mismatch(KernelSpec(family=family, nu=nu, ell=ell))
-        if not np.isfinite(val):
-            val = np.inf
-        if best is None or val < best[0]:
-            best = (val, nu, ell, x)
+        specs = [KernelSpec(family=family, nu=nu, ell=ell)
+                 for nu, ell, _ in points]
+        for (nu, ell, x), table in zip(points, kernel_tables(specs, grid)):
+            val = mismatch(table)
+            if not np.isfinite(val):
+                val = np.inf
+            if best is None or val < best[0]:
+                best = (val, nu, ell, x)
 
     nus = np.clip(np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7),
                   nu_lo, nu_hi)
     ells = np.clip(np.logspace(np.log10(ell_lo), np.log10(ell_hi), 9),
                    ell_lo, ell_hi)
     for nu in nus:
-        for ell in ells:
-            score(float(nu), float(ell),
-                  np.clip(np.log([nu, ell]), log_lo, log_hi))
+        score([(float(nu), float(ell),
+                np.clip(np.log([nu, ell]), log_lo, log_hi)) for ell in ells])
     if not np.isfinite(best[0]):
         raise FitError("no finite mismatch on the (nu, ell) grid")
 
@@ -178,12 +195,18 @@ def learn_matern(samples, grid, family="matern"):
                         for b in (-1.0, 0.0, 1.0)])
     for _ in range(_ZOOMS):
         centre = best[3]
-        for x in np.unique(np.clip(centre + h * stencil, log_lo, log_hi),
-                           axis=0):
+        points = []
+        # distinct stencil points in lexicographic order, as np.unique(...,
+        # axis=0) gives them (which imports numpy.ma), so each nu's points
+        # are consecutive
+        for x in sorted(set(map(tuple, np.clip(centre + h * stencil, log_lo,
+                                               log_hi)))):
+            x = np.array(x)
             if np.array_equal(x, centre):
                 continue
             nu, ell = np.clip(np.exp(x), lo, hi)
-            score(float(nu), float(ell), x)
+            points.append((float(nu), float(ell), x))
+        score(points)
         h = h / 2.0
     return FitResult(nu=best[1], ell=best[2], objective=best[0])
 

@@ -5,7 +5,10 @@ so solvers stay matrix-free.  Its ``matvec`` and ``rmatvec`` are the one way
 to apply an operator, to a vector or to the columns of a block; every
 covariance the package builds is a subclass or an instance of it: dense and
 sparse matrices (:meth:`LinearOperator.from_matrix`), diagonals, the
-identity and zero maps, grid kernels and sample covariances.  Kernel
+identity and zero maps, grid kernels and sample covariances.  Sparse
+matrices are held as :class:`CSRMatrix` arrays and applied in numpy, and
+the Matern kernel's Bessel function is computed in numpy too, so no
+command on the built-in problems loads scipy.  Kernel
 covariances on a regular grid are block Toeplitz with Toeplitz blocks;
 :func:`build_kernel_operator` applies them exactly through the FFT of a
 2ny x 2nx circulant embedding (Dietrich and Newsam, SIAM J. Sci. Comput.
@@ -15,13 +18,13 @@ O(n) memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, kve
 
 from .errors import (
     ArgumentError,
@@ -32,12 +35,14 @@ from .errors import (
 
 __all__ = [
     "LinearOperator",
+    "CSRMatrix",
     "DiagonalOperator",
     "Grid",
     "KernelSpec",
     "KernelOperator",
     "kernel_eval",
     "kernel_table",
+    "kernel_tables",
     "build_kernel_operator",
     "SampleFactor",
     "sample_covariance",
@@ -83,7 +88,7 @@ class LinearOperator:
     rmatvec : callable, optional
         Transpose action, with the same block convention.  Required only by
         consumers that call :meth:`rmatvec`.
-    mat : ndarray or sparse matrix, optional
+    mat : ndarray or CSRMatrix, optional
         Explicit matrix backing the operator, set by :meth:`from_matrix`.
         Only export reads it (``mixkry gen`` and ``TomoProblem.matrix``);
         kernel operators have none.
@@ -120,15 +125,71 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, mat):
-        """Wrap a dense array or scipy sparse matrix."""
-        if sp.issparse(mat):
+        """Wrap a dense array, a :class:`CSRMatrix` or a scipy sparse
+        matrix; the last is converted to a :class:`CSRMatrix`, so no scipy
+        code applies it."""
+        if hasattr(mat, "tocsr"):  # scipy sparse, duck-typed: no import
             m = mat.tocsr()
-            mt = m.T.tocsr()
-            return cls(m.shape[0], m.shape[1], m.dot, mt.dot, mat=m)
+            mat = CSRMatrix(m.data, m.indices, m.indptr, m.shape)
+        if isinstance(mat, CSRMatrix):
+            return cls(*mat.shape, *_csr_products(mat), mat=mat)
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2:
             raise ArgumentError("from_matrix expects a 2-d array")
         return cls(arr.shape[0], arr.shape[1], arr.dot, arr.T.dot, mat=arr)
+
+
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A sparse matrix in compressed sparse row arrays.
+
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, the layout of scipy's
+    ``csr_matrix``.  :meth:`LinearOperator.from_matrix` applies it.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    def to_scipy(self):
+        """The same arrays as a ``scipy.sparse.csr_matrix``; imports scipy."""
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                       shape=self.shape)
+
+
+def _csr_products(csr):
+    """``(matvec, rmatvec)`` of a :class:`CSRMatrix` by ``np.bincount``.
+
+    Output entry i sums the products of row i (column i for the transpose)
+    one by one in storage order, starting from 0, which is the order of
+    scipy's ``csr_matvec`` on these arrays and on its transposed copy; so
+    the products equal scipy's bit for bit.  Each column of a block is
+    summed the same way.  The row of every stored entry and the column
+    indices as ``intp`` are computed once, here.
+    """
+    m, n = csr.shape
+    data = np.asarray(csr.data, dtype=float)
+    rows = np.repeat(np.arange(m, dtype=np.intp), np.diff(csr.indptr))
+    cols = np.asarray(csr.indices, dtype=np.intp)
+
+    def product(x, take, put, size):
+        if x.ndim == 1:
+            return np.bincount(put, weights=data * x[take], minlength=size)
+        k = x.shape[1]
+        slots = (put[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(slots, weights=(data[:, None] * x[take]).ravel(),
+                           minlength=size * k).reshape(size, k)
+
+    return (lambda x: product(x, cols, rows, m),
+            lambda y: product(y, rows, cols, n))
 
 
 class DiagonalOperator(LinearOperator):
@@ -265,6 +326,181 @@ def _matern_closed(nu, x):
     return None
 
 
+# ---------------------------------------------------------------------------
+# the modified Bessel function of the second kind, scaled: e^x K_nu(x)
+
+# Taylor coefficients c_1, c_2, ... of 1/Gamma(z) = sum_k c_k z^k
+# (Abramowitz and Stegun 6.1.34), through the last one that moves a sum
+# at |z| <= 1/2
+_RGAMMA = (1.0, 0.5772156649015329, -0.6558780715202539,
+           -0.04200263503409524, 0.16653861138229148, -0.04219773455554433,
+           -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+           -0.00021524167411495098, 0.0001280502823881162,
+           -2.013485478078824e-05, -1.2504934821426706e-06,
+           1.133027231981696e-06, -2.056338416977607e-07,
+           6.116095104481416e-09, 5.002007644469223e-09,
+           -1.18127457048702e-09, 1.0434267116911005e-10,
+           7.782263439905071e-12, -3.696805618642206e-12,
+           5.100370287454476e-13)
+
+# terms of Temme's series at x <= 2 and of the Hankel series at x >= 25,
+# and the trapezoid nodes t = 0, 1/8, ..., 31/8 in between, powers of two
+# for _fold; each truncation is below 1e-16 relative for |mu| <= 1/2 and
+# mu + 1
+_TEMME_TERMS = 16
+_HANKEL_TERMS = 16
+_HANKEL_FROM = 25.0
+_TRAPEZOID_STEP = 0.125
+_TRAPEZOID_T = np.arange(32) * _TRAPEZOID_STEP
+_TRAPEZOID_S = -2.0 * np.sinh(0.5 * _TRAPEZOID_T) ** 2
+
+
+def _fold(terms, z=None):
+    """sum_k terms[:, k] z^k over the middle axis, whose length is a power
+    of two, by Estrin's scheme: neighbouring terms are paired as
+    t_2i + t_2i+1 z and z is squared, until one term is left; with no z,
+    the plain sum of the terms, pairwise.
+
+    Only elementwise operations, so an entry never depends on the other
+    entries; a BLAS product, or a numpy reduction (pairwise along a
+    contiguous axis), sums in an order that depends on the array's shape.
+    """
+    while terms.shape[1] > 1:
+        if z is None:
+            terms = terms[:, 0::2] + terms[:, 1::2]
+        else:
+            terms = terms[:, 0::2] + terms[:, 1::2] * z
+            z = z * z
+    return terms[:, 0]
+
+
+def _even_series(coeffs, m2):
+    """sum_k coeffs[k] m2^k for a scalar m2, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * m2 + c
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _temme_coefficients(mu):
+    """The parts of Temme's series for K_mu and K_{mu+1} that depend on
+    mu alone (|mu| <= 1/2).
+
+    With d = -log(x/2), e = mu d and z = x^2/4 the series (Temme, J. Comput.
+    Phys. 19, 1975, in the form of Numerical Recipes' ``bessik``) starts
+    from f0 = fact (g1 cosh e + g2 d sinh(e)/e), p0 = (x/2)^-mu /
+    (2 Gamma(1 + mu)) and q0 = (x/2)^mu / (2 Gamma(1 - mu)), and each of its
+    terms is linear in (f0, p0, q0).  So K_mu = f0 F(z) + p0 P(z) + q0 Q(z),
+    and (x/2) K_{mu+1} likewise, for six polynomials in z whose
+    coefficients are returned as the rows of a 6 x ``_TEMME_TERMS`` array.
+    g1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and g2, their mean, come
+    from the even and odd parts of the Taylor series of 1/Gamma, with no
+    cancellation as mu -> 0.
+    """
+    m2 = mu * mu
+    g1 = -_even_series(_RGAMMA[1::2], m2)
+    g2 = _even_series(_RGAMMA[0::2], m2)
+    pimu = math.pi * mu
+    fact = 1.0 if pimu == 0.0 else pimu / math.sin(pimu)
+    coeffs = np.empty((6, _TEMME_TERMS))
+    # f_i = a f0 + b p0 + c q0, p_i = pp p0, q_i = qq q0, each over i!
+    a, b, c, pp, qq, fac = 1.0, 0.0, 0.0, 1.0, 1.0, 1.0
+    for i in range(_TEMME_TERMS):
+        if i:
+            den = i * i - m2
+            a, b, c = i * a / den, (i * b + pp) / den, (i * c + qq) / den
+            pp, qq = pp / (i - mu), qq / (i + mu)
+            fac *= i
+        coeffs[:, i] = (a / fac, b / fac, c / fac,
+                        -i * a / fac, (pp - i * b) / fac, -i * c / fac)
+    return fact, g1, g2, 0.5 / (g2 - mu * g1), 0.5 / (g2 + mu * g1), coeffs
+
+
+def _kve_temme(mu, x):
+    """(e^x K_mu, e^x K_{mu+1}) at 0 < x <= 2 by Temme's series."""
+    fact, g1, g2, p0, q0, coeffs = _temme_coefficients(mu)
+    d = -np.log(0.5 * x)
+    e = mu * d
+    with np.errstate(invalid="ignore"):
+        sinhc = np.where(e == 0.0, 1.0, np.sinh(e) / e)
+    f = fact * (g1 * np.cosh(e) + g2 * sinhc * d)
+    ee = np.exp(e)
+    p = p0 * ee
+    q = q0 / ee
+    s = _fold(coeffs[:, :, None], 0.25 * x * x)
+    ex = np.exp(x)
+    k0 = (f * s[0] + p * s[1] + q * s[2]) * ex
+    k1 = (f * s[3] + p * s[4] + q * s[5]) * (2.0 / x) * ex
+    return k0, k1
+
+
+@lru_cache(maxsize=64)
+def _trapezoid_weights(mu):
+    w = _TRAPEZOID_STEP * np.cosh(np.outer([mu, mu + 1.0], _TRAPEZOID_T))
+    w[:, 0] *= 0.5
+    return w
+
+
+def _kve_trapezoid(mu, x):
+    """(e^x K_mu, e^x K_{mu+1}) at 2 < x < 25 by the trapezoid rule on
+    e^x K_mu(x) = int_0^inf exp(-2 x sinh^2(t/2)) cosh(mu t) dt, whose
+    integrand is analytic and decays double exponentially, so a fixed step
+    converges geometrically."""
+    e = np.exp(_TRAPEZOID_S[:, None] * x)
+    k = _fold(_trapezoid_weights(mu)[:, :, None] * e)
+    return k[0], k[1]
+
+
+@lru_cache(maxsize=64)
+def _hankel_coefficients(mu):
+    """a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k) for nu = mu
+    and mu + 1, one row each."""
+    nu = np.array([[mu], [mu + 1.0]])
+    k = np.arange(1, _HANKEL_TERMS)
+    coeffs = np.ones((2, _HANKEL_TERMS))
+    np.cumprod((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k), axis=1,
+               out=coeffs[:, 1:])
+    return coeffs
+
+
+def _kve_hankel(mu, x):
+    """(e^x K_mu, e^x K_{mu+1}) at x >= 25 by the Hankel asymptotic series
+    sqrt(pi / (2x)) sum_k a_k(nu) / x^k."""
+    s = _fold(_hankel_coefficients(mu)[:, :, None], 1.0 / x)
+    s *= np.sqrt(np.pi / (2.0 * x))
+    return s[0], s[1]
+
+
+def _kve(nu, x):
+    """e^x K_nu(x) at nu > 0 and positive x, what ``scipy.special.kve``
+    returns, to about 1e-14 relative.
+
+    K_mu and K_{mu+1} for mu = nu - round(nu), |mu| <= 1/2, come from
+    Temme's series at x <= 2, a trapezoid rule at 2 < x < 25 and the
+    Hankel series at x >= 25; the recurrence K_{v+1} = K_{v-1} + (2v/x) K_v,
+    stable upward, carries them to nu.  Entries whose value exceeds the
+    float range are inf.  Each entry is computed on its own, so it does not
+    depend on the other entries of x.
+    """
+    n = int(nu + 0.5)
+    mu = nu - n
+    k0 = np.empty_like(x)
+    k1 = np.empty_like(x)
+    low = x <= 2.0
+    high = x >= _HANKEL_FROM
+    for mask, piece in ((low, _kve_temme), (~(low | high), _kve_trapezoid),
+                        (high, _kve_hankel)):
+        if mask.any():
+            k0[mask], k1[mask] = piece(mu, x[mask])
+    if n == 0:
+        return k0
+    with np.errstate(over="ignore"):
+        for j in range(1, n):
+            k0, k1 = k1, k0 + (2.0 * (mu + j) / x) * k1
+    return k1
+
+
 def _matern_debye(nu, xp):
     """log K_nu at large order via the two-term uniform asymptotic series."""
     z = xp / nu
@@ -280,13 +516,13 @@ def _matern_debye(nu, xp):
 def _matern_bessel(nu, x):
     """General-nu Matern profile via the modified Bessel function.
 
-    Evaluated in log space with the exponentially scaled ``kve`` so that
-    large x does not overflow before cancelling.  kve itself overflows at
+    Evaluated in log space with the exponentially scaled :func:`_kve` so
+    that large x does not overflow before cancelling.  That overflows at
     large order or very small argument, so nu > 120 switches to the uniform
     asymptotic expansion of K_nu (relative error O(1/nu^2)), and overflowed
     small-x entries at moderate nu use the quadratic small-argument series
-    (those entries satisfy x < 0.35 and nu > 25, where the series truncation
-    is below 1e-10).
+    (those entries satisfy x < 0.26 and nu > 25, where the first omitted
+    term, x^4 / (32 (nu - 1)(nu - 2)), is below 1e-8).
     """
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
@@ -295,12 +531,12 @@ def _matern_bessel(nu, x):
     if nu > 120.0:
         log_k = _matern_debye(nu, xp)
         vals = np.exp(nu * np.log(xp) + log_k - (nu - 1.0) * np.log(2.0)
-                      - gammaln(nu))
+                      - math.lgamma(nu))
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_k = np.log(kve(nu, xp)) - xp
+            log_k = np.log(_kve(nu, xp)) - xp
             vals = np.exp(nu * np.log(xp) + log_k - (nu - 1.0) * np.log(2.0)
-                          - gammaln(nu))
+                          - math.lgamma(nu))
         bad = ~np.isfinite(vals)
         if np.any(bad):
             xb = xp[bad]
@@ -310,6 +546,27 @@ def _matern_bessel(nu, x):
     np.minimum(vals, 1.0, out=vals)
     out[pos] = vals
     return out
+
+
+def _matern_profile(spec, x):
+    closed = _matern_closed(spec.nu, x)
+    return closed if closed is not None else _matern_bessel(spec.nu, x)
+
+
+# family -> (the profile's argument at distances r, the profile at that
+# argument); only the argument reads ell
+_PROFILES = {
+    "squared-exponential": (lambda s, r: (r * r) / (2.0 * s.ell**2),
+                            lambda s, z: np.exp(-z)),
+    "gamma-exponential": (lambda s, r: r / s.ell,
+                          lambda s, z: np.exp(-(z ** s.gamma_exp))),
+    "rational-quadratic": (lambda s, r: (r * r) / (2.0 * s.nu * s.ell**2),
+                           lambda s, z: (1.0 + z) ** (-s.nu)),
+    # np.sinc(z) = sin(pi z) / (pi z), so sin(nu r)/(nu r) = sinc(nu r / pi)
+    "sinc": (lambda s, r: s.nu * r / np.pi, lambda s, z: np.sinc(z)),
+    "matern": (lambda s, r: np.sqrt(2.0 * s.nu) * r / s.ell,
+               _matern_profile),
+}
 
 
 def kernel_eval(spec, r):
@@ -322,19 +579,8 @@ def kernel_eval(spec, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ArgumentError("distances must be nonnegative")
-    if spec.family == "squared-exponential":
-        out = np.exp(-(r * r) / (2.0 * spec.ell**2))
-    elif spec.family == "gamma-exponential":
-        out = np.exp(-((r / spec.ell) ** spec.gamma_exp))
-    elif spec.family == "rational-quadratic":
-        out = (1.0 + (r * r) / (2.0 * spec.nu * spec.ell**2)) ** (-spec.nu)
-    elif spec.family == "sinc":
-        # np.sinc(z) = sin(pi z) / (pi z), so sin(nu r)/(nu r) = sinc(nu r / pi)
-        out = np.sinc(spec.nu * r / np.pi)
-    else:
-        x = np.sqrt(2.0 * spec.nu) * r / spec.ell
-        closed = _matern_closed(spec.nu, x)
-        out = closed if closed is not None else _matern_bessel(spec.nu, x)
+    argument, profile = _PROFILES[spec.family]
+    out = profile(spec, argument(spec, r))
     return float(out) if scalar else out
 
 
@@ -404,10 +650,30 @@ def kernel_table(spec, grid):
     and scattered back; the table equals kappa over every offset bit for
     bit.
     """
+    return kernel_tables([spec], grid)[0]
+
+
+def kernel_tables(specs, grid):
+    """:func:`kernel_table` of each of ``specs``, in order.
+
+    A run of consecutive specs that differ only in ``ell`` evaluates its
+    family's profile once: ell enters only the profile's argument, so the
+    arguments of the run are computed spec by spec and the profile is
+    evaluated on all of them at once.  The profile is elementwise, so each
+    table equals its own :func:`kernel_table` bit for bit.
+    """
     dist, where = _offset_distances(grid)
-    t = kernel_eval(spec, dist)[where]
-    t[0, 0] = 1.0
-    return t
+    tables = []
+    for _, run in groupby(specs, key=lambda s: (s.family, s.nu, s.gamma_exp)):
+        run = list(run)
+        argument, profile = _PROFILES[run[0].family]
+        values = profile(run[0], np.concatenate([argument(s, dist)
+                                                 for s in run]))
+        for v in values.reshape(len(run), -1):
+            t = v[where]
+            t[0, 0] = 1.0
+            tables.append(t)
+    return tables
 
 
 def build_kernel_operator(spec, grid):
@@ -531,13 +797,17 @@ def noise_whitener(r, size=None):
 # ---------------------------------------------------------------------------
 # MatrixMarket I/O (dense arrays use the array format, sparse the coordinate
 # format; vectors are stored as n x 1 arrays).  scipy.io is imported on first
-# use: only ``gen`` and the ``file`` preset read or write these files.
+# use: only ``gen`` and the ``file`` preset read or write these files, and
+# they are the only commands that load scipy.  A scipy sparse matrix is
+# recognised by its methods, so the check imports nothing.
 
 
 def save_matrix(path, mat):
     import scipy.io
 
-    if sp.issparse(mat):
+    if isinstance(mat, CSRMatrix):
+        mat = mat.to_scipy()
+    if hasattr(mat, "tocoo"):
         scipy.io.mmwrite(str(path), mat.tocoo())
     else:
         scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(mat, dtype=float)))
@@ -547,7 +817,7 @@ def load_matrix(path):
     import scipy.io
 
     mat = scipy.io.mmread(str(path))
-    return mat.tocsr() if sp.issparse(mat) else np.asarray(mat, dtype=float)
+    return mat.tocsr() if hasattr(mat, "tocsr") else np.asarray(mat, dtype=float)
 
 
 def save_vector(path, vec):
@@ -559,7 +829,7 @@ def save_vector(path, vec):
 
 def load_vector(path):
     mat = load_matrix(path)
-    if sp.issparse(mat):
+    if hasattr(mat, "toarray"):
         mat = mat.toarray()
     arr = np.asarray(mat, dtype=float)
     if arr.ndim == 2 and 1 not in arr.shape:
@@ -580,7 +850,7 @@ def load_samples(path):
             raise DegenerateDataError(f"no .mtx sample files in {p}")
         return [load_vector(f) for f in files]
     mat = load_matrix(p)
-    if sp.issparse(mat):
+    if hasattr(mat, "toarray"):
         mat = mat.toarray()
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:

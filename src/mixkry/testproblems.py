@@ -3,8 +3,8 @@
 Both problems live on the unit square with pixel basis functions.  The
 spherical-means problem integrates over circles anchored to the boundary
 of a circular region of interest; the crosswell problem traces straight
-rays between boreholes on opposite edges.  Forward operators are sparse
-and assembled once.
+rays between boreholes on opposite edges.  Forward operators are sparse,
+assembled once into :class:`~mixkry.operators.CSRMatrix` arrays in numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ArgumentError, DegenerateDataError
-from .operators import Grid, LinearOperator
+from .operators import CSRMatrix, Grid, LinearOperator
 
 __all__ = [
     "TomoProblem",
@@ -40,7 +39,8 @@ class TomoProblem:
 
     @property
     def matrix(self):
-        return self.A.mat
+        """``A`` as a ``scipy.sparse.csr_matrix``; imports scipy."""
+        return self.A.mat.to_scipy()
 
 
 @dataclass
@@ -125,31 +125,77 @@ def gen_training_images(count, size, seed):
 
 
 # ---------------------------------------------------------------------------
+# sparse assembly
+
+
+def _sum_rows(rows, cols, vals, n_rows, n_cols):
+    """Compressed rows of the triplets (rows, cols, vals), duplicates summed.
+
+    The triplets are sorted stably by (row, column), and each duplicate
+    group is summed by ``np.bincount`` one value at a time in triplet order.
+    Returns (data, column indices, entries per row), rows and columns
+    ascending.
+    """
+    key = rows.astype(np.int64) * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    data = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    key = key[first]
+    return data, key % n_cols, np.bincount(key // n_cols, minlength=n_rows)
+
+
+def _csr(pieces, shape):
+    """The :class:`~mixkry.operators.CSRMatrix` of consecutive row blocks,
+    each a ``_sum_rows`` result; int32 indices where they fit, as scipy
+    stores them."""
+    data, cols, counts = (np.concatenate(part) for part in zip(*pieces))
+    index = np.int32 if max(shape[1], data.size) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRMatrix(data, cols.astype(index), indptr, shape)
+
+
+# ---------------------------------------------------------------------------
 # spherical means
+
+# arcs are assembled a block of whole angles at a time, each block holding
+# about this many samples, so the temporaries stay bounded at paper scale
+_BLOCK_SAMPLES = 1 << 17
 
 
 def _spherical_matrix(size, n_angles, n_circles):
-    """Sparse spherical-means matrix, all arcs in one vectorized pass.
+    """Sparse spherical-means matrix, assembled a block of angles at a time.
 
     Each arc is integrated by quarter-pixel sampling with bilinear
     deposition; it opens toward the center of the region of interest, and
-    samples outside the masked disk are clipped (no weight).  The COO
-    triplets are laid out arc by arc, then corner by corner, then sample by
-    sample, as the per-arc reference lays them out.  ``tocsr`` sums
-    duplicates after scipy's index sort, which is not stable: its order is
-    fixed but is not the layout order (at spherical-32, sums in layout
-    order differ from scipy's in 7,724 of 24,482 entries).  The matrix is
-    byte-identical to the per-arc reference because both pass the same
-    triplets through the same ``tocsr``.
+    samples outside the masked disk are clipped (no weight).  Within an arc
+    the triplets are laid out corner by corner, then sample by sample, as
+    the per-arc reference lays them out, and each (row, column) sum adds
+    its triplets in that order.  Rows are arcs, so a block of whole arcs
+    holds every triplet of its rows.
     """
-    h = 1.0 / size
     ds = 0.25 / size
-    arcs = n_angles * n_circles
-    theta = np.deg2rad(np.arange(n_angles) * (90.0 / n_angles))
-    cx = np.repeat(0.5 + 0.5 * np.cos(theta), n_circles)
-    cy = np.repeat(0.5 + 0.5 * np.sin(theta), n_circles)
-    radius = np.tile((np.arange(n_circles) + 1) / n_circles, n_angles)
+    radius = (np.arange(n_circles) + 1) / n_circles
     nsamp = np.maximum(8, np.ceil(np.pi * radius / ds).astype(int))
+    theta = np.deg2rad(np.arange(n_angles) * (90.0 / n_angles))
+    step = max(1, _BLOCK_SAMPLES // int(nsamp.sum()))
+    pieces = [_arc_block(size, theta[a:a + step], radius, nsamp)
+              for a in range(0, n_angles, step)]
+    return _csr(pieces, (n_angles * n_circles, size * size))
+
+
+def _arc_block(size, theta, radius, nsamp):
+    """``_sum_rows`` of the arcs centred at angles ``theta``, every radius
+    at each."""
+    h = 1.0 / size
+    arcs = theta.size * radius.size
+    cx = np.repeat(0.5 + 0.5 * np.cos(theta), radius.size)
+    cy = np.repeat(0.5 + 0.5 * np.sin(theta), radius.size)
+    radius = np.tile(radius, theta.size)
+    nsamp = np.tile(nsamp, theta.size)
     w = np.pi * radius / nsamp
     inward = np.arctan2(0.5 - cy, 0.5 - cx)
 
@@ -177,27 +223,19 @@ def _spherical_matrix(size, n_angles, n_circles):
     wy = fy - i0
     del px, py, fx, fy
 
-    # kept sample i, the l-th of an arc whose kept samples start at s and
-    # number c, writes its corner k triplet to 4 s + k c + l = 3 s + i + k c;
-    # int32 indices are what scipy stores anyway
-    count = np.bincount(arc, minlength=arcs)
-    base = np.arange(arc.size)
-    base += 3 * (np.cumsum(count) - count)[arc]
-    stride = count[arc]
+    # one row of triplets per corner; read corner by corner, each arc's
+    # triplets come in the per-arc layout
     w = w[arc]
-    rows = np.empty(4 * arc.size, dtype=np.int32)
-    cols = np.empty(4 * arc.size, dtype=np.int32)
-    vals = np.empty(4 * arc.size)
+    cols = np.empty((4, arc.size), dtype=int)
+    vals = np.empty((4, arc.size))
     for corner, (dj, di) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         ux = wx if dj else 1.0 - wx
         uy = wy if di else 1.0 - wy
-        pos = base + corner * stride
-        rows[pos] = arc
-        cols[pos] = (np.clip(i0 + di, 0, size - 1) * size
-                     + np.clip(j0 + dj, 0, size - 1))
-        vals[pos] = w * (ux * uy)
-    return scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                   shape=(arcs, size * size)).tocsr()
+        cols[corner] = (np.clip(i0 + di, 0, size - 1) * size
+                        + np.clip(j0 + dj, 0, size - 1))
+        vals[corner] = w * (ux * uy)
+    return _sum_rows(np.tile(arc, 4), cols.ravel(), vals.ravel(), arcs,
+                     size * size)
 
 
 def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
@@ -240,7 +278,9 @@ def _trace_ray(src_y, rcv_y, size):
             t = (i * h - src_y) / dy
             if 0.0 < t < 1.0:
                 ts.append(t)
-    ts = np.unique(np.asarray(ts))
+    # np.unique's values, without the numpy.ma import it makes
+    ts = np.sort(np.asarray(ts))
+    ts = ts[np.append(True, ts[1:] != ts[:-1])]
     t0 = ts[:-1]
     t1 = ts[1:]
     tm = 0.5 * (t0 + t1)
@@ -286,10 +326,8 @@ def crosswell_tomo(size=64, n_sources=10, n_receivers=20, seed=11):
             vals.append(lens)
     m = n_sources * n_receivers
     n = size * size
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, n),
-    ).tocsr()
+    A = _csr([_sum_rows(np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(vals), m, n)], (m, n))
 
     s_true = _crosswell_truth(size, seed).ravel()
     op = LinearOperator.from_matrix(A)

@@ -12,7 +12,7 @@ per gamma must match to rounding; they read Dk, rhs and Gk from a
 :class:`~mixkry.projected.PenaltyBasis` (:func:`state_basis`) and a gamma.
 :func:`solve_row` is the package's own one-gamma row of cells.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
-must reproduce byte for byte.  :class:`OpCounter` is the flop tally the
+must reproduce byte for byte, duplicate sums included.  :class:`OpCounter` is the flop tally the
 QR-maintenance tests hand to the package's duck-typed ``counter``
 arguments.
 """
@@ -79,10 +79,12 @@ def grid_distances(grid):
     return np.hypot(z[:, None, 0] - z[None, :, 0], z[:, None, 1] - z[None, :, 1])
 
 
-def _deposit_arc(rows, cols, vals, row, center, radius, size):
+def _deposit_arc(center, radius, size):
     """Integrate over a semicircular arc by quarter-pixel sampling with
     bilinear deposition.  The arc opens toward the center of the region of
     interest; samples outside the masked disk are clipped (no weight).
+    Returns the arc's (column, weight) triplets corner by corner, then
+    sample by sample.
     """
     h = 1.0 / size
     ds = 0.25 / size
@@ -93,8 +95,6 @@ def _deposit_arc(rows, cols, vals, row, center, radius, size):
     px = center[0] + radius * np.cos(t)
     py = center[1] + radius * np.sin(t)
     inside = (px - 0.5) ** 2 + (py - 0.5) ** 2 <= 0.25
-    if not np.any(inside):
-        return
     px, py = px[inside], py[inside]
     fx = px / h - 0.5
     fy = py / h - 0.5
@@ -102,6 +102,7 @@ def _deposit_arc(rows, cols, vals, row, center, radius, size):
     i0 = np.floor(fy).astype(int)
     wx = fx - j0
     wy = fy - i0
+    cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0)]
     for dj, di, wgt in (
         (0, 0, (1.0 - wx) * (1.0 - wy)),
         (1, 0, wx * (1.0 - wy)),
@@ -110,28 +111,34 @@ def _deposit_arc(rows, cols, vals, row, center, radius, size):
     ):
         jj = np.clip(j0 + dj, 0, size - 1)
         ii = np.clip(i0 + di, 0, size - 1)
-        rows.append(np.full(px.size, row))
         cols.append(ii * size + jj)
         vals.append(w * wgt)
+    return np.concatenate(cols), np.concatenate(vals)
 
 
 def spherical_matrix_reference(size, n_angles, n_circles):
     """Spherical-means matrix assembled one arc at a time: arc centers at
     angles i * 90 deg / n_angles on the disk boundary, radii (j + 1) /
-    n_circles, one row per (angle, radius) pair."""
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [
-        np.zeros(0)]
+    n_circles, one row per (angle, radius) pair.  Each column of a row sums
+    the arc's weights in that column one by one in the arc's triplet order
+    (``np.add.at`` is unbuffered and goes in index order); the rows are
+    stored with ascending columns and int32 indices, as a scipy CSR."""
+    data, indices, indptr = [np.zeros(0)], [np.zeros(0, dtype=int)], [0]
     for ia in range(n_angles):
         theta = np.deg2rad(ia * (90.0 / n_angles))
         center = (0.5 + 0.5 * np.cos(theta), 0.5 + 0.5 * np.sin(theta))
         for ic in range(n_circles):
-            radius = (ic + 1) / n_circles
-            _deposit_arc(rows, cols, vals, ia * n_circles + ic,
-                         center, radius, size)
-    return scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_angles * n_circles, size * size),
-    ).tocsr()
+            cols, vals = _deposit_arc(center, (ic + 1) / n_circles, size)
+            uniq, slot = np.unique(cols, return_inverse=True)
+            sums = np.zeros(uniq.size)
+            np.add.at(sums, slot, vals)
+            data.append(sums)
+            indices.append(uniq)
+            indptr.append(indptr[-1] + uniq.size)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices).astype(np.int32),
+         np.array(indptr, dtype=np.int32)),
+        shape=(n_angles * n_circles, size * size))
 
 
 def dense_kernel(spec, grid):

@@ -212,6 +212,39 @@ def test_exit_code_key_the_preset_does_not_read(tmp_path, capsys, preset,
     assert f"problem.preset={preset}" in err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (("prior.q1.kernel=squared-exponential", "prior.q1.nu=-5"),
+     "prior.q1.nu"),
+    (("prior.q1.kernel=squared-exponential", "prior.q1.gamma_exp=-3"),
+     "prior.q1.gamma_exp"),
+    (("prior.q1.gamma_exp=2",), "prior.q1.gamma_exp"),
+    (("prior.q1.kernel=sinc", "prior.q1.ell=0.1"), "prior.q1.ell"),
+    (("prior.q1.kernel=identity", "prior.q1.nu=2"), "prior.q1.nu"),
+    (("prior.q2.source=kernel", "prior.q2.kernel=gamma-exponential",
+      "prior.q2.nu=3"), "prior.q2.nu")])
+def test_exit_code_kernel_key_the_family_does_not_read(tmp_path, capsys,
+                                                       overrides, key):
+    """A kernel parameter set for a family that does not read it is a
+    config error (exit 2) that names the key, whatever its value."""
+    rc = cli.main(["run", preset_cfg(tmp_path, "spherical"), *overrides,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config key {key} is not read by" in err
+
+
+@pytest.mark.parametrize("overrides", [
+    (), ("prior.q1.kernel=gamma-exponential", "prior.q1.gamma_exp=1.5"),
+    ("prior.q1.kernel=sinc", "prior.q1.nu=20"),
+    ("prior.q1.kernel=squared-exponential", "prior.q1.ell=0.3")])
+def test_kernel_keys_the_family_reads_run(tmp_path, overrides):
+    """Defaults never trip the family check, and a key the family reads
+    runs."""
+    rc = cli.main(["run", preset_cfg(tmp_path, "spherical"), *overrides,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("preset, override", [
     ("spherical", "prior.q1.nu=inf"), ("spherical", "prior.q1.ell=inf"),
@@ -230,6 +263,7 @@ def test_exit_code_non_finite_key(tmp_path, capsys, monkeypatch, preset,
         raise AssertionError("a kernel was evaluated")
 
     monkeypatch.setattr(mixkry.operators, "kernel_eval", evaluated)
+    monkeypatch.setattr(mixkry.operators, "kernel_tables", evaluated)
     key = override.split("=")[0]
     rc = cli.main(["run", preset_cfg(tmp_path, preset), override,
                    "--out", str(tmp_path / "out")])

@@ -1,6 +1,8 @@
 """Kernel-parameter fitting: probes, the mismatch and its estimator, and
 shrinkage."""
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,23 +229,28 @@ def test_learn_deterministic():
 
 def test_learn_scores_kernel_tables_only(monkeypatch):
     """A fit builds no kernel operator: each candidate costs one kernel
-    table, at most 63 grid cells plus 8 zoom levels of 8 points."""
+    table, at most 63 grid cells plus 8 zoom levels of 8 points.  The
+    tables come from kernel_tables, which evaluates the profile once per
+    run of equal nu: at most 7 grid rows plus 3 nu per zoom level."""
     rng = np.random.default_rng(3)
     grid = Grid(6, 5)
     X = list(rng.standard_normal((12, grid.n)))
-    builds, tables = [], []
-    table = mixkry.learn.kernel_table
+    builds, calls = [], []
+    tables = mixkry.learn.kernel_tables
 
-    def counted_table(spec, g):
-        tables.append(spec)
-        return table(spec, g)
+    def counted_tables(specs, g):
+        calls.append(list(specs))
+        return tables(specs, g)
 
     monkeypatch.setattr(mixkry.learn, "build_kernel_operator",
                         lambda *args: builds.append(args))
-    monkeypatch.setattr(mixkry.learn, "kernel_table", counted_table)
+    monkeypatch.setattr(mixkry.learn, "kernel_tables", counted_tables)
     learn_matern(X, grid)
     assert builds == []
-    assert 63 < len(tables) <= 127
+    assert 63 < sum(map(len, calls)) <= 127
+    runs = sum(len(list(groupby(spec.nu for spec in specs)))
+               for specs in calls)
+    assert runs <= 7 + 3 * 8
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -264,14 +271,14 @@ def test_learn_search_properties(seed, nx, ny, count):
         return mismatch(KernelSpec(family="matern", nu=nu, ell=ell))
 
     scored = []
-    table = mixkry.learn.kernel_table
+    tables = mixkry.learn.kernel_tables
 
-    def recording(spec, g):
-        scored.append((spec.nu, spec.ell))
-        return table(spec, g)
+    def recording(specs, g):
+        scored.extend((spec.nu, spec.ell) for spec in specs)
+        return tables(specs, g)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mixkry.learn, "kernel_table", recording)
+        mp.setattr(mixkry.learn, "kernel_tables", recording)
         res = learn_matern(X, grid)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)

@@ -7,16 +7,19 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from helpers import dense_kernel, grid_distances
 from mixkry.cli import _blend_with_identity
+from mixkry.testproblems import crosswell_tomo, spherical_tomo
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.operators import (DiagonalOperator, FAMILY_PARAMS, Grid,
-                              KernelSpec, LinearOperator,
-                              build_kernel_operator, identity_operator,
-                              kernel_eval, kernel_table,
+from mixkry.operators import (_kve, CSRMatrix, DiagonalOperator,
+                              FAMILY_PARAMS, Grid, KernelSpec,
+                              LinearOperator, build_kernel_operator,
+                              identity_operator, kernel_eval, kernel_table,
+                              kernel_tables,
                               load_matrix, load_samples, load_vector,
                               noise_whitener, PriorSpec, sample_covariance,
                               SampleFactor, save_matrix, save_vector,
@@ -96,6 +99,49 @@ def test_matern_extreme_orders_stay_finite():
     lo = kernel_eval(KernelSpec("matern", ell=0.5, nu=119.999), r)
     hi = kernel_eval(KernelSpec("matern", ell=0.5, nu=120.001), r)
     assert np.max(np.abs(lo - hi)) < 1e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nu=st.floats(0.1, 120.0),
+       xs=st.lists(st.floats(-10.0, 5.0), min_size=1, max_size=40))
+def test_kve_matches_scipy_property(nu, xs):
+    """The numpy e^x K_nu(x) equals scipy.special.kve to 1e-12 relative
+    wherever scipy's value is finite and normal, for nu in [0.1, 120] and x
+    in [1e-10, 1e5] (drawn log-uniformly): across Temme's series, the
+    trapezoid rule, the Hankel series and the upward recurrence."""
+    x = 10.0 ** np.array(xs)
+    want = scipy.special.kve(nu, x)
+    with np.errstate(over="ignore"):
+        got = _kve(nu, x)
+    normal = np.isfinite(want) & (want >= np.finfo(float).tiny)
+    assert np.all(np.abs(got[normal] - want[normal])
+                  <= 1e-12 * want[normal])
+
+
+def _matern_scipy(nu, x):
+    """The Matern profile as it was computed with scipy's kve and gammaln,
+    quadratic fallback included."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    pos = x > 1e-10
+    xp = x[pos]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = np.exp(nu * np.log(xp) + np.log(scipy.special.kve(nu, xp))
+                      - xp - (nu - 1.0) * np.log(2.0)
+                      - scipy.special.gammaln(nu))
+    bad = ~np.isfinite(vals)
+    vals[bad] = 1.0 - xp[bad] ** 2 / (4.0 * (nu - 1.0))
+    out[pos] = np.minimum(vals, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.77, 1.29, 3.3, 10.0, 60.0])
+def test_matern_bessel_profile_matches_scipy(nu):
+    r = np.concatenate([[0.0], np.geomspace(1e-12, 10.0, 2000)])
+    spec = KernelSpec("matern", ell=0.3, nu=nu)
+    want = _matern_scipy(nu, np.sqrt(2.0 * nu) * r / 0.3)
+    got = kernel_eval(spec, r)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_rational_quadratic_formula():
@@ -215,6 +261,26 @@ def test_kernel_table_equals_kernel_over_every_offset(case, data, nx, ny, hx,
                                       np.arange(nx)[None, :] * (hx * s)))
     want[0, 0] = 1.0
     assert np.array_equal(kernel_table(spec, g), want)
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), nx=st.integers(1, 12), ny=st.integers(1, 12),
+       count=st.integers(1, 9))
+def test_kernel_tables_equal_one_table_each(case, data, nx, ny, count):
+    """kernel_tables evaluates one profile for a run of specs that differ
+    only in ell, and each of its tables equals that spec's own kernel_table
+    bit for bit; a spec of another nu starts a new run."""
+    family, nus, ells = _TABLE_CASES[case]
+    nu = data.draw(nus)
+    specs = [KernelSpec(family, nu=nu, ell=data.draw(ells))
+             for _ in range(count)]
+    specs.append(KernelSpec(family, nu=data.draw(nus), ell=specs[0].ell))
+    g = Grid(nx, ny)
+    tables = kernel_tables(specs, g)
+    assert len(tables) == len(specs)
+    for spec, table in zip(specs, tables):
+        assert np.array_equal(table, kernel_table(spec, g))
 
 
 def test_kernel_table_is_a_fresh_array():
@@ -502,6 +568,48 @@ def test_from_matrix_sparse():
     ops = LinearOperator.from_matrix(S)
     np.testing.assert_allclose(ops.matvec(np.array([1.0, 1.0])), [3.0, 3.0])
     np.testing.assert_allclose(ops.rmatvec(np.array([1.0, 1.0])), [1.0, 5.0])
+
+
+def _csr_cases():
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.4)
+    # unsorted columns and an unsummed duplicate in row 0
+    messy = sp.csr_matrix((np.array([0.5, 1.25, -2.0, 3.0]),
+                           np.array([3, 1, 3, 0]), np.array([0, 3, 3, 4])),
+                          shape=(3, 4))
+    return {
+        "spherical-32": spherical_tomo(32, 16, 24, seed=7).A,
+        "spherical-64": spherical_tomo(64, 16, 24, seed=7).A,
+        "crosswell-64": crosswell_tomo(64, 10, 20, seed=11).A,
+        "random": LinearOperator.from_matrix(sp.csr_matrix(dense)),
+        "messy": LinearOperator.from_matrix(messy),
+    }
+
+
+@pytest.mark.parametrize("case", ["spherical-32", "spherical-64",
+                                  "crosswell-64", "random", "messy"])
+def test_csr_products_equal_scipy_bit_for_bit(case):
+    """The numpy CSR products equal scipy's csr_matrix products on the same
+    arrays bit for bit: A and A^T, on a vector and on a block."""
+    op = _csr_cases()[case]
+    assert isinstance(op.mat, CSRMatrix)
+    ref = op.mat.to_scipy()
+    rng = np.random.default_rng(5)
+    for x, y in ((rng.standard_normal(op.cols), rng.standard_normal(op.rows)),
+                 (rng.standard_normal((op.cols, 3)),
+                  rng.standard_normal((op.rows, 3)))):
+        assert op.matvec(x).tobytes() == (ref @ x).tobytes()
+        assert op.rmatvec(y).tobytes() == (ref.T @ y).tobytes()
+
+
+def test_csr_matrix_round_trips_through_scipy():
+    S = sp.random(6, 5, density=0.4, random_state=3, format="csr")
+    op = LinearOperator.from_matrix(S)
+    back = op.mat.to_scipy()
+    assert op.mat.nnz == S.nnz
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(back, name), getattr(S, name))
+    np.testing.assert_array_equal(back.toarray(), S.toarray())
 
 
 def _small_ints(rng, shape):

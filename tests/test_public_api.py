@@ -96,36 +96,47 @@ stop.max_iter = 4
 seed = 5
 """
 
-_GUARDED = ("scipy.optimize", "scipy.io", "scipy.linalg")
+_GUARDED = ("scipy.optimize", "scipy.io", "scipy.linalg", "scipy.sparse",
+            "scipy.special")
 
 
-def test_import_and_run_leave_out_optimize_io_and_linalg(tmp_path):
-    """Importing the package and its CLI loads none of scipy.optimize (no
-    command uses it), scipy.io (imported on first use by the Matrix Market
-    helpers) and scipy.linalg (selection runs on numpy's eigh), and a tiny
-    in-process spherical run loads none of them either; a fresh interpreter
-    sees the import graph alone."""
+def test_import_and_commands_load_no_scipy(tmp_path):
+    """Importing the package and its CLI loads no scipy module at all, and
+    neither do a tiny spherical run, a compare and a fit whose nu search
+    reaches general nu (the Bessel route); only the Matrix Market I/O of
+    ``gen`` and the file preset imports scipy.  A fresh interpreter sees the
+    import graph alone."""
     cfg = tmp_path / "sph16.cfg"
     cfg.write_text(_SPHERICAL_16)
     code = ("import sys\n"
             f"sys.path.insert(0, {str(Path(mixkry.__file__).parents[1])!r})\n"
             "import mixkry, mixkry.cli\n"
-            f"guarded = {_GUARDED!r}\n"
-            "print(' '.join(m for m in guarded if m in sys.modules))\n"
-            f"rc = mixkry.cli.main(['run', {str(cfg)!r}, '--out', "
-            f"{str(tmp_path / 'out')!r}])\n"
-            "print(rc, ' '.join(m for m in guarded if m in sys.modules))")
+            "def loaded():\n"
+            "    return ' '.join(sorted(m for m in sys.modules\n"
+            "                           if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print('import', loaded())\n"
+            "for command in ('run', 'compare', 'fit'):\n"
+            f"    rc = mixkry.cli.main([command, {str(cfg)!r}, '--out', "
+            f"{str(tmp_path)!r} + '/' + command])\n"
+            "    print(command, rc, loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    lines = out.stdout.splitlines()
-    # the run's own stdout line sits between the two probes
-    assert lines[0] == "" and lines[-1].split() == ["0"]
+    probes = [line.split() for line in out.stdout.splitlines()
+              if line.split()[0] in ("import", "run", "compare", "fit")]
+    assert probes == [["import"], ["run", "0"], ["compare", "0"],
+                      ["fit", "0"]]
+    # the fit reached a nu with no closed form
+    fit = (tmp_path / "fit" / "summary.txt").read_text()
+    nu = float(fit.split("prior.q1.nu=")[1].split()[0])
+    assert nu not in (0.5, 1.5, 2.5)
     # the probe itself can see the modules it names
     probe = code.replace("import mixkry, mixkry.cli",
-                         "import mixkry, mixkry.cli, scipy.io, scipy.linalg")
+                         "import mixkry, mixkry.cli, "
+                         + ", ".join(_GUARDED))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines()[0].split() == ["scipy.io", "scipy.linalg"]
+    seen = out.stdout.splitlines()[0].split()
+    assert seen[0] == "import" and set(_GUARDED) <= set(seen)
 
 
 def _subclasses(cls):
