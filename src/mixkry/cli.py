@@ -78,75 +78,131 @@ __all__ = [
 
 _PRESETS = ("spherical", "crosswell", "file")
 _VARIANTS = ("mix", "q1", "q2", "identity")
+# kernel family -> the parameters it reads; the identity reads none
+_FAMILIES = {**FAMILY_PARAMS, "identity": ()}
 
 
 def _bool(text):
-    low = text.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    if text.lower() in ("true", "yes", "1", "false", "no", "0"):
+        return text.lower() in ("true", "yes", "1")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (caster, default).  A dict default maps each preset that reads the
-# key to its default there; a scalar default means every preset reads it.
-# A None default leaves the key unset.
+def _items(text):
+    return tuple(item.strip() for item in text.split(","))
+
+
+# A positive scale s (a length, a noise level, a weight, a tolerance) lies
+# in [1e-50, 1e50], so s^2 and 1/s^2 stay within 1e+-100: l^2, sigma^2,
+# 1/sigma^2, nu l^2 and omega tr, also times data or a trace, neither
+# overflow nor underflow.
+_SCALE = (1e-50, 1e50)
+# A kernel order nu stops at 1e6: the large-order Matern profile sums
+# log-space terms of size nu, so its rounding grows with nu (4e-10 at 1e6,
+# 2e-7 at 1e8) until e^x overflows near 1e20.
+_ORDER = (_SCALE[0], 1e6)
+# SearchConfig's own bound: lambda^2 stays a normal float
+_LOG10_LAMBDA = (-150.0, 150.0)
+
+# key -> (caster, default, domain).  A dict default maps each preset that
+# reads the key to its default there, a scalar one applies to every preset,
+# and None leaves the key unset.  A domain is the allowed values (or items
+# of a list), (lo, hi) for a number in [lo, hi], or None for a path.
 _KEYS = {
-    "problem.preset": (str, "spherical"),
-    "problem.size": (int, {"spherical": 32, "crosswell": 64}),
-    "problem.angles": (int, {"spherical": 16}),
-    "problem.circles": (int, {"spherical": 24}),
-    "problem.sources": (int, {"crosswell": 10}),
-    "problem.receivers": (int, {"crosswell": 20}),
-    "problem.train_count": (int, {"spherical": 49}),
-    "noise.level": (float, {"spherical": 0.03, "crosswell": 0.01}),
-    "noise.sigma": (float, {"file": 1.0}),
+    "problem.preset": (str, "spherical", _PRESETS),
+    "problem.size": (int, {"spherical": 32, "crosswell": 64}, (4, np.inf)),
+    "problem.angles": (int, {"spherical": 16}, (1, np.inf)),
+    "problem.circles": (int, {"spherical": 24}, (1, np.inf)),
+    "problem.sources": (int, {"crosswell": 10}, (1, np.inf)),
+    "problem.receivers": (int, {"crosswell": 20}, (1, np.inf)),
+    "problem.train_count": (int, {"spherical": 49}, (2, np.inf)),
+    "noise.level": (float, {"spherical": 0.03, "crosswell": 0.01}, _SCALE),
+    "noise.sigma": (float, {"file": 1.0}, _SCALE),
     "prior.mean": (str, {"spherical": "train", "crosswell": "zero",
-                         "file": "zero"}),
+                         "file": "zero"}, ("train", "zero")),
     "prior.q1.kernel": (str, {"spherical": "matern", "crosswell": "matern",
-                              "file": "identity"}),
-    "prior.q1.ell": (float, 0.25),
-    "prior.q1.nu": (float, 0.5),
-    "prior.q1.gamma_exp": (float, 1.0),
-    "prior.q1.learn": (_bool, False),
+                              "file": "identity"}, tuple(_FAMILIES)),
+    "prior.q1.ell": (float, 0.25, _SCALE),
+    "prior.q1.nu": (float, 0.5, _ORDER),
+    "prior.q1.gamma_exp": (float, 1.0, (_SCALE[0], 2.0)),
+    "prior.q1.learn": (_bool, False, (False, True)),
     "prior.q2.source": (str, {"spherical": "samples", "crosswell": "kernel",
-                              "file": "identity"}),
-    "prior.q2.kernel": (str, "rational-quadratic"),
-    "prior.q2.ell": (float, 0.1),
-    "prior.q2.nu": (float, 2.0),
-    "prior.q2.gamma_exp": (float, 1.0),
-    "file.a": (str, {"file": None}),
-    "file.b": (str, {"file": None}),
-    "file.s_true": (str, {"file": None}),
-    "file.mean": (str, {"file": None}),
-    "file.samples": (str, {"file": None}),
-    "select.method": (str, "wgcv"),
-    "select.gamma": (float, None),
-    "select.gamma_min": (float, 0.01),
-    "select.omega": (float, None),
-    "select.sigma2": (float, None),
-    "select.grid_gamma": (int, 15),
-    "select.grid_lambda": (int, 15),
-    "select.log10_lambda_lo": (float, -6.0),
-    "select.log10_lambda_hi": (float, 2.0),
-    "stop.max_iter": (int, 100),
-    "stop.flat_tol": (float, 1e-4),
-    "stop.residual_tol": (float, 1e-6),
-    "stop.window": (int, 3),
-    "seed": (int, 0),
-    "out": (str, None),
-    "compare.variants": (str, "mix,q1,q2,identity"),
-    "fit.probes": (int, 20),
-    "fit.repeats": (int, 6),
+                              "file": "identity"},
+                        ("samples", "kernel", "identity")),
+    "prior.q2.kernel": (str, "rational-quadratic", tuple(_FAMILIES)),
+    "prior.q2.ell": (float, 0.1, _SCALE),
+    "prior.q2.nu": (float, 2.0, _ORDER),
+    "prior.q2.gamma_exp": (float, 1.0, (_SCALE[0], 2.0)),
+    "file.a": (str, {"file": None}, None),
+    "file.b": (str, {"file": None}, None),
+    "file.s_true": (str, {"file": None}, None),
+    "file.mean": (str, {"file": None}, None),
+    "file.samples": (str, {"file": None}, None),
+    "select.method": (str, "wgcv", METHODS),
+    "select.gamma": (float, None, (_SCALE[0], 1.0)),
+    "select.gamma_min": (float, 0.01, (_SCALE[0], 1.0)),
+    "select.omega": (float, None, _SCALE),
+    "select.sigma2": (float, None, (_SCALE[0] ** 2, _SCALE[1] ** 2)),
+    "select.grid_gamma": (int, 15, (1, np.inf)),
+    "select.grid_lambda": (int, 15, (2, np.inf)),
+    "select.log10_lambda_lo": (float, -6.0, _LOG10_LAMBDA),
+    "select.log10_lambda_hi": (float, 2.0, _LOG10_LAMBDA),
+    "stop.max_iter": (int, 100, (1, np.inf)),
+    "stop.flat_tol": (float, 1e-4, _SCALE),
+    "stop.residual_tol": (float, 1e-6, (0.0, _SCALE[1])),
+    "stop.window": (int, 3, (2, np.inf)),
+    "seed": (int, 0, (0, np.inf)),
+    "out": (str, None, None),
+    "compare.variants": (_items, _VARIANTS, _VARIANTS),
+    "fit.probes": (int, 20, (1, np.inf)),
+    "fit.repeats": (int, 6, (2, np.inf)),
 }
 
-_CHOICES = {
-    "problem.preset": _PRESETS,
-    "prior.mean": ("train", "zero"),
-    "prior.q2.source": ("samples", "kernel", "identity"),
-    "select.method": METHODS,
-}
+
+def _domain_text(key):
+    """What ``key`` accepts, as the errors and README's config table say."""
+    caster, _, domain = _KEYS[key]
+    if domain is None:
+        return "a path"
+    if caster is int:
+        return f"an integer >= {domain[0]}"
+    if caster is float:
+        return "in [{:g}, {:g}]".format(*domain)
+    kind = "distinct items of" if caster is _items else "one of"
+    return f"{kind} {', '.join(map(_fmt, domain))}"
+
+
+def _check(key, value):
+    """Raise a ConfigError naming ``key`` unless ``value`` is in its domain."""
+    caster, _, domain = _KEYS[key]
+    if caster in (int, float):
+        ok = domain[0] <= value <= domain[1]
+    elif caster is _items:
+        ok = len(set(value)) == len(value) and set(value) <= set(domain)
+    else:
+        ok = domain is None or value in domain
+    if not ok:
+        raise ConfigError(f"config key {key} must be {_domain_text(key)}, "
+                          f"got {value!r}")
+
+
+def _unread(key, cfg):
+    """The setting under which a config does not read ``key``, or None."""
+    preset = cfg["problem.preset"]
+    if isinstance(_KEYS[key][1], dict) and preset not in _KEYS[key][1]:
+        return f"problem.preset={preset}"
+    prior, _, name = key.rpartition(".")
+    source = cfg["prior.q2.source"]
+    if prior == "prior.q2" and name != "source" and source != "kernel":
+        return f"prior.q2.source={source}"
+    if key in ("prior.q1.ell", "prior.q1.nu") and cfg["prior.q1.learn"]:
+        return "prior.q1.learn=true"
+    if name in ("ell", "nu", "gamma_exp"):
+        family = cfg[f"{prior}.kernel"]
+        # an unknown family fails the domain test instead
+        if name not in _FAMILIES.get(family, (name,)):
+            return f"{prior}.kernel={family}"
+    return None
 
 
 def read_config(path):
@@ -173,9 +229,8 @@ def read_config(path):
 def resolve_config(pairs):
     """Validate raw key=value pairs and fill the chosen preset's defaults.
 
-    A key that the preset does not read is an error, not a silent no-op,
-    and so is a kernel parameter that the chosen kernel family does not
-    read (every parameter, for the identity).
+    A set key that the config does not read (see :func:`_unread`) is an
+    error, not a silent no-op, and so is a value outside the key's domain.
     """
     cfg = {}
     for key, value in pairs.items():
@@ -186,45 +241,19 @@ def resolve_config(pairs):
             cfg[key] = caster(value) if isinstance(value, str) else value
         except (ValueError, TypeError):
             raise ConfigError(f"config key {key}: cannot parse {value!r}")
-    preset = cfg.get("problem.preset", _KEYS["problem.preset"][1])
-    if preset not in _PRESETS:
-        raise ConfigError(f"problem.preset must be one of {_PRESETS}")
-    for key, (_, default) in _KEYS.items():
+    preset = cfg.setdefault("problem.preset", _KEYS["problem.preset"][1])
+    _check("problem.preset", preset)
+    for key, (_, default, _) in _KEYS.items():
         if isinstance(default, dict):
-            if preset not in default:
-                if key in cfg:
-                    raise ConfigError(f"config key {key} is not read by "
-                                      f"problem.preset={preset}")
-                continue
-            default = default[preset]
+            default = default.get(preset)
         if key not in cfg and default is not None:
             cfg[key] = default
-    for key, allowed in _CHOICES.items():
-        if key in cfg and cfg[key] not in allowed:
-            raise ConfigError(f"config key {key} must be one of {allowed}")
-    for prefix in ("prior.q1", "prior.q2"):
-        family = cfg.get(f"{prefix}.kernel")
-        if family != "identity" and family not in FAMILY_PARAMS:
-            continue  # an unknown family fails where the kernel is built
-        reads = FAMILY_PARAMS.get(family, ()) + (
-            ("gamma_exp",) if family == "gamma-exponential" else ())
-        for name in ("ell", "nu", "gamma_exp"):
-            key = f"{prefix}.{name}"
-            if key in pairs and name not in reads:
-                raise ConfigError(f"config key {key} is not read by "
-                                  f"{prefix}.kernel={family}")
+    for key in pairs:
+        reason = _unread(key, cfg)
+        if reason:
+            raise ConfigError(f"config key {key} is not read by {reason}")
     for key, value in cfg.items():
-        if _KEYS[key][0] is float and not np.isfinite(value):
-            raise ConfigError(f"config key {key} must be finite, got {value}")
-    for key in ("noise.level", "noise.sigma"):
-        if key in cfg and not cfg[key] > 0:
-            raise ConfigError(f"config key {key} must be positive, "
-                              f"got {cfg[key]}")
-    for key, least in (("seed", 0), ("problem.train_count", 2),
-                       ("fit.probes", 1), ("fit.repeats", 2)):
-        if key in cfg and cfg[key] < least:
-            raise ConfigError(f"config key {key} must be at least {least}, "
-                              f"got {cfg[key]}")
+        _check(key, value)
     return cfg
 
 
@@ -263,10 +292,8 @@ def _kernel_operator(prefix, cfg, grid, n):
     if family == "identity":
         return identity_operator(n)
     if grid is None:
-        raise ConfigError(
-            f"{prefix}.kernel={family} needs a square grid; the problem size "
-            "is not a perfect square"
-        )
+        raise ConfigError(f"{prefix}.kernel={family} needs a square grid; "
+                          "the problem size is not a perfect square")
     spec = KernelSpec(family=family, ell=cfg[f"{prefix}.ell"],
                       nu=cfg[f"{prefix}.nu"],
                       gamma_exp=cfg[f"{prefix}.gamma_exp"])
@@ -284,7 +311,17 @@ def _learn_q1(cfg, work):
     if family == "identity":
         raise ConfigError("learning the Q1 kernel needs a kernel family in "
                           "prior.q1.kernel")
-    return learn_matern(work.sample, work.grid, family=family)
+    return learn_matern(work.sample, work.grid, family=family,
+                        gamma_exp=cfg["prior.q1.gamma_exp"])
+
+
+def _load(cfg, key, loader):
+    """``loader`` applied to the path in ``cfg[key]``; a file that cannot
+    be read or parsed is a config error that names the key."""
+    try:
+        return loader(cfg[key])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config key {key}: cannot load {cfg[key]!r}: {exc}")
 
 
 def assemble_workload(cfg):
@@ -312,19 +349,19 @@ def assemble_workload(cfg):
     else:
         if not cfg.get("file.a") or not cfg.get("file.b"):
             raise ConfigError("problem.preset=file requires file.a and file.b")
-        A = LinearOperator.from_matrix(load_matrix(cfg["file.a"]))
-        b = load_vector(cfg["file.b"])
+        A = LinearOperator.from_matrix(_load(cfg, "file.a", load_matrix))
+        b = _load(cfg, "file.b", load_vector)
         if b.size != A.rows:
             raise ConfigError("file.b length does not match file.a rows")
         b_true = b.copy()
         s_true = None
         if cfg.get("file.s_true"):
-            s_true = load_vector(cfg["file.s_true"])
+            s_true = _load(cfg, "file.s_true", load_vector)
         side = int(round(np.sqrt(A.cols)))
         grid = Grid(side, side) if side * side == A.cols else None
         sigma = cfg["noise.sigma"]
         if cfg.get("file.samples"):
-            cols = load_samples(cfg["file.samples"])
+            cols = _load(cfg, "file.samples", load_samples)
             if len(cols) < 2:
                 raise ConfigError(f"file.samples must hold at least 2 "
                                   f"samples, got {len(cols)}")
@@ -336,7 +373,7 @@ def assemble_workload(cfg):
     n = A.cols
     mean_mode = cfg["prior.mean"]
     if cfg.get("file.mean"):
-        mean = load_vector(cfg["file.mean"])
+        mean = _load(cfg, "file.mean", load_vector)
         if mean.size != n:
             raise ConfigError("file.mean length does not match file.a columns")
     elif mean_mode == "train":
@@ -390,13 +427,6 @@ def _search_config(cfg, work, method, gamma_fixed):
     )
 
 
-def _stopping_policy(cfg):
-    return StoppingPolicy(max_iter=cfg["stop.max_iter"],
-                          flat_tol=cfg["stop.flat_tol"],
-                          residual_tol=cfg["stop.residual_tol"],
-                          window=cfg["stop.window"])
-
-
 # ---------------------------------------------------------------------------
 # driver
 
@@ -426,10 +456,8 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
     weights.  Raises :class:`BreakdownError` if the very first basis vector
     cannot be built.
     """
-    if search is None:
-        search = SearchConfig()
-    if policy is None:
-        policy = StoppingPolicy()
+    search = search or SearchConfig()
+    policy = policy or StoppingPolicy()
     # shift out the prior mean: expand on b - A mu, add mu back on recovery
     b_shift = np.asarray(b, dtype=float) - A.matvec(prior.mean)
     state = mixgk_init(A, Rinv, LR, prior.q1, prior.q2, b_shift)
@@ -442,8 +470,6 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
         s_true = np.asarray(s_true, dtype=float)
         norm_true = np.linalg.norm(s_true)
     history, selections = [], []
-    solution = None
-    stop_reason = None
     while True:
         mixgk_step(state)
         sel = select_params(method, state, prior, search,
@@ -485,9 +511,7 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -519,18 +543,14 @@ def _write_images(outdir, work, result, summary):
 
 def _summarize_run(work, method, result, summary):
     final = result.final
-    summary.append(f"problem: {work.name}")
-    summary.append(f"m: {work.m}")
-    summary.append(f"n: {work.n}")
-    summary.append(f"method: {method}")
-    summary.append(f"iterations: {final.k}")
-    summary.append(f"stop_reason: {result.stop_reason}")
-    summary.append(f"gamma: {_fmt(final.gamma)}")
-    summary.append(f"lambda: {_fmt(final.lam)}")
-    summary.append(f"objective: {_fmt(final.objective)}")
-    summary.append(f"rel_residual: {_fmt(final.rel_residual)}")
-    summary.append(f"rel_error: {_fmt(final.rel_error)}")
-    summary.append(f"noise_sigma: {_fmt(work.sigma)}")
+    summary += [
+        f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
+        f"method: {method}", f"iterations: {final.k}",
+        f"stop_reason: {result.stop_reason}", f"gamma: {_fmt(final.gamma)}",
+        f"lambda: {_fmt(final.lam)}", f"objective: {_fmt(final.objective)}",
+        f"rel_residual: {_fmt(final.rel_residual)}",
+        f"rel_error: {_fmt(final.rel_error)}",
+        f"noise_sigma: {_fmt(work.sigma)}"]
     if work.s_true is not None:
         norm_true = np.linalg.norm(work.s_true)
         if norm_true > 0:
@@ -562,7 +582,10 @@ def _solve_and_write(cfg, work, prior, gamma, outdir):
     """
     method = cfg["select.method"]
     search = _search_config(cfg, work, method, gamma)
-    policy = _stopping_policy(cfg)
+    policy = StoppingPolicy(max_iter=cfg["stop.max_iter"],
+                            flat_tol=cfg["stop.flat_tol"],
+                            residual_tol=cfg["stop.residual_tol"],
+                            window=cfg["stop.window"])
     Rinv, LR = noise_whitener(work.sigma**2, work.m)
 
     start = time.perf_counter()
@@ -612,9 +635,8 @@ def _variant_runs(cfg, work):
     """
     n = work.n
     zero = zero_operator(n)
-    for tag in _parse_variants(cfg):
-        note = ""
-        gamma = 1.0
+    for tag in cfg["compare.variants"]:
+        note, gamma = "", 1.0
         if tag == "mix":
             prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
             gamma = cfg.get("select.gamma")
@@ -631,19 +653,6 @@ def _variant_runs(cfg, work):
         else:
             prior = PriorSpec(mean=work.mean, q1=identity_operator(n), q2=zero)
         yield tag, prior, gamma, note
-
-
-def _parse_variants(cfg):
-    tags = [t.strip() for t in cfg["compare.variants"].split(",") if t.strip()]
-    if not tags:
-        raise ConfigError("compare.variants is empty")
-    for i, tag in enumerate(tags):
-        if tag not in _VARIANTS:
-            raise ConfigError(
-                f"unknown compare variant {tag!r}; allowed: {_VARIANTS}")
-        if tag in tags[:i]:
-            raise ConfigError(f"compare.variants names {tag!r} twice")
-    return tags
 
 
 def _cmd_compare(cfg):
@@ -688,7 +697,8 @@ def _cmd_fit(cfg):
 
     # probe-count sweep at the learned parameters: standard error of the
     # mismatch estimate shrinks as the probe count grows
-    spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu)
+    spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu,
+                      gamma_exp=cfg["prior.q1.gamma_exp"])
     kernel = build_kernel_operator(spec, work.grid)
     ladder = sorted({max(2, probes // 4), probes, 4 * probes})
     sweep = []
@@ -713,12 +723,14 @@ def _cmd_fit(cfg):
                and np.isclose(np.log(value), np.log(box), rtol=0.0,
                               atol=1e-9).any()]
     pixel = min(work.grid.spacing) * work.grid.scale
+    # paste-ready lines for the parameters the family reads
+    fitted = {"nu": fit.nu, "ell": fit.ell, "gamma_exp": spec.gamma_exp}
     summary = [
         f"problem: {work.name}",
         f"family: {family}",
         f"samples: {work.sample.count}",
-        f"prior.q1.nu={_fmt(fit.nu)}",
-        f"prior.q1.ell={_fmt(fit.ell)}",
+        *(f"prior.q1.{name}={_fmt(fitted[name])}"
+          for name in FAMILY_PARAMS[family]),
         f"objective: {_fmt(fit.objective)}",
         f"at_clamp: {','.join(clamped) or 'none'}",
         f"ell_pixels: {_fmt(fit.ell / pixel)}",
@@ -768,12 +780,6 @@ def _load_cfg(args):
     return resolve_config(pairs)
 
 
-# package whose bundled OpenBLAS build the CLI pins -> its thread setter.
-# scipy's build is not pinned: only the Matrix Market I/O imports scipy,
-# and it makes no BLAS calls
-_BLAS_SETTERS = (("numpy", "scipy_openblas_set_num_threads64_"),)
-
-
 def _pin_blas_threads():
     """Run the OpenBLAS build bundled with numpy on one thread, unless
     ``OPENBLAS_NUM_THREADS`` is set.
@@ -781,26 +787,27 @@ def _pin_blas_threads():
     Selection makes thousands of small LAPACK and BLAS calls, and more than
     one thread makes each of them pay thread start-up.  Only a library this
     process has already loaded is touched; where none is found this does
-    nothing.
+    nothing.  scipy's build is not pinned: only the Matrix Market I/O
+    imports scipy, and it makes no BLAS calls.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ:
         return
-    for package, symbol in _BLAS_SETTERS:
-        module = sys.modules.get(package)
-        if module is None:
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:  # not loaded in this process
             continue
-        libs = Path(module.__file__).parents[1] / f"{package}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path),
-                                  mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            except OSError:  # not loaded in this process
-                continue
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
+# error classes -> exit code, first match wins
+_EXIT_CODES = (((ConfigError, ArgumentError, DefinitenessError), 2),
+               (BreakdownError, 3), (SearchError, 4), (MixkryError, 1))
 
 
 def main(argv=None):
@@ -822,18 +829,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(_load_cfg(args))
-    except (ConfigError, ArgumentError, DefinitenessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BreakdownError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MixkryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for classes, code in _EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -145,8 +145,9 @@ def fit_bounds(grid):
     return (0.1, 10.0), (1e-3, grid.diameter())
 
 
-def learn_matern(samples, grid, family="matern"):
-    """Learn (nu, ell) for a kernel family against sample snapshots.
+def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
+    """Learn (nu, ell) for a kernel family against sample snapshots, at the
+    fixed exponent ``gamma_exp`` of the gamma-exponential family.
 
     Deterministic.  A 7 x 9 log grid over nu in [0.1, 10] and ell in
     [1e-3, grid diameter] is scanned.  Then ``_ZOOMS`` levels each score a
@@ -170,8 +171,8 @@ def learn_matern(samples, grid, family="matern"):
     def score(points):
         """Score (nu, ell, [log nu, log ell]) points in order."""
         nonlocal best
-        specs = [KernelSpec(family=family, nu=nu, ell=ell)
-                 for nu, ell, _ in points]
+        specs = [KernelSpec(family=family, nu=nu, ell=ell,
+                            gamma_exp=gamma_exp) for nu, ell, _ in points]
         for (nu, ell, x), table in zip(points, kernel_tables(specs, grid)):
             val = mismatch(table)
             if not np.isfinite(val):

@@ -275,7 +275,7 @@ class Grid:
 FAMILY_PARAMS = {
     "squared-exponential": ("ell",),
     "matern": ("nu", "ell"),
-    "gamma-exponential": ("ell",),
+    "gamma-exponential": ("ell", "gamma_exp"),
     "rational-quadratic": ("nu", "ell"),
     "sinc": ("nu",),
 }
@@ -285,10 +285,10 @@ FAMILY_PARAMS = {
 class KernelSpec:
     """Isotropic covariance kernel family with its shape parameters.
 
-    ``ell`` is the length scale and ``nu`` the smoothness or shape
-    parameter; :data:`FAMILY_PARAMS` lists which of the two each family
-    reads.  ``gamma_exp`` is the exponent of the gamma-exponential family.
-    Every parameter must be finite.
+    ``ell`` is the length scale, ``nu`` the smoothness or shape parameter
+    and ``gamma_exp`` the exponent of the gamma-exponential family;
+    :data:`FAMILY_PARAMS` lists which of them each family reads.  Every
+    parameter must be finite.
     """
 
     family: str

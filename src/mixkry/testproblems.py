@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateDataError
+from .errors import ArgumentError, DegenerateDataError, ParameterDomainError
 from .operators import CSRMatrix, Grid, LinearOperator
 
 __all__ = [
@@ -347,8 +347,9 @@ def add_noise(b_clean, level, seed):
     returned for use as the noise deviation in selection rules.
     """
     b_clean = np.asarray(b_clean, dtype=float)
-    if level <= 0:
-        raise ArgumentError("noise level must be positive")
+    if not (np.isfinite(level) and level > 0):
+        raise ParameterDomainError(
+            f"noise level must be finite and positive, got {level}")
     norm_b = float(np.linalg.norm(b_clean))
     if norm_b == 0.0:
         raise DegenerateDataError("cannot scale noise against zero data")

@@ -1,15 +1,16 @@
 """Config parsing, the batch driver, and its on-disk artifacts."""
 
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mixkry.learn
-import mixkry.operators
 import mixkry.params
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
@@ -146,18 +147,16 @@ def test_lambda_range_at_its_domain_ends_runs_clean(tmp_path, method):
                                       "select.omega=0", "select.sigma2=nan",
                                       "select.sigma2=inf",
                                       "select.sigma2=-1"])
-def test_exit_code_bad_omega_sigma2(tmp_path, capsys, override):
+def test_exit_code_bad_omega_sigma2(run_case, override):
     """A non-finite or non-positive select.omega or select.sigma2 is a
-    parameter error (exit 2) that names the key, under the method that
-    reads it: not a search that finds no finite objective (exit 4) or one
-    that scores meaningless values (exit 0)."""
+    config error (exit 2) that names the key, under the method that reads
+    it: not a search that finds no finite objective (exit 4) or one that
+    scores meaningless values (exit 0)."""
     key = override.split("=")[0]
     method = "upre" if key == "select.sigma2" else "wgcv"
-    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
-    rc = cli.main(["run", cfg, override, f"select.method={method}",
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert key.split(".")[1] in capsys.readouterr().err
+    rc, named, assembled = run_case("spherical", "run", override,
+                                    f"select.method={method}")
+    assert rc == 2 and key in named and not assembled
 
 
 def preset_cfg(tmp_path, preset):
@@ -178,21 +177,141 @@ def preset_cfg(tmp_path, preset):
     ))
 
 
+@pytest.fixture
+def run_case(tmp_path, capsys, monkeypatch):
+    """``run_case(preset, command, *overrides)`` runs one command in process
+    on ``preset_cfg(preset)`` with warnings raised as errors, and with
+    ``--out`` unless an override sets ``out``.  It returns the exit code
+    (or the repr of the exception that escaped ``cli.main``), the set of
+    config keys that stderr names, and whether ``assemble_workload`` was
+    called."""
+    assembled, cfgs = [], {}
+    assemble = cli.assemble_workload
+
+    def recording(cfg):
+        assembled.append(cfg)
+        return assemble(cfg)
+
+    monkeypatch.setattr(cli, "assemble_workload", recording)
+    monkeypatch.chdir(tmp_path)  # a relative file.* path resolves here
+
+    def run(preset, command, *overrides):
+        if preset not in cfgs:
+            cfgs[preset] = preset_cfg(tmp_path, preset)
+        assembled.clear()
+        out = [] if any(o.startswith("out=") for o in overrides) else [
+            "--out", str(tmp_path / "out")]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli.main([command, cfgs[preset], *overrides, *out])
+        except Exception as exc:  # a traceback, or an escaped warning
+            rc = repr(exc)
+        err = capsys.readouterr().err
+        named = {key for key in cli._KEYS
+                 if re.search(rf"(?<![\w.]){re.escape(key)}(?!\w|\.\w)", err)}
+        return rc, named, bool(assembled)
+
+    return run
+
+
+def in_domain(key, text):
+    """Whether ``text`` casts to a value in ``key``'s domain as ``_KEYS``
+    states it; a path has no domain."""
+    caster, _, domain = cli._KEYS[key]
+    try:
+        value = caster(text)
+    except ValueError:
+        return False
+    if domain is None:
+        return True
+    if caster in (int, float):
+        return domain[0] <= value <= domain[1]
+    items = value if isinstance(value, tuple) else (value,)
+    return len(set(items)) == len(items) and set(items) <= set(domain)
+
+
+PRESETS = ("spherical", "crosswell", "file")
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "", "abc")
+
+
+@pytest.mark.parametrize("key", list(cli._KEYS))
+def test_config_boundary_sweep(run_case, key):
+    """Every key, set to each hostile value under each preset: ``run``,
+    plus ``compare`` for ``compare.variants`` and ``fit`` (spherical) for
+    ``fit.*``.  Each case exits 0, or exits 2 with the key named in the
+    error; nothing escapes as a traceback or a warning.  A value outside
+    the key's domain exits 2 before any assembly.  A missing ``file.*``
+    path has no domain: it is found when it is read.  1,212 cases in all.
+    """
+    values = HOSTILE + (("mix,mix",) if key == "compare.variants" else ())
+    runs = [(preset, "run") for preset in PRESETS]
+    if key == "compare.variants":
+        runs += [(preset, "compare") for preset in PRESETS]
+    if key.startswith("fit."):
+        runs.append(("spherical", "fit"))
+    breaches = []
+    for preset, command in runs:
+        for value in values:
+            rc, named, assembled = run_case(preset, command, f"{key}={value}")
+            if in_domain(key, value):
+                kept = rc == 0 or (rc == 2 and key in named)
+            else:
+                kept = rc == 2 and key in named and not assembled
+            if not kept:
+                breaches.append((preset, command, value, rc, named,
+                                 assembled))
+    assert breaches == []
+
+
+def domain_ends():
+    """(key, end, preset, overrides) for each float key at both ends of its
+    domain, in each config that reads it: a kernel parameter under every
+    family that reads it, Q2's through prior.q2.source=kernel."""
+    for key, (caster, _, domain) in cli._KEYS.items():
+        if caster is not float:
+            continue
+        prior, _, name = key.rpartition(".")
+        if prior in ("prior.q1", "prior.q2"):
+            source = ("prior.q2.source=kernel",) if prior == "prior.q2" else ()
+            configs = [("spherical", (f"{prior}.kernel={family}", *source))
+                       for family, reads in FAMILY_PARAMS.items()
+                       if name in reads]
+        elif key == "noise.sigma":
+            configs = [("file", ())]
+        elif key == "noise.level":
+            configs = [("spherical", ()), ("crosswell", ())]
+        else:
+            method = ("select.method=upre",) if key == "select.sigma2" else ()
+            configs = [(preset, method) for preset in PRESETS]
+        for end in domain:
+            for preset, overrides in configs:
+                yield key, end, preset, overrides
+
+
+@pytest.mark.parametrize("key, end, preset, overrides", list(domain_ends()))
+def test_float_key_domain_ends_run_clean(run_case, key, end, preset,
+                                         overrides):
+    """Each end of a float key's domain runs without a traceback or a
+    floating-point warning: exit 0, or exit 2 where the library rejects
+    the problem it defines."""
+    rc, _, _ = run_case(preset, "run", f"{key}={end!r}", *overrides)
+    assert rc in (0, 2)
+
+
 @pytest.mark.parametrize("override", [
     "noise.sigma=nan", "noise.sigma=inf", "noise.sigma=-1", "noise.sigma=0",
     "noise.level=nan", "noise.level=inf", "noise.level=-0.1",
     "noise.level=0"])
-def test_exit_code_bad_noise(tmp_path, capsys, override):
+def test_exit_code_bad_noise(run_case, override):
     """A non-finite or non-positive noise.sigma (file preset) or noise.level
     (spherical preset) is a config error (exit 2) that names the key: not
     an unwhitened run that records the bad value (exit 0), and not a
     failure reported against b or sigma2."""
     key = override.split("=")[0]
-    cfg = preset_cfg(tmp_path,
-                     "file" if key == "noise.sigma" else "spherical")
-    rc = cli.main(["run", cfg, override, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert key in capsys.readouterr().err
+    preset = "file" if key == "noise.sigma" else "spherical"
+    rc, named, assembled = run_case(preset, "run", override)
+    assert rc == 2 and key in named and not assembled
 
 
 @pytest.mark.parametrize("preset, override", [
@@ -221,11 +340,16 @@ def test_exit_code_key_the_preset_does_not_read(tmp_path, capsys, preset,
     (("prior.q1.kernel=sinc", "prior.q1.ell=0.1"), "prior.q1.ell"),
     (("prior.q1.kernel=identity", "prior.q1.nu=2"), "prior.q1.nu"),
     (("prior.q2.source=kernel", "prior.q2.kernel=gamma-exponential",
-      "prior.q2.nu=3"), "prior.q2.nu")])
+      "prior.q2.nu=3"), "prior.q2.nu"),
+    (("prior.q1.learn=true", "prior.q1.ell=0.3"), "prior.q1.ell"),
+    (("prior.q2.kernel=sinc",), "prior.q2.kernel"),
+    (("prior.q2.ell=-1",), "prior.q2.ell")])
 def test_exit_code_kernel_key_the_family_does_not_read(tmp_path, capsys,
                                                        overrides, key):
-    """A kernel parameter set for a family that does not read it is a
-    config error (exit 2) that names the key, whatever its value."""
+    """A kernel key set where it is not read is a config error (exit 2)
+    that names the key, whatever its value: a parameter of a family that
+    ignores it, any Q2 kernel key while Q2 comes from the samples (the
+    spherical default), and the ell or nu of a learned Q1."""
     rc = cli.main(["run", preset_cfg(tmp_path, "spherical"), *overrides,
                    "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -245,7 +369,6 @@ def test_kernel_keys_the_family_reads_run(tmp_path, overrides):
     assert rc == 0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("preset, override", [
     ("spherical", "prior.q1.nu=inf"), ("spherical", "prior.q1.ell=inf"),
     ("spherical", "prior.q1.ell=-inf"), ("spherical", "prior.q1.nu=nan"),
@@ -253,22 +376,14 @@ def test_kernel_keys_the_family_reads_run(tmp_path, overrides):
     ("crosswell", "prior.q2.ell=nan"), ("spherical", "stop.flat_tol=nan"),
     ("spherical", "stop.residual_tol=nan"), ("spherical", "stop.flat_tol=inf"),
     ("crosswell", "stop.residual_tol=inf")])
-def test_exit_code_non_finite_key(tmp_path, capsys, monkeypatch, preset,
-                                  override):
+def test_exit_code_non_finite_key(run_case, preset, override):
     """A non-finite kernel parameter or stopping tolerance is a config error
-    (exit 2) that names the key before any kernel is evaluated: no warning
+    (exit 2) that names the key before anything is assembled: no warning
     from the Bessel profile's logarithms, no NaN blamed on the data later,
     and no run with its stopping rule silently switched off."""
-    def evaluated(*args):
-        raise AssertionError("a kernel was evaluated")
-
-    monkeypatch.setattr(mixkry.operators, "kernel_eval", evaluated)
-    monkeypatch.setattr(mixkry.operators, "kernel_tables", evaluated)
     key = override.split("=")[0]
-    rc = cli.main(["run", preset_cfg(tmp_path, preset), override,
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert key in capsys.readouterr().err
+    rc, named, assembled = run_case(preset, "run", override)
+    assert rc == 2 and key in named and not assembled
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])
@@ -558,26 +673,23 @@ def test_compare_select_gamma_pins_mix_only(tmp_path):
         assert {float(row.split(",")[2]) for row in rows} == {gamma}
 
 
-def test_compare_rejects_unknown_variant(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "c.cfg",
-                    SPHERICAL_TINY + "compare.variants = mix,banana\n")
-    rc = cli.main(["compare", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "banana" in capsys.readouterr().err
+def test_compare_rejects_unknown_variant(run_case):
+    """An unknown variant exits 2 naming the key, before any run."""
+    rc, named, assembled = run_case("spherical", "compare",
+                                    "compare.variants=mix,banana")
+    assert rc == 2 and "compare.variants" in named and not assembled
 
 
-def test_compare_rejects_duplicate_variant(tmp_path, capsys):
+def test_compare_rejects_duplicate_variant(tmp_path, run_case):
     """A variant named twice would run twice into one directory and write
     two compare.csv rows: exit 2 naming the key, before any run."""
     cfg = write_cfg(tmp_path / "c.cfg", SPHERICAL_TINY)
     with pytest.raises(ConfigError, match="compare.variants"):
-        cli._parse_variants(cli.resolve_config(
-            {**cli.read_config(cfg), "compare.variants": "mix,q1,mix"}))
-    rc = cli.main(["compare", cfg, "compare.variants=mix,mix",
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "compare.variants" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "mix").exists()
+        cli.resolve_config({**cli.read_config(cfg),
+                            "compare.variants": "mix,q1,mix"})
+    rc, named, assembled = run_case("spherical", "compare",
+                                    "compare.variants=mix,mix")
+    assert rc == 2 and "compare.variants" in named and not assembled
 
 
 def test_run_crosswell_paper_scale(tmp_path):
@@ -683,6 +795,41 @@ def test_fit_at_clamp_names_only_parameters_the_family_reads(tmp_path,
         assert at_clamp == ["nu", "ell"][2 - len(FAMILY_PARAMS[family]):]
 
 
+@pytest.mark.parametrize("command, line", [("fit", "prior.q1.ell"),
+                                           ("run", "learned_ell")])
+def test_learning_reads_the_configured_gamma_exp(tmp_path, command, line):
+    """fit, and run with prior.q1.learn=true, fit ell at the configured
+    exponent of the gamma-exponential kernel: two exponents learn two
+    length scales, and fit's summary names the exponent."""
+    cfg = write_cfg(tmp_path / "f.cfg", SPHERICAL_TINY
+                    + "prior.q1.kernel = gamma-exponential\n")
+    learn = ("prior.q1.learn=true",) if command == "run" else ()
+    ells = []
+    for exponent in ("0.5", "1.5"):
+        out = tmp_path / exponent
+        assert cli.main([command, cfg, f"prior.q1.gamma_exp={exponent}",
+                         *learn, "--out", str(out)]) == 0
+        fields = summary_fields(out)
+        ells.append(fields[line])
+        if command == "fit":
+            assert fields["prior.q1.gamma_exp"] == exponent
+    assert ells[0] != ells[1]
+
+
+@pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+def test_fit_summary_lines_paste_into_the_config(tmp_path, family):
+    """summary.txt's paste-ready lines name exactly the parameters the
+    family reads, so the config with them pasted in resolves."""
+    cfg = write_cfg(tmp_path / "f.cfg", SPHERICAL_TINY
+                    + f"prior.q1.kernel = {family}\n")
+    assert cli.main(["fit", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = [l for l in (tmp_path / "out" / "summary.txt").read_text()
+             .splitlines() if l.startswith("prior.q1.")]
+    pasted = dict(l.split("=") for l in lines)
+    assert list(pasted) == [f"prior.q1.{p}" for p in FAMILY_PARAMS[family]]
+    cli.resolve_config({**cli.read_config(cfg), **pasted})
+
+
 def test_fit_ladder_estimates_the_minimized_mismatch(tmp_path):
     """On spherical-16 the fit minimizes the exact mismatch, and fit.csv's
     Hutchinson ladder estimates that same value at the learned (nu, ell):
@@ -765,16 +912,11 @@ def test_exit_code_one_training_sample(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("override", ["fit.probes=0", "fit.repeats=1"])
-def test_exit_code_bad_fit_ladder(tmp_path, capsys, override):
+def test_exit_code_bad_fit_ladder(run_case, override):
     """fit.probes below 1 or fit.repeats below 2 fails when the config is
     read (exit 2, naming the key), before any assembly."""
-    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
-    with pytest.raises(ConfigError, match=override.split("=")[0]):
-        cli.resolve_config({**cli.read_config(cfg),
-                            override.split("=")[0]: override.split("=")[1]})
-    rc = cli.main(["fit", cfg, override, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert override.split("=")[0] in capsys.readouterr().err
+    rc, named, assembled = run_case("spherical", "fit", override)
+    assert rc == 2 and override.split("=")[0] in named and not assembled
 
 
 def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
@@ -872,6 +1014,14 @@ def test_cli_override_precedence(tmp_path):
 
 
 def test_readme_names_every_config_key():
-    """README's config table spells out every key verbatim, in backticks."""
+    """README's config table spells out every key verbatim, in backticks,
+    and its Domain cell is the key's domain as ``_KEYS`` renders it."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    assert [key for key in cli._KEYS if f"`{key}`" not in text] == []
+    table = text.split("### Config keys")[1].split("###")[0]
+    domains = {}
+    for row in table.splitlines():
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        if row.startswith("| `"):
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                domains[key] = cells[3]
+    assert domains == {key: cli._domain_text(key) for key in cli._KEYS}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import spherical_matrix_reference
-from mixkry.errors import ArgumentError, DegenerateDataError
+from mixkry.errors import (ArgumentError, DegenerateDataError,
+                           ParameterDomainError)
 from mixkry.testproblems import (add_noise, circle_mask, crosswell_tomo,
                                  gen_training_images, read_pgm,
                                  spherical_tomo, write_pgm)
@@ -267,6 +268,14 @@ def test_add_noise_guards():
         add_noise(np.ones(5), 0.0, seed=0)
     with pytest.raises(DegenerateDataError):
         add_noise(np.zeros(5), 0.1, seed=0)
+
+
+@pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+def test_add_noise_rejects_non_finite_level(level):
+    """A NaN level is not <= 0, and an infinite one passes > 0: neither may
+    return all-NaN data with sigma = NaN or inf."""
+    with pytest.raises(ParameterDomainError, match="noise level"):
+        add_noise(np.ones(5), level, seed=0)
 
 
 def test_pgm_roundtrip(tmp_path):
