@@ -40,6 +40,7 @@ from .operators import (
     PriorSpec,
     build_kernel_operator,
     identity_operator,
+    kernel_table,
     load_matrix,
     load_samples,
     load_vector,
@@ -59,6 +60,7 @@ from .params import (
 )
 from .projected import recover_iterate
 from .testproblems import (
+    SPHERICAL_MIN_SIZE,
     add_noise,
     crosswell_tomo,
     gen_training_images,
@@ -254,6 +256,10 @@ def resolve_config(pairs):
             raise ConfigError(f"config key {key} is not read by {reason}")
     for key, value in cfg.items():
         _check(key, value)
+    if preset == "spherical" and cfg["problem.size"] < SPHERICAL_MIN_SIZE:
+        raise ConfigError(f"config key problem.size must be an integer >= "
+                          f"{SPHERICAL_MIN_SIZE} under problem.preset="
+                          f"spherical, got {cfg['problem.size']}")
     return cfg
 
 
@@ -297,7 +303,14 @@ def _kernel_operator(prefix, cfg, grid, n):
     spec = KernelSpec(family=family, ell=cfg[f"{prefix}.ell"],
                       nu=cfg[f"{prefix}.nu"],
                       gamma_exp=cfg[f"{prefix}.gamma_exp"])
-    return build_kernel_operator(spec, grid)
+    # a kernel that is 1 at every offset makes every pixel equal: rank one
+    table = kernel_table(spec, grid)
+    if np.all(table == 1.0):
+        keys = ", ".join(f"{prefix}.{p}={_fmt(cfg[f'{prefix}.{p}'])}"
+                         for p in FAMILY_PARAMS[family])
+        raise ConfigError(f"{prefix}.kernel={family} with {keys} is 1 at "
+                          "every grid offset: a rank-one covariance")
+    return build_kernel_operator(spec, grid, table)
 
 
 def _learn_q1(cfg, work):

@@ -676,15 +676,16 @@ def kernel_tables(specs, grid):
     return tables
 
 
-def build_kernel_operator(spec, grid):
+def build_kernel_operator(spec, grid, table=None):
     """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
 
-    kappa is evaluated once, by :func:`kernel_table`; the returned
+    kappa is evaluated once, by :func:`kernel_table`, unless the caller
+    passes that ``table`` already evaluated; the returned
     :class:`KernelOperator` applies K by FFT in O(n log n) time and O(n)
     memory, at any grid size.
     """
     ny, nx = grid.ny, grid.nx
-    t = kernel_table(spec, grid)
+    t = kernel_table(spec, grid) if table is None else table
     # even extension: entry (i, j) holds the kernel at offset
     # (min(i, 2 ny - i), min(j, 2 nx - j)); the rows and columns at ny and nx
     # are never reached by a cropped product and stay zero
@@ -737,10 +738,12 @@ def sample_covariance(samples):
     n = cols[0].size
     if any(c.size != n for c in cols):
         raise ArgumentError("samples must all have the same length")
+    # centred and scaled in place: the column_stack copy becomes the factor
     X = np.column_stack(cols)
     mean = X.mean(axis=1)
-    S = (X - mean[:, None]) / np.sqrt(X.shape[1])
-    return SampleFactor(S, mean)
+    X -= mean[:, None]
+    X /= np.sqrt(X.shape[1])
+    return SampleFactor(X, mean)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import ArgumentError, DegenerateDataError, ParameterDomainError
 from .operators import CSRMatrix, Grid, LinearOperator
 
 __all__ = [
+    "SPHERICAL_MIN_SIZE",
     "TomoProblem",
     "TrainingSet",
     "spherical_tomo",
@@ -128,13 +129,19 @@ def gen_training_images(count, size, seed):
 # sparse assembly
 
 
-def _sum_rows(rows, cols, vals, n_rows, n_cols):
+def _index_dtype(n_cols, nnz):
+    """int32 for CSR indices where ``n_cols`` and ``nnz`` (or a bound on it)
+    fit, as scipy stores them; int64 otherwise."""
+    return np.int32 if max(n_cols, nnz) < 2**31 else np.int64
+
+
+def _sum_rows(rows, cols, vals, n_rows, n_cols, index):
     """Compressed rows of the triplets (rows, cols, vals), duplicates summed.
 
     The triplets are sorted stably by (row, column), and each duplicate
     group is summed by ``np.bincount`` one value at a time in triplet order.
-    Returns (data, column indices, entries per row), rows and columns
-    ascending.
+    Returns (data, column indices of dtype ``index``, entries per row), rows
+    and columns ascending.
     """
     key = rows.astype(np.int64) * n_cols + cols
     order = np.argsort(key, kind="stable")
@@ -144,74 +151,82 @@ def _sum_rows(rows, cols, vals, n_rows, n_cols):
     np.not_equal(key[1:], key[:-1], out=first[1:])
     data = np.bincount(np.cumsum(first) - 1, weights=vals[order])
     key = key[first]
-    return data, key % n_cols, np.bincount(key // n_cols, minlength=n_rows)
+    return (data, (key % n_cols).astype(index),
+            np.bincount(key // n_cols, minlength=n_rows))
 
 
 def _csr(pieces, shape):
     """The :class:`~mixkry.operators.CSRMatrix` of consecutive row blocks,
-    each a ``_sum_rows`` result; int32 indices where they fit, as scipy
-    stores them."""
-    data, cols, counts = (np.concatenate(part) for part in zip(*pieces))
-    index = np.int32 if max(shape[1], data.size) < 2**31 else np.int64
+    each a ``_sum_rows`` result; int32 indices where they fit.
+
+    Given as a generator, the blocks are held only here, so each kind of
+    array is freed once it is joined, and indices that already have the
+    final dtype are joined without a cast.
+    """
+    data, cols, counts = zip(*pieces)
+    data = np.concatenate(data)
+    index = _index_dtype(shape[1], data.size)
+    cols = np.concatenate(cols).astype(index, copy=False)
     indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRMatrix(data, cols.astype(index), indptr, shape)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return CSRMatrix(data, cols, indptr, shape)
 
 
 # ---------------------------------------------------------------------------
 # spherical means
 
-# arcs are assembled a block of whole angles at a time, each block holding
-# about this many samples, so the temporaries stay bounded at paper scale
-_BLOCK_SAMPLES = 1 << 17
+# the smallest image side the spherical geometry accepts
+SPHERICAL_MIN_SIZE = 16
 
 
 def _spherical_matrix(size, n_angles, n_circles):
-    """Sparse spherical-means matrix, assembled a block of angles at a time.
+    """Sparse spherical-means matrix, assembled one angle at a time.
 
     Each arc is integrated by quarter-pixel sampling with bilinear
     deposition; it opens toward the center of the region of interest, and
     samples outside the masked disk are clipped (no weight).  Within an arc
     the triplets are laid out corner by corner, then sample by sample, as
     the per-arc reference lays them out, and each (row, column) sum adds
-    its triplets in that order.  Rows are arcs, so a block of whole arcs
-    holds every triplet of its rows.
+    its triplets in that order.  Rows are arcs, so the arcs of one angle
+    hold every triplet of their rows, and only one angle's triplets are
+    alive at a time.
     """
     ds = 0.25 / size
     radius = (np.arange(n_circles) + 1) / n_circles
     nsamp = np.maximum(8, np.ceil(np.pi * radius / ds).astype(int))
-    theta = np.deg2rad(np.arange(n_angles) * (90.0 / n_angles))
-    step = max(1, _BLOCK_SAMPLES // int(nsamp.sum()))
-    pieces = [_arc_block(size, theta[a:a + step], radius, nsamp)
-              for a in range(0, n_angles, step)]
-    return _csr(pieces, (n_angles * n_circles, size * size))
-
-
-def _arc_block(size, theta, radius, nsamp):
-    """``_sum_rows`` of the arcs centred at angles ``theta``, every radius
-    at each."""
-    h = 1.0 / size
-    arcs = theta.size * radius.size
-    cx = np.repeat(0.5 + 0.5 * np.cos(theta), radius.size)
-    cy = np.repeat(0.5 + 0.5 * np.sin(theta), radius.size)
-    radius = np.tile(radius, theta.size)
-    nsamp = np.tile(nsamp, theta.size)
-    w = np.pi * radius / nsamp
-    inward = np.arctan2(0.5 - cy, 0.5 - cx)
-
-    # sample angles t = inward - pi/2 + (i + 1/2) pi / nsamp, built in place
+    # a sample deposits on at most 4 pixels, which bounds nnz
+    index = _index_dtype(size * size, 4 * n_angles * int(nsamp.sum()))
+    # the samples of every radius, which each angle shares: arc, offset
+    # (i + 1/2) pi / nsamp from the arc's start, radius and weight
+    arc = np.repeat(np.arange(n_circles), nsamp)
     t = np.arange(nsamp.sum()) - np.repeat(np.cumsum(nsamp) - nsamp, nsamp)
     t = t + 0.5
     t *= np.repeat(np.pi / nsamp, nsamp)
-    t += np.repeat(inward - np.pi / 2.0, nsamp)
+    samples = (arc, t, np.repeat(radius, nsamp),
+               np.repeat(np.pi * radius / nsamp, nsamp))
+    theta = np.deg2rad(np.arange(n_angles) * (90.0 / n_angles))
+    return _csr((_angle_arcs(size, a, samples, n_circles, index)
+                 for a in theta), (n_angles * n_circles, size * size))
+
+
+def _angle_arcs(size, theta, samples, n_circles, index):
+    """``_sum_rows`` of the ``n_circles`` arcs centred at angle ``theta``,
+    one row per radius, from the shared ``samples`` of
+    ``_spherical_matrix``."""
+    arc, t, r, w = samples
+    h = 1.0 / size
+    cx = 0.5 + 0.5 * np.cos(theta)
+    cy = 0.5 + 0.5 * np.sin(theta)
+    # each arc spans the half turn centred on the direction to the center
+    t = t + (np.arctan2(0.5 - cy, 0.5 - cx) - np.pi / 2.0)
     px = np.cos(t)
-    px *= np.repeat(radius, nsamp)
-    px += np.repeat(cx, nsamp)
+    px *= r
+    px += cx
     py = np.sin(t, out=t)
-    py *= np.repeat(radius, nsamp)
-    py += np.repeat(cy, nsamp)
+    py *= r
+    py += cy
     inside = (px - 0.5) ** 2 + (py - 0.5) ** 2 <= 0.25
-    arc = np.repeat(np.arange(arcs), nsamp)[inside]
+    arc, w = arc[inside], w[inside]
     px, py = px[inside], py[inside]
     del t, inside
 
@@ -225,7 +240,6 @@ def _arc_block(size, theta, radius, nsamp):
 
     # one row of triplets per corner; read corner by corner, each arc's
     # triplets come in the per-arc layout
-    w = w[arc]
     cols = np.empty((4, arc.size), dtype=int)
     vals = np.empty((4, arc.size))
     for corner, (dj, di) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
@@ -234,8 +248,8 @@ def _arc_block(size, theta, radius, nsamp):
         cols[corner] = (np.clip(i0 + di, 0, size - 1) * size
                         + np.clip(j0 + dj, 0, size - 1))
         vals[corner] = w * (ux * uy)
-    return _sum_rows(np.tile(arc, 4), cols.ravel(), vals.ravel(), arcs,
-                     size * size)
+    return _sum_rows(np.tile(arc, 4), cols.ravel(), vals.ravel(), n_circles,
+                     size * size, index)
 
 
 def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
@@ -246,8 +260,9 @@ def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
     the integral of the image along the semicircular arc that opens toward
     the disk, clipped to the disk.
     """
-    if size < 16:
-        raise ArgumentError("spherical geometry needs size >= 16")
+    if size < SPHERICAL_MIN_SIZE:
+        raise ArgumentError(
+            f"spherical geometry needs size >= {SPHERICAL_MIN_SIZE}")
     if n_angles < 1 or n_circles < 1:
         raise ArgumentError("degenerate spherical geometry")
     A = _spherical_matrix(size, n_angles, n_circles)
@@ -326,8 +341,9 @@ def crosswell_tomo(size=64, n_sources=10, n_receivers=20, seed=11):
             vals.append(lens)
     m = n_sources * n_receivers
     n = size * size
-    A = _csr([_sum_rows(np.concatenate(rows), np.concatenate(cols),
-                        np.concatenate(vals), m, n)], (m, n))
+    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+    A = _csr([_sum_rows(rows, cols, vals, m, n, _index_dtype(n, rows.size))],
+             (m, n))
 
     s_true = _crosswell_truth(size, seed).ravel()
     op = LinearOperator.from_matrix(A)

@@ -386,6 +386,32 @@ def test_exit_code_non_finite_key(run_case, preset, override):
     assert rc == 2 and key in named and not assembled
 
 
+@pytest.mark.parametrize("size", range(4, 16))
+def test_exit_code_spherical_size_below_its_preset_end(run_case, size):
+    """problem.size accepts 4 for every preset, but the spherical geometry
+    needs 16: a spherical size of 4-15 is a config error (exit 2) naming
+    the key and the preset before anything is assembled."""
+    rc, named, assembled = run_case("spherical", "run",
+                                    f"problem.size={size}")
+    assert rc == 2
+    assert named == {"problem.size", "problem.preset"} and not assembled
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (("prior.q1.ell=1e50",), "prior.q1.ell"),
+    (("prior.q1.nu=1e-50",), "prior.q1.nu"),
+    (("prior.q1.kernel=sinc", "prior.q1.nu=1e-50"), "prior.q1.nu"),
+    (("prior.q2.source=kernel", "prior.q2.ell=1e50"), "prior.q2.ell")])
+def test_exit_code_all_ones_kernel_names_its_keys(run_case, capsys,
+                                                  overrides, key):
+    """A kernel that is exactly 1 at every grid offset (the Matern profile
+    at ell = 1e50 or at nu = 1e-50, sinc at nu = 1e-50) is refused at
+    assembly (exit 2) with the keys its family reads, not later as a
+    covariance that fails the definiteness probe."""
+    rc, named, assembled = run_case("spherical", "run", *overrides)
+    assert rc == 2 and key in named and assembled
+
+
 @pytest.mark.parametrize("command", ["run", "gen"])
 def test_exit_code_negative_seed(tmp_path, capsys, command):
     """A negative seed fails at the boundary (exit 2, naming the key), not

@@ -464,6 +464,26 @@ def test_sample_covariance_matches_outer_product_sum():
     np.testing.assert_allclose(sf.factor @ sf.factor.T, brute, atol=1e-12)
 
 
+def test_sample_covariance_works_in_place():
+    """The factor is the centred, scaled copy itself: the traced peak for
+    49 samples of a 128 x 128 image stays below 1.5x the factor's bytes
+    (a second n x N temporary would double it).  Its bits equal the
+    out-of-place (X - mean) / sqrt(N), and the samples are left alone."""
+    X = np.random.default_rng(5).standard_normal((49, 16384))
+    before = X.copy()
+    tracemalloc.start()
+    try:
+        sf = sample_covariance(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sf.factor.nbytes
+    C = np.column_stack(list(X))
+    want = (C - C.mean(axis=1)[:, None]) / np.sqrt(49)
+    assert sf.factor.tobytes() == want.tobytes()
+    assert np.array_equal(X, before)
+
+
 def test_sample_covariance_empty():
     with pytest.raises(DegenerateDataError):
         sample_covariance([])

@@ -1,5 +1,7 @@
 """Tomography generators, training images, noise, and PGM files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import spherical_matrix_reference
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.testproblems import (add_noise, circle_mask, crosswell_tomo,
-                                 gen_training_images, read_pgm,
-                                 spherical_tomo, write_pgm)
+from mixkry.testproblems import (_spherical_matrix, add_noise, circle_mask,
+                                 crosswell_tomo, gen_training_images,
+                                 read_pgm, spherical_tomo, write_pgm)
 
 
 # -- spherical means ------------------------------------------------------------
@@ -123,13 +125,35 @@ def test_spherical_matches_per_arc_reference_property(size, n_angles,
         assert_same_assembly(size, n_angles, n_circles)
 
 
+def traced_assembly(size, n_angles, n_circles):
+    """``_spherical_matrix`` of the geometry and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        A = _spherical_matrix(size, n_angles, n_circles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return A, peak
+
+
+def test_spherical_assembly_memory_is_one_angle():
+    """At the default 32 / 16 x 24 geometry the assembly holds one angle's
+    triplets at a time: its traced peak stays below 2 MiB for a 0.3 MiB
+    matrix (all 16 angles' triplets at once peak above 10 MiB)."""
+    A, peak = traced_assembly(32, 16, 24)
+    assert A.nnz > 0
+    assert peak < 2 * 2**20
+
+
 def test_spherical_full_scale_dimensions():
     """Full-scale geometry: 90 angles x 64 radii on a 128 grid gives the
-    5760 x 16384 system."""
-    prob = spherical_tomo(size=128, n_angles=90, n_circles=64, seed=7)
-    assert prob.A.shape == (5760, 16384)
-    nnz = prob.matrix.nnz
-    assert 0 < nnz < 5760 * 16384 * 0.05
+    5760 x 16384 system.  Its assembly peaks below 40 MiB for a 16.5 MiB
+    matrix: no triplets in int64 columns beside their concatenation."""
+    A, peak = traced_assembly(128, 90, 64)
+    assert A.shape == (5760, 16384)
+    assert 0 < A.nnz < 5760 * 16384 * 0.05
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert peak < 40 * 2**20
 
 
 # -- crosswell -------------------------------------------------------------------
