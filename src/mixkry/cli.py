@@ -144,7 +144,6 @@ _KEYS = {
     "select.gamma": (float, None, (_SCALE[0], 1.0)),
     "select.gamma_min": (float, 0.01, (_SCALE[0], 1.0)),
     "select.omega": (float, None, _SCALE),
-    "select.sigma2": (float, None, (_SCALE[0] ** 2, _SCALE[1] ** 2)),
     "select.grid_gamma": (int, 15, (1, np.inf)),
     "select.grid_lambda": (int, 15, (2, np.inf)),
     "select.log10_lambda_lo": (float, -6.0, _LOG10_LAMBDA),
@@ -199,6 +198,10 @@ def _unread(key, cfg):
         return f"prior.q2.source={source}"
     if key in ("prior.q1.ell", "prior.q1.nu") and cfg["prior.q1.learn"]:
         return "prior.q1.learn=true"
+    method = cfg["select.method"]
+    # an unknown method fails the domain test instead
+    if key == "select.omega" and method in METHODS and method != "wgcv":
+        return f"select.method={method}"
     if name in ("ell", "nu", "gamma_exp"):
         family = cfg[f"{prior}.kernel"]
         # an unknown family fails the domain test instead
@@ -419,9 +422,6 @@ def assemble_workload(cfg):
 
 
 def _search_config(cfg, work, method, gamma_fixed):
-    sigma2 = cfg.get("select.sigma2")
-    if sigma2 is None:
-        sigma2 = work.sigma**2
     s_true = None
     if method == "optimal":
         if work.s_true is None:
@@ -434,7 +434,6 @@ def _search_config(cfg, work, method, gamma_fixed):
         grid_lambda=cfg["select.grid_lambda"],
         log10_lambda=(cfg["select.log10_lambda_lo"],
                       cfg["select.log10_lambda_hi"]),
-        sigma2=sigma2,
         omega=cfg.get("select.omega"),
         s_true=s_true,
     )

@@ -171,9 +171,9 @@ def _csr_products(csr):
     Output entry i sums the products of row i (column i for the transpose)
     one by one in storage order, starting from 0, which is the order of
     scipy's ``csr_matvec`` on these arrays and on its transposed copy; so
-    the products equal scipy's bit for bit.  Each column of a block is
-    summed the same way.  The row of every stored entry and the column
-    indices as ``intp`` are computed once, here.
+    the products equal scipy's bit for bit, a block's column by column.
+    The row of every stored entry and the column indices as ``intp`` are
+    computed once, here.
     """
     m, n = csr.shape
     data = np.asarray(csr.data, dtype=float)
@@ -183,10 +183,10 @@ def _csr_products(csr):
     def product(x, take, put, size):
         if x.ndim == 1:
             return np.bincount(put, weights=data * x[take], minlength=size)
-        k = x.shape[1]
-        slots = (put[:, None] * k + np.arange(k)).ravel()
-        return np.bincount(slots, weights=(data[:, None] * x[take]).ravel(),
-                           minlength=size * k).reshape(size, k)
+        out = np.empty((size, x.shape[1]))
+        for j in range(x.shape[1]):
+            out[:, j] = product(x[:, j], take, put, size)
+        return out
 
     return (lambda x: product(x, cols, rows, m),
             lambda y: product(y, rows, cols, n))

@@ -81,7 +81,6 @@ class SearchConfig:
     grid_gamma: int = 15
     grid_lambda: int = 15
     log10_lambda: tuple = (-6.0, 2.0)
-    sigma2: float = None
     omega: float = None
     s_true: np.ndarray = None
 
@@ -98,11 +97,10 @@ class SearchConfig:
             raise ParameterDomainError(
                 f"log10_lambda range ({lo}, {hi}) must satisfy "
                 f"{-bound:g} <= lo < hi <= {bound:g}")
-        for name in ("sigma2", "omega"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ParameterDomainError(
-                    f"{name} must be finite and positive, got {value}")
+        omega = self.omega
+        if omega is not None and not (np.isfinite(omega) and omega > 0):
+            raise ParameterDomainError(
+                f"omega must be finite and positive, got {omega}")
 
 
 @dataclass
@@ -158,22 +156,20 @@ class RunRecord:
 # objectives
 
 
-def upre_objective(state, gamma, lam, sigma2):
+def upre_objective(state, gamma, lam):
     """Projected unbiased predictive risk at the cell (gamma, lam).
 
-    The projected residual carries whitened units (noise variance one per
-    component); the risk is stated in original data units, so the residual
-    term is rescaled by sigma2.  The denominator is the nominal projected
-    row count 2k+1 whatever the assembled row count turns out to be.
-    Scored as a one-cell search, so the value is the search's own.
+    Works in whitened residual units (noise variance one per component),
+    like GCV and WGCV: the noise scale enters only through the whitener.
+    The denominator is the nominal projected row count 2k+1 whatever the
+    assembled row count turns out to be.  Scored as a one-cell search, so
+    the value is the search's own.
     """
-    if sigma2 is None or sigma2 <= 0:
-        raise ConfigError("UPRE requires a positive noise variance sigma2")
-    return _score_cell("upre", state, gamma, lam, sigma2=sigma2)
+    return _score_cell("upre", state, gamma, lam)
 
 
-def _upre(r2, tr, rows, sigma2):
-    return sigma2 * (r2 + 2.0 * tr) / rows - sigma2
+def _upre(r2, tr, rows):
+    return (r2 + 2.0 * tr) / rows - 1.0
 
 
 def gcv_objective(state, gamma, lam):
@@ -264,8 +260,6 @@ def _objective_factory(method, state, prior, config):
         raise ArgumentError("selection needs at least one completed step")
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
-    if method == "upre" and config.sigma2 is None:
-        raise ConfigError("select.method=upre requires select.sigma2")
     if method == "optimal" and config.s_true is None:
         raise ConfigError("select.method=optimal requires s_true")
 
@@ -299,7 +293,7 @@ def _objective_factory(method, state, prior, config):
     rows = 2 * state.k + 1
     if method == "upre":
         def score(r2, tr):
-            return _upre(r2, tr, rows, config.sigma2)
+            return _upre(r2, tr, rows)
     else:
         omega = 1.0
         if method == "wgcv":

@@ -187,8 +187,7 @@ def test_criterion_4_parameter_rules_at_full_dimension():
         theta = np.maximum(theta, 0.0)
         c = V.T @ (b / sigma)
         for li, lam in enumerate(lams):
-            P_upre[gi, li] = upre_objective(state, float(gamma), float(lam),
-                                            sigma**2)
+            P_upre[gi, li] = upre_objective(state, float(gamma), float(lam))
             P_wgcv[gi, li] = wgcv_objective(state, float(gamma), float(lam),
                                             omega)
             h = theta / (theta + lam * lam)

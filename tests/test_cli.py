@@ -9,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mixkry.learn
 import mixkry.params
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.learn import frobenius_mismatch
-from mixkry.operators import (FAMILY_PARAMS, KernelSpec, load_matrix,
-                              save_matrix, save_vector)
+from mixkry.operators import (FAMILY_PARAMS, CSRMatrix, KernelSpec,
+                              LinearOperator, PriorSpec, load_matrix,
+                              noise_whitener, save_matrix, save_vector)
+from mixkry.params import SearchConfig, StoppingPolicy
 from mixkry.testproblems import read_pgm
 
 SPHERICAL_TINY = """\
@@ -144,19 +147,35 @@ def test_lambda_range_at_its_domain_ends_runs_clean(tmp_path, method):
 
 
 @pytest.mark.parametrize("override", ["select.omega=nan", "select.omega=inf",
-                                      "select.omega=0", "select.sigma2=nan",
-                                      "select.sigma2=inf",
-                                      "select.sigma2=-1"])
+                                      "select.omega=0"])
 def test_exit_code_bad_omega_sigma2(run_case, override):
-    """A non-finite or non-positive select.omega or select.sigma2 is a
-    config error (exit 2) that names the key, under the method that reads
-    it: not a search that finds no finite objective (exit 4) or one that
-    scores meaningless values (exit 0)."""
-    key = override.split("=")[0]
-    method = "upre" if key == "select.sigma2" else "wgcv"
+    """A non-finite or non-positive select.omega is a config error (exit 2)
+    that names the key, under the method that reads it: not a search that
+    finds no finite objective (exit 4) or one that scores meaningless
+    values (exit 0)."""
     rc, named, assembled = run_case("spherical", "run", override,
+                                    "select.method=wgcv")
+    assert rc == 2 and "select.omega" in named and not assembled
+
+
+@pytest.mark.parametrize("method", ["gcv", "upre", "optimal"])
+def test_omega_not_read_by_other_methods(run_case, method):
+    """Only weighted GCV reads select.omega: set under any other method it
+    is a key the config does not read (exit 2 naming it), not a silent
+    no-op."""
+    rc, named, assembled = run_case("spherical", "run", "select.omega=0.5",
                                     f"select.method={method}")
-    assert rc == 2 and key in named and not assembled
+    assert rc == 2 and "select.omega" in named and not assembled
+
+
+def test_sigma2_is_an_unknown_key(tmp_path, capsys):
+    """UPRE scores in whitened units, so no key carries a noise variance
+    for it: select.sigma2 is an unknown key (exit 2)."""
+    cfg = write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)
+    rc = cli.main(["run", cfg, "select.method=upre", "select.sigma2=1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unknown config key 'select.sigma2'" in capsys.readouterr().err
 
 
 def preset_cfg(tmp_path, preset):
@@ -242,7 +261,7 @@ def test_config_boundary_sweep(run_case, key):
     ``fit.*``.  Each case exits 0, or exits 2 with the key named in the
     error; nothing escapes as a traceback or a warning.  A value outside
     the key's domain exits 2 before any assembly.  A missing ``file.*``
-    path has no domain: it is found when it is read.  1,212 cases in all.
+    path has no domain: it is found when it is read.  1,185 cases in all.
     """
     values = HOSTILE + (("mix,mix",) if key == "compare.variants" else ())
     runs = [(preset, "run") for preset in PRESETS]
@@ -282,8 +301,7 @@ def domain_ends():
         elif key == "noise.level":
             configs = [("spherical", ()), ("crosswell", ())]
         else:
-            method = ("select.method=upre",) if key == "select.sigma2" else ()
-            configs = [(preset, method) for preset in PRESETS]
+            configs = [(preset, ()) for preset in PRESETS]
         for end in domain:
             for preset, overrides in configs:
                 yield key, end, preset, overrides
@@ -641,6 +659,38 @@ def test_run_warm_start_halves_the_decomposed_gammas(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "select.method=upre", "--out", str(out)]) == 0
     assert "iterations: 44" in (out / "summary.txt").read_text()
     assert len(decomposed) == 586 <= 1203 // 2
+
+
+def test_upre_history_is_unit_free_property(tmp_path):
+    """UPRE scores in whitened units, like GCV and WGCV.  Scaling A's data,
+    b and sigma together by 2^j leaves the whitened problem's bits as they
+    are, so run_hybrid's history under upre, objective included, is
+    bit-identical at every j."""
+    cfg = cli.resolve_config(cli.read_config(
+        write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)))
+    work = cli.assemble_workload(cfg)
+    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+    search = SearchConfig(grid_gamma=cfg["select.grid_gamma"],
+                          grid_lambda=cfg["select.grid_lambda"])
+    policy = StoppingPolicy(max_iter=cfg["stop.max_iter"])
+    csr = work.A.mat
+
+    def history(scale):
+        A = LinearOperator.from_matrix(CSRMatrix(
+            csr.data * scale, csr.indices, csr.indptr, csr.shape))
+        Rinv, LR = noise_whitener((work.sigma * scale) ** 2, work.m)
+        return cli.run_hybrid(A, Rinv, LR, prior, work.b * scale,
+                              method="upre", search=search, policy=policy,
+                              s_true=work.s_true).history
+
+    base = history(1.0)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(j=st.integers(-8, 8))
+    def check(j):
+        assert history(2.0 ** j) == base
+
+    check()
 
 
 # -- compare -----------------------------------------------------------------------

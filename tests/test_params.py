@@ -56,12 +56,14 @@ def test_gcv_large_lambda_limit():
 
 
 def test_upre_large_lambda_limit_in_data_units():
-    """UPRE flattens to ||b||^2 / (2k+1) - sigma^2 as lambda grows."""
+    """UPRE flattens to ||b||^2 / (sigma^2 (2k+1)) - 1 as lambda grows: the
+    whitened data's squared norm per projected row, less the unit noise
+    variance."""
     state, _, parts = advance(1, 6)
     b, sigma = parts[3], parts[4]
     rows = 2 * state.k + 1
-    expect = float(b @ b) / rows - sigma**2
-    got = upre_objective(state, 1.0, 1e10, sigma**2)
+    expect = float(b @ b) / (sigma**2 * rows) - 1.0
+    got = upre_objective(state, 1.0, 1e10)
     assert got == pytest.approx(expect, rel=1e-6)
 
 
@@ -91,14 +93,6 @@ def test_wgcv_vanished_denominator_raises():
     assert np.isfinite(wgcv_objective(state, 1.0, 1e-20, 2.0))
 
 
-def test_upre_requires_noise_variance():
-    state, _, _ = advance(4, 4)
-    with pytest.raises(ConfigError):
-        upre_objective(state, 1.0, 0.5, None)
-    with pytest.raises(ConfigError):
-        upre_objective(state, 1.0, 0.5, 0.0)
-
-
 def test_select_decomposes_each_gamma_once(monkeypatch):
     """One select_params decomposes each distinct gamma it scans once: the
     grid's gammas in one trace_term call, then the new gammas of each of
@@ -106,7 +100,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
     most one more.  Each search's eigendecompositions are those gammas plus
     one of Gk, and a point objective decomposes Gk once and its gamma
     once."""
-    state, prior, parts = advance(6, 6)
+    state, prior, _ = advance(6, 6)
     batches = []
     decompose = params_mod.trace_term
 
@@ -124,7 +118,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    cfg = SearchConfig(sigma2=parts[4] ** 2)
+    cfg = SearchConfig()
     for method in ("wgcv", "upre"):
         batches.clear()
         eigh_sizes.clear()
@@ -137,7 +131,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
         assert all(len(batch) <= 2 for batch in batches[1:])
         assert eigh_sizes == [1] + [len(b) for b in batches]
 
-    for evaluate in (lambda: upre_objective(state, 0.4, 0.3, parts[4] ** 2),
+    for evaluate in (lambda: upre_objective(state, 0.4, 0.3),
                      lambda: gcv_objective(state, 0.4, 0.3),
                      lambda: wgcv_objective(state, 0.4, 0.7, 0.5)):
         batches.clear()
@@ -170,7 +164,8 @@ def test_gcv_scale_invariant_minimizer():
 @pytest.mark.parametrize("gamma", [1.0, 0.6])
 def test_full_dimension_upre_affine_relation(gamma):
     """At k = n the projected UPRE is an increasing affine image of the
-    full-space UPRE, so the two argmins coincide."""
+    full-space UPRE, both in whitened units, so the two argmins
+    coincide."""
     state, prior, parts = advance(6, 30, m=20, n=15, q2_rank=8)
     A, Q1, Q2, b, sigma = parts
     assert state.k == 15 or state.terminal
@@ -183,12 +178,12 @@ def test_full_dimension_upre_affine_relation(gamma):
 
     proj_vals, full_vals = [], []
     for lam, (r2f, trf) in zip(lambdas, full):
-        up = upre_objective(state, gamma, lam, sigma**2)
-        uf = sigma**2 * (r2f + 2.0 * trf) / m - sigma**2
+        up = upre_objective(state, gamma, lam)
+        uf = (r2f + 2.0 * trf) / m - 1.0
         proj_vals.append(up)
         full_vals.append(uf)
-        lhs = (up + sigma**2) * rows / m
-        rhs = uf + sigma**2
+        lhs = (up + 1.0) * rows / m
+        rhs = uf + 1.0
         assert lhs == pytest.approx(rhs, rel=1e-5)
     assert np.argmin(proj_vals) == np.argmin(full_vals)
 
@@ -222,9 +217,8 @@ def test_full_dimension_wgcv_matches_gcv_argmin(gamma):
 
 
 def test_select_deterministic():
-    state, prior, parts = advance(7, 10)
-    sigma = parts[4]
-    cfg = SearchConfig(sigma2=sigma**2)
+    state, prior, _ = advance(7, 10)
+    cfg = SearchConfig()
     r1 = select_params("wgcv", state, prior, cfg)
     r2 = select_params("wgcv", state, prior, cfg)
     assert (r1.lam, r1.gamma, r1.objective) == (r2.lam, r2.gamma, r2.objective)
@@ -264,11 +258,16 @@ def check_val(state, prior, gamma, lam, s_true):
 def test_select_missing_requirements():
     state, prior, _ = advance(11, 5)
     with pytest.raises(ConfigError):
-        select_params("upre", state, prior, SearchConfig())
-    with pytest.raises(ConfigError):
         select_params("optimal", state, prior, SearchConfig())
     with pytest.raises(ConfigError):
         select_params("tikhonov", state, prior, SearchConfig())
+
+
+def test_select_upre_needs_no_noise_variance():
+    """UPRE scores in whitened units, so a default SearchConfig runs it."""
+    state, prior, _ = advance(11, 5)
+    sel = select_params("upre", state, prior, SearchConfig())
+    assert sel.method == "upre" and np.isfinite(sel.objective)
 
 
 def _fake_factory(values):
@@ -390,9 +389,9 @@ def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
     scored as one block: the grid, then at most three gammas by at most
     five lambdas per zoom level, and one gamma at the levels after
     ``_GAMMA_ZOOMS`` or when gamma is pinned."""
-    state, prior, parts = advance(7, 10)
+    state, prior, _ = advance(7, 10)
     blocks = record_blocks(monkeypatch)
-    cfg = SearchConfig(sigma2=parts[4] ** 2, gamma_fixed=gamma_fixed)
+    cfg = SearchConfig(gamma_fixed=gamma_fixed)
     res = select_params(method, state, prior, cfg)
     columns = 1 if gamma_fixed is not None else cfg.grid_gamma
     assert blocks[0] == (columns, cfg.grid_lambda)
@@ -413,10 +412,9 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     cell, lies in the search box, reports the public pointwise objective at
     (gamma*, lambda*) bit for bit with the weights and squared residual of
     a one-gamma row of cells there, and returns a pinned gamma exactly."""
-    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
-                       gamma_fixed=gamma_fixed)
+    cfg = SearchConfig(s_true=s_true, gamma_fixed=gamma_fixed)
     lo, hi = cfg.log10_lambda
     gammas = ([gamma_fixed] if gamma_fixed is not None
               else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
@@ -434,8 +432,7 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
             assert sel.gamma == gamma_fixed
         point = {
             "optimal": lambda: cells([sel.gamma], np.array([sel.lam]))[0][0, 0],
-            "upre": lambda: upre_objective(state, sel.gamma, sel.lam,
-                                           cfg.sigma2),
+            "upre": lambda: upre_objective(state, sel.gamma, sel.lam),
             "gcv": lambda: gcv_objective(state, sel.gamma, sel.lam),
             "wgcv": lambda: wgcv_objective(state, sel.gamma, sel.lam, omega),
         }[method]()
@@ -465,10 +462,9 @@ def test_warm_window_matches_cold_search_property(monkeypatch):
            gamma_fixed=st.one_of(st.none(), st.floats(0.01, 1.0)),
            shift=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
     def check(seed, steps, q2_rank, method, gamma_fixed, shift):
-        state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+        state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
         s_true = np.random.default_rng(seed).standard_normal(state.n)
-        cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true,
-                           gamma_fixed=gamma_fixed)
+        cfg = SearchConfig(s_true=s_true, gamma_fixed=gamma_fixed)
         gammas = (np.array([gamma_fixed]) if gamma_fixed is not None
                   else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
         log10_lams = np.linspace(*cfg.log10_lambda, cfg.grid_lambda)
@@ -547,10 +543,10 @@ def test_search_config_validation():
         SearchConfig(grid_lambda=1)
 
 
-@pytest.mark.parametrize("name", ["omega", "sigma2"])
+@pytest.mark.parametrize("name", ["omega"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_search_config_rejects_bad_omega_sigma2(name, value):
-    """A given omega or sigma2 that is not finite and positive fails at
+    """A given omega that is not finite and positive fails at
     construction with the class the CLI maps to exit 2, not later as a
     search with no finite objective or with meaningless scores."""
     with pytest.raises(ParameterDomainError, match=name):
@@ -572,9 +568,9 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
     optimal, a one-cell batch) and a one-gamma row at the same cell.  With
     the penalty made indefinite (Gk = -I, so P = (2 gamma - 1) I) the batch
     path raises ConditioningError as soon as one gamma <= 1/2 is in it."""
-    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true)
+    cfg = SearchConfig(s_true=s_true)
     gammas = np.append(np.linspace(cfg.gamma_min, 1.0, 5), gamma_mid)
     lams = np.logspace(*cfg.log10_lambda, 7)
     omega = (2.0 * state.k + 1.0) / state.m
@@ -590,8 +586,7 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
             point = {
                 "optimal": lambda lam: params_mod._objective_factory(
                     method, state, prior, cfg)([gamma], [lam])[0][0, 0],
-                "upre": lambda lam: upre_objective(state, gamma, lam,
-                                                   cfg.sigma2),
+                "upre": lambda lam: upre_objective(state, gamma, lam),
                 "gcv": lambda lam: gcv_objective(state, gamma, lam),
                 "wgcv": lambda lam: wgcv_objective(state, gamma, lam, omega),
             }[method]

@@ -303,9 +303,9 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
     with Gk = -I fails with the class the pointwise path raises wherever
     that path fails, and agrees with it where the penalty is positive
     definite."""
-    state, prior, parts = advance(seed, steps, q2_rank=q2_rank)
+    state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(sigma2=parts[4] ** 2, s_true=s_true)
+    cfg = SearchConfig(s_true=s_true)
     gammas = (cfg.gamma_min, gamma_mid, 1.0)
     lams = _column_lams()
     basis = state_basis(state)
@@ -330,8 +330,8 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
         by_column = cells(np.array(gammas), lams)[0]
         by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
                               for lam in lams] for gamma in gammas])
-        # UPRE subtracts sigma2 from a term of that size
-        atol = _COLUMN_RTOL * cfg.sigma2 if method == "upre" else 0.0
+        # UPRE subtracts the unit noise variance from a term of that size
+        atol = _COLUMN_RTOL if method == "upre" else 0.0
         np.testing.assert_allclose(by_column, by_point, rtol=_COLUMN_RTOL,
                                    atol=atol)
         first, second = np.sort(by_point, axis=None)[:2]
@@ -347,7 +347,7 @@ def _pointwise(method, state, prior, cfg, gamma, lam):
     r2, tr = residual_and_trace_reference(state_basis(state), gamma, lam)
     rows = 2 * state.k + 1
     if method == "upre":
-        return cfg.sigma2 * (r2 + 2.0 * tr) / rows - cfg.sigma2
+        return (r2 + 2.0 * tr) / rows - 1.0
     omega = rows / state.m if method == "wgcv" else 1.0
     return r2 / (rows - omega * tr) ** 2
 

@@ -16,7 +16,7 @@ from mixkry.learn import FitResult, learn_matern
 from mixkry.mixgk import (MixGKState, _gs_append, qr_append_update,
                           qr_recompute)
 from mixkry.operators import KernelOperator, LinearOperator, SampleFactor
-from mixkry.params import SearchConfig
+from mixkry.params import SearchConfig, upre_objective
 from mixkry.testproblems import TomoProblem
 
 MODULES = ("operators", "mixgk", "projected", "params", "learn",
@@ -48,6 +48,7 @@ RETIRED_FIELDS = (
     (TomoProblem, "meta"),
     (FitResult, "seed"),
     (FitResult, "probes"),
+    (SearchConfig, "sigma2"),
 )
 
 RETIRED_PARAMS = (
@@ -56,6 +57,7 @@ RETIRED_PARAMS = (
     (_gs_append, "rank_tol"),
     (learn_matern, "probes"),
     (learn_matern, "seed"),
+    (upre_objective, "sigma2"),
 )
 
 
