@@ -110,12 +110,6 @@ def _rotate_rows(M, i, c, s):
     M[i] = ri
 
 
-def _rotate_cols(M, i, c, s):
-    ci = c * M[:, i] + s * M[:, i + 1]
-    M[:, i + 1] = -s * M[:, i] + c * M[:, i + 1]
-    M[:, i] = ci
-
-
 def _gs_append(Y, Rup, t, input_norm, counter):
     """Append column ``t`` to the skinny QR factors by two-pass Gram-Schmidt.
 
@@ -166,8 +160,6 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
     """
     m = Y.shape[0] if Y.size else v_hat.shape[0]
     r, p = Rup.shape
-    Y = np.array(Y)
-    Rup = np.array(Rup)
 
     if u_new is not None and r > 0:
         d = Y.T @ u_new
@@ -175,31 +167,34 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
             counter.add(2 * m * r)
         delta = np.linalg.norm(d)
         if delta > 1e-14:
+            # Row i of S is row i of Rup beside column i of Y, so one row
+            # rotation of S rotates both factors.
+            S = np.hstack([Rup, Y.T])
             # Rotate so only the leading basis column carries the u component.
             for i in range(r - 2, -1, -1):
                 c, s, h = _givens(d[i], d[i + 1])
                 d[i], d[i + 1] = h, 0.0
-                _rotate_rows(Rup, i, c, s)
-                _rotate_cols(Y, i, c, s)
+                _rotate_rows(S, i, c, s)
             delta_s = d[0]
             xi2 = 1.0 - delta_s * delta_s
             if xi2 <= _RANK_TOL:
                 raise RankError("deflation produced a rank-deficient factor")
-            lead = Y[:, 0] - delta_s * u_new
+            lead = S[0, p:] - delta_s * u_new
             xi = np.linalg.norm(lead)
-            Y[:, 0] = lead / xi
-            Rup[0] *= xi
+            S[0, p:] = lead / xi
+            S[0, :p] *= xi
             # Restore triangular form (exact only when pivots sit on the
             # diagonal; rank-dropped staircases stay trapezoidal, which no
             # consumer relies on).
             for i in range(r - 1):
-                if Rup[i + 1, i] != 0.0:
-                    c, s, _ = _givens(Rup[i, i], Rup[i + 1, i])
-                    _rotate_rows(Rup, i, c, s)
-                    Rup[i + 1, i] = 0.0
-                    _rotate_cols(Y, i, c, s)
+                if S[i + 1, i] != 0.0:
+                    c, s, _ = _givens(S[i, i], S[i + 1, i])
+                    _rotate_rows(S, i, c, s)
+                    S[i + 1, i] = 0.0
             if counter is not None:
                 counter.add(12 * m * max(r - 1, 0) + 3 * m + 12 * r * p)
+            # a C-ordered Y: products on the transposed view round differently
+            Rup, Y = S[:, :p], np.ascontiguousarray(S[:, p:].T)
 
     t = np.array(v_hat, dtype=float)
     if input_norm is None:
@@ -401,7 +396,8 @@ class MixGKState:
                 C_new[-1, :-1] = new_u @ self.Z
         else:
             C_new[:, :-1] = self.C
-        C_new[:, -1] = self.Ut.T @ z
+        utz = self.Ut.T @ z
+        C_new[:, -1] = utz
         self.C = C_new
 
         # G = V_k^T Q2 V_k grows by a symmetric row/column pair.
@@ -417,7 +413,7 @@ class MixGKState:
         self.Z = np.hstack([self.Z, z[:, None]])
 
         rank_before = self.Y.shape[1]
-        vhat = z - self.Ut @ (self.Ut.T @ z)
+        vhat = z - self.Ut @ utz
         vhat -= self.Ut @ (self.Ut.T @ vhat)
         try:
             self.Y, self.Rup = qr_append_update(

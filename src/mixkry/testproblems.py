@@ -138,21 +138,19 @@ def _index_dtype(n_cols, nnz):
 def _sum_rows(rows, cols, vals, n_rows, n_cols, index):
     """Compressed rows of the triplets (rows, cols, vals), duplicates summed.
 
-    The triplets are sorted stably by (row, column), and each duplicate
-    group is summed by ``np.bincount`` one value at a time in triplet order.
-    Returns (data, column indices of dtype ``index``, entries per row), rows
-    and columns ascending.
+    Each (row, column) cell is one ``np.bincount`` bin, which adds its
+    values one at a time in triplet order, starting from 0.0.  Every cell a
+    triplet touches is an entry, also when it sums to 0.  Returns (data,
+    column indices of dtype ``index``, entries per row), rows and columns
+    ascending.
     """
     key = rows.astype(np.int64) * n_cols + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    data = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    key = key[first]
-    return (data, (key % n_cols).astype(index),
-            np.bincount(key // n_cols, minlength=n_rows))
+    hit = np.zeros(n_rows * n_cols, dtype=bool)
+    hit[key] = True
+    data = np.bincount(key, weights=vals, minlength=hit.size)
+    key = np.flatnonzero(hit)
+    return (data[key], (key % n_cols).astype(index),
+            np.count_nonzero(hit.reshape(n_rows, n_cols), axis=1))
 
 
 def _csr(pieces, shape):
@@ -285,16 +283,15 @@ def _trace_ray(src_y, rcv_y, size):
     h = 1.0 / size
     dy = rcv_y - src_y
     length = np.hypot(1.0, dy)
-    ts = [0.0, 1.0]
-    # vertical gridlines: x(t) = t
-    ts.extend(j * h for j in range(1, size))
+    lines = np.arange(1, size) * h
+    # the ends, the vertical gridlines x(t) = t and the horizontal ones
+    # that the ray crosses inside the square
+    ts = [[0.0, 1.0], lines]
     if dy != 0.0:
-        for i in range(1, size):
-            t = (i * h - src_y) / dy
-            if 0.0 < t < 1.0:
-                ts.append(t)
+        t = (lines - src_y) / dy
+        ts.append(t[(0.0 < t) & (t < 1.0)])
     # np.unique's values, without the numpy.ma import it makes
-    ts = np.sort(np.asarray(ts))
+    ts = np.sort(np.concatenate(ts))
     ts = ts[np.append(True, ts[1:] != ts[:-1])]
     t0 = ts[:-1]
     t1 = ts[1:]
@@ -330,20 +327,16 @@ def crosswell_tomo(size=64, n_sources=10, n_receivers=20, seed=11):
     """
     if size < 4 or n_sources < 1 or n_receivers < 1:
         raise ArgumentError("degenerate crosswell geometry")
-    rows, cols, vals = [], [], []
-    for isrc in range(n_sources):
-        sy = (isrc + 0.5) / n_sources
-        for ircv in range(n_receivers):
-            ry = (ircv + 0.5) / n_receivers
-            cells, lens = _trace_ray(sy, ry, size)
-            rows.append(np.full(cells.size, isrc * n_receivers + ircv))
-            cols.append(cells)
-            vals.append(lens)
     m = n_sources * n_receivers
     n = size * size
-    rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
-    A = _csr([_sum_rows(rows, cols, vals, m, n, _index_dtype(n, rows.size))],
-             (m, n))
+    # a ray meets at most 2 size cells, which bounds nnz
+    index = _index_dtype(n, 2 * size * m)
+    rays = (_trace_ray((isrc + 0.5) / n_sources, (ircv + 0.5) / n_receivers,
+                       size)
+            for isrc in range(n_sources) for ircv in range(n_receivers))
+    # one block per ray: its bins are a single row of cells
+    A = _csr((_sum_rows(np.zeros_like(cells), cells, lens, 1, n, index)
+              for cells, lens in rays), (m, n))
 
     s_true = _crosswell_truth(size, seed).ravel()
     op = LinearOperator.from_matrix(A)

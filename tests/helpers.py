@@ -12,7 +12,10 @@ per gamma must match to rounding; they read Dk, rhs and Gk from a
 :class:`~mixkry.projected.PenaltyBasis` (:func:`state_basis`) and a gamma.
 :func:`solve_row` is the package's own one-gamma row of cells.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
-must reproduce byte for byte, duplicate sums included.  :class:`OpCounter` is the flop tally the
+must reproduce byte for byte, duplicate sums included.
+:func:`qr_append_update_reference` is the deflation loop that rotates
+``Rup``'s rows and ``Y``'s columns as two arrays, which the package's one
+stacked array must reproduce bit for bit.  :class:`OpCounter` is the flop tally the
 QR-maintenance tests hand to the package's duck-typed ``counter``
 arguments.
 """
@@ -23,7 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from mixkry.errors import ConditioningError, ParameterDomainError
+from mixkry.errors import ConditioningError, ParameterDomainError, RankError
+from mixkry.mixgk import _RANK_TOL, _givens, _gs_append
 from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
                               zero_operator)
 from mixkry.projected import (penalty_basis, recover_iterate, solve_cells,
@@ -139,6 +143,58 @@ def spherical_matrix_reference(size, n_angles, n_circles):
         (np.concatenate(data), np.concatenate(indices).astype(np.int32),
          np.array(indptr, dtype=np.int32)),
         shape=(n_angles * n_circles, size * size))
+
+
+def _rotate_rows(M, i, c, s):
+    ri = c * M[i] + s * M[i + 1]
+    M[i + 1] = -s * M[i] + c * M[i + 1]
+    M[i] = ri
+
+
+def _rotate_cols(M, i, c, s):
+    ci = c * M[:, i] + s * M[:, i + 1]
+    M[:, i + 1] = -s * M[:, i] + c * M[:, i + 1]
+    M[:, i] = ci
+
+
+def qr_append_update_reference(Y, Rup, u_new, v_hat, input_norm=None,
+                               counter=None):
+    """:func:`mixkry.mixgk.qr_append_update` with its deflation on copies
+    of ``Y`` and ``Rup``: each plane rotation turns two rows of ``Rup`` and
+    two columns of ``Y``, then Gram-Schmidt appends ``v_hat``."""
+    m = Y.shape[0] if Y.size else v_hat.shape[0]
+    r, p = Rup.shape
+    Y = np.array(Y)
+    Rup = np.array(Rup)
+    if u_new is not None and r > 0:
+        d = Y.T @ u_new
+        if counter is not None:
+            counter.add(2 * m * r)
+        if np.linalg.norm(d) > 1e-14:
+            for i in range(r - 2, -1, -1):
+                c, s, h = _givens(d[i], d[i + 1])
+                d[i], d[i + 1] = h, 0.0
+                _rotate_rows(Rup, i, c, s)
+                _rotate_cols(Y, i, c, s)
+            delta_s = d[0]
+            if 1.0 - delta_s * delta_s <= _RANK_TOL:
+                raise RankError("deflation produced a rank-deficient factor")
+            lead = Y[:, 0] - delta_s * u_new
+            xi = np.linalg.norm(lead)
+            Y[:, 0] = lead / xi
+            Rup[0] *= xi
+            for i in range(r - 1):
+                if Rup[i + 1, i] != 0.0:
+                    c, s, _ = _givens(Rup[i, i], Rup[i + 1, i])
+                    _rotate_rows(Rup, i, c, s)
+                    Rup[i + 1, i] = 0.0
+                    _rotate_cols(Y, i, c, s)
+            if counter is not None:
+                counter.add(12 * m * max(r - 1, 0) + 3 * m + 12 * r * p)
+    t = np.array(v_hat, dtype=float)
+    if input_norm is None:
+        input_norm = np.linalg.norm(t)
+    return _gs_append(Y, Rup, t, input_norm, counter)
 
 
 def dense_kernel(spec, grid):

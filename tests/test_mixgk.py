@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (OpCounter, max_principal_angle, psd_matrix,
-                     random_problem, recurrence_residual, reference_gengk,
-                     run_steps, solve_map_dense, solve_row, spd_matrix,
-                     state_basis, wrap_problem)
+                     qr_append_update_reference, random_problem,
+                     recurrence_residual, reference_gengk, run_steps,
+                     solve_map_dense, solve_row, spd_matrix, state_basis,
+                     wrap_problem)
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
-                           DegenerateDataError)
+                           DegenerateDataError, RankError)
 from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
@@ -551,6 +552,61 @@ def test_qr_modes_agree_through_process():
             np.abs(np.diag(state.Rup)), np.abs(np.diag(Rref)), rtol=1e-6)
     assert state.k == 25
     assert state.qr_fallbacks == 0
+
+
+def _qr_call(update, Y, Rup, args, kwargs):
+    """``update``'s (Y, Rup, flop tally), or the RankError it raises;
+    asserts that it leaves its ``Y`` and ``Rup`` arguments unchanged."""
+    before = Y.tobytes(), Rup.tobytes()
+    counter = OpCounter()
+    try:
+        out = update(Y, Rup, *args, counter=counter, **kwargs)
+    except RankError:
+        out = None
+    assert (Y.tobytes(), Rup.tobytes()) == before
+    return out if out is None else (*out, counter.flops)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 40),
+       steps=st.lists(st.sampled_from(
+           ["deflate", "plain", "dependent", "in_range", "no_norm"]),
+           min_size=1, max_size=12))
+def test_qr_update_matches_two_array_reference(seed, m, steps):
+    """From an empty start, random sequences of updates through the stacked
+    deflation and through the two-array reference give the same (Y, Rup)
+    bit for bit and the same flop tally, or both raise RankError; neither
+    writes its arguments, and the returned Y is C-contiguous.  Steps deflate
+    by a random unit vector, skip deflation (``u_new=None``), append a
+    column inside range(Y), deflate by a vector inside range(Y) (RankError
+    once Y is not empty), or leave ``input_norm`` to the column."""
+    rng = np.random.default_rng(seed)
+    Y, Rup = np.zeros((m, 0)), np.zeros((0, 0))
+    for kind in steps:
+        u_new = rng.standard_normal(m)
+        if kind == "in_range" and Y.shape[1]:
+            u_new = Y @ rng.standard_normal(Y.shape[1])
+        u_new /= np.linalg.norm(u_new)
+        if kind in ("plain", "dependent"):
+            u_new = None
+        v_hat = rng.standard_normal(m)
+        if kind == "dependent" and Y.shape[1]:
+            v_hat = Y @ rng.standard_normal(Y.shape[1])
+        kwargs = {} if kind == "no_norm" else {
+            "input_norm": 1.5 * np.linalg.norm(v_hat)}
+        got = _qr_call(qr_append_update, Y, Rup, (u_new, v_hat), kwargs)
+        want = _qr_call(qr_append_update_reference, Y, Rup, (u_new, v_hat),
+                        kwargs)
+        if want is None:
+            assert got is None
+            continue
+        assert got is not None
+        for a, b in zip(got[:2], want[:2]):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got[2] == want[2]
+        assert got[0].flags.c_contiguous
+        Y, Rup = got[:2]
 
 
 def test_qr_update_operation_counts_scale_linearly():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import spherical_matrix_reference
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
-from mixkry.testproblems import (_spherical_matrix, add_noise, circle_mask,
-                                 crosswell_tomo, gen_training_images,
-                                 read_pgm, spherical_tomo, write_pgm)
+from mixkry.testproblems import (_spherical_matrix, _sum_rows, add_noise,
+                                 circle_mask, crosswell_tomo,
+                                 gen_training_images, read_pgm,
+                                 spherical_tomo, write_pgm)
 
 
 # -- spherical means ------------------------------------------------------------
@@ -156,6 +157,40 @@ def test_spherical_full_scale_dimensions():
     assert peak < 40 * 2**20
 
 
+# values whose sums depend on the order of addition, and zeros
+_TRIPLET_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1]),
+    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 8),
+       index=st.sampled_from([np.int32, np.int64]))
+def test_sum_rows_matches_group_sum_in_triplet_order(data, n_rows, n_cols,
+                                                     index):
+    """Unsorted triplets with duplicates, zero values and empty rows: the
+    same data, columns and per-row counts, bit for bit, as a group sum that
+    adds each cell's values in triplet order (``np.add.at``), every touched
+    cell kept also when it sums to 0."""
+    triplets = data.draw(st.lists(st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_cols - 1),
+        _TRIPLET_VALUES), max_size=40))
+    rows = np.array([t[0] for t in triplets], dtype=np.int64)
+    cols = np.array([t[1] for t in triplets], dtype=np.int64)
+    vals = np.array([t[2] for t in triplets], dtype=float)
+    uniq, slot = np.unique(rows * n_cols + cols, return_inverse=True)
+    sums = np.zeros(uniq.size)
+    np.add.at(sums, slot, vals)
+
+    got, got_cols, counts = _sum_rows(rows, cols, vals, n_rows, n_cols,
+                                      index)
+    assert got.tobytes() == sums.tobytes()
+    assert got_cols.dtype == index
+    assert got_cols.tobytes() == (uniq % n_cols).astype(index).tobytes()
+    assert np.array_equal(counts,
+                          np.bincount(uniq // n_cols, minlength=n_rows))
+
+
 # -- crosswell -------------------------------------------------------------------
 
 
@@ -200,6 +235,21 @@ def test_crosswell_full_scale_dimensions():
     assert prob.A.shape == (1000, 2500)
     assert prob.s_true.min() == pytest.approx(0.0)
     assert prob.s_true.max() == pytest.approx(1.0)
+
+
+def test_crosswell_assembly_memory_is_one_ray():
+    """At size 128 with 10 x 20 rays the operator is assembled one ray at a
+    time: a block's (row, column) bins take 128^2 x 9 B, and the traced
+    peak of the whole problem stays below 8 MiB (all 200 rays in one block
+    peak near 30 MiB)."""
+    tracemalloc.start()
+    try:
+        prob = crosswell_tomo(128, 10, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prob.A.shape == (200, 16384)
+    assert peak < 8 * 2**20
 
 
 def test_crosswell_determinism_and_guards():
