@@ -16,7 +16,7 @@ import ctypes
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .learn import (fit_bounds, hutchinson_objective, learn_matern,
 from .mixgk import mixgk_init, mixgk_step
 from .operators import (
     FAMILY_PARAMS,
+    MATERN_NU_MAX,
     Grid,
     KernelSpec,
     LinearOperator,
@@ -99,9 +100,9 @@ def _items(text):
 # 1/sigma^2, nu l^2 and omega tr, also times data or a trace, neither
 # overflow nor underflow.
 _SCALE = (1e-50, 1e50)
-# A kernel order nu stops at 1e6: the large-order Matern profile sums
-# log-space terms of size nu, so its rounding grows with nu (4e-10 at 1e6,
-# 2e-7 at 1e8) until e^x overflows near 1e20.
+# A kernel order nu stops at 1e6: rational-quadratic's (1 + z) ** -nu
+# rounds 1 + z, a relative error of about nu eps / 2, 1e-10 at 1e6.  A
+# Matern nu stops lower, at MATERN_NU_MAX (resolve_config).
 _ORDER = (_SCALE[0], 1e6)
 # SearchConfig's own bound: lambda^2 stays a normal float
 _LOG10_LAMBDA = (-150.0, 150.0)
@@ -168,7 +169,10 @@ def _domain_text(key):
     if caster is int:
         return f"an integer >= {domain[0]}"
     if caster is float:
-        return "in [{:g}, {:g}]".format(*domain)
+        text = "in [{:g}, {:g}]".format(*domain)
+        if key.endswith(".nu"):
+            text += f"; at most {MATERN_NU_MAX:g} under matern"
+        return text
     kind = "distinct items of" if caster is _items else "one of"
     return f"{kind} {', '.join(map(_fmt, domain))}"
 
@@ -263,6 +267,12 @@ def resolve_config(pairs):
         raise ConfigError(f"config key problem.size must be an integer >= "
                           f"{SPHERICAL_MIN_SIZE} under problem.preset="
                           f"spherical, got {cfg['problem.size']}")
+    for prior in ("prior.q1", "prior.q2"):
+        key = f"{prior}.nu"
+        if (cfg[f"{prior}.kernel"] == "matern" and _unread(key, cfg) is None
+                and cfg[key] > MATERN_NU_MAX):
+            raise ConfigError(f"config key {key} must be "
+                              f"{_domain_text(key)}, got {cfg[key]!r}")
     return cfg
 
 
@@ -465,10 +475,13 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
     Each outer iteration advances the subspace once, picks (gamma, lambda)
     for the current projection, warm-started from the previous pick, and
     records the iterate recovered from the selected cell's projected
-    weights.  Raises :class:`BreakdownError` if the very first basis vector
-    cannot be built.
+    weights.  ``s_true`` fills in ``rel_error``, and also the ``optimal``
+    search's truth when ``search`` holds none.  Raises
+    :class:`BreakdownError` if the very first basis vector cannot be built.
     """
     search = search or SearchConfig()
+    if search.s_true is None and s_true is not None:
+        search = replace(search, s_true=s_true)
     policy = policy or StoppingPolicy()
     # shift out the prior mean: expand on b - A mu, add mu back on recovery
     b_shift = np.asarray(b, dtype=float) - A.matvec(prior.mean)

@@ -279,6 +279,9 @@ FAMILY_PARAMS = {
     "rational-quadratic": ("nu", "ell"),
     "sinc": ("nu",),
 }
+# the largest Matern order: up to it the Bessel profile is exact, since
+# e^x K_nu(x) stays finite down to x = 1e-10 (it overflows from nu = 27.5)
+MATERN_NU_MAX = 25.0
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,8 @@ class KernelSpec:
     ``ell`` is the length scale, ``nu`` the smoothness or shape parameter
     and ``gamma_exp`` the exponent of the gamma-exponential family;
     :data:`FAMILY_PARAMS` lists which of them each family reads.  Every
-    parameter must be finite.
+    parameter must be finite, and a Matern ``nu`` at most
+    :data:`MATERN_NU_MAX`.
     """
 
     family: str
@@ -311,6 +315,9 @@ class KernelSpec:
             raise ParameterDomainError("kernel length scale ell must be positive")
         if "nu" in FAMILY_PARAMS[self.family] and not self.nu > 0:
             raise ParameterDomainError(f"{self.family} kernel requires nu > 0")
+        if self.family == "matern" and self.nu > MATERN_NU_MAX:
+            raise ParameterDomainError(
+                f"matern kernel requires nu <= {MATERN_NU_MAX:g}, got {self.nu}")
         if self.family == "gamma-exponential" and not 0 < self.gamma_exp <= 2:
             raise ParameterDomainError("gamma-exponential exponent must lie in (0, 2]")
 
@@ -501,48 +508,23 @@ def _kve(nu, x):
     return k1
 
 
-def _matern_debye(nu, xp):
-    """log K_nu at large order via the two-term uniform asymptotic series."""
-    z = xp / nu
-    s = np.sqrt(1.0 + z * z)
-    eta = s + np.log(z / (1.0 + s))
-    t = 1.0 / s
-    u1 = (3.0 * t - 5.0 * t**3) / 24.0
-    u2 = (81.0 * t**2 - 462.0 * t**4 + 385.0 * t**6) / 1152.0
-    return (0.5 * np.log(np.pi / (2.0 * nu)) - 0.25 * np.log1p(z * z)
-            - nu * eta + np.log1p(-u1 / nu + u2 / nu**2))
-
-
 def _matern_bessel(nu, x):
     """General-nu Matern profile via the modified Bessel function.
 
     Evaluated in log space with the exponentially scaled :func:`_kve` so
-    that large x does not overflow before cancelling.  That overflows at
-    large order or very small argument, so nu > 120 switches to the uniform
-    asymptotic expansion of K_nu (relative error O(1/nu^2)), and overflowed
-    small-x entries at moderate nu use the quadratic small-argument series
-    (those entries satisfy x < 0.26 and nu > 25, where the first omitted
-    term, x^4 / (32 (nu - 1)(nu - 2)), is below 1e-8).
+    that large x does not overflow before cancelling.  At nu <= 25
+    (:data:`MATERN_NU_MAX`) and x > 1e-10, ``_kve`` stays finite and every
+    term below stays in the float range.
     """
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
     pos = x > 1e-10
     xp = x[pos]
-    if nu > 120.0:
-        log_k = _matern_debye(nu, xp)
-        vals = np.exp(nu * np.log(xp) + log_k - (nu - 1.0) * np.log(2.0)
-                      - math.lgamma(nu))
-    else:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            log_k = np.log(_kve(nu, xp)) - xp
-            vals = np.exp(nu * np.log(xp) + log_k - (nu - 1.0) * np.log(2.0)
-                          - math.lgamma(nu))
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            xb = xp[bad]
-            vals[bad] = 1.0 - xb * xb / (4.0 * (nu - 1.0))
-    # log-space roundoff and the truncated asymptotic series can overshoot
-    # the exact profile bound kappa <= 1 by ~1e-13 near x = 0
+    log_k = np.log(_kve(nu, xp)) - xp
+    vals = np.exp(nu * np.log(xp) + log_k - (nu - 1.0) * np.log(2.0)
+                  - math.lgamma(nu))
+    # log-space roundoff can overshoot the exact profile bound kappa <= 1
+    # by ~1e-13 near x = 0
     np.minimum(vals, 1.0, out=vals)
     out[pos] = vals
     return out

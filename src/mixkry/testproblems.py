@@ -155,14 +155,15 @@ def _sum_rows(rows, cols, vals, n_rows, n_cols, index):
 
 def _csr(pieces, shape):
     """The :class:`~mixkry.operators.CSRMatrix` of consecutive row blocks,
-    each a ``_sum_rows`` result; int32 indices where they fit.
+    each a ``_sum_rows`` result; int32 indices where they fit, and float64
+    data even where no entry was summed.
 
     Given as a generator, the blocks are held only here, so each kind of
     array is freed once it is joined, and indices that already have the
     final dtype are joined without a cast.
     """
     data, cols, counts = zip(*pieces)
-    data = np.concatenate(data)
+    data = np.concatenate(data).astype(float, copy=False)
     index = _index_dtype(shape[1], data.size)
     cols = np.concatenate(cols).astype(index, copy=False)
     indptr = np.zeros(shape[0] + 1, dtype=index)

@@ -1,9 +1,11 @@
-"""tools/artifact_digests.py: the per-run-directory quality summary."""
+"""tools/artifact_digests.py: the golden digests, and the per-run-directory
+quality summary."""
 
 import importlib.util
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+GOLDEN = Path(__file__).with_name("artifact_digests.txt")
 
 TINY = """\
 problem.preset = spherical
@@ -23,6 +25,22 @@ def load_tool():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
+
+
+def test_artifacts_match_golden_digests(capsys, tmp_path):
+    """Every artifact of the acceptance configs hashes to its digest in
+    tests/artifact_digests.txt.  Another numpy or BLAS may round
+    differently, so a file computed under other versions fails the test,
+    naming both; regenerate it as the tool's docstring says."""
+    tool = load_tool()
+    want = GOLDEN.read_text().splitlines()
+    here = tool.platform_line()
+    assert want[0] == here, (f"{GOLDEN.name} was computed under "
+                             f"{want[0][2:]}; this is {here[2:]}")
+    tool.print_digests(tmp_path)
+    got = capsys.readouterr().out.splitlines()
+    assert len(want) == 1 + 85
+    assert got == want
 
 
 def test_summary_one_line_per_run_directory(monkeypatch, capsys, tmp_path):

@@ -378,13 +378,33 @@ def test_exit_code_kernel_key_the_family_does_not_read(tmp_path, capsys,
 @pytest.mark.parametrize("overrides", [
     (), ("prior.q1.kernel=gamma-exponential", "prior.q1.gamma_exp=1.5"),
     ("prior.q1.kernel=sinc", "prior.q1.nu=20"),
-    ("prior.q1.kernel=squared-exponential", "prior.q1.ell=0.3")])
+    ("prior.q1.kernel=squared-exponential", "prior.q1.ell=0.3"),
+    ("prior.q1.nu=25",),
+    ("prior.q1.kernel=rational-quadratic", "prior.q1.nu=30"),
+    ("prior.q2.source=kernel", "prior.q2.nu=1e6"),
+    ("prior.q1.learn=true",)])
 def test_kernel_keys_the_family_reads_run(tmp_path, overrides):
     """Defaults never trip the family check, and a key the family reads
-    runs."""
+    runs: the largest Matern order too, and an order above it under
+    rational-quadratic or a learned Q1."""
     rc = cli.main(["run", preset_cfg(tmp_path, "spherical"), *overrides,
                    "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    ("prior.q1.nu=25.5",),
+    ("prior.q2.source=kernel", "prior.q2.kernel=matern", "prior.q2.nu=30")])
+def test_matern_order_above_its_end_exits_before_assembly(run_case,
+                                                          overrides):
+    """A Matern nu above MATERN_NU_MAX, inside the domain other families
+    accept, is a config error (exit 2) that names the key and the family
+    before anything is assembled."""
+    key = overrides[-1].split("=")[0]
+    rc, named, assembled = run_case("spherical", "run", *overrides)
+    assert rc == 2 and key in named and not assembled
+    with pytest.raises(ConfigError, match=rf"{re.escape(key)} .*matern"):
+        cli.resolve_config(dict(o.split("=") for o in overrides))
 
 
 @pytest.mark.parametrize("preset, override", [
@@ -691,6 +711,23 @@ def test_upre_history_is_unit_free_property(tmp_path):
         assert history(2.0 ** j) == base
 
     check()
+
+
+def test_run_hybrid_gives_optimal_its_own_s_true(tmp_path):
+    """run_hybrid passes its s_true to an optimal search whose config holds
+    none: the history equals the one with SearchConfig(s_true=...)."""
+    cfg = cli.resolve_config(cli.read_config(preset_cfg(tmp_path,
+                                                        "crosswell")))
+    work = cli.assemble_workload(cfg)
+    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+    Rinv, LR = noise_whitener(work.sigma ** 2, work.m)
+
+    def history(search):
+        return cli.run_hybrid(work.A, Rinv, LR, prior, work.b,
+                              method="optimal", search=search,
+                              s_true=work.s_true).history
+
+    assert history(None) == history(SearchConfig(s_true=work.s_true))
 
 
 # -- compare -----------------------------------------------------------------------

@@ -146,6 +146,15 @@ def test_spherical_assembly_memory_is_one_angle():
     assert peak < 2 * 2**20
 
 
+def test_assembly_data_is_float64_when_empty():
+    """An assembly with no entries (one angle and one circle on a 16 grid
+    give none) still stores float64 data, although np.bincount of an empty
+    input returns intp whatever its weights."""
+    A = _spherical_matrix(16, 1, 1)
+    assert A.nnz == 0
+    assert A.data.dtype == np.float64
+
+
 def test_spherical_full_scale_dimensions():
     """Full-scale geometry: 90 angles x 64 radii on a 128 grid gives the
     5760 x 16384 system.  Its assembly peaks below 40 MiB for a 16.5 MiB

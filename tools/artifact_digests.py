@@ -4,12 +4,18 @@ Usage: ``python3 tools/artifact_digests.py [--keep DIR] [--summary]``
 or ``python3 tools/artifact_digests.py --drift DIR_A DIR_B``.
 
 Runs each config below in this process through ``mixkry.cli.main``, using
-the package in this checkout's ``src/``, and prints one
-``sha256  relative/path`` line per artifact (``*.csv``, ``summary.txt``,
-``*.pgm``), sorted by path.  A refactor that leaves the numerics unchanged
-is checked by running the script at two commits and diffing the outputs.
+the package in this checkout's ``src/``, and prints a first line naming
+the numpy and BLAS versions, then one ``sha256  relative/path`` line per
+artifact (``*.csv``, ``summary.txt``, ``*.pgm``), sorted by path.  A
+refactor that leaves the numerics unchanged is checked by running the
+script at two commits and diffing the outputs.
 The CLI's own stdout is suppressed; a command that exits nonzero aborts
 the script with exit status 1.
+
+``tests/artifact_digests.txt`` is that output, and a tier-1 test compares
+it with a fresh run: regenerate it with
+``python3 tools/artifact_digests.py > tests/artifact_digests.txt`` when a
+change moves the numerics.
 
 With ``--keep DIR`` the artifacts are written under ``DIR`` (created if
 missing) in place of a temporary directory and left there, so that two
@@ -44,6 +50,8 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -101,7 +109,14 @@ def run_all(workdir):
     return sorted({p for pat in PATTERNS for p in workdir.rglob(pat)})
 
 
+def platform_line():
+    """The numpy and BLAS versions, as the header of a digest file."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
 def print_digests(workdir):
+    print(platform_line())
     for path in run_all(workdir):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(workdir).as_posix()}")
