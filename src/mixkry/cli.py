@@ -31,7 +31,7 @@ from .errors import (
 )
 from .learn import (fit_bounds, hutchinson_objective, learn_matern,
                     rademacher_probes, rblw_gamma)
-from .mixgk import mixgk_init, mixgk_step
+from .mixgk import check_noise_pair, mixgk_init, mixgk_step
 from .operators import (
     FAMILY_PARAMS,
     MATERN_NU_MAX,
@@ -472,20 +472,25 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
                s_true=None):
     """Iterate expansion and selection until stopping.
 
-    Each outer iteration advances the subspace once, picks (gamma, lambda)
-    for the current projection, warm-started from the previous pick, and
-    records the iterate recovered from the selected cell's projected
-    weights.  ``s_true`` fills in ``rel_error``, and also the ``optimal``
-    search's truth when ``search`` holds none.  Raises
+    ``Rinv`` and ``LR`` give the noise as R^{-1} = L_R^T L_R, checked once;
+    ``LR`` needs a transpose action.  The process runs on L_R A and L_R (b -
+    A mu).  Each outer iteration advances the subspace once, picks (gamma,
+    lambda) for the current projection, warm-started from the previous
+    pick, and records the iterate recovered from the selected cell's
+    projected weights.  ``s_true`` fills in ``rel_error``, and also the
+    ``optimal`` search's truth when ``search`` holds none.  Raises
     :class:`BreakdownError` if the very first basis vector cannot be built.
     """
     search = search or SearchConfig()
     if search.s_true is None and s_true is not None:
         search = replace(search, s_true=s_true)
     policy = policy or StoppingPolicy()
+    check_noise_pair(Rinv, LR, A.rows)
+    white = LinearOperator(A.rows, A.cols, lambda x: LR.matvec(A.matvec(x)),
+                           lambda y: A.rmatvec(LR.rmatvec(y)))
     # shift out the prior mean: expand on b - A mu, add mu back on recovery
-    b_shift = np.asarray(b, dtype=float) - A.matvec(prior.mean)
-    state = mixgk_init(A, Rinv, LR, prior.q1, prior.q2, b_shift)
+    b_shift = LR.matvec(np.asarray(b, dtype=float) - A.matvec(prior.mean))
+    state = mixgk_init(white, prior.q1, prior.q2, b_shift)
     if state.terminal:
         raise BreakdownError(
             "bidiagonalization broke down before the first iterate "
@@ -793,13 +798,23 @@ def _cmd_gen(cfg):
 # entry point
 
 
+# command -> the config sections it never reads; only an override is held
+# to this, so that one config file serves every command
+_SKIPS = {"run": ("compare", "fit"), "compare": ("fit",),
+          "fit": ("select", "stop", "compare"),
+          "gen": ("select", "stop", "compare", "fit")}
+
+
 def _load_cfg(args):
     pairs = read_config(args.config)
     for item in args.overrides:
-        key, eq, value = item.partition("=")
+        key, eq, value = (part.strip() for part in item.partition("="))
         if not eq or not key:
             raise ConfigError(f"override {item!r} is not key=value")
-        pairs[key.strip()] = value.strip()
+        if key in _KEYS and key.partition(".")[0] in _SKIPS[args.command]:
+            raise ConfigError(f"config key {key} is not read by "
+                              f"mixkry {args.command}")
+        pairs[key] = value
     if args.out:
         pairs["out"] = args.out
     return resolve_config(pairs)

@@ -1,14 +1,12 @@
 """Mixed Golub-Kahan bidiagonalization.
 
-Runs the generalized Golub-Kahan recurrence in the R^{-1} / Q1 inner
-products and, alongside it, maintains a skinny QR factorization
-
-    (I - Ut Ut^T) L_R A Q2 V_k = Y_k Rup_k,      Ut = L_R U_{k+1},
-
-so the projected mixed-prior problem can be assembled for any mixing weight
-gamma without touching Q2 again.  One Q2 matvec is spent per step; the QR
-factors are advanced by an O(m k) rank-one update with a full recompute
-fallback.
+Runs the Golub-Kahan recurrence in the Euclidean / Q1 inner products on a
+whitened A and b (R = I): the paper's R^{-1} / Q1 process is this one run
+on L_R A and L_R b, where L_R^T L_R = R^{-1}.  Alongside it, a skinny QR
+factorization (I - U U^T) A Q2 V_k = Y_k Rup_k lets the projected
+mixed-prior problem be assembled for any mixing weight gamma without
+touching Q2 again.  One Q2 matvec is spent per step; the QR factors are
+advanced by an O(m k) rank-one update with a full recompute fallback.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .errors import (
 
 __all__ = [
     "MixGKState",
+    "check_noise_pair",
     "mixgk_init",
     "mixgk_step",
     "qr_append_update",
@@ -47,18 +46,15 @@ _RANK_TOL = 1e-12
 _DEFINITE_TOL = 1e-8
 
 
-def _form_norm(x, qx, name, scale=None):
+def _form_norm(x, qx, name):
     """sqrt(x^T Q x) from x and Q x, for the covariance-like operator ``name``.
 
-    A form below ``-_DEFINITE_TOL * scale`` means Q is not positive definite
-    and raises :class:`DefinitenessError`; a roundoff-negative one reads as
-    zero.  ``scale`` bounds the size of the form's rounding error and
-    defaults to ||x|| ||Q x||.
+    A form below ``-_DEFINITE_TOL ||x|| ||Q x||`` means Q is not positive
+    definite and raises :class:`DefinitenessError`; a roundoff-negative one
+    reads as zero.
     """
     form = x @ qx
-    if scale is None:
-        scale = np.linalg.norm(x) * np.linalg.norm(qx)
-    if form < -_DEFINITE_TOL * scale:
+    if form < -_DEFINITE_TOL * np.linalg.norm(x) * np.linalg.norm(qx):
         raise DefinitenessError(
             f"{name} is not positive definite (x^T {name} x = {form:.3g})")
     return np.sqrt(max(form, 0.0))
@@ -70,12 +66,12 @@ def _require_finite(vec, what):
 
 
 def _check_symmetric(Q, name):
-    """Two-vector symmetry probe of R^{-1} or a covariance operator.
+    """Two-vector symmetry probe of a covariance-like operator.
 
     For a symmetric Q, x^T Q y and y^T Q x differ only by roundoff; a gap
     above the ``_DEFINITE_TOL`` allowance of ``_form_norm`` raises
     :class:`DefinitenessError`.  The probe vectors come from a fixed seed, so
-    reruns apply Q to the same inputs.
+    reruns apply Q to the same inputs.  Returns the probes x, y and Q y.
     """
     x, y = np.random.default_rng(0).standard_normal((2, Q.cols))
     qx, qy = Q.matvec(x), Q.matvec(y)
@@ -87,6 +83,24 @@ def _check_symmetric(Q, name):
     if gap > _DEFINITE_TOL * scale:
         raise DefinitenessError(f"{name} is not symmetric "
                                 f"(|x^T Q y - y^T Q x| = {gap:.3g})")
+    return x, y, qy
+
+
+def check_noise_pair(Rinv, LR, m):
+    """Raise unless R^{-1} and L_R are m x m, R^{-1} passes the symmetry
+    probe and, on its probes x and y, (L_R x)^T (L_R y) equals x^T R^{-1} y
+    within the probe's allowance: L_R^T L_R = R^{-1}, so an indefinite
+    R^{-1} fails beside any L_R."""
+    if Rinv.shape != (m, m) or LR.shape != (m, m):
+        raise ArgumentError("noise operator shapes do not match the forward map")
+    x, y, rinv_y = _check_symmetric(Rinv, "R^{-1}")
+    lx, ly = LR.matvec(x), LR.matvec(y)
+    _require_finite(np.r_[lx, ly], "L_R image of a symmetry probe")
+    gap = abs(x @ rinv_y - lx @ ly)
+    if gap > _DEFINITE_TOL * max(np.linalg.norm(x) * np.linalg.norm(rinv_y),
+                                 np.linalg.norm(lx) * np.linalg.norm(ly)):
+        raise DefinitenessError(f"R^{{-1}} does not equal L_R^T L_R "
+                                f"(x^T R^{{-1}} y off by {gap:.3g})")
 
 
 def _norm_estimate(A):
@@ -202,17 +216,17 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
     return _gs_append(Y, Rup, t, input_norm, counter)
 
 
-def qr_recompute(Ut, Z, counter=None):
-    """Skinny QR of (I - Ut Ut^T) Z from scratch, O(m k^2).
+def qr_recompute(U, Z, counter=None):
+    """Skinny QR of (I - U U^T) Z from scratch, O(m k^2).
 
     Columns are appended left to right by the incremental path's two-pass
     Gram-Schmidt, so the dependent-column decisions match it.
     """
     m, k = Z.shape
-    P = Z - Ut @ (Ut.T @ Z)
-    P -= Ut @ (Ut.T @ P)
+    P = Z - U @ (U.T @ Z)
+    P -= U @ (U.T @ P)
     if counter is not None:
-        counter.add(8 * m * Ut.shape[1] * max(k, 1))
+        counter.add(8 * m * U.shape[1] * max(k, 1))
     Y = np.zeros((m, 0))
     Rup = np.zeros((0, 0))
     for j in range(k):
@@ -224,20 +238,19 @@ def qr_recompute(Ut, Z, counter=None):
 class MixGKState:
     """State of the process after ``k`` completed steps.
 
-    Basis arrays grow by one column per step.  ``U`` holds the left vectors
-    (R^{-1}-orthonormal), ``V`` the right vectors (Q1-orthonormal, including
-    the one-step lookahead vector), ``Ut = L_R U``.  ``W = Q2 V_k`` and
-    ``Z = L_R A W`` are the per-step Q2 caches, ``C = Ut^T Z`` the projected
-    coupling block, ``G`` the Gram matrix V_k^T W, and ``(Y, Rup)`` the
-    skinny QR factors of ``Z``'s component orthogonal to range(Ut).
+    Basis arrays grow by one column per step.  For the whitened A (R = I),
+    A Q1 V_k = U_{k+1} B_k and A^T U_{k+1} = V_k B_k^T + alpha_{k+1}
+    v_{k+1} e_{k+1}^T: ``U`` is orthonormal, ``V`` Q1-orthonormal (with
+    the one-step lookahead vector).  ``W = Q2 V_k`` and ``Z = A W`` are the
+    per-step Q2 caches, ``C = U^T Z`` the projected coupling block, ``G``
+    the Gram matrix V_k^T W, and ``(Y, Rup)`` the skinny QR factors of
+    (I - U U^T) Z.
 
     The state is single-owner: only :meth:`step` mutates it.
     """
 
-    def __init__(self, A, Rinv, LR, Q1, Q2, b):
+    def __init__(self, A, Q1, Q2, b):
         self.A = A
-        self.Rinv = Rinv
-        self.LR = LR
         self.Q1 = Q1
         self.Q2 = Q2
         self.m = A.rows
@@ -252,27 +265,22 @@ class MixGKState:
         if b.shape != (self.m,):
             raise ArgumentError("right-hand side length does not match the operator")
         _require_finite(b, "right-hand side b")
-        rinv_b = Rinv.matvec(b)
-        beta1 = _form_norm(b, rinv_b, "R^{-1}")
+        beta1 = np.linalg.norm(b)
         if beta1 == 0.0:
             raise DegenerateDataError("zero right-hand side")
         self.beta1 = float(beta1)
-        u1 = b / beta1
-        self.U = u1[:, None]
-        self.RinvU = (rinv_b / beta1)[:, None]
-        self.Ut = LR.matvec(u1)[:, None]
+        self.U = (b / beta1)[:, None]
 
-        vraw = A.rmatvec(self.RinvU[:, 0])
-        _require_finite(vraw, "A^T R^{-1} u_1")
+        vraw = A.rmatvec(self.U[:, 0])
+        _require_finite(vraw, "A^T u_1")
         q1v = Q1.matvec(vraw)
-        _require_finite(q1v, "Q1 A^T R^{-1} u_1")
+        _require_finite(q1v, "Q1 A^T u_1")
         alpha1 = _form_norm(vraw, q1v, "Q1")
         scale = np.linalg.norm(vraw)
-        # the terms of A^T R^{-1} u_1 are of size ||A|| ||R^{-1} u_1||; data
-        # orthogonal to range(A) cancels them down to rounding
-        reach = _norm_estimate(A) * np.linalg.norm(self.RinvU[:, 0])
+        # the terms of A^T u_1 are of size ||A||; data orthogonal to
+        # range(A) cancels them down to rounding
         if (alpha1 <= _BREAKDOWN_TOL * max(scale, _TINY)
-                or scale <= _BREAKDOWN_TOL * reach):
+                or scale <= _BREAKDOWN_TOL * _norm_estimate(A)):
             # Immediate breakdown: no usable subspace exists.
             self.terminal = True
             self.breakdown_reason = "alpha"
@@ -300,12 +308,10 @@ class MixGKState:
     def bidiagonal(self):
         """B with diagonal alpha_1..alpha_k and subdiagonal beta_2.., shaped
         (k+1) x k normally and k x k after a beta breakdown."""
-        k = self.k
-        B = np.zeros((self.num_left, k))
-        for i in range(k):
-            B[i, i] = self.alphas[i]
-        for i in range(len(self.betas)):
-            B[i + 1, i] = self.betas[i]
+        B = np.zeros((self.num_left, self.k))
+        B[np.arange(self.k), np.arange(self.k)] = self.alphas[: self.k]
+        nb = len(self.betas)
+        B[np.arange(1, nb + 1), np.arange(nb)] = self.betas
         return B
 
     @property
@@ -324,23 +330,15 @@ class MixGKState:
         k = self.k + 1
         v_k = self.V[:, k - 1]
         q1v_k = self.Q1V[:, k - 1]
-        u_k = self.U[:, k - 1]
         alpha_k = self.alphas[k - 1]
 
         # Left vector: beta_{k+1} u_{k+1} = A Q1 v_k - alpha_k u_k.
         a_q1v = self.A.matvec(q1v_k)
-        uhat = a_q1v - alpha_k * u_k
-        t = self.Rinv.matvec(uhat)
-        scale_u = np.sqrt(max(a_q1v @ (t + alpha_k * self.RinvU[:, k - 1]), 0.0))
-        # t tracks R^{-1} uhat through the projection below, so the form's
-        # rounding error scales with the vectors before it, not after
-        form_scale = np.linalg.norm(uhat) * np.linalg.norm(t)
-        coef = self.U.T @ t
-        uhat = uhat - self.U @ coef
-        t = t - self.RinvU @ coef
-        beta_new = _form_norm(uhat, t, "R^{-1}", scale=form_scale)
+        uhat = a_q1v - alpha_k * self.U[:, k - 1]
+        uhat -= self.U @ (self.U.T @ uhat)
+        beta_new = np.linalg.norm(uhat)
 
-        if beta_new <= _BREAKDOWN_TOL * max(scale_u, _TINY):
+        if beta_new <= _BREAKDOWN_TOL * max(np.linalg.norm(a_q1v), _TINY):
             # The subspace closed under A Q1; finalize step k with the
             # truncated k x k bidiagonal block and the existing left basis.
             self._advance_q2(v_k, new_u=None)
@@ -350,18 +348,14 @@ class MixGKState:
             return
 
         u_new = uhat / beta_new
-        rinv_u_new = t / beta_new
         self.U = np.hstack([self.U, u_new[:, None]])
-        self.RinvU = np.hstack([self.RinvU, rinv_u_new[:, None]])
-        ut_new = self.LR.matvec(u_new)
-        self.Ut = np.hstack([self.Ut, ut_new[:, None]])
         self.betas.append(float(beta_new))
 
         # Advance the Q2 branch for column v_k (needs the new left vector).
-        self._advance_q2(v_k, new_u=ut_new)
+        self._advance_q2(v_k, new_u=u_new)
 
-        # Right vector: alpha_{k+1} v_{k+1} = A^T R^{-1} u_{k+1} - beta v_k.
-        arm = self.A.rmatvec(rinv_u_new)
+        # Right vector: alpha_{k+1} v_{k+1} = A^T u_{k+1} - beta v_k.
+        arm = self.A.rmatvec(u_new)
         vhat = arm - beta_new * v_k
         coef_v = self.Q1V.T @ vhat
         vhat = vhat - self.V @ coef_v
@@ -383,20 +377,16 @@ class MixGKState:
     def _advance_q2(self, v_k, new_u):
         """Spend the step's Q2 matvec and update W, Z, C, G, Y, Rup."""
         w = self.Q2.matvec(v_k)
-        z = self.LR.matvec(self.A.matvec(w))
+        z = self.A.matvec(w)
         k_new = self.W.shape[1] + 1
 
-        # C = Ut^T Z, updated by one row (new left vector against old Z
+        # C = U^T Z, updated by one row (new left vector against old Z
         # columns) and one column (all left vectors against z).
-        nu = self.Ut.shape[1]
-        C_new = np.zeros((nu, k_new))
-        if new_u is not None:
-            C_new[:-1, :-1] = self.C
-            if self.Z.shape[1]:
-                C_new[-1, :-1] = new_u @ self.Z
-        else:
-            C_new[:, :-1] = self.C
-        utz = self.Ut.T @ z
+        C_new = np.zeros((self.U.shape[1], k_new))
+        C_new[: self.C.shape[0], :-1] = self.C
+        if new_u is not None and self.Z.shape[1]:
+            C_new[-1, :-1] = new_u @ self.Z
+        utz = self.U.T @ z
         C_new[:, -1] = utz
         self.C = C_new
 
@@ -404,17 +394,15 @@ class MixGKState:
         g_col = self.V[:, :k_new].T @ w
         G_new = np.zeros((k_new, k_new))
         G_new[:-1, :-1] = self.G
-        G_new[: k_new - 1, -1] = g_col[:-1]
-        G_new[-1, : k_new - 1] = g_col[:-1]
-        G_new[-1, -1] = g_col[-1]
+        G_new[:, -1] = G_new[-1, :] = g_col
         self.G = G_new
 
         self.W = np.hstack([self.W, w[:, None]])
         self.Z = np.hstack([self.Z, z[:, None]])
 
         rank_before = self.Y.shape[1]
-        vhat = z - self.Ut @ utz
-        vhat -= self.Ut @ (self.Ut.T @ vhat)
+        vhat = z - self.U @ utz
+        vhat -= self.U @ (self.U.T @ vhat)
         try:
             self.Y, self.Rup = qr_append_update(
                 self.Y, self.Rup, new_u, vhat,
@@ -423,7 +411,7 @@ class MixGKState:
         except RankError:
             self.qr_fallbacks += 1
             logger.info("QR update rank-deficient at step %d; recomputing", k_new)
-            self.Y, self.Rup = qr_recompute(self.Ut, self.Z)
+            self.Y, self.Rup = qr_recompute(self.U, self.Z)
         if self.Rup.shape[1] != k_new:
             raise RankError("QR factors lost column consistency")
         if self.Y.shape[1] == rank_before:
@@ -432,24 +420,20 @@ class MixGKState:
                         k_new, rank_before)
 
 
-def mixgk_init(A, Rinv, LR, Q1, Q2, b):
-    """Initialize the process: beta_1 u_1 = b, alpha_1 v_1 = A^T R^{-1} u_1.
-
-    Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
-    when b, A^T R^{-1} u_1 or its Q1 image holds a NaN or Inf, and
-    :class:`DefinitenessError` when R^{-1} or Q1 shows a negative form or a
-    two-vector probe finds R^{-1}, Q1 or Q2 not symmetric.  If alpha_1
-    vanishes, or A^T R^{-1} u_1 cancels to rounding against a probe
-    estimate of ||A|| ||R^{-1} u_1|| (data orthogonal to range(A)), the
-    returned state is already terminal with k = 0 (no usable subspace).
+def mixgk_init(A, Q1, Q2, b):
+    """Initialize the process on a whitened A and b: beta_1 u_1 = b and
+    alpha_1 v_1 = A^T u_1.  Raises :class:`DegenerateDataError` for b = 0, :class:`ArgumentError`
+    when b, A^T u_1 or its Q1 image holds a NaN or Inf, and
+    :class:`DefinitenessError` when Q1 shows a negative form or a
+    two-vector probe finds Q1 or Q2 not symmetric.  If alpha_1 vanishes,
+    or A^T u_1 cancels to rounding against a probe estimate of ||A|| (data
+    orthogonal to range(A)), the returned state is already terminal with
+    k = 0 (no usable subspace).
     """
-    m, n = A.rows, A.cols
-    if Rinv.shape != (m, m) or LR.shape != (m, m):
-        raise ArgumentError("noise operator shapes do not match the forward map")
+    n = A.cols
     if Q1.shape != (n, n) or Q2.shape != (n, n):
         raise ArgumentError("prior covariance shapes do not match the forward map")
-    state = MixGKState(A, Rinv, LR, Q1, Q2, b)
-    _check_symmetric(Rinv, "R^{-1}")
+    state = MixGKState(A, Q1, Q2, b)
     _check_symmetric(Q1, "Q1")
     _check_symmetric(Q2, "Q2")
     return state

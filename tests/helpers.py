@@ -28,8 +28,7 @@ import scipy.sparse
 
 from mixkry.errors import ConditioningError, ParameterDomainError, RankError
 from mixkry.mixgk import _RANK_TOL, _givens, _gs_append
-from mixkry.operators import (LinearOperator, kernel_eval, noise_whitener,
-                              zero_operator)
+from mixkry.operators import LinearOperator, kernel_eval, zero_operator
 from mixkry.projected import (penalty_basis, recover_iterate, solve_cells,
                               trace_term)
 
@@ -69,12 +68,12 @@ def random_problem(seed, m=25, n=20, q2_rank=None, noise=0.05):
 
 
 def wrap_problem(A, Q1, Q2, sigma):
-    """Operator views plus the (R^{-1}, L_R) pair for R = sigma^2 I."""
-    m = A.shape[0]
-    Rinv, LR = noise_whitener(sigma**2, m)
+    """Operator views of the whitened forward map A / sigma (R = sigma^2 I),
+    Q1 and Q2 (the zero operator for ``Q2=None``); the process runs on
+    them with the data b / sigma."""
     wrap = LinearOperator.from_matrix
     q2op = zero_operator(A.shape[1]) if Q2 is None else wrap(Q2)
-    return wrap(A), wrap(Q1), q2op, Rinv, LR
+    return wrap(A / sigma), wrap(Q1), q2op
 
 
 def grid_distances(grid):
@@ -291,28 +290,27 @@ def optimal_objective(state, prior, gamma, lam, s_true):
 def recurrence_residual(state, prior, A, Q1, Q2, b, sigma):
     """Worst criterion-2 relation residual at the state's current step.
 
-    Covers A Q1 V = U B, R^{-1}-orthonormal U, Q1-orthonormal V, the skinny
-    QR of the deflated Q2 branch, and, at gamma 0.4 and 1, the stacked Gram
-    identity and equality of projected and full-space misfits, all for
-    R = sigma^2 I.
+    The state runs on the whitened A / sigma and b / sigma (R = I).  Covers
+    (A / sigma) Q1 V = U B, orthonormal U, Q1-orthonormal V, the skinny QR
+    of the deflated Q2 branch, and, at gamma 0.4 and 1, the stacked Gram
+    identity and equality of projected and full-space misfits.
     """
-    m = A.shape[0]
     k = state.k
     U, V, B = state.U, state.Vk, state.bidiagonal()
-    Rd = np.eye(m) / sigma**2
+    Aw = A / sigma
     errs = [
-        np.linalg.norm(A @ Q1 @ V - U @ B) / np.linalg.norm(B),
-        np.max(np.abs(U.T @ Rd @ U - np.eye(U.shape[1]))),
+        np.linalg.norm(Aw @ Q1 @ V - U @ B) / np.linalg.norm(B),
+        np.max(np.abs(U.T @ U - np.eye(U.shape[1]))),
         np.max(np.abs(V.T @ Q1 @ V - np.eye(k))),
     ]
-    Z = (A @ Q2 @ V) / sigma
-    proj = Z - state.Ut @ (state.Ut.T @ Z)
+    Z = Aw @ Q2 @ V
+    proj = Z - U @ (U.T @ Z)
     errs.append(np.linalg.norm(state.Y @ state.Rup - proj)
                 / max(np.linalg.norm(Z), 1.0))
     basis = state_basis(state)
     for gamma in (0.4, 1.0):
         Dk = basis.assemble([gamma])[0]
-        M = (A @ (gamma * Q1 + (1 - gamma) * Q2) @ V) / sigma
+        M = Aw @ (gamma * Q1 + (1 - gamma) * Q2) @ V
         errs.append(np.max(np.abs(Dk.T @ Dk - M.T @ M))
                     / max(np.linalg.norm(M.T @ M), 1.0))
         y = np.sin(np.arange(1.0, k + 1))

@@ -64,9 +64,9 @@ def test_criterion_1_finite_termination():
     """At k = n (or breakdown) the recovered iterate is the MAP estimate."""
     t0 = time.perf_counter()
     A, Q1, Q2, b, sigma = random_problem(20, 25, 20, q2_rank=5)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
     prior = PriorSpec(mean=np.zeros(20), q1=q1op, q2=q2op)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    state = mixgk_init(Aop, q1op, q2op, b / sigma)
     run_steps(state, 20, mixgk_step)
     assert state.terminal or state.k == 20
 
@@ -94,8 +94,8 @@ def test_criterion_2_recurrence_suite():
     worst = 0.0
     for seed in range(20):
         A, Q1, Q2, b, sigma = random_problem(seed, 25, 20)
-        Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-        state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+        Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+        state = mixgk_init(Aop, q1op, q2op, b / sigma)
         prior = PriorSpec(mean=np.zeros(20), q1=q1op, q2=q2op)
         for _ in range(15):
             if state.terminal:
@@ -167,8 +167,8 @@ def test_criterion_4_parameter_rules_at_full_dimension():
     sigma = 0.08
     b = A @ rng.standard_normal(n) + sigma * rng.standard_normal(m)
 
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, q1op, q2op, b / sigma)
     run_steps(state, n, mixgk_step)
     assert state.k == n
 

@@ -2,7 +2,9 @@
 
 ``bench/`` reaches into the package by name (``trace_term`` in
 ``mixkry.params``; ``mixgk_init``, ``mixgk_step``, ``select_params``,
-``recover_iterate`` and ``zero_operator`` in ``mixkry.cli``) and reads
+``recover_iterate`` and ``zero_operator`` in ``mixkry.cli``), binds
+``run_hybrid``'s ``A``, ``Rinv``, ``LR`` and ``prior`` arguments by
+parameter name to count operator applications per role, and reads
 ``run.csv``'s ``ms`` header, so a rename there breaks the benchmark.  This
 test shows such a break with the other tests, not only when the benchmark
 itself is next run.

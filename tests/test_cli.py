@@ -168,6 +168,35 @@ def test_omega_not_read_by_other_methods(run_case, method):
     assert rc == 2 and "select.omega" in named and not assembled
 
 
+@pytest.mark.parametrize("command, override", [
+    ("run", "compare.variants=mix"), ("run", "fit.probes=3"),
+    ("compare", "fit.repeats=3"), ("fit", "select.method=gcv"),
+    ("fit", "select.omega=0.5"), ("fit", "stop.max_iter=3"),
+    ("gen", "select.gamma=0.5"), ("gen", "compare.variants=q1")])
+def test_override_the_command_does_not_read_exits_2(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    override):
+    """A key given as an override must be read by the command: one that
+    the command never reads exits 2 naming the key and the command, before
+    any assembly."""
+    monkeypatch.setattr(cli, "assemble_workload", None)
+    key = override.split("=")[0]
+    cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY)
+    rc = cli.main([command, cfg, override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert (f"config key {key} is not read by mixkry {command}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_config_file_keys_serve_every_command(tmp_path, command):
+    """In the config file, a key that only another command reads is
+    allowed, so one file serves every command."""
+    cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY
+                    + "compare.variants = mix\nfit.probes = 3\n")
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_sigma2_is_an_unknown_key(tmp_path, capsys):
     """UPRE scores in whitened units, so no key carries a noise variance
     for it: select.sigma2 is an unknown key (exit 2)."""

@@ -11,13 +11,15 @@ from helpers import (OpCounter, max_principal_angle, psd_matrix,
                      recurrence_residual, reference_gengk, run_steps,
                      solve_map_dense, solve_row, spd_matrix, state_basis,
                      wrap_problem)
+import mixkry.cli
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
                            DegenerateDataError, RankError)
-from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
-                          qr_recompute)
+from mixkry.mixgk import (check_noise_pair, mixgk_init, mixgk_step,
+                          qr_append_update, qr_recompute)
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
+from mixkry.params import StoppingPolicy
 from mixkry.projected import recover_iterate
 
 from_matrix = LinearOperator.from_matrix
@@ -25,8 +27,8 @@ from_matrix = LinearOperator.from_matrix
 
 def make_state(seed, m=25, n=20, q2_rank=None, noise=0.05):
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank, noise)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aw, q1op, q2op, b / sigma)
     return state, (A, Q1, Q2, b, sigma)
 
 
@@ -34,117 +36,125 @@ def make_state(seed, m=25, n=20, q2_rank=None, noise=0.05):
 
 
 def test_init_identity_hand_case():
-    """A=I2, R=I, Q1=I, b=(1,0): beta1=1, u1=(1,0), alpha1=1, v1=(1,0)."""
+    """A=I2, Q1=I, b=(1,0): beta1=1, u1=(1,0), alpha1=1, v1=(1,0)."""
     A = from_matrix(np.eye(2))
-    Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
+    state = mixgk_init(A, from_matrix(np.eye(2)), zero_operator(2),
                        np.array([1.0, 0.0]))
     assert state.beta1 == pytest.approx(1.0)
     np.testing.assert_allclose(state.U[:, 0], [1.0, 0.0])
     assert state.alphas[0] == pytest.approx(1.0)
     np.testing.assert_allclose(state.V[:, 0], [1.0, 0.0])
+    # the process carries no noise operator and no second left basis
+    assert not {"Rinv", "LR", "RinvU", "Ut"} & set(vars(state))
 
 
 def test_init_scaling_of_b():
     """Scaling b by c > 0 scales beta1 and leaves u1, v1 unchanged."""
     state1, parts = make_state(0)
     A, Q1, Q2, b, sigma = parts
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state2 = mixgk_init(Aop, Rinv, LR, q1op, q2op, 3.5 * b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state2 = mixgk_init(Aw, q1op, q2op, 3.5 * b / sigma)
     assert state2.beta1 == pytest.approx(3.5 * state1.beta1, rel=1e-14)
     np.testing.assert_allclose(state2.U[:, 0], state1.U[:, 0], rtol=1e-14)
     np.testing.assert_allclose(state2.V[:, 0], state1.V[:, 0], rtol=1e-14)
 
 
 def test_init_weighted_norm():
-    """R = 4I and b = (2,0) give beta1 = sqrt(b^T R^{-1} b) = 1."""
+    """R = 4I and b = (2,0) give beta1 = sqrt(b^T R^{-1} b) = 1: run_hybrid
+    hands the process L_R b."""
     A = from_matrix(np.eye(2))
     Rinv, LR = noise_whitener(4.0, 2)
-    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
-                       np.array([2.0, 0.0]))
-    assert state.beta1 == pytest.approx(1.0, rel=1e-14)
+    prior = PriorSpec(mean=np.zeros(2), q1=from_matrix(np.eye(2)),
+                      q2=zero_operator(2))
+    result = run_hybrid(A, Rinv, LR, prior, np.array([2.0, 0.0]))
+    assert result.state.beta1 == pytest.approx(1.0, rel=1e-14)
 
 
 def test_init_zero_b_and_shape_mismatch():
     A = from_matrix(np.eye(3))
-    Rinv, LR = noise_whitener(1.0, 3)
     with pytest.raises(DegenerateDataError):
-        mixgk_init(A, Rinv, LR, from_matrix(np.eye(3)), zero_operator(3), np.zeros(3))
+        mixgk_init(A, from_matrix(np.eye(3)), zero_operator(3), np.zeros(3))
+    with pytest.raises(ArgumentError, match="prior covariance shapes"):
+        mixgk_init(A, from_matrix(np.eye(4)), zero_operator(4), np.ones(3))
     Rbad, Lbad = noise_whitener(1.0, 4)
-    with pytest.raises(ArgumentError):
-        mixgk_init(A, Rbad, Lbad, from_matrix(np.eye(3)), zero_operator(3), np.ones(3))
+    with pytest.raises(ArgumentError, match="noise operator shapes"):
+        check_noise_pair(Rbad, Lbad, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_init_rejects_non_finite_input(bad):
-    """NaN or Inf in b, in A^T R^{-1} u_1, in its Q1 image or in the Q2
-    image of a symmetry probe is bad input."""
-    Rinv, LR = noise_whitener(1.0, 3)
+    """NaN or Inf in b, in A^T u_1, in its Q1 image, in the Q2 image of a
+    symmetry probe or in the L_R image of R^{-1}'s probe is bad input."""
     ident, zero = from_matrix(np.eye(3)), zero_operator(3)
     b = np.array([1.0, bad, 0.5])
     with pytest.raises(ArgumentError, match="right-hand side"):
-        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, ident, zero, b)
+        mixgk_init(ident, ident, zero, b)
     A_bad = np.eye(3)
     A_bad[0, 1] = bad
-    with pytest.raises(ArgumentError, match=r"A\^T R"):
-        mixgk_init(from_matrix(A_bad), Rinv, LR, ident, zero, np.ones(3))
+    with pytest.raises(ArgumentError, match=r"A\^T u_1"):
+        mixgk_init(from_matrix(A_bad), ident, zero, np.ones(3))
     Q1_bad = np.eye(3)
     Q1_bad[2, 0] = bad
     with pytest.raises(ArgumentError, match="Q1 A"):
-        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, from_matrix(Q1_bad), zero,
-                   np.ones(3))
+        mixgk_init(ident, from_matrix(Q1_bad), zero, np.ones(3))
     with pytest.raises(ArgumentError, match="Q2 image"):
-        mixgk_init(from_matrix(np.eye(3)), Rinv, LR, ident, from_matrix(Q1_bad),
-                   np.ones(3))
+        mixgk_init(ident, ident, from_matrix(Q1_bad), np.ones(3))
+    with pytest.raises(ArgumentError, match="L_R image"):
+        check_noise_pair(ident, from_matrix(Q1_bad), 3)
 
 
 def test_indefinite_q1_raises_definiteness_error():
     """Q1 = -I gives alpha_1^2 = -|v|^2: not a breakdown but a bad Q1."""
     A = from_matrix(np.eye(3))
-    Rinv, LR = noise_whitener(1.0, 3)
     with pytest.raises(DefinitenessError):
-        mixgk_init(A, Rinv, LR, from_matrix(-np.eye(3)), zero_operator(3),
-                   np.ones(3))
+        mixgk_init(A, from_matrix(-np.eye(3)), zero_operator(3), np.ones(3))
 
 
 def test_indefinite_q1_caught_while_stepping():
     """A Q1 positive on v_1 but negative on a later direction fails in step."""
     A = from_matrix(np.eye(2))
-    Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, from_matrix(np.diag([1.0, -1.0])),
+    state = mixgk_init(A, from_matrix(np.diag([1.0, -1.0])),
                        zero_operator(2), np.array([2.0, 1.0]))
     assert not state.terminal
     with pytest.raises(DefinitenessError):
         run_steps(state, 2, mixgk_step)
 
 
-def test_indefinite_rinv_raises_definiteness_error():
-    """R^{-1} = -I gives beta_1^2 = -|b|^2: a bad noise covariance, not a
-    zero right-hand side."""
+def _never_initialized(*args):
+    raise AssertionError("the process started on a bad noise pair")
+
+
+def test_indefinite_rinv_raises_definiteness_error(monkeypatch):
+    """R^{-1} = -I beside L_R = I is not a noise pair: the pair check in
+    run_hybrid rejects it before the process starts."""
+    monkeypatch.setattr(mixkry.cli, "mixgk_init", _never_initialized)
     eye = from_matrix(np.eye(3))
-    with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
-        mixgk_init(eye, from_matrix(-np.eye(3)), eye, eye, zero_operator(3),
-                   np.ones(3))
+    prior = PriorSpec(mean=np.zeros(3), q1=eye, q2=zero_operator(3))
+    with pytest.raises(DefinitenessError,
+                       match=r"R\^\{-1\} does not equal L_R\^T L_R"):
+        run_hybrid(eye, from_matrix(-np.eye(3)), eye, prior, np.ones(3))
 
 
-def test_indefinite_rinv_caught_while_stepping():
-    """An R^{-1} with one negative diagonal entry is positive on b but not
-    on a later left direction; that fails in step instead of reading as a
-    beta breakdown."""
+def test_indefinite_rinv_caught_while_stepping(monkeypatch):
+    """An R^{-1} with one negative diagonal entry is positive on b; beside
+    L_R = I the pair check rejects it before the first step, where it used
+    to be found only on a later left direction."""
     A, Q1, Q2, b, sigma = random_problem(3, m=12, n=9)
-    Aop, q1op, q2op, _, _ = wrap_problem(A, Q1, Q2, sigma)
     Rinv = from_matrix(np.diag(np.r_[np.ones(11), -1.0]))
-    prior = PriorSpec(mean=np.zeros(9), q1=q1op, q2=q2op)
+    prior = PriorSpec(mean=np.zeros(9), q1=from_matrix(Q1),
+                      q2=from_matrix(Q2))
     assert b @ Rinv.matvec(b) > 0
-    with pytest.raises(DefinitenessError, match=r"R\^\{-1\} is not positive"):
-        run_hybrid(Aop, Rinv, from_matrix(np.eye(12)), prior, b)
+    monkeypatch.setattr(mixkry.cli, "mixgk_init", _never_initialized)
+    with pytest.raises(DefinitenessError,
+                       match=r"R\^\{-1\} does not equal L_R\^T L_R"):
+        run_hybrid(from_matrix(A), Rinv, from_matrix(np.eye(12)), prior, b)
 
 
 @pytest.mark.parametrize("which", ["R^{-1}", "Q1", "Q2"])
 def test_non_symmetric_covariance_raises_definiteness_error(which):
     """Adding a skew part keeps x^T Q x positive but breaks symmetry; the
-    two-vector probe at init rejects it for the inverse noise covariance
-    and for either prior covariance."""
+    two-vector probe rejects it for the inverse noise covariance (in
+    run_hybrid's pair check) and for either prior covariance (at init)."""
     A, Q1, Q2, b, sigma = random_problem(8, m=12, n=9)
     B = np.random.default_rng(8).standard_normal((9, 9))
     skew = 0.5 * (B - B.T)
@@ -152,31 +162,35 @@ def test_non_symmetric_covariance_raises_definiteness_error(which):
         Q1 = Q1 + skew
     elif which == "Q2":
         Q2 = Q2 + skew
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    Rinv, LR = noise_whitener(sigma**2, 12)
     if which == "R^{-1}":
         # a skewed R^{-1} used to run 12 steps with no error, its U far
         # from R^{-1}-orthonormal
         B = np.random.default_rng(8).standard_normal((12, 12))
         Rinv = from_matrix((np.eye(12) + 0.15 * (B - B.T)) / sigma**2)
+    prior = PriorSpec(mean=np.zeros(9), q1=from_matrix(Q1),
+                      q2=from_matrix(Q2))
     with pytest.raises(DefinitenessError,
                        match=re.escape(f"{which} is not symmetric")):
-        mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+        run_hybrid(from_matrix(A), Rinv, LR, prior, b)
 
 
 def test_upper_triangular_q2_rejected_by_run_hybrid():
     """An upper-triangular Q2 used to run to a flat stop with no error."""
     A, Q1, Q2, b, sigma = random_problem(9, m=12, n=9)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, np.triu(Q2), sigma)
-    prior = PriorSpec(mean=np.zeros(9), q1=q1op, q2=q2op)
+    Rinv, LR = noise_whitener(sigma**2, 12)
+    prior = PriorSpec(mean=np.zeros(9), q1=from_matrix(Q1),
+                      q2=from_matrix(np.triu(Q2)))
     with pytest.raises(DefinitenessError, match="Q2 is not symmetric"):
-        run_hybrid(Aop, Rinv, LR, prior, b)
+        run_hybrid(from_matrix(A), Rinv, LR, prior, b)
 
 
 def test_first_column_reproduces_b():
-    """U beta1 e1 = b by construction."""
+    """U beta1 e1 = b / sigma (the whitened b) by construction."""
     state, parts = make_state(1)
-    b = parts[3]
-    np.testing.assert_allclose(state.beta1 * state.U[:, 0], b, rtol=1e-14)
+    b, sigma = parts[3], parts[4]
+    np.testing.assert_allclose(state.beta1 * state.U[:, 0], b / sigma,
+                               rtol=1e-14)
 
 
 # -- recurrences and orthogonality (20 seeds, k <= 15) ------------------------
@@ -185,14 +199,14 @@ def test_first_column_reproduces_b():
 @pytest.mark.parametrize("seed", range(20))
 def test_recurrence_suite(seed):
     """Bidiagonal relations, orthogonality, QR identity, and the stacked
-    Gram identity all hold to 1e-9 at every k <= 15."""
+    Gram identity all hold to 1e-9 at every k <= 15, for the whitened
+    A / sigma (R = I)."""
     rng = np.random.default_rng(1000 + seed)
     m = int(rng.integers(18, 30))
     n = int(rng.integers(12, m - 2))
     state, parts = make_state(seed, m=m, n=n)
     A, Q1, Q2, b, sigma = parts
-    Rinv = np.eye(m) / sigma**2
-    LRd = np.eye(m) / sigma
+    Aw = A / sigma
 
     kmax = min(15, n)
     for _ in range(kmax):
@@ -202,30 +216,29 @@ def test_recurrence_suite(seed):
         k = state.k
         U, V, B = state.U, state.Vk, state.bidiagonal()
 
-        err = np.linalg.norm(A @ Q1 @ V - U @ B) / np.linalg.norm(B)
+        err = np.linalg.norm(Aw @ Q1 @ V - U @ B) / np.linalg.norm(B)
         assert err <= 1e-9
 
-        # adjoint recurrence: A^T R^{-1} U_{k+1} = V B^T + alpha_{k+1} v e^T
+        # adjoint recurrence: A^T U_{k+1} = V B^T + alpha_{k+1} v e^T
         if not state.terminal and state.V.shape[1] == k + 1:
-            lhs = A.T @ Rinv @ U
+            lhs = Aw.T @ U
             rhs = V @ B.T
             rhs[:, -1] += state.alphas[k] * state.V[:, k]
             assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) <= 1e-9
 
-        assert np.max(np.abs(U.T @ Rinv @ U - np.eye(U.shape[1]))) <= 1e-10
+        assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10
         assert np.max(np.abs(V.T @ Q1 @ V - np.eye(k))) <= 1e-10
 
-        # skinny QR of the Q2 branch: (I - Ut Ut^T) L_R A Q2 V = Y Rup
-        Ut = state.Ut
-        Z = LRd @ A @ Q2 @ V
-        proj = Z - Ut @ (Ut.T @ Z)
+        # skinny QR of the Q2 branch: (I - U U^T) A Q2 V = Y Rup
+        Z = Aw @ Q2 @ V
+        proj = Z - U @ (U.T @ Z)
         assert np.linalg.norm(state.Y @ state.Rup - proj) <= 1e-9 * max(
             np.linalg.norm(Z), 1.0)
         r = state.Y.shape[1]
         if r > 0:
             assert np.max(np.abs(state.Y.T @ state.Y - np.eye(r))) <= 1e-10
-            assert np.max(np.abs(state.Y.T @ Ut)) <= 1e-10
-        np.testing.assert_allclose(state.C, Ut.T @ Z, atol=1e-9)
+            assert np.max(np.abs(state.Y.T @ U)) <= 1e-10
+        np.testing.assert_allclose(state.C, U.T @ Z, atol=1e-9)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.8, 1.0])
@@ -245,21 +258,13 @@ def test_orthogonality_long_run():
     state, _ = make_state(3, m=40, n=30)
     run_steps(state, 25, mixgk_step)
     assert state.k == 25
-    m = state.m
-    Rinv = np.eye(m) / _sigma_of(state)
-    gram_u = state.Ut.T @ state.Ut
+    gram_u = state.U.T @ state.U
     assert np.max(np.abs(gram_u - np.eye(state.num_left))) <= 1e-10
 
 
-def _sigma_of(state):
-    # Rinv is diagonal sigma^{-2} I in these tests; recover sigma^2 from it
-    e = np.zeros(state.m)
-    e[0] = 1.0
-    return 1.0 / state.Rinv.matvec(e)[0]
-
-
 def test_matches_reference_gengk_when_q2_zero():
-    """With Q2 = 0 the process reduces to plain bidiagonalization."""
+    """With Q2 = 0 the process on A / sigma and b / sigma has the B of the
+    textbook bidiagonalization in the (R^{-1}, Q1) geometry."""
     rng = np.random.default_rng(12)
     m, n = 8, 6
     A = rng.standard_normal((m, n))
@@ -268,8 +273,8 @@ def test_matches_reference_gengk_when_q2_zero():
     sigma = 0.3
     b = rng.standard_normal(m)
 
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, None, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, None, sigma)
+    state = mixgk_init(Aw, q1op, q2op, b / sigma)
     run_steps(state, 5, mixgk_step)
 
     B_ref, U_ref, V_ref = reference_gengk(A, sigma, Q1, b, 5)
@@ -283,8 +288,7 @@ def test_identity_problem_beta_breakdown():
     """A=I2, Q1=I, Q2=0, b=e1: step 1 finds the solution subspace and the
     next residual vector vanishes (beta breakdown)."""
     A = from_matrix(np.eye(2))
-    Rinv, LR = noise_whitener(1.0, 2)
-    state = mixgk_init(A, Rinv, LR, from_matrix(np.eye(2)), zero_operator(2),
+    state = mixgk_init(A, from_matrix(np.eye(2)), zero_operator(2),
                        np.array([1.0, 0.0]))
     mixgk_step(state)
     assert state.terminal
@@ -306,8 +310,8 @@ def test_breakdown_keeps_state_consistent():
     b = A @ rng.standard_normal(n)
     sigma = 1.0
 
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, None, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, None, sigma)
+    state = mixgk_init(Aw, q1op, q2op, b / sigma)
     run_steps(state, n, mixgk_step)
     assert state.terminal
     assert state.k <= r
@@ -336,8 +340,8 @@ def test_recurrence_relations_property(seed, m, n, steps, data):
     ranks 0..n; with Q2 = 0 every column drops and Y stays empty."""
     q2_rank = data.draw(st.integers(0, n), label="q2_rank")
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aw, q1op, q2op, b / sigma)
     prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
     worst = 0.0
     for _ in range(steps):
@@ -374,13 +378,37 @@ def test_map_agreement_at_termination_property(seed, m, n, gamma, log10_lam,
     Q2 ranks 0..n."""
     q2_rank = data.draw(st.integers(0, n), label="q2_rank")
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
+    Aw, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
     prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    state = mixgk_init(Aw, q1op, q2op, b / sigma)
     run_steps(state, n + 1, mixgk_step)
     assert state.terminal and state.k == min(m, n)
     err = _map_error(state, prior, A, np.eye(m) / sigma**2, Q1, Q2, b, gamma,
                      10.0**log10_lam)
+    assert err <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_run_hybrid_diagonal_noise_reaches_the_map(seed):
+    """Criterion 1 through run_hybrid under a non-scalar R = diag(r), r in
+    [0.5, 2], and a nonzero prior mean: run to k = n, the final iterate is
+    the dense MAP estimate at the selected (gamma, lambda) to 1e-8.
+    Whitening with R^{-1} in place of L_R, or not at all, moves it far
+    from that estimate."""
+    A, Q1, Q2, b, _ = random_problem(seed, m=14, n=9, q2_rank=4)
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.5, 2.0, 14)
+    mu = rng.standard_normal(9)
+    Rinv, LR = noise_whitener(r)
+    prior = PriorSpec(mean=mu, q1=from_matrix(Q1), q2=from_matrix(Q2))
+    policy = StoppingPolicy(max_iter=9, residual_tol=0.0, window=10)
+    result = run_hybrid(from_matrix(A), Rinv, LR, prior, b, policy=policy)
+    final = result.final
+    assert final.k == 9
+    ref = solve_map_dense(A, np.diag(1.0 / r),
+                          final.gamma * Q1 + (1 - final.gamma) * Q2, b, mu,
+                          final.lam)
+    err = np.linalg.norm(result.solution - ref) / np.linalg.norm(ref)
     assert err <= 1e-8
 
 
@@ -422,7 +450,9 @@ def test_first_step_breakdown_property(kind, seed, m, n):
     Aop = from_matrix(A)
     prior = PriorSpec(mean=np.zeros(n), q1=from_matrix(Q1),
                       q2=from_matrix(Q2))
-    state = mixgk_init(Aop, Rinv, LR, prior.q1, prior.q2, b)
+    white = np.sqrt(r)
+    state = mixgk_init(from_matrix(A / white[:, None]), prior.q1, prior.q2,
+                       b / white)
     if kind == "init":
         assert state.terminal and state.k == 0
         assert state.breakdown_reason == "alpha"
@@ -461,7 +491,9 @@ def test_init_breakdown_on_rounding_cancellation(seed):
     Aop = from_matrix(A)
     prior = PriorSpec(mean=np.zeros(5), q1=from_matrix(np.eye(5)),
                       q2=from_matrix(np.eye(5)))
-    state = mixgk_init(Aop, Rinv, LR, prior.q1, prior.q2, b)
+    white = np.sqrt(r)
+    state = mixgk_init(from_matrix(A / white[:, None]), prior.q1, prior.q2,
+                       b / white)
     assert state.terminal and state.k == 0
     assert state.breakdown_reason == "alpha"
     with pytest.raises(BreakdownError):
@@ -546,7 +578,7 @@ def test_qr_modes_agree_through_process():
     state, _ = make_state(21, m=120, n=60)
     for _ in range(25):
         mixgk_step(state)
-        Yref, Rref = qr_recompute(state.Ut, state.Z)
+        Yref, Rref = qr_recompute(state.U, state.Z)
         assert max_principal_angle(state.Y, Yref) <= 1e-8
         np.testing.assert_allclose(
             np.abs(np.diag(state.Rup)), np.abs(np.diag(Rref)), rtol=1e-6)
@@ -653,13 +685,13 @@ def test_qr_rank_deficient_column_drops():
     Q1 = B1 @ B1.T + 0.5 * np.eye(n)
     Q2 = np.outer(np.ones(n), np.ones(n))  # rank one
     b = rng.standard_normal(m)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, 1.0)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aw, q1op, q2op = wrap_problem(A, Q1, Q2, 1.0)
+    state = mixgk_init(Aw, q1op, q2op, b)
     run_steps(state, 6, mixgk_step)
     assert state.Y.shape[1] <= 1
     assert state.rank_drops >= 5
     assert state.Rup.shape == (state.Y.shape[1], 6)
     # the trapezoidal factorization still reproduces the projected block
     Z = state.Z
-    proj = Z - state.Ut @ (state.Ut.T @ Z)
+    proj = Z - state.U @ (state.U.T @ Z)
     np.testing.assert_allclose(state.Y @ state.Rup, proj, atol=1e-9)

@@ -22,8 +22,8 @@ from mixkry.projected import penalty_basis, trace_term
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank, noise)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, q1op, q2op, b / sigma)
     run_steps(state, steps, mixgk_step)
     prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
     return state, prior, (A, Q1, Q2, b, sigma)
@@ -147,8 +147,8 @@ def test_gcv_scale_invariant_minimizer():
     lambdas = np.logspace(-4, 1, 20)
     curves = []
     for c in (1.0, 0.1, 10.0):
-        Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-        state = mixgk_init(Aop, Rinv, LR, q1op, q2op, c * b)
+        Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+        state = mixgk_init(Aop, q1op, q2op, c * b / sigma)
         run_steps(state, 8, mixgk_step)
         curves.append(np.array([gcv_objective(state, 0.6, l)
                                 for l in lambdas]))

@@ -24,8 +24,8 @@ _WIDE_LOG10_LAMBDA = (-8.0, 8.0)
 
 def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
     A, Q1, Q2, b, sigma = random_problem(seed, m, n, q2_rank, noise)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, q1op, q2op, b / sigma)
     run_steps(state, steps, mixgk_step)
     prior = PriorSpec(mean=np.zeros(n), q1=q1op, q2=q2op)
     return state, prior, (A, Q1, Q2, b, sigma)
@@ -63,9 +63,8 @@ def test_memoized_bidiagonal_tracks_every_step():
     gamma = 1."""
     n = 8
     A = np.diag(np.repeat([1.0, 2.0, 3.0, 4.0], 2))
-    Rinv, LR = noise_whitener(1.0, n)
     wrap = LinearOperator.from_matrix
-    state = mixgk_init(wrap(A), Rinv, LR, wrap(np.eye(n)), zero_operator(n),
+    state = mixgk_init(wrap(A), wrap(np.eye(n)), zero_operator(n),
                        np.arange(1.0, n + 1))
     while not state.terminal:
         mixgk_step(state)
@@ -383,9 +382,11 @@ def test_run_hybrid_iterate_is_the_selected_cell():
     The weights match the scipy Cholesky oracle at (gamma*, lam*), and the
     residual matches the full-space misfit of the solution."""
     A, Q1, Q2, b, sigma = random_problem(30, 25, 20, q2_rank=6)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    prior = PriorSpec(mean=np.linspace(-0.5, 0.5, 20), q1=q1op, q2=q2op)
-    result = run_hybrid(Aop, Rinv, LR, prior, b, method="wgcv",
+    wrap = LinearOperator.from_matrix
+    Rinv, LR = noise_whitener(sigma**2, 25)
+    prior = PriorSpec(mean=np.linspace(-0.5, 0.5, 20), q1=wrap(Q1),
+                      q2=wrap(Q2))
+    result = run_hybrid(wrap(A), Rinv, LR, prior, b, method="wgcv",
                         policy=StoppingPolicy(max_iter=6, flat_tol=1e-12))
     state = result.state
     for rec, sel in zip(result.history, result.selections):
@@ -475,8 +476,8 @@ def test_full_run_with_nonzero_mean():
     # recenter: feed b - A mu through a fresh process
     rng = np.random.default_rng(99)
     mu = rng.standard_normal(20)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b - A @ mu)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, q1op, q2op, (b - A @ mu) / sigma)
     run_steps(state, 30, mixgk_step)
     prior_mu = PriorSpec(mean=mu, q1=q1op, q2=q2op)
     gamma, lam = 0.6, 0.45
@@ -490,8 +491,8 @@ def test_full_run_with_nonzero_mean():
 def test_misfit_monotone_in_k():
     """At tiny lam the whitened misfit is nonincreasing as the space grows."""
     A, Q1, Q2, b, sigma = random_problem(22, 25, 20, 5)
-    Aop, q1op, q2op, Rinv, LR = wrap_problem(A, Q1, Q2, sigma)
-    state = mixgk_init(Aop, Rinv, LR, q1op, q2op, b)
+    Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
+    state = mixgk_init(Aop, q1op, q2op, b / sigma)
     prev = np.inf
     for _ in range(12):
         if state.terminal:

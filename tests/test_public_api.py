@@ -13,8 +13,8 @@ import pytest
 import mixkry
 from mixkry.cli import Workload
 from mixkry.learn import FitResult, learn_matern
-from mixkry.mixgk import (MixGKState, _gs_append, qr_append_update,
-                          qr_recompute)
+from mixkry.mixgk import (MixGKState, _gs_append, mixgk_init,
+                          qr_append_update, qr_recompute)
 from mixkry.operators import KernelOperator, LinearOperator, SampleFactor
 from mixkry.params import SearchConfig, upre_objective
 from mixkry.testproblems import TomoProblem
@@ -58,6 +58,11 @@ RETIRED_PARAMS = (
     (learn_matern, "probes"),
     (learn_matern, "seed"),
     (upre_objective, "sigma2"),
+    (mixgk_init, "Rinv"),
+    (mixgk_init, "LR"),
+    (MixGKState.__init__, "Rinv"),
+    (MixGKState.__init__, "LR"),
+    (qr_recompute, "Ut"),
 )
 
 
