@@ -282,7 +282,7 @@ def resolve_config(pairs):
 
 @dataclass
 class Workload:
-    """Everything one reconstruction needs, assembled from a config."""
+    """The problem every command reads: operator, data, training samples."""
 
     name: str
     A: LinearOperator
@@ -290,12 +290,8 @@ class Workload:
     b_true: np.ndarray
     s_true: np.ndarray
     sigma: float
-    mean: np.ndarray
     grid: Grid
     sample: object
-    q1: LinearOperator
-    q2: LinearOperator
-    learned: object = None
 
     @property
     def m(self):
@@ -351,7 +347,8 @@ def _load(cfg, key, loader):
 
 
 def assemble_workload(cfg):
-    """Build operators, data, and priors for the configured problem."""
+    """Build the forward operator, data and training samples for the
+    configured problem."""
     preset = cfg["problem.preset"]
     seed = cfg["seed"]
 
@@ -364,14 +361,14 @@ def assemble_workload(cfg):
         sample = sample_covariance(train.images.reshape(train.count, -1))
         b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
         grid, s_true = prob.grid, prob.s_true
-        A, b_true, name = prob.A, prob.b_clean, preset
+        A, b_true = prob.A, prob.b_clean
     elif preset == "crosswell":
         size = cfg["problem.size"]
         prob = crosswell_tomo(size, cfg["problem.sources"],
                               cfg["problem.receivers"], seed=seed)
         b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
         grid, s_true = prob.grid, prob.s_true
-        A, b_true, name = prob.A, prob.b_clean, preset
+        A, b_true = prob.A, prob.b_clean
     else:
         if not cfg.get("file.a") or not cfg.get("file.b"):
             raise ConfigError("problem.preset=file requires file.a and file.b")
@@ -394,49 +391,48 @@ def assemble_workload(cfg):
             sample = sample_covariance(cols)
             if sample.rows != A.cols:
                 raise ConfigError("file.samples dimension does not match file.a")
-        name = "file"
 
-    n = A.cols
-    mean_mode = cfg["prior.mean"]
+    return Workload(name=preset, A=A, b=np.asarray(b, dtype=float),
+                    b_true=np.asarray(b_true, dtype=float), s_true=s_true,
+                    sigma=float(sigma), grid=grid, sample=sample)
+
+
+def _prior(cfg, work):
+    """The configured mixed prior on ``work``, and the learned Q1 fit
+    (None unless ``prior.q1.learn``)."""
+    n, sample = work.n, work.sample
     if cfg.get("file.mean"):
         mean = _load(cfg, "file.mean", load_vector)
         if mean.size != n:
             raise ConfigError("file.mean length does not match file.a columns")
-    elif mean_mode == "train":
+    elif cfg["prior.mean"] == "train":
         if sample is None:
             raise ConfigError("prior.mean=train needs training samples")
         mean = sample.mean.copy()
     else:
         mean = np.zeros(n)
 
-    q2_source = cfg["prior.q2.source"]
-    if q2_source == "samples":
+    if cfg["prior.q2.source"] == "samples":
         if sample is None:
             raise ConfigError("prior.q2.source=samples needs training samples")
         q2 = sample
-    elif q2_source == "kernel":
-        q2 = _kernel_operator("prior.q2", cfg, grid, n)
+    elif cfg["prior.q2.source"] == "kernel":
+        q2 = _kernel_operator("prior.q2", cfg, work.grid, n)
     else:
         q2 = identity_operator(n)
 
-    work = Workload(name=name, A=A, b=np.asarray(b, dtype=float),
-                    b_true=np.asarray(b_true, dtype=float), s_true=s_true,
-                    sigma=float(sigma), mean=mean, grid=grid,
-                    sample=sample, q1=None, q2=q2)
+    learned = None
     if cfg["prior.q1.learn"]:
-        work.learned = _learn_q1(cfg, work)
-        cfg = {**cfg, "prior.q1.ell": work.learned.ell,
-               "prior.q1.nu": work.learned.nu}
-    work.q1 = _kernel_operator("prior.q1", cfg, grid, n)
-    return work
+        learned = _learn_q1(cfg, work)
+        cfg = {**cfg, "prior.q1.ell": learned.ell, "prior.q1.nu": learned.nu}
+    q1 = _kernel_operator("prior.q1", cfg, work.grid, n)
+    return PriorSpec(mean=mean, q1=q1, q2=q2), learned
 
 
 def _search_config(cfg, work, method, gamma_fixed):
-    s_true = None
-    if method == "optimal":
-        if work.s_true is None:
-            raise ConfigError("select.method=optimal requires file.s_true")
-        s_true = work.s_true
+    # run_hybrid hands its s_true to the optimal search
+    if method == "optimal" and work.s_true is None:
+        raise ConfigError("select.method=optimal requires file.s_true")
     return SearchConfig(
         gamma_min=cfg["select.gamma_min"],
         gamma_fixed=gamma_fixed,
@@ -445,7 +441,6 @@ def _search_config(cfg, work, method, gamma_fixed):
         log10_lambda=(cfg["select.log10_lambda_lo"],
                       cfg["select.log10_lambda_hi"]),
         omega=cfg.get("select.omega"),
-        s_true=s_true,
     )
 
 
@@ -545,21 +540,6 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_run_csv(path, history):
-    _write_csv(path, ("k", "lambda", "gamma", "objective", "rel_residual",
-                      "rel_error", "ms"),
-               [(r.k, r.lam, r.gamma, r.objective, r.rel_residual,
-                 r.rel_error, r.ms) for r in history])
-
-
-def _write_params_csv(path, history, selections):
-    _write_csv(path, ("k", "method", "gamma", "lambda", "objective",
-                      "evaluations", "converged"),
-               [(rec.k, sel.method, sel.gamma, sel.lam, sel.objective,
-                 sel.evaluations, sel.converged)
-                for rec, sel in zip(history, selections)])
-
-
 def _write_images(outdir, work, result, summary):
     if work.grid is None:
         return
@@ -571,7 +551,7 @@ def _write_images(outdir, work, result, summary):
         summary.append(f"truth_scale: {_fmt(lo)} {_fmt(hi)}")
 
 
-def _summarize_run(work, method, result, summary):
+def _summarize_run(work, prior, learned, method, result, summary):
     final = result.final
     summary += [
         f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
@@ -584,11 +564,11 @@ def _summarize_run(work, method, result, summary):
     if work.s_true is not None:
         norm_true = np.linalg.norm(work.s_true)
         if norm_true > 0:
-            start = float(np.linalg.norm(work.mean - work.s_true)) / norm_true
+            start = float(np.linalg.norm(prior.mean - work.s_true)) / norm_true
             summary.append(f"rel_error_start: {_fmt(start)}")
-    if work.learned is not None:
-        summary.append(f"learned_nu: {_fmt(work.learned.nu)}")
-        summary.append(f"learned_ell: {_fmt(work.learned.ell)}")
+    if learned is not None:
+        summary.append(f"learned_nu: {_fmt(learned.nu)}")
+        summary.append(f"learned_ell: {_fmt(learned.ell)}")
 
 
 def _outdir(cfg):
@@ -603,11 +583,12 @@ def _outdir(cfg):
 # subcommands
 
 
-def _solve_and_write(cfg, work, prior, gamma, outdir):
+def _solve_and_write(cfg, work, prior, learned, gamma, outdir):
     """Run the hybrid solver on one prior and write its artifacts to
     ``outdir``: run.csv, params.csv, summary.txt and the images.
 
-    ``gamma`` pins the mixing weight (None searches it).  Returns the
+    ``learned`` is the Q1 fit the summary reports (or None), and ``gamma``
+    pins the mixing weight (None searches it).  Returns the
     :class:`HybridResult` and the solve time in milliseconds.
     """
     method = cfg["select.method"]
@@ -624,10 +605,19 @@ def _solve_and_write(cfg, work, prior, gamma, outdir):
     elapsed = (time.perf_counter() - start) * 1e3
 
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_run_csv(outdir / "run.csv", result.history)
-    _write_params_csv(outdir / "params.csv", result.history, result.selections)
+    history = result.history
+    _write_csv(outdir / "run.csv", ("k", "lambda", "gamma", "objective",
+                                    "rel_residual", "rel_error", "ms"),
+               [(r.k, r.lam, r.gamma, r.objective, r.rel_residual,
+                 r.rel_error, r.ms) for r in history])
+    _write_csv(outdir / "params.csv", ("k", "method", "gamma", "lambda",
+                                       "objective", "evaluations",
+                                       "converged"),
+               [(rec.k, sel.method, sel.gamma, sel.lam, sel.objective,
+                 sel.evaluations, sel.converged)
+                for rec, sel in zip(history, result.selections)])
     summary = []
-    _summarize_run(work, method, result, summary)
+    _summarize_run(work, prior, learned, method, result, summary)
     _write_images(outdir, work, result, summary)
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     return result, elapsed
@@ -636,8 +626,8 @@ def _solve_and_write(cfg, work, prior, gamma, outdir):
 def _cmd_run(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
-    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
-    result, elapsed = _solve_and_write(cfg, work, prior,
+    prior, learned = _prior(cfg, work)
+    result, elapsed = _solve_and_write(cfg, work, prior, learned,
                                        cfg.get("select.gamma"), outdir)
     final = result.final
     print(f"run: k={final.k} gamma={final.gamma:.4g} lambda={final.lam:.4g} "
@@ -654,8 +644,9 @@ def _blend_with_identity(sample, rho):
     return LinearOperator(n, n, apply, apply)
 
 
-def _variant_runs(cfg, work):
-    """Prior and pinned gamma (None to search) per compare variant.
+def _variant_runs(cfg, work, prior):
+    """Prior and pinned gamma (None to search) per compare variant, from
+    the configured ``prior``.
 
     mix searches gamma over the full mixture unless ``select.gamma`` pins
     it; q1, q2 and identity fix gamma = 1 on a single covariance.  q2 uses
@@ -663,37 +654,37 @@ def _variant_runs(cfg, work):
     weight when it is sample-based (a bare sample covariance is
     rank-deficient and cannot anchor the bidiagonalization).
     """
-    n = work.n
-    zero = zero_operator(n)
+    zero = zero_operator(work.n)
     for tag in cfg["compare.variants"]:
         note, gamma = "", 1.0
         if tag == "mix":
-            prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+            variant = prior
             gamma = cfg.get("select.gamma")
         elif tag == "q1":
-            prior = PriorSpec(mean=work.mean, q1=work.q1, q2=zero)
+            variant = replace(prior, q2=zero)
         elif tag == "q2":
-            if work.q2 is work.sample:
+            if prior.q2 is work.sample:
                 rho = rblw_gamma(work.sample)
                 op = _blend_with_identity(work.sample, rho)
                 note = f"rblw_rho: {_fmt(rho)}"
             else:
-                op = work.q2
-            prior = PriorSpec(mean=work.mean, q1=op, q2=zero)
+                op = prior.q2
+            variant = replace(prior, q1=op, q2=zero)
         else:
-            prior = PriorSpec(mean=work.mean, q1=identity_operator(n), q2=zero)
-        yield tag, prior, gamma, note
+            variant = replace(prior, q1=identity_operator(work.n), q2=zero)
+        yield tag, variant, gamma, note
 
 
 def _cmd_compare(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
+    prior, learned = _prior(cfg, work)
 
     rows = []
     summary = [f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
                f"method: {cfg['select.method']}"]
-    for tag, prior, gamma, note in _variant_runs(cfg, work):
-        result, elapsed = _solve_and_write(cfg, work, prior, gamma,
+    for tag, variant, gamma, note in _variant_runs(cfg, work, prior):
+        result, elapsed = _solve_and_write(cfg, work, variant, learned, gamma,
                                            outdir / tag)
         final = result.final
         rows.append((tag, final.k, final.gamma, final.lam, final.objective,
@@ -718,11 +709,9 @@ def _cmd_fit(cfg):
     seed = cfg["seed"]
     family = cfg["prior.q1.kernel"]
 
-    # with prior.q1.learn=true assembly has fitted the kernel already, so
-    # the printed time covers assembly and fit
     start = time.perf_counter()
     work = assemble_workload(cfg)
-    fit = work.learned or _learn_q1(cfg, work)
+    fit = _learn_q1(cfg, work)
     elapsed = (time.perf_counter() - start) * 1e3
 
     # probe-count sweep at the learned parameters: standard error of the
@@ -798,11 +787,14 @@ def _cmd_gen(cfg):
 # entry point
 
 
-# command -> the config sections it never reads; only an override is held
-# to this, so that one config file serves every command
-_SKIPS = {"run": ("compare", "fit"), "compare": ("fit",),
-          "fit": ("select", "stop", "compare"),
-          "gen": ("select", "stop", "compare", "fit")}
+# command -> prefixes of the config keys it never reads; only an override
+# is held to this, so that one config file serves every command.  gen builds
+# no prior, and fit reads only Q1's family and exponent.
+_SOLVE = ("select.", "stop.", "compare.")
+_SKIPS = {"run": ("compare.", "fit."), "compare": ("fit.",),
+          "fit": _SOLVE + ("prior.mean", "prior.q2.", "prior.q1.ell",
+                           "prior.q1.nu", "prior.q1.learn", "file.mean"),
+          "gen": _SOLVE + ("fit.", "prior.", "file.mean")}
 
 
 def _load_cfg(args):
@@ -811,7 +803,7 @@ def _load_cfg(args):
         key, eq, value = (part.strip() for part in item.partition("="))
         if not eq or not key:
             raise ConfigError(f"override {item!r} is not key=value")
-        if key in _KEYS and key.partition(".")[0] in _SKIPS[args.command]:
+        if key in _KEYS and key.startswith(_SKIPS[args.command]):
             raise ConfigError(f"config key {key} is not read by "
                               f"mixkry {args.command}")
         pairs[key] = value

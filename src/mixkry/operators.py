@@ -514,7 +514,8 @@ def _matern_bessel(nu, x):
     Evaluated in log space with the exponentially scaled :func:`_kve` so
     that large x does not overflow before cancelling.  At nu <= 25
     (:data:`MATERN_NU_MAX`) and x > 1e-10, ``_kve`` stays finite and every
-    term below stays in the float range.
+    term below stays in the float range.  At x <= 1e-10 it is the series
+    1 + Gamma(-nu)/Gamma(nu) (x/2)^(2 nu) below nu = 1, and 1 from there on.
     """
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
@@ -527,6 +528,13 @@ def _matern_bessel(nu, x):
     # by ~1e-13 near x = 0
     np.minimum(vals, 1.0, out=vals)
     out[pos] = vals
+    if nu < 1.0:
+        # one expm1 keeps the digits as nu -> 0; where 1 +- nu rounds, the
+        # log-Gamma ratio is its series 2 gamma nu + 2 zeta(3)/3 nu^3
+        ratio = (math.lgamma(1.0 - nu) - math.lgamma(1.0 + nu) if nu >= 1e-4
+                 else 2.0 * np.euler_gamma * nu + 0.8013712687730628 * nu**3)
+        small = ~pos & (x > 0.0)
+        out[small] = -np.expm1(ratio + 2.0 * nu * np.log(x[small] / 2.0))
     return out
 
 

@@ -17,8 +17,8 @@ from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.learn import frobenius_mismatch
 from mixkry.operators import (FAMILY_PARAMS, CSRMatrix, KernelSpec,
-                              LinearOperator, PriorSpec, load_matrix,
-                              noise_whitener, save_matrix, save_vector)
+                              LinearOperator, load_matrix, noise_whitener,
+                              save_matrix, save_vector)
 from mixkry.params import SearchConfig, StoppingPolicy
 from mixkry.testproblems import read_pgm
 
@@ -172,13 +172,19 @@ def test_omega_not_read_by_other_methods(run_case, method):
     ("run", "compare.variants=mix"), ("run", "fit.probes=3"),
     ("compare", "fit.repeats=3"), ("fit", "select.method=gcv"),
     ("fit", "select.omega=0.5"), ("fit", "stop.max_iter=3"),
-    ("gen", "select.gamma=0.5"), ("gen", "compare.variants=q1")])
+    ("gen", "select.gamma=0.5"), ("gen", "compare.variants=q1"),
+    ("gen", "prior.q1.ell=0.3"), ("gen", "prior.q1.kernel=sinc"),
+    ("gen", "file.mean=m.mtx"), ("fit", "prior.q1.ell=0.3"),
+    ("fit", "prior.q1.nu=2"), ("fit", "prior.q1.learn=true"),
+    ("fit", "prior.mean=zero"), ("fit", "prior.q2.source=kernel"),
+    ("fit", "file.mean=m.mtx")])
 def test_override_the_command_does_not_read_exits_2(tmp_path, capsys,
                                                     monkeypatch, command,
                                                     override):
     """A key given as an override must be read by the command: one that
     the command never reads exits 2 naming the key and the command, before
-    any assembly."""
+    any assembly.  gen builds no prior, and fit reads only Q1's kernel
+    family and exponent."""
     monkeypatch.setattr(cli, "assemble_workload", None)
     key = override.split("=")[0]
     cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY)
@@ -195,6 +201,21 @@ def test_config_file_keys_serve_every_command(tmp_path, command):
     cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY
                     + "compare.variants = mix\nfit.probes = 3\n")
     assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command, prior", [
+    ("gen", "prior.q1.kernel = squared-exponential\nprior.q1.ell = 1e50\n"),
+    ("fit", "prior.q2.source = kernel\n"
+     "prior.q2.kernel = squared-exponential\nprior.q2.ell = 1e50\n")],
+    ids=["gen", "fit"])
+def test_gen_and_fit_build_no_prior_they_do_not_read(tmp_path, command,
+                                                      prior):
+    """gen builds no prior and fit no Q2, so a prior in the config file
+    that no solve could use (a kernel that is 1 at every offset) does not
+    stop them; run on the same file exits 2 naming the kernel's key."""
+    cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY + prior)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
 def test_sigma2_is_an_unknown_key(tmp_path, capsys):
@@ -468,15 +489,21 @@ def test_exit_code_spherical_size_below_its_preset_end(run_case, size):
     (("prior.q1.ell=1e50",), "prior.q1.ell"),
     (("prior.q1.nu=1e-50",), "prior.q1.nu"),
     (("prior.q1.kernel=sinc", "prior.q1.nu=1e-50"), "prior.q1.nu"),
-    (("prior.q2.source=kernel", "prior.q2.ell=1e50"), "prior.q2.ell")])
+    (("prior.q2.source=kernel", "prior.q2.ell=1e50"), "prior.q2.ell")],
+    ids=lambda value: ",".join(value) if isinstance(value, tuple) else value)
 def test_exit_code_all_ones_kernel_names_its_keys(run_case, capsys,
                                                   overrides, key):
     """A kernel that is exactly 1 at every grid offset (the Matern profile
-    at ell = 1e50 or at nu = 1e-50, sinc at nu = 1e-50) is refused at
-    assembly (exit 2) with the keys its family reads, not later as a
-    covariance that fails the definiteness probe."""
+    at ell = 1e50, sinc at nu = 1e-50, rational-quadratic Q2 at ell = 1e50)
+    is refused when the prior is built (exit 2) with the keys its family
+    reads, not later as a covariance that fails the definiteness probe.
+    The Matern profile at nu = 1e-50 is about 0 off the diagonal, not 1: it
+    runs, or exits 2 naming the order."""
     rc, named, assembled = run_case("spherical", "run", *overrides)
-    assert rc == 2 and key in named and assembled
+    if overrides == ("prior.q1.nu=1e-50",):
+        assert rc == 0 or (rc == 2 and key in named)
+    else:
+        assert rc == 2 and key in named and assembled
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])
@@ -718,7 +745,7 @@ def test_upre_history_is_unit_free_property(tmp_path):
     cfg = cli.resolve_config(cli.read_config(
         write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)))
     work = cli.assemble_workload(cfg)
-    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+    prior, _ = cli._prior(cfg, work)
     search = SearchConfig(grid_gamma=cfg["select.grid_gamma"],
                           grid_lambda=cfg["select.grid_lambda"])
     policy = StoppingPolicy(max_iter=cfg["stop.max_iter"])
@@ -748,7 +775,7 @@ def test_run_hybrid_gives_optimal_its_own_s_true(tmp_path):
     cfg = cli.resolve_config(cli.read_config(preset_cfg(tmp_path,
                                                         "crosswell")))
     work = cli.assemble_workload(cfg)
-    prior = PriorSpec(mean=work.mean, q1=work.q1, q2=work.q2)
+    prior, _ = cli._prior(cfg, work)
     Rinv, LR = noise_whitener(work.sigma ** 2, work.m)
 
     def history(search):
@@ -898,9 +925,9 @@ def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
 
 
 def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
-    """fit builds two kernel operators, assembly's Q1 and one for the whole
-    ladder, not one per ladder estimate; and fit.csv is byte-identical to
-    a ladder that rebuilds the kernel for every estimate."""
+    """fit builds one kernel operator, for the whole ladder, not one per
+    ladder estimate, and no prior; and fit.csv is byte-identical to a
+    ladder that rebuilds the kernel for every estimate."""
     builds = []
     for module in (cli, mixkry.learn):
         def counted(*args, build=module.build_kernel_operator):
@@ -910,14 +937,14 @@ def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "build_kernel_operator", counted)
     cfg = write_cfg(tmp_path / "fit.cfg", SPHERICAL_TINY)
     assert cli.main(["fit", cfg, "--out", str(tmp_path / "once")]) == 0
-    assert len(builds) == 2
+    assert len(builds) == 1
 
     builds.clear()
     estimate = cli.hutchinson_objective
     monkeypatch.setattr(cli, "hutchinson_objective",
                         lambda *args, kernel: estimate(*args))
     assert cli.main(["fit", cfg, "--out", str(tmp_path / "each")]) == 0
-    assert len(builds) == 2 + 18
+    assert len(builds) == 1 + 18
     assert ((tmp_path / "once" / "fit.csv").read_bytes()
             == (tmp_path / "each" / "fit.csv").read_bytes())
 
@@ -1062,8 +1089,8 @@ def test_exit_code_bad_fit_ladder(run_case, override):
 
 
 def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
-    """With prior.q1.learn=true, fit reuses the kernel that assembly learned:
-    one learn_matern call, and the same artifacts as a fit without it."""
+    """With prior.q1.learn=true in the config file, fit learns once, as
+    without it: one learn_matern call, and the same artifacts."""
     learn, calls = cli.learn_matern, []
 
     def counted(*args, **kwargs):
@@ -1071,10 +1098,10 @@ def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
         return learn(*args, **kwargs)
 
     monkeypatch.setattr(cli, "learn_matern", counted)
-    cfg = write_cfg(tmp_path / "fit.cfg",
-                    SPHERICAL_TINY + "fit.probes = 6\nfit.repeats = 4\n")
+    cfg = write_cfg(tmp_path / "fit.cfg", SPHERICAL_TINY + "fit.probes = 6\n"
+                    "fit.repeats = 4\nprior.q1.learn = true\n")
     out = tmp_path / "out"
-    rc = cli.main(["fit", cfg, "prior.q1.learn=true", "--out", str(out)])
+    rc = cli.main(["fit", cfg, "--out", str(out)])
     assert rc == 0
     assert len(calls) == 1
     for fname in ("fit.csv", "summary.txt"):

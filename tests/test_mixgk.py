@@ -300,6 +300,38 @@ def test_identity_problem_beta_breakdown():
     np.testing.assert_allclose(B, [[1.0]], atol=1e-14)
 
 
+@pytest.mark.parametrize("ratio, reason", [(2e-12, "alpha"),
+                                           (0.5e-12, "beta")])
+def test_beta_breakdown_tolerance_is_1e_12(ratio, reason):
+    """A = (1, ratio)^T, Q1 = I, b = e1: step 1 leaves a new left vector of
+    size ratio against ||A Q1 v_1|| = 1.  At 2e-12 it is kept (beta_2 =
+    2e-12, and the one-column A then ends on alpha); at 0.5e-12, below the
+    1e-12 tolerance, it is a beta breakdown."""
+    A = from_matrix(np.array([[1.0], [ratio]]))
+    state = mixgk_init(A, from_matrix(np.eye(1)), zero_operator(1),
+                       np.array([1.0, 0.0]))
+    mixgk_step(state)
+    assert state.terminal and state.breakdown_reason == reason
+    assert state.betas == ([pytest.approx(ratio, rel=1e-12)]
+                           if reason == "alpha" else [])
+
+
+@pytest.mark.parametrize("ratio", [-2e-8, -0.5e-8])
+def test_definiteness_tolerance_is_1e_8(ratio):
+    """A = I, b = e1 and Q1 with first column (ratio, 1): the first form is
+    x^T Q1 x = ratio ||x|| ||Q1 x||.  At -2e-8, beyond the 1e-8 roundoff
+    allowance, Q1 is not positive definite; at -0.5e-8 the form is roundoff
+    and reads as zero, an alpha breakdown."""
+    A = from_matrix(np.eye(2))
+    Q1 = from_matrix(np.array([[ratio, 1.0], [1.0, 1.0]]))
+    if ratio < -1e-8:
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            mixgk_init(A, Q1, zero_operator(2), np.array([1.0, 0.0]))
+    else:
+        state = mixgk_init(A, Q1, zero_operator(2), np.array([1.0, 0.0]))
+        assert state.terminal and state.breakdown_reason == "alpha"
+
+
 def test_breakdown_keeps_state_consistent():
     """Rank-deficient A stops early; the truncated relation stays exact."""
     rng = np.random.default_rng(5)

@@ -120,41 +120,41 @@ def test_kve_matches_scipy_property(nu, xs):
 
 
 def _matern_scipy(nu, x):
-    """The Matern profile as it was computed with scipy's kve and gammaln."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    pos = x > 1e-10
-    xp = x[pos]
-    vals = np.exp(nu * np.log(xp) + np.log(scipy.special.kve(nu, xp))
-                  - xp - (nu - 1.0) * np.log(2.0)
-                  - scipy.special.gammaln(nu))
-    out[pos] = np.minimum(vals, 1.0)
-    return out
+    """The Matern profile at x > 0 as it was computed with scipy's kve and
+    gammaln."""
+    vals = np.exp(nu * np.log(x) + np.log(scipy.special.kve(nu, x))
+                  - x - (nu - 1.0) * np.log(2.0) - scipy.special.gammaln(nu))
+    return np.minimum(vals, 1.0)
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.77, 1.29, 3.3, 10.0, 25.0])
 def test_matern_bessel_profile_matches_scipy(nu):
-    r = np.concatenate([[0.0], np.geomspace(1e-12, 10.0, 2000)])
-    spec = KernelSpec("matern", ell=0.3, nu=nu)
-    want = _matern_scipy(nu, np.sqrt(2.0 * nu) * r / 0.3)
-    got = kernel_eval(spec, r)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    """Above x = 1e-10 the profile equals the scipy one; below it the mpmath
+    table is the reference (scipy's profile was cut to 1 there)."""
+    r = np.geomspace(1e-12, 10.0, 2000)
+    x = np.sqrt(2.0 * nu) * r / 0.3
+    keep = x > 1e-10
+    got = kernel_eval(KernelSpec("matern", ell=0.3, nu=nu), r[keep])
+    np.testing.assert_allclose(got, _matern_scipy(nu, x[keep]), rtol=1e-12,
+                               atol=0)
 
 
 def test_matern_bessel_profile_matches_mpmath_table():
     """The Bessel profile is within 1e-12 relative of the 40-digit mpmath
     values in tests/matern_reference.csv (tools/matern_reference.py), over
-    orders 0.01 to 25 and x from 1e-9 to 1e3, wherever the true value
-    exceeds 1e-300."""
+    orders 1e-50 to 25 and x from 1e-100 to 1e3, wherever the true value
+    exceeds 1e-300: below x = 1e-10 too, where a small order keeps the
+    profile well below 1.  At x = 0 it is 1."""
     table = np.loadtxt(Path(__file__).with_name("matern_reference.csv"),
                        delimiter=",", skiprows=1)
-    assert table.shape == (275, 3)
+    assert table.shape == (455, 3)
     for nu in np.unique(table[:, 0]):
         x, want = table[table[:, 0] == nu, 1:].T
         keep = want > 1e-300
         got = _matern_bessel(nu, x[keep])
         np.testing.assert_allclose(got, want[keep], rtol=1e-12, atol=0,
                                    err_msg=f"nu = {nu}")
+        assert _matern_bessel(nu, np.zeros(1))[0] == 1.0
 
 
 def test_rational_quadratic_formula():
@@ -235,7 +235,7 @@ def test_grid_validation():
 
 # (family, nu, ell) strategies; the Matern cases reach its half-integer
 # closed forms and the kve Bessel route, at high order with a long ell
-# down to the x = 1e-10 cut
+# down to x = 1e-10
 _TABLE_CASES = {
     "squared-exponential": ("squared-exponential", st.floats(0.1, 20.0),
                             st.floats(0.02, 2.0)),

@@ -45,6 +45,10 @@ RETIRED_ATTRS = (
 
 RETIRED_FIELDS = (
     (Workload, "mask"),
+    (Workload, "mean"),
+    (Workload, "q1"),
+    (Workload, "q2"),
+    (Workload, "learned"),
     (TomoProblem, "meta"),
     (FitResult, "seed"),
     (FitResult, "probes"),

@@ -5,7 +5,9 @@ Usage: ``python3 tools/matern_reference.py``; it writes
 
 Evaluates kappa(x) = 2^(1 - nu) / Gamma(nu) x^nu K_nu(x) with mpmath 1.3.0
 at 40 significant digits, over the Matern orders below (the accepted range
-runs to 25) and x = geomspace(1e-9, 1e3, 25).  Each row holds nu and x as
+runs from 1e-50 to 25) and x = geomspace(1e-100, 1e-10, 10) followed by
+geomspace(1e-9, 1e3, 25): below x = 1e-10 the profile is a series, above it
+the Bessel function.  Each row holds nu and x as
 Python float reprs, which mpmath takes exactly, and kappa to 20 significant
 digits.  Values far below the float range are written as they are; a
 reader that parses them as floats gets 0.
@@ -17,8 +19,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-ORDERS = (0.01, 0.1, 0.3, 0.77, 1.29, 3.3, 7.5, 10.0, 17.2, 24.9, 25.0)
-ARGUMENTS = np.geomspace(1e-9, 1e3, 25)
+ORDERS = (1e-50, 1e-05, 0.01, 0.1, 0.3, 0.77, 1.29, 3.3, 7.5, 10.0, 17.2,
+          24.9, 25.0)
+ARGUMENTS = np.concatenate([np.geomspace(1e-100, 1e-10, 10),
+                            np.geomspace(1e-9, 1e3, 25)])
 DIGITS = 40
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "matern_reference.csv"
