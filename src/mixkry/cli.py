@@ -282,7 +282,12 @@ def resolve_config(pairs):
 
 @dataclass
 class Workload:
-    """The problem every command reads: operator, data, training samples."""
+    """The problem every command reads: operator, data, training samples.
+
+    A synthetic problem's ``A`` and ``sample`` are shared by every workload
+    :func:`assemble_workload` returns for it, and their arrays are
+    read-only; ``b``, ``b_true`` and ``s_true`` are each workload's own.
+    """
 
     name: str
     A: LinearOperator
@@ -315,11 +320,17 @@ def _kernel_operator(prefix, cfg, grid, n):
     # a kernel that is 1 at every offset makes every pixel equal: rank one
     table = kernel_table(spec, grid)
     if np.all(table == 1.0):
-        keys = ", ".join(f"{prefix}.{p}={_fmt(cfg[f'{prefix}.{p}'])}"
-                         for p in FAMILY_PARAMS[family])
-        raise ConfigError(f"{prefix}.kernel={family} with {keys} is 1 at "
+        raise ConfigError(f"the kernel {_kernel_keys(prefix, cfg)} is 1 at "
                           "every grid offset: a rank-one covariance")
     return build_kernel_operator(spec, grid, table)
+
+
+def _kernel_keys(prefix, cfg):
+    """``prefix``'s kernel family and the parameters it reads, as config
+    keys with their values."""
+    keys = ("kernel",) + _FAMILIES[cfg[f"{prefix}.kernel"]]
+    return ", ".join(f"{prefix}.{k}={_fmt(cfg[f'{prefix}.{k}'])}"
+                     for k in keys)
 
 
 def _learn_q1(cfg, work):
@@ -346,60 +357,96 @@ def _load(cfg, key, loader):
         raise ConfigError(f"config key {key}: cannot load {cfg[key]!r}: {exc}")
 
 
-def assemble_workload(cfg):
-    """Build the forward operator, data and training samples for the
-    configured problem."""
-    preset = cfg["problem.preset"]
-    seed = cfg["seed"]
+# the last synthetic problem this process assembled, as (key, Workload)
+_LAST = None
 
+
+def _problem_key(cfg):
+    """The resolved values a synthetic problem is built from: the seed and
+    every problem.* and noise.* key."""
+    return tuple(sorted((key, value) for key, value in cfg.items()
+                        if key == "seed"
+                        or key.startswith(("problem.", "noise."))))
+
+
+def _synthetic_workload(cfg):
+    """The spherical or crosswell problem, with ``A`` and the training
+    samples made read-only so that the memo can share them."""
+    preset, seed, size = cfg["problem.preset"], cfg["seed"], cfg["problem.size"]
     sample = None
     if preset == "spherical":
-        size = cfg["problem.size"]
         prob = spherical_tomo(size, cfg["problem.angles"],
                               cfg["problem.circles"], seed=seed)
         train = gen_training_images(cfg["problem.train_count"], size, seed + 1)
         sample = sample_covariance(train.images.reshape(train.count, -1))
-        b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
-        grid, s_true = prob.grid, prob.s_true
-        A, b_true = prob.A, prob.b_clean
-    elif preset == "crosswell":
-        size = cfg["problem.size"]
+    else:
         prob = crosswell_tomo(size, cfg["problem.sources"],
                               cfg["problem.receivers"], seed=seed)
-        b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
-        grid, s_true = prob.grid, prob.s_true
-        A, b_true = prob.A, prob.b_clean
-    else:
-        if not cfg.get("file.a") or not cfg.get("file.b"):
-            raise ConfigError("problem.preset=file requires file.a and file.b")
-        A = LinearOperator.from_matrix(_load(cfg, "file.a", load_matrix))
-        b = _load(cfg, "file.b", load_vector)
-        if b.size != A.rows:
-            raise ConfigError("file.b length does not match file.a rows")
-        b_true = b.copy()
-        s_true = None
-        if cfg.get("file.s_true"):
-            s_true = _load(cfg, "file.s_true", load_vector)
-        side = int(round(np.sqrt(A.cols)))
-        grid = Grid(side, side) if side * side == A.cols else None
-        sigma = cfg["noise.sigma"]
-        if cfg.get("file.samples"):
-            cols = _load(cfg, "file.samples", load_samples)
-            if len(cols) < 2:
-                raise ConfigError(f"file.samples must hold at least 2 "
-                                  f"samples, got {len(cols)}")
-            sample = sample_covariance(cols)
-            if sample.rows != A.cols:
-                raise ConfigError("file.samples dimension does not match file.a")
+    b, sigma = add_noise(prob.b_clean, cfg["noise.level"], seed + 2)
+    mat = prob.A.mat
+    shared = [mat.data, mat.indices, mat.indptr]
+    if sample is not None:
+        shared += [sample.factor, sample.mean]
+    for arr in shared:
+        arr.flags.writeable = False
+    return Workload(name=preset, A=prob.A, b=b, b_true=prob.b_clean,
+                    s_true=prob.s_true, sigma=sigma, grid=prob.grid,
+                    sample=sample)
 
-    return Workload(name=preset, A=A, b=np.asarray(b, dtype=float),
-                    b_true=np.asarray(b_true, dtype=float), s_true=s_true,
-                    sigma=float(sigma), grid=grid, sample=sample)
+
+def _file_workload(cfg):
+    if not cfg.get("file.a") or not cfg.get("file.b"):
+        raise ConfigError("problem.preset=file requires file.a and file.b")
+    A = LinearOperator.from_matrix(_load(cfg, "file.a", load_matrix))
+    b = _load(cfg, "file.b", load_vector)
+    if b.size != A.rows:
+        raise ConfigError("file.b length does not match file.a rows")
+    s_true = None
+    if cfg.get("file.s_true"):
+        s_true = _load(cfg, "file.s_true", load_vector)
+    side = int(round(np.sqrt(A.cols)))
+    grid = Grid(side, side) if side * side == A.cols else None
+    sample = None
+    if cfg.get("file.samples"):
+        cols = _load(cfg, "file.samples", load_samples)
+        if len(cols) < 2:
+            raise ConfigError(f"file.samples must hold at least 2 "
+                              f"samples, got {len(cols)}")
+        sample = sample_covariance(cols)
+        if sample.rows != A.cols:
+            raise ConfigError("file.samples dimension does not match file.a")
+    return Workload(name="file", A=A, b=b, b_true=b.copy(), s_true=s_true,
+                    sigma=float(cfg["noise.sigma"]), grid=grid, sample=sample)
+
+
+def assemble_workload(cfg):
+    """Build the forward operator, data and training samples for the
+    configured problem.
+
+    A synthetic problem (spherical or crosswell) is built once per process
+    for as long as its seed and its problem.* and noise.* values repeat:
+    the last one is kept, and dropped before a different one is built.
+    Each call returns its own copies of ``b``, ``b_true`` and ``s_true``,
+    and shares ``A`` and ``sample``, whose arrays are read-only.  The file
+    preset reads its files at every call.
+    """
+    global _LAST
+    if cfg["problem.preset"] == "file":
+        return _file_workload(cfg)
+    key = _problem_key(cfg)
+    if _LAST is None or _LAST[0] != key:
+        _LAST = None  # never hold two problems at once
+        _LAST = key, _synthetic_workload(cfg)
+    work = _LAST[1]
+    return replace(work, b=work.b.copy(), b_true=work.b_true.copy(),
+                   s_true=work.s_true.copy())
 
 
 def _prior(cfg, work):
-    """The configured mixed prior on ``work``, and the learned Q1 fit
-    (None unless ``prior.q1.learn``)."""
+    """The configured mixed prior on ``work``, the learned Q1 fit (None
+    unless ``prior.q1.learn``), and ``(operator, keys)`` for each
+    kernel-built covariance, so that a solve can name the keys of one that
+    fails its definiteness checks."""
     n, sample = work.n, work.sample
     if cfg.get("file.mean"):
         mean = _load(cfg, "file.mean", load_vector)
@@ -412,12 +459,14 @@ def _prior(cfg, work):
     else:
         mean = np.zeros(n)
 
+    kernels = []
     if cfg["prior.q2.source"] == "samples":
         if sample is None:
             raise ConfigError("prior.q2.source=samples needs training samples")
         q2 = sample
     elif cfg["prior.q2.source"] == "kernel":
         q2 = _kernel_operator("prior.q2", cfg, work.grid, n)
+        kernels.append((q2, _kernel_keys("prior.q2", cfg)))
     else:
         q2 = identity_operator(n)
 
@@ -426,7 +475,8 @@ def _prior(cfg, work):
         learned = _learn_q1(cfg, work)
         cfg = {**cfg, "prior.q1.ell": learned.ell, "prior.q1.nu": learned.nu}
     q1 = _kernel_operator("prior.q1", cfg, work.grid, n)
-    return PriorSpec(mean=mean, q1=q1, q2=q2), learned
+    kernels.append((q1, _kernel_keys("prior.q1", cfg)))
+    return PriorSpec(mean=mean, q1=q1, q2=q2), learned, kernels
 
 
 def _search_config(cfg, work, method, gamma_fixed):
@@ -583,12 +633,15 @@ def _outdir(cfg):
 # subcommands
 
 
-def _solve_and_write(cfg, work, prior, learned, gamma, outdir):
+def _solve_and_write(cfg, work, prior, learned, kernels, gamma, outdir):
     """Run the hybrid solver on one prior and write its artifacts to
     ``outdir``: run.csv, params.csv, summary.txt and the images.
 
-    ``learned`` is the Q1 fit the summary reports (or None), and ``gamma``
-    pins the mixing weight (None searches it).  Returns the
+    ``learned`` is the Q1 fit the summary reports (or None), ``kernels``
+    the ``(operator, keys)`` pairs of :func:`_prior`, and ``gamma`` pins
+    the mixing weight (None searches it).  A covariance that fails the
+    process's definiteness checks raises :class:`DefinitenessError` naming
+    the keys of the kernel that built it.  Returns the
     :class:`HybridResult` and the solve time in milliseconds.
     """
     method = cfg["select.method"]
@@ -600,8 +653,18 @@ def _solve_and_write(cfg, work, prior, learned, gamma, outdir):
     Rinv, LR = noise_whitener(work.sigma**2, work.m)
 
     start = time.perf_counter()
-    result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
-                        search=search, policy=policy, s_true=work.s_true)
+    try:
+        result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
+                            search=search, policy=policy, s_true=work.s_true)
+    except DefinitenessError as exc:
+        # the process names the failing covariance by its role, Q1 or Q2
+        role = {"Q1": prior.q1, "Q2": prior.q2}.get(str(exc).split(" ")[0])
+        for op, keys in kernels:
+            if op is role:
+                raise DefinitenessError(f"the kernel {keys} is not a usable "
+                                        f"covariance on this grid: {exc}"
+                                        ) from exc
+        raise
     elapsed = (time.perf_counter() - start) * 1e3
 
     outdir.mkdir(parents=True, exist_ok=True)
@@ -626,8 +689,8 @@ def _solve_and_write(cfg, work, prior, learned, gamma, outdir):
 def _cmd_run(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
-    prior, learned = _prior(cfg, work)
-    result, elapsed = _solve_and_write(cfg, work, prior, learned,
+    prior, learned, kernels = _prior(cfg, work)
+    result, elapsed = _solve_and_write(cfg, work, prior, learned, kernels,
                                        cfg.get("select.gamma"), outdir)
     final = result.final
     print(f"run: k={final.k} gamma={final.gamma:.4g} lambda={final.lam:.4g} "
@@ -678,14 +741,14 @@ def _variant_runs(cfg, work, prior):
 def _cmd_compare(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
-    prior, learned = _prior(cfg, work)
+    prior, learned, kernels = _prior(cfg, work)
 
     rows = []
     summary = [f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
                f"method: {cfg['select.method']}"]
     for tag, variant, gamma, note in _variant_runs(cfg, work, prior):
-        result, elapsed = _solve_and_write(cfg, work, variant, learned, gamma,
-                                           outdir / tag)
+        result, elapsed = _solve_and_write(cfg, work, variant, learned,
+                                           kernels, gamma, outdir / tag)
         final = result.final
         rows.append((tag, final.k, final.gamma, final.lam, final.objective,
                      final.rel_residual, final.rel_error, result.stop_reason))

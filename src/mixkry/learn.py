@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateDataError, FitError
 from .operators import (
+    FAMILY_PARAMS,
     KernelSpec,
     SampleFactor,
     build_kernel_operator,
@@ -149,12 +150,17 @@ def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
     """Learn (nu, ell) for a kernel family against sample snapshots, at the
     fixed exponent ``gamma_exp`` of the gamma-exponential family.
 
-    Deterministic.  A 7 x 9 log grid over nu in [0.1, 10] and ell in
-    [1e-3, grid diameter] is scanned.  Then ``_ZOOMS`` levels each score a
-    3 x 3 stencil in (log nu, log ell) centred on the best point so far,
-    clipped to the box and deduplicated, with both steps starting at half a
-    grid step and halving at each level; the centre, already scored, is
-    skipped.  Every candidate is scored by the exact mismatch of
+    Deterministic.  Only the parameters the family reads
+    (:data:`~mixkry.operators.FAMILY_PARAMS`) are searched; one it does
+    not read stays at its box's lower end.  A log grid of 7 nu in [0.1, 10]
+    by 9 ell in [1e-3, grid diameter] is scanned (7 x 1 or 1 x 9 for a
+    family that reads one of them).  Then ``_ZOOMS`` levels each score a
+    3 x 3 stencil in (log nu, log ell) (3 x 1 or 1 x 3) centred on the
+    best point so far, clipped to the box and deduplicated, with each step
+    starting at half a grid step and halving at each level; the centre,
+    already scored, is skipped.  So a two-parameter family scores at most
+    63 + 8 ``_ZOOMS`` kernels and a one-parameter family at most 9 + 2
+    ``_ZOOMS``.  Every candidate is scored by the exact mismatch of
     :func:`frobenius_mismatch`, and the returned ``objective`` is the one
     scored at the returned (nu, ell).  Ties keep the point scored first.
     The kernel tables of a grid row, and of each nu of a stencil, come from
@@ -180,9 +186,13 @@ def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
             if best is None or val < best[0]:
                 best = (val, nu, ell, x)
 
-    nus = np.clip(np.logspace(np.log10(nu_lo), np.log10(nu_hi), 7),
+    # grid points per parameter: one, at the box's lower end, for a
+    # parameter the family does not read
+    free = np.array([name in FAMILY_PARAMS[family] for name in ("nu", "ell")])
+    counts = np.where(free, (7, 9), 1)
+    nus = np.clip(np.logspace(np.log10(nu_lo), np.log10(nu_hi), counts[0]),
                   nu_lo, nu_hi)
-    ells = np.clip(np.logspace(np.log10(ell_lo), np.log10(ell_hi), 9),
+    ells = np.clip(np.logspace(np.log10(ell_lo), np.log10(ell_hi), counts[1]),
                    ell_lo, ell_hi)
     for nu in nus:
         score([(float(nu), float(ell),
@@ -190,8 +200,10 @@ def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
     if not np.isfinite(best[0]):
         raise FitError("no finite mismatch on the (nu, ell) grid")
 
-    # half a grid step in each log coordinate, halved per level
-    h = (log_hi - log_lo) / (2.0 * np.array([nus.size - 1, ells.size - 1]))
+    # half a grid step in each searched log coordinate, halved per level;
+    # none in the other, so the stencil stays on its lower end
+    h = np.where(free, (log_hi - log_lo) / (2.0 * np.maximum(counts - 1, 1)),
+                 0.0)
     stencil = np.array([(a, b) for a in (-1.0, 0.0, 1.0)
                         for b in (-1.0, 0.0, 1.0)])
     for _ in range(_ZOOMS):

@@ -506,6 +506,30 @@ def test_exit_code_all_ones_kernel_names_its_keys(run_case, capsys,
         assert rc == 2 and key in named and assembled
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("run", ("prior.q1.kernel=squared-exponential", "prior.q1.ell=1e6")),
+    ("run", ("prior.q1.kernel=rational-quadratic", "prior.q1.ell=1e6")),
+    ("run", ("prior.q1.kernel=matern", "prior.q1.nu=0.5",
+             "prior.q1.ell=1e15")),
+    ("run", ("prior.q1.kernel=gamma-exponential", "prior.q1.ell=1e15")),
+    ("compare", ("prior.q2.source=kernel",
+                 "prior.q2.kernel=squared-exponential", "prior.q2.ell=1e6",
+                 "compare.variants=q2"))],
+    ids=lambda value: ",".join(value) if isinstance(value, tuple) else value)
+def test_exit_code_rounded_kernel_names_its_keys(run_case, command,
+                                                 overrides):
+    """A kernel that is 1 off the diagonal only to rounding passes the
+    all-ones check, and the process finds the covariance indefinite: the
+    error (exit 2) names the kernel's family and the keys it reads, also
+    where compare's q2 variant puts the Q2 kernel in the Q1 role."""
+    prefix, family = next(o for o in overrides
+                          if ".kernel=" in o).split(".kernel=")
+    rc, named, assembled = run_case("spherical", command, *overrides)
+    assert rc == 2 and assembled
+    assert {f"{prefix}.{key}" for key in ("kernel",) + FAMILY_PARAMS[family]
+            } <= named
+
+
 @pytest.mark.parametrize("command", ["run", "gen"])
 def test_exit_code_negative_seed(tmp_path, capsys, command):
     """A negative seed fails at the boundary (exit 2, naming the key), not
@@ -745,7 +769,7 @@ def test_upre_history_is_unit_free_property(tmp_path):
     cfg = cli.resolve_config(cli.read_config(
         write_cfg(tmp_path / "a.cfg", SPHERICAL_TINY)))
     work = cli.assemble_workload(cfg)
-    prior, _ = cli._prior(cfg, work)
+    prior, _, _ = cli._prior(cfg, work)
     search = SearchConfig(grid_gamma=cfg["select.grid_gamma"],
                           grid_lambda=cfg["select.grid_lambda"])
     policy = StoppingPolicy(max_iter=cfg["stop.max_iter"])
@@ -775,7 +799,7 @@ def test_run_hybrid_gives_optimal_its_own_s_true(tmp_path):
     cfg = cli.resolve_config(cli.read_config(preset_cfg(tmp_path,
                                                         "crosswell")))
     work = cli.assemble_workload(cfg)
-    prior, _ = cli._prior(cfg, work)
+    prior, _, _ = cli._prior(cfg, work)
     Rinv, LR = noise_whitener(work.sigma ** 2, work.m)
 
     def history(search):
@@ -1177,6 +1201,131 @@ def test_cli_override_precedence(tmp_path):
     assert rc == 0
     lines = (out / "run.csv").read_text().splitlines()
     assert len(lines) == 3  # header + two iterations
+
+
+# -- the assembly memo ---------------------------------------------------------------
+
+
+BUILDERS = ("spherical_tomo", "crosswell_tomo", "gen_training_images",
+            "add_noise")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty assembly memo, and the names of the problem builders that
+    ``cli`` calls from then on, in call order."""
+    monkeypatch.setattr(cli, "_LAST", None)
+    calls = []
+    for name in BUILDERS:
+        def counted(*args, _build=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def tiny_cfg(*overrides):
+    pairs = dict(line.split(" = ") for line in SPHERICAL_TINY.splitlines()
+                 if " = " in line and not line.startswith("#"))
+    pairs.update(item.split("=") for item in overrides)
+    return cli.resolve_config(pairs)
+
+
+def test_assembly_builds_a_repeated_problem_once(builds):
+    """Two assemblies of one problem build it once, also when a key that
+    only the solve reads differs; they share A and the training samples
+    and hold equal data."""
+    first = cli.assemble_workload(tiny_cfg())
+    again = cli.assemble_workload(tiny_cfg("select.method=gcv"))
+    assert builds == ["spherical_tomo", "gen_training_images", "add_noise"]
+    assert again.A is first.A and again.sample is first.sample
+    for name in ("b", "b_true", "s_true"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+
+
+@pytest.mark.parametrize("override", ["seed=6", "noise.level=0.05",
+                                      "problem.size=17"])
+def test_assembly_rebuilds_when_a_problem_key_changes(builds, override):
+    """A different seed, noise level or problem size is a different
+    problem: it is built anew, and its data differ."""
+    first = cli.assemble_workload(tiny_cfg())
+    other = cli.assemble_workload(tiny_cfg(override))
+    assert builds.count("spherical_tomo") == 2
+    assert builds.count("add_noise") == 2
+    assert (other.b.shape != first.b.shape
+            or not np.array_equal(other.b, first.b))
+
+
+def test_assembly_rereads_the_file_preset(tmp_path, builds):
+    """The file preset is never kept: files overwritten between two calls
+    give the second call their new contents."""
+    cfg = cli.resolve_config({"problem.preset": "file",
+                              "file.a": str(tmp_path / "A.mtx"),
+                              "file.b": str(tmp_path / "b.mtx")})
+    save_matrix(tmp_path / "A.mtx", np.eye(3))
+    save_vector(tmp_path / "b.mtx", np.arange(1.0, 4.0))
+    first = cli.assemble_workload(cfg)
+    save_matrix(tmp_path / "A.mtx", 2.0 * np.eye(3))
+    save_vector(tmp_path / "b.mtx", np.arange(4.0, 7.0))
+    second = cli.assemble_workload(cfg)
+    assert np.array_equal(first.b, np.arange(1.0, 4.0))
+    assert np.array_equal(second.b, np.arange(4.0, 7.0))
+    assert np.array_equal(second.A.matvec(np.ones(3)), np.full(3, 2.0))
+
+
+def test_assembly_gives_each_call_its_own_data(builds):
+    """Writing into one call's b, b_true or s_true leaves the next call's
+    untouched."""
+    first = cli.assemble_workload(tiny_cfg())
+    kept = {name: getattr(first, name).copy()
+            for name in ("b", "b_true", "s_true")}
+    for name in kept:
+        getattr(first, name)[:] = -1.0
+    again = cli.assemble_workload(tiny_cfg())
+    for name, value in kept.items():
+        assert np.array_equal(getattr(again, name), value), name
+
+
+@pytest.mark.parametrize("array", ["A.mat.data", "A.mat.indices",
+                                   "A.mat.indptr", "sample.factor",
+                                   "sample.mean"])
+def test_assembly_shares_read_only_arrays(builds, array):
+    """The arrays a kept problem shares raise on an in-place write, so a
+    stray write cannot reach the next command."""
+    work = cli.assemble_workload(tiny_cfg())
+    arr = work
+    for attr in array.split("."):
+        arr = getattr(arr, attr)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = arr[0]
+
+
+class ReadRecorder(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("preset", ["spherical", "crosswell"])
+def test_assembly_reads_only_keys_in_the_memo_key(builds, preset):
+    """Every key that a synthetic assembly reads is part of the memo's
+    key, so no two problems that differ in a read key share a slot."""
+    cfg = ReadRecorder(cli.resolve_config({"problem.preset": preset,
+                                           "problem.size": "16"}))
+    cli.assemble_workload(cfg)
+    assert "problem.size" in cfg.read and "noise.level" in cfg.read
+    assert cfg.read <= {key for key, _ in cli._problem_key(cfg)}
 
 
 # -- docs ----------------------------------------------------------------------------

@@ -296,6 +296,40 @@ def test_learn_search_properties(seed, nx, ny, count):
                                                       res.objective)
 
 
+@pytest.mark.parametrize("family", ["squared-exponential",
+                                    "gamma-exponential", "sinc"])
+def test_learn_searches_only_the_parameters_the_family_reads(monkeypatch,
+                                                              family):
+    """A family that reads one of (nu, ell) has only that one searched: 9
+    ell (or 7 nu) grid points and 2 per zoom level, at most 25 scores, with
+    the other parameter held at its box's lower end throughout.  The fit
+    scores no worse than the best point of its one-dimensional grid."""
+    rng = np.random.default_rng(4)
+    grid = Grid(6, 5)
+    X = list(rng.standard_normal((12, grid.n)))
+    scored = []
+    tables = mixkry.learn.kernel_tables
+
+    def recording(specs, g):
+        scored.extend(specs)
+        return tables(specs, g)
+
+    monkeypatch.setattr(mixkry.learn, "kernel_tables", recording)
+    res = learn_matern(X, grid, family=family)
+    (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
+    searched = "nu" if family == "sinc" else "ell"
+    held, lo = ("ell", ell_lo) if searched == "nu" else ("nu", nu_lo)
+    assert len(scored) <= 25
+    assert all(getattr(spec, held) == pytest.approx(lo) for spec in scored)
+    assert getattr(res, held) == pytest.approx(lo)
+    mismatch = frobenius_mismatch(grid, sample_covariance(X))
+    box = (nu_lo, nu_hi) if searched == "nu" else (ell_lo, ell_hi)
+    points = np.logspace(*np.log10(box), 7 if searched == "nu" else 9)
+    assert res.objective <= min(
+        mismatch(KernelSpec(family=family, **{searched: float(x)}))
+        for x in points)
+
+
 def test_learn_validation():
     grid = Grid(3, 3)
     with pytest.raises(ArgumentError):

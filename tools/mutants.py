@@ -50,6 +50,12 @@ MUTANTS = {
                  "return np.maximum(mu, 0.0), c, T", "return mu, c, T"),
     "matern-clamp": ("src/mixkry/operators.py",
                      "np.minimum(vals, 1.0, out=vals)", "pass"),
+    # the assembly memo keyed without the noise keys
+    "memo-key-noise": ("src/mixkry/cli.py",
+                       'key.startswith(("problem.", "noise."))',
+                       'key.startswith(("problem.",))'),
+    # the assembly memo handing out its own b
+    "memo-shared-b": ("src/mixkry/cli.py", "b=work.b.copy()", "b=work.b"),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
