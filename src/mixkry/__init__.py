@@ -81,7 +81,6 @@ from .learn import (
 )
 from .testproblems import (
     TomoProblem,
-    TrainingSet,
     add_noise,
     circle_mask,
     crosswell_tomo,

@@ -377,8 +377,8 @@ def _synthetic_workload(cfg):
     if preset == "spherical":
         prob = spherical_tomo(size, cfg["problem.angles"],
                               cfg["problem.circles"], seed=seed)
-        train = gen_training_images(cfg["problem.train_count"], size, seed + 1)
-        sample = sample_covariance(train.images.reshape(train.count, -1))
+        sample = sample_covariance(gen_training_images(
+            cfg["problem.train_count"], size, seed + 1))
     else:
         prob = crosswell_tomo(size, cfg["problem.sources"],
                               cfg["problem.receivers"], seed=seed)
@@ -633,16 +633,14 @@ def _outdir(cfg):
 # subcommands
 
 
-def _solve_and_write(cfg, work, prior, learned, kernels, gamma, outdir):
-    """Run the hybrid solver on one prior and write its artifacts to
-    ``outdir``: run.csv, params.csv, summary.txt and the images.
+def _solve(cfg, work, prior, kernels, gamma):
+    """Run the hybrid solver on one prior.
 
-    ``learned`` is the Q1 fit the summary reports (or None), ``kernels``
-    the ``(operator, keys)`` pairs of :func:`_prior`, and ``gamma`` pins
-    the mixing weight (None searches it).  A covariance that fails the
-    process's definiteness checks raises :class:`DefinitenessError` naming
-    the keys of the kernel that built it.  Returns the
-    :class:`HybridResult` and the solve time in milliseconds.
+    ``kernels`` holds the ``(operator, keys)`` pairs of :func:`_prior`, and
+    ``gamma`` pins the mixing weight (None searches it).  A covariance that
+    fails the process's definiteness checks raises
+    :class:`DefinitenessError` naming the keys of the kernel that built it.
+    Returns the :class:`HybridResult` and the solve time in milliseconds.
     """
     method = cfg["select.method"]
     search = _search_config(cfg, work, method, gamma)
@@ -666,7 +664,12 @@ def _solve_and_write(cfg, work, prior, learned, kernels, gamma, outdir):
                                         ) from exc
         raise
     elapsed = (time.perf_counter() - start) * 1e3
+    return result, elapsed
 
+
+def _write_run(outdir, work, prior, learned, method, result):
+    """Write one solve's run.csv, params.csv, summary.txt and images to
+    ``outdir``; ``learned`` is the Q1 fit the summary reports (or None)."""
     outdir.mkdir(parents=True, exist_ok=True)
     history = result.history
     _write_csv(outdir / "run.csv", ("k", "lambda", "gamma", "objective",
@@ -683,15 +686,15 @@ def _solve_and_write(cfg, work, prior, learned, kernels, gamma, outdir):
     _summarize_run(work, prior, learned, method, result, summary)
     _write_images(outdir, work, result, summary)
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
-    return result, elapsed
 
 
 def _cmd_run(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
     prior, learned, kernels = _prior(cfg, work)
-    result, elapsed = _solve_and_write(cfg, work, prior, learned, kernels,
-                                       cfg.get("select.gamma"), outdir)
+    result, elapsed = _solve(cfg, work, prior, kernels,
+                             cfg.get("select.gamma"))
+    _write_run(outdir, work, prior, learned, cfg["select.method"], result)
     final = result.final
     print(f"run: k={final.k} gamma={final.gamma:.4g} lambda={final.lam:.4g} "
           f"stop={result.stop_reason} ({elapsed:.1f} ms)")
@@ -743,12 +746,22 @@ def _cmd_compare(cfg):
     work = assemble_workload(cfg)
     prior, learned, kernels = _prior(cfg, work)
 
+    method = cfg["select.method"]
+    solved = []
+    for tag, variant, gamma, note in _variant_runs(cfg, work, prior):
+        result, elapsed = _solve(cfg, work, variant, kernels, gamma)
+        # no artifact reads the process state, so only one is ever held
+        result.state = None
+        solved.append((tag, variant, note, result))
+        print(f"compare[{tag}]: k={result.final.k} "
+              f"rel_error={_fmt(result.final.rel_error)} ({elapsed:.1f} ms)")
+
+    # nothing is written until every variant has solved: all or nothing
     rows = []
     summary = [f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
-               f"method: {cfg['select.method']}"]
-    for tag, variant, gamma, note in _variant_runs(cfg, work, prior):
-        result, elapsed = _solve_and_write(cfg, work, variant, learned,
-                                           kernels, gamma, outdir / tag)
+               f"method: {method}"]
+    for tag, variant, note, result in solved:
+        _write_run(outdir / tag, work, variant, learned, method, result)
         final = result.final
         rows.append((tag, final.k, final.gamma, final.lam, final.objective,
                      final.rel_residual, final.rel_error, result.stop_reason))
@@ -756,8 +769,6 @@ def _cmd_compare(cfg):
                        f"stop={result.stop_reason}")
         if note:
             summary.append(note)
-        print(f"compare[{tag}]: k={final.k} "
-              f"rel_error={_fmt(final.rel_error)} ({elapsed:.1f} ms)")
     _write_csv(outdir / "compare.csv",
                ("variant", "k", "gamma", "lambda", "objective",
                 "rel_residual", "rel_error", "stop_reason"), rows)
@@ -804,7 +815,6 @@ def _cmd_fit(cfg):
                if name in FAMILY_PARAMS[family]
                and np.isclose(np.log(value), np.log(box), rtol=0.0,
                               atol=1e-9).any()]
-    pixel = min(work.grid.spacing) * work.grid.scale
     # paste-ready lines for the parameters the family reads
     fitted = {"nu": fit.nu, "ell": fit.ell, "gamma_exp": spec.gamma_exp}
     summary = [
@@ -815,7 +825,7 @@ def _cmd_fit(cfg):
           for name in FAMILY_PARAMS[family]),
         f"objective: {_fmt(fit.objective)}",
         f"at_clamp: {','.join(clamped) or 'none'}",
-        f"ell_pixels: {_fmt(fit.ell / pixel)}",
+        f"ell_pixels: {_fmt(fit.ell / work.grid.scale)}",
     ]
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     print(f"fit: nu={fit.nu:.4g} ell={fit.ell:.4g} ({elapsed:.1f} ms)")

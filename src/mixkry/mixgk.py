@@ -315,10 +315,6 @@ class MixGKState:
         return B
 
     @property
-    def Vk(self):
-        return self.V[:, : self.k]
-
-    @property
     def Q1Vk(self):
         return self.Q1V[:, : self.k]
 

@@ -90,8 +90,8 @@ class LinearOperator:
         consumers that call :meth:`rmatvec`.
     mat : ndarray or CSRMatrix, optional
         Explicit matrix backing the operator, set by :meth:`from_matrix`.
-        Only export reads it (``mixkry gen`` and ``TomoProblem.matrix``);
-        kernel operators have none.
+        Only export reads it (``mixkry gen``, and ``to_scipy()`` for
+        library callers); kernel operators have none.
     """
 
     __slots__ = ("rows", "cols", "_matvec", "_rmatvec", "mat")
@@ -226,27 +226,20 @@ def zero_operator(n):
 
 @dataclass(frozen=True)
 class Grid:
-    """Regular 2-d pixel grid.
+    """Regular 2-d grid of square pixels.
 
-    Pixel centers are scaled so that the longer side of the physical extent
-    spans the unit interval; kernel length scales are therefore relative to
-    a unit-square domain.  Points are ordered row-major (y index outermost),
-    matching C-order flattening of an ``(ny, nx)`` image.
+    Distances are scaled so that the longer side spans the unit interval,
+    one pixel being ``scale`` long; kernel length scales are therefore
+    relative to a unit-square domain.  Pixels are ordered row-major (y
+    index outermost), matching C-order flattening of an ``(ny, nx)`` image.
     """
 
     nx: int
     ny: int
-    spacing: tuple = (1.0, 1.0)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ArgumentError("grid dimensions must be at least 1")
-        hx, hy = self.spacing
-        if hx <= 0 or hy <= 0:
-            raise ArgumentError("grid spacing must be positive")
-        # a tuple of floats keeps the grid hashable, so kernel_table can
-        # cache its offset distances per grid
-        object.__setattr__(self, "spacing", (float(hx), float(hy)))
 
     @property
     def n(self):
@@ -254,21 +247,11 @@ class Grid:
 
     @property
     def scale(self):
-        hx, hy = self.spacing
-        return 1.0 / max(self.nx * hx, self.ny * hy)
-
-    def points(self):
-        hx, hy = self.spacing
-        s = self.scale
-        xs = (np.arange(self.nx) + 0.5) * hx * s
-        ys = (np.arange(self.ny) + 0.5) * hy * s
-        X, Y = np.meshgrid(xs, ys)
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return 1.0 / max(self.nx, self.ny)
 
     def diameter(self):
-        hx, hy = self.spacing
         s = self.scale
-        return float(np.hypot(self.nx * hx * s, self.ny * hy * s))
+        return float(np.hypot(self.nx * s, self.ny * s))
 
 
 # kernel family -> the shape parameters its profile reads
@@ -614,15 +597,13 @@ def _offset_distances(grid):
     """The sorted distinct distances of the grid's ny x nx offset table and
     the ny x nx index that maps them back, both read-only.
 
-    Offsets (i, j) and (j, i) share a distance on a square grid with equal
-    spacing, as do other offsets on one circle, so far fewer distances than
-    offsets remain: 120 of 256 at 16 x 16 and 5,853 of 16,384 at
-    128 x 128.
+    Offsets (i, j) and (j, i) share a distance on a square grid, as do
+    other offsets on one circle, so far fewer distances than offsets
+    remain: 120 of 256 at 16 x 16 and 5,853 of 16,384 at 128 x 128.
     """
-    hx, hy = grid.spacing
     s = grid.scale
-    dist, where = np.unique(np.hypot(np.arange(grid.ny)[:, None] * (hy * s),
-                                     np.arange(grid.nx)[None, :] * (hx * s)),
+    dist, where = np.unique(np.hypot(np.arange(grid.ny)[:, None] * s,
+                                     np.arange(grid.nx)[None, :] * s),
                             return_inverse=True)
     where = where.reshape(grid.ny, grid.nx)
     dist.flags.writeable = False
@@ -761,10 +742,6 @@ class PriorSpec:
             raise ArgumentError("prior mean holds a NaN or Inf")
         if self.q1.shape != (n, n) or self.q2.shape != (n, n):
             raise ArgumentError("prior covariance shapes do not match the mean")
-
-    @property
-    def n(self):
-        return self.mean.size
 
 
 def noise_whitener(r, size=None):

@@ -19,7 +19,6 @@ from .operators import CSRMatrix, Grid, LinearOperator
 __all__ = [
     "SPHERICAL_MIN_SIZE",
     "TomoProblem",
-    "TrainingSet",
     "spherical_tomo",
     "crosswell_tomo",
     "gen_training_images",
@@ -36,28 +35,6 @@ class TomoProblem:
     b_clean: np.ndarray
     s_true: np.ndarray
     grid: Grid
-    mask: np.ndarray
-
-    @property
-    def matrix(self):
-        """``A`` as a ``scipy.sparse.csr_matrix``; imports scipy."""
-        return self.A.mat.to_scipy()
-
-
-@dataclass
-class TrainingSet:
-    """Stack of training images; columns() feeds the sample covariance."""
-
-    images: np.ndarray  # (count, size, size)
-    seed: int
-
-    @property
-    def count(self):
-        return self.images.shape[0]
-
-    def columns(self):
-        n = self.images.shape[1] * self.images.shape[2]
-        return self.images.reshape(self.count, n).T.copy()
 
 
 def circle_mask(size):
@@ -112,7 +89,8 @@ def _training_images(rng, count, size):
 
 
 def gen_training_images(count, size, seed):
-    """Sine-squared mixtures with white freckles, masked to the disk.
+    """A ``(count, size, size)`` stack of sine-squared mixtures with white
+    freckles, masked to the disk.
 
     Each image is sum_j c_j sin^2((a_j px + b_j py) / L + phi_j) / sum_j c_j
     over 6 terms with c_j ~ U(0.5, 1) and per-term frequencies and phase
@@ -122,7 +100,7 @@ def gen_training_images(count, size, seed):
     if size < 4 or count < 1:
         raise ArgumentError("need size >= 4 and count >= 1")
     rng = np.random.default_rng(seed)
-    return TrainingSet(images=_training_images(rng, count, size), seed=seed)
+    return _training_images(rng, count, size)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +250,7 @@ def spherical_tomo(size=32, n_angles=16, n_circles=24, seed=7):
     s_true = _training_images(np.random.default_rng(seed), 1, size).ravel()
     op = LinearOperator.from_matrix(A)
     return TomoProblem(A=op, b_clean=op.matvec(s_true), s_true=s_true,
-                       grid=Grid(size, size), mask=circle_mask(size).ravel())
+                       grid=Grid(size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +320,7 @@ def crosswell_tomo(size=64, n_sources=10, n_receivers=20, seed=11):
     s_true = _crosswell_truth(size, seed).ravel()
     op = LinearOperator.from_matrix(A)
     return TomoProblem(A=op, b_clean=op.matvec(s_true), s_true=s_true,
-                       grid=Grid(size, size), mask=np.ones(n, dtype=bool))
+                       grid=Grid(size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -370,25 +348,22 @@ def add_noise(b_clean, level, seed):
     return b_clean + e, float(sigma)
 
 
-def write_pgm(path, image, lo=None, hi=None):
+def write_pgm(path, image):
     """Write a 2-D array as a 16-bit binary PGM (big-endian, maxval 65535).
 
-    Values are scaled affinely from [lo, hi] (defaults to the image range)
-    onto 0..65535.  Returns the (lo, hi) actually used so the scaling can
-    be recorded next to the file.
+    Values are scaled affinely from the image range [lo, hi] onto
+    0..65535.  Returns (lo, hi) so the scaling can be recorded next to the
+    file.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ArgumentError("PGM output needs a 2-D image")
-    if lo is None:
-        lo = float(img.min())
-    if hi is None:
-        hi = float(img.max())
+    lo, hi = float(img.min()), float(img.max())
     if hi > lo:
         scaled = (img - lo) / (hi - lo)
     else:
         scaled = np.zeros_like(img)
-    data = np.round(np.clip(scaled, 0.0, 1.0) * 65535.0).astype(">u2")
+    data = np.round(scaled * 65535.0).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode())
         fh.write(data.tobytes())

@@ -76,9 +76,18 @@ def wrap_problem(A, Q1, Q2, sigma):
     return wrap(A / sigma), wrap(Q1), q2op
 
 
+def grid_points(grid):
+    """The grid's n x 2 pixel centers (x, y), row-major, in the unit-square
+    coordinates of ``grid.scale``."""
+    s = grid.scale
+    X, Y = np.meshgrid((np.arange(grid.nx) + 0.5) * s,
+                       (np.arange(grid.ny) + 0.5) * s)
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def grid_distances(grid):
     """Pairwise distance matrix |z_i - z_j| of the grid points."""
-    z = grid.points()
+    z = grid_points(grid)
     return np.hypot(z[:, None, 0] - z[None, :, 0], z[:, None, 1] - z[None, :, 1])
 
 
@@ -296,7 +305,7 @@ def recurrence_residual(state, prior, A, Q1, Q2, b, sigma):
     identity and equality of projected and full-space misfits.
     """
     k = state.k
-    U, V, B = state.U, state.Vk, state.bidiagonal()
+    U, V, B = state.U, state.V[:, :k], state.bidiagonal()
     Aw = A / sigma
     errs = [
         np.linalg.norm(Aw @ Q1 @ V - U @ B) / np.linalg.norm(B),

@@ -39,7 +39,7 @@ def test_artifacts_match_golden_digests(capsys, tmp_path):
                              f"{want[0][2:]}; this is {here[2:]}")
     tool.print_digests(tmp_path)
     got = capsys.readouterr().out.splitlines()
-    assert len(want) == 1 + 85
+    assert len(want) == 1 + 92
     assert got == want
 
 

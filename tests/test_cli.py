@@ -514,20 +514,26 @@ def test_exit_code_all_ones_kernel_names_its_keys(run_case, capsys,
     ("run", ("prior.q1.kernel=gamma-exponential", "prior.q1.ell=1e15")),
     ("compare", ("prior.q2.source=kernel",
                  "prior.q2.kernel=squared-exponential", "prior.q2.ell=1e6",
-                 "compare.variants=q2"))],
+                 "compare.variants=q2")),
+    ("compare", ("prior.q2.source=kernel",
+                 "prior.q2.kernel=squared-exponential", "prior.q2.ell=1e6"))],
     ids=lambda value: ",".join(value) if isinstance(value, tuple) else value)
-def test_exit_code_rounded_kernel_names_its_keys(run_case, command,
+def test_exit_code_rounded_kernel_names_its_keys(run_case, tmp_path, command,
                                                  overrides):
     """A kernel that is 1 off the diagonal only to rounding passes the
     all-ones check, and the process finds the covariance indefinite: the
     error (exit 2) names the kernel's family and the keys it reads, also
-    where compare's q2 variant puts the Q2 kernel in the Q1 role."""
+    where compare's q2 variant puts the Q2 kernel in the Q1 role.  A
+    compare is all or nothing: with every variant, mix and q1 solve before
+    q2 fails, and no file is written."""
     prefix, family = next(o for o in overrides
                           if ".kernel=" in o).split(".kernel=")
     rc, named, assembled = run_case("spherical", command, *overrides)
     assert rc == 2 and assembled
     assert {f"{prefix}.{key}" for key in ("kernel",) + FAMILY_PARAMS[family]
             } <= named
+    if command == "compare":
+        assert list((tmp_path / "out").rglob("*")) == []
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])

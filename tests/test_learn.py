@@ -66,7 +66,8 @@ def test_estimator_exact_on_identity_difference():
     """K - Qhat = I: every probe contributes ||v||^2 = n, so the estimate
     equals the dense Frobenius value with no Monte-Carlo error at all."""
     grid = Grid(2, 1)
-    # correlation length 1e-3 over spacing 0.5 underflows all off-diagonals
+    # correlation length 1e-3 over a distance of 0.5 underflows all
+    # off-diagonals
     spec = KernelSpec(family="matern", nu=0.5, ell=1e-3)
     sample = sample_covariance([np.ones(2), np.ones(2)])  # zero factor
     np.testing.assert_allclose(sample.factor, 0.0, atol=0)
@@ -148,15 +149,14 @@ FAMILIES = ("squared-exponential", "matern", "gamma-exponential",
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31 - 1), family=st.sampled_from(FAMILIES),
        nx=st.integers(1, 7), ny=st.integers(1, 7),
-       hx=st.floats(0.2, 5.0), hy=st.floats(0.2, 5.0),
        count=st.integers(2, 20), nu=st.floats(0.1, 10.0),
        ell=st.floats(1e-3, 2.0), gamma_exp=st.floats(0.1, 2.0))
-def test_frobenius_mismatch_matches_dense(seed, family, nx, ny, hx, hy, count,
-                                          nu, ell, gamma_exp):
+def test_frobenius_mismatch_matches_dense(seed, family, nx, ny, count, nu, ell,
+                                          gamma_exp):
     """The offset-table mismatch equals the dense ||K - Qhat||_F^2 to
-    1e-12 relative, for every family and on anisotropic grids."""
+    1e-12 relative, for every family and on rectangular grids."""
     rng = np.random.default_rng(seed)
-    grid = Grid(nx, ny, spacing=(hx, hy))
+    grid = Grid(nx, ny)
     sample = sample_covariance(list(rng.standard_normal((count, grid.n))))
     spec = KernelSpec(family=family, nu=nu, ell=ell, gamma_exp=gamma_exp)
     Qhat = sample.factor @ sample.factor.T
@@ -168,7 +168,7 @@ def test_frobenius_mismatch_matches_dense(seed, family, nx, ny, hx, hy, count,
 def test_frobenius_mismatch_vanishes_when_sample_is_the_kernel():
     """Qhat = K (factor = Cholesky of K): the mismatch is non-negative and
     at rounding level of ||K||_F^2."""
-    grid = Grid(5, 4, spacing=(1.0, 2.0))
+    grid = Grid(5, 4)
     spec = KernelSpec(family="matern", nu=1.5, ell=0.4)
     K = dense_kernel(spec, grid)
     sample = SampleFactor(np.linalg.cholesky(K), np.zeros(grid.n))

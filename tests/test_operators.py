@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_kernel, grid_distances
+from helpers import dense_kernel, grid_distances, grid_points
 from mixkry.cli import _blend_with_identity
 from mixkry.testproblems import crosswell_tomo, spherical_tomo
 from mixkry.errors import (ArgumentError, DegenerateDataError,
@@ -208,7 +208,7 @@ def test_kernel_spec_rejects_non_finite_parameters(name, value):
 def test_grid_unit_square_normalization():
     """Pixel centers live in (0,1)^2 with the longer side spanning [0,1]."""
     g = Grid(4, 4)
-    pts = g.points()
+    pts = grid_points(g)
     assert g.n == 16
     assert pts.shape == (16, 2)
     assert pts.min() == pytest.approx(1 / 8)
@@ -219,7 +219,7 @@ def test_grid_unit_square_normalization():
 
 def test_grid_rectangular_aspect():
     g = Grid(8, 2)
-    pts = g.points()
+    pts = grid_points(g)
     # longer side normalized to unit length; shorter side keeps aspect
     assert pts[:, 0].max() == pytest.approx(1 - 1 / 16)
     assert pts[:, 1].max() == pytest.approx(3 / 16)
@@ -230,7 +230,7 @@ def test_grid_validation():
     with pytest.raises(ArgumentError):
         Grid(0, 3)
     with pytest.raises(ArgumentError):
-        Grid(2, 2, spacing=(0.0, 1.0))
+        Grid(2, 0)
 
 
 # (family, nu, ell) strategies; the Matern cases reach its half-integer
@@ -255,21 +255,20 @@ _TABLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_TABLE_CASES))
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(data=st.data(), nx=st.integers(1, 20), ny=st.integers(1, 20),
-       hx=st.floats(0.2, 5.0), hy=st.floats(0.2, 5.0),
        gamma_exp=st.floats(0.1, 2.0))
-def test_kernel_table_equals_kernel_over_every_offset(case, data, nx, ny, hx,
-                                                      hy, gamma_exp):
+def test_kernel_table_equals_kernel_over_every_offset(case, data, nx, ny,
+                                                      gamma_exp):
     """Evaluating kappa once per distinct offset distance gives, bit for
     bit, kappa over the full ny x nx table of offset distances with entry
-    (0, 0) set to 1: every family, rectangular grids, unequal spacing and
-    each Matern branch."""
+    (0, 0) set to 1: every family, rectangular grids and each Matern
+    branch."""
     family, nus, ells = _TABLE_CASES[case]
     spec = KernelSpec(family, nu=data.draw(nus), ell=data.draw(ells),
                       gamma_exp=gamma_exp)
-    g = Grid(nx, ny, spacing=(hx, hy))
+    g = Grid(nx, ny)
     s = g.scale
-    want = kernel_eval(spec, np.hypot(np.arange(ny)[:, None] * (hy * s),
-                                      np.arange(nx)[None, :] * (hx * s)))
+    want = kernel_eval(spec, np.hypot(np.arange(ny)[:, None] * s,
+                                      np.arange(nx)[None, :] * s))
     want[0, 0] = 1.0
     assert np.array_equal(kernel_table(spec, g), want)
 
@@ -319,7 +318,7 @@ def test_build_kernel_operator_single_point():
 
 def test_build_kernel_operator_two_points():
     """Two points at distance 1 under matern(0.5, 1): [[1, 1/e], [1/e, 1]]."""
-    g = Grid(2, 1, spacing=(2.0, 2.0))  # centers at 0.25 and 0.75 -> d = 0.5
+    g = Grid(2, 1)  # centers at 0.25 and 0.75 -> d = 0.5
     spec = KernelSpec("matern", ell=0.5, nu=0.5)
     e = np.exp(-1.0)
     for K in (kernel_matrix(build_kernel_operator(spec, g)),
@@ -358,17 +357,16 @@ _FAMILIES = ("squared-exponential", "matern", "gamma-exponential",
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(nx=st.integers(1, 12), ny=st.integers(1, 12),
-       ratio=st.sampled_from([1.0, 0.25, 0.7, 1.9, 4.0]),
        family=st.sampled_from(_FAMILIES),
        ell=st.floats(0.02, 2.0), nu=st.floats(0.2, 4.0),
        gamma_exp=st.floats(0.2, 2.0), cols=st.integers(0, 4),
        seed=st.integers(0, 2**31 - 1))
-def test_kernel_operator_fft_matches_dense_property(nx, ny, ratio, family, ell,
-                                                    nu, gamma_exp, cols, seed):
+def test_kernel_operator_fft_matches_dense_property(nx, ny, family, ell, nu,
+                                                    gamma_exp, cols, seed):
     """The FFT product equals the dense oracle at 1e-12, relative to |K| |x|,
-    for vectors (cols = 0) and n x cols blocks, on non-square grids with
-    anisotropic spacing and every kernel family."""
-    g = Grid(nx, ny, spacing=(1.0, ratio))
+    for vectors (cols = 0) and n x cols blocks, on non-square grids and
+    every kernel family."""
+    g = Grid(nx, ny)
     # sinc reads only nu; scale it up so its oscillation shows on the grid
     spec = KernelSpec(family, ell=ell, nu=10.0 * nu if family == "sinc" else nu,
                       gamma_exp=gamma_exp)
@@ -388,7 +386,7 @@ def test_kernel_operator_beyond_old_dense_cap():
     spec = KernelSpec("matern", ell=0.25, nu=0.5)
     op = build_kernel_operator(spec, g)
     assert op.shape == (16512, 16512)
-    z = g.points()
+    z = grid_points(g)
     for j in (0, 77, 8300, g.n - 1):
         e = np.zeros(g.n)
         e[j] = 1.0
@@ -434,13 +432,13 @@ def test_kernel_operator_is_freed_without_the_cyclic_gc():
 def test_grid_distances_consistency():
     """The oracle's distances are symmetric with a zero diagonal and follow
     the grid offsets that the FFT build evaluates the kernel on."""
-    g = Grid(4, 3, spacing=(1.0, 1.5))
+    g = Grid(4, 3)
     D = grid_distances(g)
     assert D.shape == (12, 12)
     np.testing.assert_allclose(D, D.T, atol=0)
     np.testing.assert_allclose(np.diag(D), 0.0, atol=1e-12)
     iy, ix = np.divmod(np.arange(g.n), g.nx)
-    offsets = np.hypot((iy[:, None] - iy[None, :]) * 1.5 * g.scale,
+    offsets = np.hypot((iy[:, None] - iy[None, :]) * g.scale,
                        (ix[:, None] - ix[None, :]) * g.scale)
     np.testing.assert_allclose(D, offsets, rtol=1e-14, atol=1e-15)
     spec = KernelSpec("matern", ell=0.3, nu=1.5)

@@ -15,9 +15,10 @@ from mixkry.cli import Workload
 from mixkry.learn import FitResult, learn_matern
 from mixkry.mixgk import (MixGKState, _gs_append, mixgk_init,
                           qr_append_update, qr_recompute)
-from mixkry.operators import KernelOperator, LinearOperator, SampleFactor
+from mixkry.operators import (Grid, KernelOperator, LinearOperator, PriorSpec,
+                              SampleFactor)
 from mixkry.params import SearchConfig, upre_objective
-from mixkry.testproblems import TomoProblem
+from mixkry.testproblems import TomoProblem, write_pgm
 
 MODULES = ("operators", "mixgk", "projected", "params", "learn",
            "testproblems", "cli")
@@ -28,7 +29,8 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "CapacityError", "aslinop", "residual_and_trace",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
            "_factor", "_deposit_arc", "_fit_grid", "OpCounter", "_trsm",
-           "ProjectedSystem", "build_projected", "solve_column")
+           "ProjectedSystem", "build_projected", "solve_column",
+           "TrainingSet")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -41,6 +43,10 @@ RETIRED_ATTRS = (
     (SampleFactor, "operator"),
     (SampleFactor, "dim"),
     (MixGKState, "projection_grams"),
+    (MixGKState, "Vk"),
+    (Grid, "points"),
+    (TomoProblem, "matrix"),
+    (PriorSpec, "n"),
 )
 
 RETIRED_FIELDS = (
@@ -53,6 +59,8 @@ RETIRED_FIELDS = (
     (FitResult, "seed"),
     (FitResult, "probes"),
     (SearchConfig, "sigma2"),
+    (Grid, "spacing"),
+    (TomoProblem, "mask"),
 )
 
 RETIRED_PARAMS = (
@@ -67,6 +75,8 @@ RETIRED_PARAMS = (
     (MixGKState.__init__, "Rinv"),
     (MixGKState.__init__, "LR"),
     (qr_recompute, "Ut"),
+    (write_pgm, "lo"),
+    (write_pgm, "hi"),
 )
 
 

@@ -33,7 +33,7 @@ def test_spherical_rows_are_arc_quadrature():
     """Row sums equal A applied to the all-ones image: the rows really are
     quadrature weights, all nonnegative."""
     prob = spherical_tomo(size=20, n_angles=5, n_circles=6, seed=0)
-    M = prob.matrix.toarray()
+    M = prob.A.mat.to_scipy().toarray()
     assert np.all(M >= 0.0)
     np.testing.assert_allclose(M.sum(axis=1), prob.A.matvec(np.ones(400)),
                                atol=1e-12)
@@ -49,7 +49,7 @@ def test_spherical_arc_length_scale():
     2 r arccos(r).
     """
     prob = spherical_tomo(size=64, n_angles=1, n_circles=8, seed=0)
-    M = prob.matrix.toarray()
+    M = prob.A.mat.to_scipy().toarray()
     for ic in (0, 1, 2, 5):
         radius = (ic + 1) / 8
         expect = 2.0 * radius * np.arccos(radius)
@@ -58,8 +58,8 @@ def test_spherical_arc_length_scale():
 
 def test_spherical_outside_mask_columns_vanish():
     prob = spherical_tomo(size=20, n_angles=4, n_circles=5, seed=1)
-    M = prob.matrix.toarray()
-    outside = ~prob.mask
+    M = prob.A.mat.to_scipy().toarray()
+    outside = ~circle_mask(20).ravel()
     col_mass = np.abs(M).sum(axis=0)
     # bilinear clipping can bleed into the single ring of cells hugging the
     # disk, but cells clearly outside carry nothing
@@ -100,7 +100,7 @@ def assert_same_assembly(size, n_angles, n_circles, seed=7):
     prob = spherical_tomo(size, n_angles, n_circles, seed=seed)
     ref = spherical_matrix_reference(size, n_angles, n_circles)
     for name in ("data", "indices", "indptr"):
-        got, want = getattr(prob.matrix, name), getattr(ref, name)
+        got, want = getattr(prob.A.mat.to_scipy(), name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
     assert prob.b_clean.tobytes() == (ref @ prob.s_true).tobytes()
@@ -207,7 +207,7 @@ def test_crosswell_horizontal_ray_hand_case():
     """One source and one receiver at matching depth: the ray crosses each
     of the 8 columns in one row with length exactly 1/8."""
     prob = crosswell_tomo(size=8, n_sources=1, n_receivers=1, seed=0)
-    M = prob.matrix.toarray()
+    M = prob.A.mat.to_scipy().toarray()
     assert M.shape == (1, 64)
     nz = M[0][M[0] != 0.0]
     assert nz.size == 8
@@ -220,7 +220,7 @@ def test_crosswell_horizontal_ray_hand_case():
 
 def test_crosswell_row_sums_are_ray_lengths():
     prob = crosswell_tomo(size=16, n_sources=4, n_receivers=6, seed=0)
-    M = prob.matrix.toarray()
+    M = prob.A.mat.to_scipy().toarray()
     row = 0
     for isrc in range(4):
         sy = (isrc + 0.5) / 4
@@ -234,7 +234,7 @@ def test_crosswell_row_sums_are_ray_lengths():
 def test_crosswell_sparsity_order():
     """A straight ray meets O(size) cells, not O(size^2)."""
     prob = crosswell_tomo(size=32, n_sources=3, n_receivers=3, seed=0)
-    per_row = np.diff(prob.matrix.indptr)
+    per_row = np.diff(prob.A.mat.to_scipy().indptr)
     assert np.all(per_row <= 2 * 32)
     assert np.all(per_row >= 32)
 
@@ -276,36 +276,27 @@ def test_crosswell_determinism_and_guards():
 
 
 def test_training_images_shape_range_mask():
-    ts = gen_training_images(9, 32, seed=4)
-    assert ts.images.shape == (9, 32, 32)
-    assert ts.count == 9
-    assert ts.seed == 4
-    assert ts.images.min() >= 0.0
-    assert ts.images.max() <= 1.0
+    images = gen_training_images(9, 32, seed=4)
+    assert images.shape == (9, 32, 32)
+    assert images.min() >= 0.0
+    assert images.max() <= 1.0
     outside = ~circle_mask(32)
-    for img in ts.images:
+    for img in images:
         assert np.all(img[outside] == 0.0)
 
 
 def test_training_images_have_freckles():
     """The stamped disks saturate at exactly 1.0 inside the mask."""
-    ts = gen_training_images(5, 64, seed=2)
-    hits = sum(np.any(img == 1.0) for img in ts.images)
+    images = gen_training_images(5, 64, seed=2)
+    hits = sum(np.any(img == 1.0) for img in images)
     assert hits >= 4
 
 
 def test_training_images_deterministic_and_distinct():
     a = gen_training_images(3, 24, seed=8)
     b = gen_training_images(3, 24, seed=8)
-    assert np.array_equal(a.images, b.images)
-    assert not np.array_equal(a.images[0], a.images[1])
-
-
-def test_training_columns_layout():
-    ts = gen_training_images(4, 16, seed=1)
-    cols = ts.columns()
-    assert cols.shape == (256, 4)
-    np.testing.assert_allclose(cols[:, 2], ts.images[2].ravel(), atol=0)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_training_images_validation():
@@ -383,12 +374,14 @@ def test_pgm_header_format(tmp_path):
 
 
 def test_pgm_fixed_scale_and_guards(tmp_path):
+    """The scale is the image's own range, returned as (lo, hi)."""
     img = np.array([[0.0, 0.5], [1.0, 2.0]])
     path = tmp_path / "scaled.pgm"
-    write_pgm(path, img, lo=0.0, hi=1.0)
+    assert write_pgm(path, img) == (0.0, 2.0)
     back = read_pgm(path)
-    assert back[1, 1] == 65535  # clipped at the ceiling
+    assert back[1, 1] == 65535
     assert back[0, 0] == 0
+    assert back[1, 0] == 32768  # round(65535 / 2)
     with pytest.raises(ArgumentError):
         write_pgm(tmp_path / "bad.pgm", np.zeros(5))
     (tmp_path / "text.pgm").write_bytes(b"P2\n1 1\n255\n0")

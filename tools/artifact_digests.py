@@ -83,6 +83,8 @@ RUNS = (
          ["select.method=wgcv", "compare.variants=mix,identity"]),
         ("sph32-compare-optimal", "compare", SPHERICAL,
          ["select.method=optimal", "compare.variants=mix"]),
+        ("sph32-compare-q2", "compare", SPHERICAL,
+         ["select.method=wgcv", "compare.variants=q2"]),
         ("cw64-compare", "compare", CROSSWELL, []),
         ("sph32-run-gamma", "run", SPHERICAL, ["select.gamma=0.5"]),
         ("sph32-compare-gamma", "compare", SPHERICAL,

@@ -56,6 +56,10 @@ MUTANTS = {
                        'key.startswith(("problem.",))'),
     # the assembly memo handing out its own b
     "memo-shared-b": ("src/mixkry/cli.py", "b=work.b.copy()", "b=work.b"),
+    # compare's q2 variant with the shrinkage blend weights swapped
+    "q2-blend": ("src/mixkry/cli.py",
+                 "return rho * x + (1.0 - rho) * sample.matvec(x)",
+                 "return (1.0 - rho) * x + rho * sample.matvec(x)"),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
