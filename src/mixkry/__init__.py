@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     DefinitenessError,
     DegenerateDataError,
-    DegenerateTraceError,
     FitError,
     MixkryError,
     ParameterDomainError,
@@ -64,11 +63,9 @@ from .params import (
     SelectionResult,
     StopDecision,
     StoppingPolicy,
-    gcv_objective,
+    objective_cells,
     select_params,
     stopping_check,
-    upre_objective,
-    wgcv_objective,
 )
 from .learn import (
     FitResult,

@@ -624,9 +624,7 @@ def _summarize_run(work, prior, learned, method, result, summary):
 def _outdir(cfg):
     if not cfg.get("out"):
         raise ConfigError("config key 'out' (output directory) is required")
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    return Path(cfg["out"])
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +798,11 @@ def _cmd_fit(cfg):
         for rep in range(repeats):
             xi = rademacher_probes(work.grid.n, count,
                                    seed + 1000 * (mi + 1) + rep)
-            vals.append(hutchinson_objective(spec, work.grid, work.sample, xi,
-                                             kernel=kernel))
+            vals.append(hutchinson_objective(kernel, work.sample, xi))
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(repeats))
         sweep.append((count, repeats, mean, se))
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "fit.csv",
                ("probes", "repeats", "mean_objective", "se_objective"), sweep)
     # a fit on the edge of its box, or with ell below one pixel, says so;
@@ -835,6 +833,7 @@ def _cmd_fit(cfg):
 def _cmd_gen(cfg):
     outdir = _outdir(cfg)
     work = assemble_workload(cfg)
+    outdir.mkdir(parents=True, exist_ok=True)
     save_matrix(outdir / "A.mtx", work.A.mat)
     save_vector(outdir / "b.mtx", work.b)
     save_vector(outdir / "b_true.mtx", work.b_true)

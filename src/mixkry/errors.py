@@ -21,10 +21,6 @@ class DegenerateDataError(MixkryError, ValueError):
     """Input data is degenerate (zero right-hand side, empty sample set)."""
 
 
-class DegenerateTraceError(MixkryError):
-    """A selection denominator vanished (trace term equals the row count)."""
-
-
 class RankError(MixkryError):
     """A factor or system is numerically rank deficient."""
 

@@ -10,8 +10,9 @@ and O(n) arithmetic.  :func:`learn_matern` asks
 :func:`~mixkry.operators.kernel_tables` for the tables of each nu at once,
 so the kernel profile is evaluated once per nu.
 :func:`hutchinson_objective` estimates the same mismatch stochastically
-from +-1 probes; ``mixkry fit`` reports that estimate at the fitted point,
-with one kernel operator for all of its estimates.
+from +-1 probes against a kernel operator; ``mixkry fit`` reports that
+estimate at the fitted point, with one kernel operator for all of its
+estimates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .operators import (
     FAMILY_PARAMS,
     KernelSpec,
     SampleFactor,
-    build_kernel_operator,
     kernel_table,
     kernel_tables,
     sample_covariance,
@@ -60,21 +60,15 @@ def rademacher_probes(n, count, seed):
     return rng.integers(0, 2, size=(n, count)).astype(float) * 2.0 - 1.0
 
 
-def hutchinson_objective(spec, grid, sample, probes, *, kernel=None):
-    """Mean squared probe norm of (K(spec) - Qhat), an unbiased Frobenius
-    estimate of the kernel/sample mismatch.
-
-    ``kernel`` is K(spec) on ``grid`` when the caller has built it already,
-    as ``mixkry fit`` does once for all the estimates of its ladder; by
-    default it is built here.
-    """
+def hutchinson_objective(kernel, sample, probes):
+    """Mean squared probe norm of (K - Qhat), an unbiased Frobenius estimate
+    of the mismatch between the kernel operator ``kernel`` and the sample
+    covariance ``sample``; ``probes`` is ``kernel.cols`` x M."""
     probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[0] != grid.n:
+    if probes.ndim != 2 or probes.shape[0] != kernel.cols:
         raise ArgumentError("probes must be n x M")
     if not np.all(np.abs(probes) == 1.0):
         raise ArgumentError("probes must be +-1 entries")
-    if kernel is None:
-        kernel = build_kernel_operator(spec, grid)
     diff = kernel.matvec(probes) - sample.matvec(probes)
     return float(np.mean(np.sum(diff * diff, axis=0)))
 

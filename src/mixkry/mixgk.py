@@ -11,8 +11,6 @@ advanced by an O(m k) rank-one update with a full recompute fallback.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import (
@@ -31,7 +29,6 @@ __all__ = [
     "qr_recompute",
 ]
 
-logger = logging.getLogger(__name__)
 
 _TINY = np.finfo(float).tiny
 
@@ -406,14 +403,11 @@ class MixGKState:
             )
         except RankError:
             self.qr_fallbacks += 1
-            logger.info("QR update rank-deficient at step %d; recomputing", k_new)
             self.Y, self.Rup = qr_recompute(self.U, self.Z)
         if self.Rup.shape[1] != k_new:
             raise RankError("QR factors lost column consistency")
         if self.Y.shape[1] == rank_before:
             self.rank_drops += 1
-            logger.info("dependent Q2 column at step %d (rank stays %d)",
-                        k_new, rank_before)
 
 
 def mixgk_init(A, Q1, Q2, b):

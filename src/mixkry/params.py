@@ -13,9 +13,10 @@ falls back to the full grid when the window's best cell lies on its edge;
 every ``_RESCAN``-th step scans the full grid regardless.  A new gamma
 costs an ``eigh`` and a new lambda a matrix-vector product, so both cuts
 save decompositions.  The search is fully deterministic, and every point
-it reports was scored by that one cell evaluator, so a cell's value is the
-same bits as the single-point objectives give.  The selected cell's
-weights are the iterate, so nothing is solved again after the search.
+it reports was scored by its one cell evaluator, :func:`objective_cells`,
+so a cell's value is the same bits whatever block scores it.  The selected
+cell's weights are the iterate, so nothing is solved again after the
+search.
 """
 
 from __future__ import annotations
@@ -24,13 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    ConfigError,
-    DegenerateTraceError,
-    ParameterDomainError,
-    SearchError,
-)
+from .errors import (ArgumentError, ConfigError, ParameterDomainError,
+                     SearchError)
 from .projected import penalty_basis, solve_cells, trace_term
 
 __all__ = [
@@ -39,9 +35,7 @@ __all__ = [
     "StoppingPolicy",
     "StopDecision",
     "RunRecord",
-    "upre_objective",
-    "gcv_objective",
-    "wgcv_objective",
+    "objective_cells",
     "select_params",
     "stopping_check",
     "METHODS",
@@ -156,53 +150,8 @@ class RunRecord:
 # objectives
 
 
-def upre_objective(state, gamma, lam):
-    """Projected unbiased predictive risk at the cell (gamma, lam).
-
-    Works in whitened residual units (noise variance one per component),
-    like GCV and WGCV: the noise scale enters only through the whitener.
-    The denominator is the nominal projected row count 2k+1 whatever the
-    assembled row count turns out to be.  Scored as a one-cell search, so
-    the value is the search's own.
-    """
-    return _score_cell("upre", state, gamma, lam)
-
-
 def _upre(r2, tr, rows):
     return (r2 + 2.0 * tr) / rows - 1.0
-
-
-def gcv_objective(state, gamma, lam):
-    """Projected generalized cross validation at the cell (gamma, lam).
-
-    Works in whitened residual units; rescaling b only multiplies the
-    value, never moves the minimizer.
-    """
-    return wgcv_objective(state, gamma, lam, 1.0)
-
-
-def wgcv_objective(state, gamma, lam, omega):
-    """Weighted GCV with trace weight omega; omega = 1 is plain GCV.
-
-    The default weight (2k+1)/m can exceed one on overdetermined projected
-    problems, so only positivity is required.  Scored as a one-cell search,
-    so the value is the search's own.
-    """
-    if omega <= 0:
-        raise ParameterDomainError("omega must be positive")
-    value = _score_cell("wgcv", state, gamma, lam, omega=omega)
-    # r2 / (2k+1 - omega tr)^2 with r2 <= beta1^2: a nonzero denominator
-    # is at least about an ulp of 2k+1, so only a vanished one gives inf or
-    # nan
-    if not np.isfinite(value):
-        raise DegenerateTraceError("weighted GCV denominator vanished")
-    return value
-
-
-def _score_cell(method, state, gamma, lam, **knobs):
-    """The search's value of ``method`` at the one cell (gamma, lam)."""
-    cells = _objective_factory(method, state, None, SearchConfig(**knobs))
-    return float(cells([gamma], [lam])[0][0, 0])
 
 
 def _wgcv(r2, tr, rows, omega):
@@ -249,19 +198,35 @@ class _OptimalCache:
 # joint search
 
 
-def _objective_factory(method, state, prior, config):
-    """Return ``cells(gammas, lams) -> (values, Y, r2)``: the requested
-    method scored at every (gamma, lam) cell, one row per gamma, with the
-    weights and squared residuals :func:`solve_cells` gives there.  The
-    step's Gk is decomposed once here, and each gamma once over all calls:
-    the gammas a call has not seen yet go to one :func:`trace_term` call
-    together."""
+def objective_cells(method, state, prior=None, config=None):
+    """Return ``cells(gammas, lams) -> (values, Y, r2)``: ``method`` scored
+    at every (gamma, lam) cell, one row per gamma, with the weights and
+    squared residuals :func:`solve_cells` gives there.  This is the one
+    evaluator :func:`select_params` scores with, so a cell's value is the
+    search's own bits.  The step's Gk is decomposed once here, and each
+    gamma once over all calls: the gammas a call has not seen yet go to
+    one :func:`trace_term` call together.  ``config=None`` means
+    ``SearchConfig()``; ``prior`` and ``config.s_true`` serve optimal only.
+
+    UPRE, GCV and WGCV score in whitened residual units (noise variance one
+    per component): the noise scale enters only through the whitener.
+    UPRE is (r2 + 2 tr) / (2k+1) - 1 over the nominal projected row count
+    2k+1, whatever the assembled row count turns out to be.  WGCV is
+    r2 / (2k+1 - omega tr)^2 with ``config.omega``, by default (2k+1)/m,
+    which can exceed one on overdetermined projected problems; GCV is
+    omega = 1, and rescaling b only multiplies its value.  A vanished WGCV
+    denominator gives inf or nan, which the search scores as inf.
+    """
+    if config is None:
+        config = SearchConfig()
     if state.k < 1:
         raise ArgumentError("selection needs at least one completed step")
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
     if method == "optimal" and config.s_true is None:
         raise ConfigError("select.method=optimal requires s_true")
+    if method == "optimal" and prior is None:
+        raise ArgumentError("the optimal method needs the prior")
 
     basis = penalty_basis(state.bidiagonal(), state.C, state.Rup, state.G,
                           state.beta1)
@@ -374,7 +339,7 @@ def select_params(method, state, prior, config=None, start=None):
     if config is None:
         config = SearchConfig()
     gamma_fixed = config.gamma_fixed
-    cells = _objective_factory(method, state, prior, config)
+    cells = objective_cells(method, state, prior, config)
     lo, hi = config.log10_lambda
 
     best = None  # (value, lam, gamma, log10 lam, weights, r2)

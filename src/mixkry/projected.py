@@ -29,9 +29,8 @@ Cholesky factor and no triangular solve.
 :func:`trace_term` decomposes a whole batch of gammas with one stacked
 ``eigh``, and :func:`solve_cells` scores every (gamma, lam) cell of a batch
 with one matrix-vector product per cell, so a cell's values do not depend
-on the other cells of its batch.  The search in :mod:`mixkry.params` is
-the one caller of both, and its single-point objectives score a batch of
-one cell.
+on the other cells of its batch.  The search's cell evaluator,
+:func:`mixkry.params.objective_cells`, is the one caller of both.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
 class PenaltyBasis:
     """One step's gamma-independent blocks, in the eigenbasis of Gk.
 
-    ``B``, ``C`` and ``Rup`` assemble Dk.  ``G = U diag(g) U^T``.  ``grams``
+    ``B``, ``C`` and ``Rup`` assemble Dk.  Gk = U diag(g) U^T.  ``grams``
     stacks U^T X U for X = B^T B, B^T C + C^T B and C^T C + Rup^T Rup, the
     weights of gamma^2, gamma (1 - gamma) and (1 - gamma)^2 in Dk^T Dk;
     ``rows`` stacks U^T beta1 B[0] and U^T beta1 C[0], the weights of gamma
@@ -65,7 +64,6 @@ class PenaltyBasis:
     B: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
     Rup: np.ndarray = field(repr=False)
-    G: np.ndarray = field(repr=False)
     beta1: float
     U: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
@@ -101,7 +99,7 @@ def penalty_basis(B, C, Rup, G, beta1):
     blocks = (B.T @ B, BtC + BtC.T, C.T @ C + Rup.T @ Rup)
     grams = np.stack([U.T @ X @ U for X in blocks])
     rows = np.stack([U.T @ (beta1 * B[0]), U.T @ (beta1 * C[0])])
-    return PenaltyBasis(B, C, Rup, G, float(beta1), U, g, grams, rows)
+    return PenaltyBasis(B, C, Rup, float(beta1), U, g, grams, rows)
 
 
 def trace_term(basis, gammas):

@@ -8,9 +8,10 @@ optimal-method cache against the package's own recovery.
 :func:`solve_projected_reference` and :func:`residual_and_trace_reference`
 are the scipy ``cho_factor``/``cho_solve`` route to the projected solve, a
 pointwise Cholesky solve per lam that the package's one eigendecomposition
-per gamma must match to rounding; they read Dk, rhs and Gk from a
-:class:`~mixkry.projected.PenaltyBasis` (:func:`state_basis`) and a gamma.
-:func:`solve_row` is the package's own one-gamma row of cells.  :func:`spherical_matrix_reference` is
+per gamma must match to rounding; they read Dk and rhs from a
+:class:`~mixkry.projected.PenaltyBasis` (:func:`state_basis`) and take Gk
+itself and a gamma.  :func:`solve_row` is the package's own one-gamma row
+of cells, and :func:`one_cell` the search's value at one cell.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
 must reproduce byte for byte, duplicate sums included.
 :func:`qr_append_update_reference` is the deflation loop that rotates
@@ -29,6 +30,7 @@ import scipy.sparse
 from mixkry.errors import ConditioningError, ParameterDomainError, RankError
 from mixkry.mixgk import _RANK_TOL, _givens, _gs_append
 from mixkry.operators import LinearOperator, kernel_eval, zero_operator
+from mixkry.params import SearchConfig, objective_cells
 from mixkry.projected import (penalty_basis, recover_iterate, solve_cells,
                               trace_term)
 
@@ -249,14 +251,21 @@ def solve_row(basis, gamma, lams):
     return Y[0], r2[0], tr[0]
 
 
-def _cho_reference(basis, gamma, lam):
+def one_cell(method, state, gamma, lam, **knobs):
+    """The search's value of ``method`` at the one cell (gamma, lam), with
+    the :class:`~mixkry.params.SearchConfig` knobs given."""
+    cells = objective_cells(method, state, config=SearchConfig(**knobs))
+    return float(cells([gamma], [lam])[0][0, 0])
+
+
+def _cho_reference(basis, G, gamma, lam):
     """Dk and the Cholesky factor of Dk^T Dk + lam^2 (gamma I +
-    (1 - gamma) Gk), with the normal matrix and the penalty formed from
+    (1 - gamma) G), with the normal matrix and the penalty formed from
     their definitions at every call."""
     Dk = basis.assemble([gamma])[0]
     k = Dk.shape[1]
     M = Dk.T @ Dk + (lam * lam) * (
-        gamma * np.eye(k) + (1.0 - gamma) * basis.G
+        gamma * np.eye(k) + (1.0 - gamma) * G
     )
     try:
         return Dk, scipy.linalg.cho_factor(M, lower=True, check_finite=False)
@@ -266,20 +275,20 @@ def _cho_reference(basis, gamma, lam):
         ) from exc
 
 
-def solve_projected_reference(basis, gamma, lam):
+def solve_projected_reference(basis, G, gamma, lam):
     """Projected weights y(lam, gamma) through scipy's Cholesky wrappers."""
     if not lam > 0:
         raise ParameterDomainError("lam must be positive")
-    Dk, cho = _cho_reference(basis, gamma, lam)
+    Dk, cho = _cho_reference(basis, G, gamma, lam)
     return scipy.linalg.cho_solve(cho, Dk.T @ basis.rhs, check_finite=False)
 
 
-def residual_and_trace_reference(basis, gamma, lam):
+def residual_and_trace_reference(basis, G, gamma, lam):
     """Squared projected residual and influence trace through scipy's
     Cholesky wrappers, both from one factor."""
     if not lam > 0:
         raise ParameterDomainError("trace term requires lam > 0")
-    Dk, cho = _cho_reference(basis, gamma, lam)
+    Dk, cho = _cho_reference(basis, G, gamma, lam)
     rhs = basis.rhs
     y = scipy.linalg.cho_solve(cho, Dk.T @ rhs, check_finite=False)
     r = Dk @ y - rhs
@@ -290,7 +299,7 @@ def residual_and_trace_reference(basis, gamma, lam):
 def optimal_objective(state, prior, gamma, lam, s_true):
     """Squared error ||s_k(gamma, lam) - s_true||^2 of the recovered
     iterate, assembled in full space."""
-    y = solve_projected_reference(state_basis(state), gamma, lam)
+    y = solve_projected_reference(state_basis(state), state.G, gamma, lam)
     s = recover_iterate(state, prior, gamma, y)
     d = s - np.asarray(s_true, dtype=float)
     return float(d @ d)

@@ -18,8 +18,8 @@ from mixkry.learn import hutchinson_objective, rademacher_probes
 from mixkry.mixgk import (mixgk_init, mixgk_step, qr_append_update,
                           qr_recompute)
 from mixkry.operators import (Grid, KernelSpec, PriorSpec, SampleFactor,
-                              sample_covariance)
-from mixkry.params import upre_objective, wgcv_objective
+                              build_kernel_operator, sample_covariance)
+from mixkry.params import SearchConfig, objective_cells
 from mixkry.projected import recover_iterate
 
 SPHERICAL_CFG = """\
@@ -176,8 +176,10 @@ def test_criterion_4_parameter_rules_at_full_dimension():
     lams = np.logspace(-3, 2, 40)
     omega = (2.0 * n + 1.0) / m
 
-    P_upre = np.zeros((40, 40))
-    P_wgcv = np.zeros((40, 40))
+    # each projected grid is one block of the search's cell evaluator
+    P_upre = objective_cells("upre", state)(gammas, lams)[0]
+    P_wgcv = objective_cells("wgcv", state, config=SearchConfig(
+        omega=omega))(gammas, lams)[0]
     F_upre = np.zeros((40, 40))
     F_gcv = np.zeros((40, 40))
     for gi, gamma in enumerate(gammas):
@@ -187,9 +189,6 @@ def test_criterion_4_parameter_rules_at_full_dimension():
         theta = np.maximum(theta, 0.0)
         c = V.T @ (b / sigma)
         for li, lam in enumerate(lams):
-            P_upre[gi, li] = upre_objective(state, float(gamma), float(lam))
-            P_wgcv[gi, li] = wgcv_objective(state, float(gamma), float(lam),
-                                            omega)
             h = theta / (theta + lam * lam)
             r2 = float(np.sum(((1.0 - h) * c) ** 2))
             tr = float(np.sum(h))
@@ -225,9 +224,9 @@ def test_criterion_5_hutchinson_estimator():
     sample = sample_covariance(list(rng.standard_normal((30, 8))))
     Qhat = sample.factor @ sample.factor.T
     exact = float(np.sum((K - Qhat) ** 2))
+    kernel = build_kernel_operator(spec, grid)
     draws = np.array([
-        hutchinson_objective(spec, grid, sample,
-                             rademacher_probes(8, 1, seed=s))
+        hutchinson_objective(kernel, sample, rademacher_probes(8, 1, seed=s))
         for s in range(200)
     ])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -239,7 +238,7 @@ def test_criterion_5_hutchinson_estimator():
     grid2 = Grid(2, 1)
     spec2 = KernelSpec(family="matern", nu=0.5, ell=1e-3)
     zero = SampleFactor(np.zeros((2, 1)), np.zeros(2))
-    val = hutchinson_objective(spec2, grid2, zero,
+    val = hutchinson_objective(build_kernel_operator(spec2, grid2), zero,
                                rademacher_probes(2, 64, seed=1))
     assert val == 2.0
     print(f"criterion 5: PASS (gap {gap:.3g} <= 3 SE {3 * se:.3g}; "

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mixkry.learn
 import mixkry.params
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
@@ -525,15 +524,24 @@ def test_exit_code_rounded_kernel_names_its_keys(run_case, tmp_path, command,
     error (exit 2) names the kernel's family and the keys it reads, also
     where compare's q2 variant puts the Q2 kernel in the Q1 role.  A
     compare is all or nothing: with every variant, mix and q1 solve before
-    q2 fails, and no file is written."""
+    q2 fails.  Neither command leaves a path under --out: the directory
+    appears with the first artifact."""
     prefix, family = next(o for o in overrides
                           if ".kernel=" in o).split(".kernel=")
     rc, named, assembled = run_case("spherical", command, *overrides)
     assert rc == 2 and assembled
     assert {f"{prefix}.{key}" for key in ("kernel",) + FAMILY_PARAMS[family]
             } <= named
-    if command == "compare":
-        assert list((tmp_path / "out").rglob("*")) == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_failing_fit_leaves_no_out(run_case, tmp_path):
+    """A fit that fails after assembly (an identity Q1 has no parameters
+    to learn, exit 2) leaves no path under --out."""
+    rc, named, assembled = run_case("spherical", "fit",
+                                    "prior.q1.kernel=identity")
+    assert rc == 2 and assembled and "prior.q1.kernel" in named
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])
@@ -959,12 +967,13 @@ def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
     ladder estimate, and no prior; and fit.csv is byte-identical to a
     ladder that rebuilds the kernel for every estimate."""
     builds = []
-    for module in (cli, mixkry.learn):
-        def counted(*args, build=module.build_kernel_operator):
-            builds.append(args)
-            return build(*args)
+    build = cli.build_kernel_operator
 
-        monkeypatch.setattr(module, "build_kernel_operator", counted)
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_kernel_operator", counted)
     cfg = write_cfg(tmp_path / "fit.cfg", SPHERICAL_TINY)
     assert cli.main(["fit", cfg, "--out", str(tmp_path / "once")]) == 0
     assert len(builds) == 1
@@ -972,7 +981,8 @@ def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
     builds.clear()
     estimate = cli.hutchinson_objective
     monkeypatch.setattr(cli, "hutchinson_objective",
-                        lambda *args, kernel: estimate(*args))
+                        lambda kernel, sample, probes: estimate(
+                            counted(*builds[0]), sample, probes))
     assert cli.main(["fit", cfg, "--out", str(tmp_path / "each")]) == 0
     assert len(builds) == 1 + 18
     assert ((tmp_path / "once" / "fit.csv").read_bytes()

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixkry.learn
+import mixkry.operators
 from helpers import dense_kernel
 from mixkry.errors import ArgumentError, DegenerateDataError
 from mixkry.learn import (fit_bounds, frobenius_mismatch,
                           hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
 from mixkry.operators import (Grid, KernelSpec, SampleFactor,
-                              sample_covariance)
+                              build_kernel_operator, sample_covariance)
 
 
 def kernel_dense(family, nu, ell, grid):
@@ -58,8 +59,9 @@ def test_estimator_zero_when_sample_matches_kernel():
     S = np.linalg.cholesky(K)
     sample = SampleFactor(S, np.zeros(4))
     xi = rademacher_probes(4, 30, seed=0)
-    spec = KernelSpec(family="matern", nu=1.5, ell=0.4)
-    assert hutchinson_objective(spec, grid, sample, xi) <= 1e-24
+    kernel = build_kernel_operator(KernelSpec(family="matern", nu=1.5,
+                                              ell=0.4), grid)
+    assert hutchinson_objective(kernel, sample, xi) <= 1e-24
 
 
 def test_estimator_exact_on_identity_difference():
@@ -72,18 +74,22 @@ def test_estimator_exact_on_identity_difference():
     sample = sample_covariance([np.ones(2), np.ones(2)])  # zero factor
     np.testing.assert_allclose(sample.factor, 0.0, atol=0)
     xi = rademacher_probes(2, 17, seed=5)
-    val = hutchinson_objective(spec, grid, sample, xi)
+    val = hutchinson_objective(build_kernel_operator(spec, grid), sample, xi)
     assert val == 2.0
 
 
 def test_estimator_validation():
+    """Probes must be kernel.cols x M and hold only +-1."""
     grid = Grid(2, 2)
-    spec = KernelSpec(family="matern", nu=0.5, ell=0.3)
+    kernel = build_kernel_operator(KernelSpec(family="matern", nu=0.5,
+                                              ell=0.3), grid)
     sample = sample_covariance([np.zeros(4), np.ones(4)])
     with pytest.raises(ArgumentError):
-        hutchinson_objective(spec, grid, sample, np.ones((3, 5)))
+        hutchinson_objective(kernel, sample, np.ones((3, 5)))
     with pytest.raises(ArgumentError):
-        hutchinson_objective(spec, grid, sample, 0.5 * np.ones((4, 5)))
+        hutchinson_objective(kernel, sample, np.ones(4))
+    with pytest.raises(ArgumentError):
+        hutchinson_objective(kernel, sample, 0.5 * np.ones((4, 5)))
 
 
 def test_estimator_converges_to_dense_frobenius():
@@ -97,7 +103,7 @@ def test_estimator_converges_to_dense_frobenius():
     Qhat = sample.factor @ sample.factor.T
     exact = float(np.sum((K - Qhat) ** 2))
     xi = rademacher_probes(6, 2000, seed=7)
-    est = hutchinson_objective(spec, grid, sample, xi)
+    est = hutchinson_objective(build_kernel_operator(spec, grid), sample, xi)
     assert est == pytest.approx(exact, rel=0.05)
 
 
@@ -113,8 +119,9 @@ def test_estimator_mean_within_three_standard_errors():
     Qhat = sample.factor @ sample.factor.T
     exact = float(np.sum((K - Qhat) ** 2))
 
+    kernel = build_kernel_operator(spec, grid)
     draws = np.array([
-        hutchinson_objective(spec, grid, sample, rademacher_probes(8, 1, seed=s))
+        hutchinson_objective(kernel, sample, rademacher_probes(8, 1, seed=s))
         for s in range(200)
     ])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -135,7 +142,8 @@ def test_estimator_counts_factor_applications():
         return product(x)
 
     sample._matvec = counted
-    hutchinson_objective(spec, grid, sample, rademacher_probes(6, 25, seed=0))
+    hutchinson_objective(build_kernel_operator(spec, grid), sample,
+                         rademacher_probes(6, 25, seed=0))
     assert seen == [(6, 25)]
 
 
@@ -242,7 +250,9 @@ def test_learn_scores_kernel_tables_only(monkeypatch):
         calls.append(list(specs))
         return tables(specs, g)
 
-    monkeypatch.setattr(mixkry.learn, "build_kernel_operator",
+    # the module does not import the operator builder at all
+    assert not hasattr(mixkry.learn, "build_kernel_operator")
+    monkeypatch.setattr(mixkry.operators, "build_kernel_operator",
                         lambda *args: builds.append(args))
     monkeypatch.setattr(mixkry.learn, "kernel_tables", counted_tables)
     learn_matern(X, grid)

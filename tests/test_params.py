@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixkry.params as params_mod
-from helpers import (optimal_objective, random_problem, run_steps, solve_row,
-                     state_basis, wrap_problem)
+from helpers import (one_cell, optimal_objective, random_problem, run_steps,
+                     solve_row, state_basis, wrap_problem)
 from mixkry.errors import (ArgumentError, ConditioningError, ConfigError,
-                           DegenerateTraceError, ParameterDomainError,
-                           SearchError)
+                           ParameterDomainError, SearchError)
 from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import PriorSpec
 from mixkry.params import (METHODS, RunRecord, SearchConfig, SelectionResult,
-                           StoppingPolicy, gcv_objective, select_params,
-                           stopping_check, upre_objective, wgcv_objective)
+                           StoppingPolicy, objective_cells, select_params,
+                           stopping_check)
 from mixkry.projected import penalty_basis, trace_term
 
 
@@ -52,7 +51,8 @@ def test_gcv_large_lambda_limit():
     state, _, _ = advance(0, 6)
     rows = 2 * state.k + 1
     expect = state.beta1**2 / rows**2
-    assert gcv_objective(state, 0.7, 1e10) == pytest.approx(expect, rel=1e-6)
+    assert one_cell("gcv", state, 0.7, 1e10) == pytest.approx(expect,
+                                                              rel=1e-6)
 
 
 def test_upre_large_lambda_limit_in_data_units():
@@ -63,34 +63,38 @@ def test_upre_large_lambda_limit_in_data_units():
     b, sigma = parts[3], parts[4]
     rows = 2 * state.k + 1
     expect = float(b @ b) / (sigma**2 * rows) - 1.0
-    got = upre_objective(state, 1.0, 1e10)
+    got = one_cell("upre", state, 1.0, 1e10)
     assert got == pytest.approx(expect, rel=1e-6)
 
 
 def test_wgcv_omega_one_is_gcv():
     state, _, _ = advance(2, 5)
     for lam in (0.01, 0.3, 2.0):
-        assert wgcv_objective(state, 0.5, lam, 1.0) == pytest.approx(
-            gcv_objective(state, 0.5, lam), rel=1e-14)
+        assert one_cell("wgcv", state, 0.5, lam, omega=1.0) == pytest.approx(
+            one_cell("gcv", state, 0.5, lam), rel=1e-14)
 
 
 def test_wgcv_rejects_nonpositive_omega():
+    """WGCV reads omega from its SearchConfig, which refuses omega <= 0."""
     state, _, _ = advance(3, 4)
     with pytest.raises(ParameterDomainError):
-        wgcv_objective(state, 1.0, 0.5, 0.0)
+        one_cell("wgcv", state, 1.0, 0.5, omega=0.0)
     with pytest.raises(ParameterDomainError):
-        wgcv_objective(state, 1.0, 0.5, -1.0)
+        one_cell("wgcv", state, 1.0, 0.5, omega=-1.0)
 
 
 def test_wgcv_vanished_denominator_raises():
     """After one step (2k+1 = 3 rows) a tiny lam drives the influence trace
     to 1 in floating point, so omega = 3 makes the denominator exactly
-    zero."""
-    state, _, _ = advance(3, 1)
+    zero: the cell's value is not finite.  The search scores it inf, so a
+    lambda range that starts there still selects a finite cell above it."""
+    state, prior, _ = advance(3, 1)
     assert state.k == 1
-    with pytest.raises(DegenerateTraceError):
-        wgcv_objective(state, 1.0, 1e-20, 3.0)
-    assert np.isfinite(wgcv_objective(state, 1.0, 1e-20, 2.0))
+    assert not np.isfinite(one_cell("wgcv", state, 1.0, 1e-20, omega=3.0))
+    assert np.isfinite(one_cell("wgcv", state, 1.0, 1e-20, omega=2.0))
+    sel = select_params("wgcv", state, prior, SearchConfig(
+        omega=3.0, gamma_fixed=1.0, log10_lambda=(-20.0, 2.0)))
+    assert np.isfinite(sel.objective) and sel.lam > 1e-20
 
 
 def test_select_decomposes_each_gamma_once(monkeypatch):
@@ -98,7 +102,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
     grid's gammas in one trace_term call, then the new gammas of each of
     the first ``_GAMMA_ZOOMS`` zoom levels (the centre gamma is kept) in at
     most one more.  Each search's eigendecompositions are those gammas plus
-    one of Gk, and a point objective decomposes Gk once and its gamma
+    one of Gk, and a one-cell evaluator decomposes Gk once and its gamma
     once."""
     state, prior, _ = advance(6, 6)
     batches = []
@@ -131,12 +135,11 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
         assert all(len(batch) <= 2 for batch in batches[1:])
         assert eigh_sizes == [1] + [len(b) for b in batches]
 
-    for evaluate in (lambda: upre_objective(state, 0.4, 0.3),
-                     lambda: gcv_objective(state, 0.4, 0.3),
-                     lambda: wgcv_objective(state, 0.4, 0.7, 0.5)):
+    for method, lam, knobs in (("upre", 0.3, {}), ("gcv", 0.3, {}),
+                               ("wgcv", 0.7, {"omega": 0.5})):
         batches.clear()
         eigh_sizes.clear()
-        assert np.isfinite(evaluate())
+        assert np.isfinite(one_cell(method, state, 0.4, lam, **knobs))
         assert batches == [[0.4]] and eigh_sizes == [1, 1]
 
 
@@ -150,8 +153,7 @@ def test_gcv_scale_invariant_minimizer():
         Aop, q1op, q2op = wrap_problem(A, Q1, Q2, sigma)
         state = mixgk_init(Aop, q1op, q2op, c * b / sigma)
         run_steps(state, 8, mixgk_step)
-        curves.append(np.array([gcv_objective(state, 0.6, l)
-                                for l in lambdas]))
+        curves.append(objective_cells("gcv", state)([0.6], lambdas)[0][0])
     base = curves[0]
     np.testing.assert_allclose(curves[1] / base, 0.01, rtol=1e-9)
     np.testing.assert_allclose(curves[2] / base, 100.0, rtol=1e-9)
@@ -176,11 +178,10 @@ def test_full_dimension_upre_affine_relation(gamma):
     lambdas = np.logspace(-3, 1, 25)
     full = full_space_curves(A, Q, sigma, b, lambdas)
 
-    proj_vals, full_vals = [], []
-    for lam, (r2f, trf) in zip(lambdas, full):
-        up = upre_objective(state, gamma, lam)
+    proj_vals = objective_cells("upre", state)([gamma], lambdas)[0][0]
+    full_vals = []
+    for up, (r2f, trf) in zip(proj_vals, full):
         uf = (r2f + 2.0 * trf) / m - 1.0
-        proj_vals.append(up)
         full_vals.append(uf)
         lhs = (up + 1.0) * rows / m
         rhs = uf + 1.0
@@ -203,11 +204,11 @@ def test_full_dimension_wgcv_matches_gcv_argmin(gamma):
     full = full_space_curves(A, Q, sigma, b, lambdas)
 
     ratio = (m / rows) ** 2
-    proj_vals, full_vals = [], []
-    for lam, (r2f, trf) in zip(lambdas, full):
-        wp = wgcv_objective(state, gamma, lam, omega)
+    proj_vals = objective_cells("wgcv", state, config=SearchConfig(
+        omega=omega))([gamma], lambdas)[0][0]
+    full_vals = []
+    for wp, (r2f, trf) in zip(proj_vals, full):
         gf = r2f / (m - trf) ** 2
-        proj_vals.append(wp)
         full_vals.append(gf)
         assert wp == pytest.approx(ratio * gf, rel=1e-5)
     assert np.argmin(proj_vals) == np.argmin(full_vals)
@@ -261,6 +262,9 @@ def test_select_missing_requirements():
         select_params("optimal", state, prior, SearchConfig())
     with pytest.raises(ConfigError):
         select_params("tikhonov", state, prior, SearchConfig())
+    with pytest.raises(ArgumentError, match="prior"):
+        objective_cells("optimal", state, config=SearchConfig(
+            s_true=np.zeros(state.n)))
 
 
 def test_select_upre_needs_no_noise_variance():
@@ -271,7 +275,7 @@ def test_select_upre_needs_no_noise_variance():
 
 
 def _fake_factory(values):
-    """An ``_objective_factory`` stand-in whose cells in the row of gamma
+    """An ``objective_cells`` stand-in whose cells in the row of gamma
     score ``values(gamma, lams)``.  The weights of cell (gamma, lam) are
     (gamma, lam) and its squared residual is lam, so a selection shows
     which cell it took them from."""
@@ -287,7 +291,7 @@ def test_select_flat_grid_reports_unconverged(monkeypatch):
     """A constant objective: scan keeps the first (smallest lambda, then
     smallest gamma) cell, skips the zoom, flags converged=False."""
     state, prior, _ = advance(12, 5)
-    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+    monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda gamma, lams: np.full(lams.size, 7.0)))
     cfg = SearchConfig()
     res = select_params("gcv", state, prior, cfg)
@@ -300,7 +304,7 @@ def test_select_flat_grid_reports_unconverged(monkeypatch):
 
 def test_select_all_infinite_grid_raises(monkeypatch):
     state, prior, _ = advance(13, 5)
-    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+    monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda gamma, lams: np.full(lams.size, np.nan)))
     with pytest.raises(SearchError):
         select_params("gcv", state, prior, SearchConfig())
@@ -327,7 +331,7 @@ def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
                 vals[column_lams == lam] = value
         return vals
 
-    monkeypatch.setattr(params_mod, "_objective_factory",
+    monkeypatch.setattr(params_mod, "objective_cells",
                         _fake_factory(values))
     res = select_params("gcv", state, prior, cfg)
     assert (res.gamma, res.lam, res.objective) == (gammas[3], lams[4], 1.0)
@@ -344,7 +348,7 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
     reports converged=False; beyond gamma = 1 it selects gamma = 1, an
     edge that counts as converged."""
     state, prior, _ = advance(12, 5)
-    monkeypatch.setattr(params_mod, "_objective_factory", _fake_factory(
+    monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda g, lams: (np.log10(lams) - log10_lam) ** 2 + (g - gamma) ** 2))
     cfg = SearchConfig()
     lo, hi = cfg.log10_lambda
@@ -364,7 +368,7 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
 def record_blocks(monkeypatch):
     """Patch the search's cell evaluator to record the (gammas, lambdas)
     shape of every block it scores; return the list it appends to."""
-    factory = params_mod._objective_factory
+    factory = params_mod.objective_cells
     blocks = []
 
     def counting(*args):
@@ -376,7 +380,7 @@ def record_blocks(monkeypatch):
 
         return cells_counted
 
-    monkeypatch.setattr(params_mod, "_objective_factory", counting)
+    monkeypatch.setattr(params_mod, "objective_cells", counting)
     return blocks
 
 
@@ -409,9 +413,10 @@ def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
        gamma_fixed=st.one_of(st.none(), st.floats(0.01, 1.0)))
 def test_select_property(seed, steps, q2_rank, gamma_fixed):
     """For every method: the selection is never worse than the best grid
-    cell, lies in the search box, reports the public pointwise objective at
-    (gamma*, lambda*) bit for bit with the weights and squared residual of
-    a one-gamma row of cells there, and returns a pinned gamma exactly."""
+    cell, lies in the search box, reports the value of a one-cell
+    ``objective_cells`` call at (gamma*, lambda*) bit for bit with the
+    weights and squared residual of a one-gamma row of cells there, and
+    returns a pinned gamma exactly."""
     state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
     cfg = SearchConfig(s_true=s_true, gamma_fixed=gamma_fixed)
@@ -419,9 +424,8 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     gammas = ([gamma_fixed] if gamma_fixed is not None
               else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
     lams = np.logspace(lo, hi, cfg.grid_lambda)
-    omega = (2.0 * state.k + 1.0) / state.m
     for method in METHODS:
-        cells = params_mod._objective_factory(method, state, prior, cfg)
+        cells = objective_cells(method, state, prior, cfg)
         grid = cells(np.asarray(gammas), lams)[0]
         grid_best = grid[np.isfinite(grid)].min()
         sel = select_params(method, state, prior, cfg)
@@ -430,13 +434,9 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
         assert np.power(10.0, lo) <= sel.lam <= np.power(10.0, hi)
         if gamma_fixed is not None:
             assert sel.gamma == gamma_fixed
-        point = {
-            "optimal": lambda: cells([sel.gamma], np.array([sel.lam]))[0][0, 0],
-            "upre": lambda: upre_objective(state, sel.gamma, sel.lam),
-            "gcv": lambda: gcv_objective(state, sel.gamma, sel.lam),
-            "wgcv": lambda: wgcv_objective(state, sel.gamma, sel.lam, omega),
-        }[method]()
-        assert sel.objective == point
+        point = objective_cells(method, state, prior, cfg)([sel.gamma],
+                                                           [sel.lam])[0]
+        assert sel.objective == point[0, 0]
         Y, r2, _ = solve_row(state_basis(state), sel.gamma, [sel.lam])
         assert (sel.weights == Y[0]).all() and sel.r2 == r2[0]
 
@@ -452,7 +452,7 @@ def test_warm_window_matches_cold_search_property(monkeypatch):
     best cell and once at a drawn offset from it; both the case where the
     window's own pick stands and the fallback occur.  At a step count that
     is a multiple of ``_RESCAN`` the warm search is the cold one."""
-    factory = params_mod._objective_factory
+    factory = params_mod.objective_cells
     blocks = record_blocks(monkeypatch)
     seen = set()
 
@@ -564,37 +564,28 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
                                                    gamma_mid):
     """For every method, scoring a set of gammas in one batch gives values,
     weights and squared residuals bit-identical to scoring each gamma alone,
-    and those equal upre_objective, gcv_objective, wgcv_objective (for
-    optimal, a one-cell batch) and a one-gamma row at the same cell.  With
-    the penalty made indefinite (Gk = -I, so P = (2 gamma - 1) I) the batch
-    path raises ConditioningError as soon as one gamma <= 1/2 is in it."""
+    and those equal a one-cell ``objective_cells`` call and a one-gamma row
+    at the same cell.  With the penalty made indefinite (Gk = -I, so
+    P = (2 gamma - 1) I) the batch path raises ConditioningError as soon as
+    one gamma <= 1/2 is in it."""
     state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
     cfg = SearchConfig(s_true=s_true)
     gammas = np.append(np.linspace(cfg.gamma_min, 1.0, 5), gamma_mid)
     lams = np.logspace(*cfg.log10_lambda, 7)
-    omega = (2.0 * state.k + 1.0) / state.m
     basis = state_basis(state)
     for method in METHODS:
-        batch = params_mod._objective_factory(method, state, prior, cfg)(
-            gammas, lams)
+        batch = objective_cells(method, state, prior, cfg)(gammas, lams)
         for i, gamma in enumerate(gammas):
-            alone = params_mod._objective_factory(method, state, prior, cfg)(
-                [gamma], lams)
+            alone = objective_cells(method, state, prior, cfg)([gamma], lams)
             for got, want in zip(batch, alone):
                 assert (got[i] == want[0]).all()
-            point = {
-                "optimal": lambda lam: params_mod._objective_factory(
-                    method, state, prior, cfg)([gamma], [lam])[0][0, 0],
-                "upre": lambda lam: upre_objective(state, gamma, lam),
-                "gcv": lambda lam: gcv_objective(state, gamma, lam),
-                "wgcv": lambda lam: wgcv_objective(state, gamma, lam, omega),
-            }[method]
             for j, lam in enumerate(lams):
                 vals, Y, r2 = (part[i, j] for part in batch)
+                point = objective_cells(method, state, prior, cfg)(
+                    [gamma], [lam])[0][0, 0]
                 y, r2_point, _ = solve_row(basis, gamma, [lam])
-                assert vals == point(lam) or (np.isnan(vals)
-                                              and np.isnan(point(lam)))
+                assert vals == point or (np.isnan(vals) and np.isnan(point))
                 assert (Y == y[0]).all() and r2 == r2_point[0]
 
     bad = penalty_basis(basis.B, basis.C, basis.Rup, -np.eye(state.k),

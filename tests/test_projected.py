@@ -15,7 +15,7 @@ from mixkry.mixgk import mixgk_init, mixgk_step
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
 from mixkry.params import (METHODS, SearchConfig, StoppingPolicy,
-                           _objective_factory, gcv_objective)
+                           objective_cells)
 from mixkry.projected import penalty_basis, recover_iterate
 
 # a log10 lambda range wider than any search box, for the solve checks
@@ -32,8 +32,8 @@ def advance(seed, steps, m=25, n=20, q2_rank=None, noise=0.05):
 
 
 def altered(state, G=None, zero_last_column=False):
-    """The state's basis, rebuilt from its blocks with G replaced or with
-    the last column of Dk zeroed at every gamma."""
+    """The state's basis, rebuilt from its blocks with Gk replaced by G or
+    with the last column of Dk zeroed at every gamma."""
     B, C, Rup = state.bidiagonal(), state.C.copy(), state.Rup.copy()
     if zero_last_column:
         B[:, -1] = C[:, -1] = Rup[:, -1] = 0.0
@@ -78,16 +78,18 @@ def test_memoized_bidiagonal_tracks_every_step():
 def test_q2_zero_gives_zero_gram():
     state, _, _ = advance(1, 5, q2_rank=0)
     basis = state_basis(state)
-    np.testing.assert_allclose(basis.G, 0.0, atol=0)
+    np.testing.assert_allclose(state.G, 0.0, atol=0)
+    assert (basis.g == 0.0).all()
     assert basis.assemble([0.6])[0].shape[0] == state.k + 1
 
 
 def test_build_validates_inputs():
     state, _, _ = advance(2, 3)
+    cells = objective_cells("gcv", state)
     with pytest.raises(ParameterDomainError):
-        gcv_objective(state, 0.0, 0.5)
+        cells([0.0], [0.5])
     with pytest.raises(ParameterDomainError):
-        gcv_objective(state, 1.5, 0.5)
+        cells([1.5], [0.5])
 
 
 def test_cached_normal_products_match_dense():
@@ -141,7 +143,7 @@ def test_solve_matches_stacked_least_squares():
     basis = state_basis(state)
     k = state.k
     for gamma, lam in ((1.0, 0.5), (0.4, 0.9)):
-        P = gamma * np.eye(k) + (1 - gamma) * basis.G
+        P = gamma * np.eye(k) + (1 - gamma) * state.G
         Lp = np.linalg.cholesky(P)
         stacked = np.vstack([basis.assemble([gamma])[0], lam * Lp.T])
         rhs = np.concatenate([basis.rhs, np.zeros(k)])
@@ -236,7 +238,7 @@ def test_trace_single_step_scalar():
     for gamma in (1.0, 0.5):
         Dk = basis.assemble([gamma])[0]
         d2 = float(Dk[:, 0] @ Dk[:, 0])
-        g = float(basis.G[0, 0])
+        g = float(state.G[0, 0])
         lam = 0.8
         expect = d2 / (d2 + lam * lam * (gamma + (1 - gamma) * g))
         assert _trace(basis, gamma, lam) == pytest.approx(expect, rel=1e-12)
@@ -247,7 +249,7 @@ def test_trace_matches_dense_influence():
     basis = state_basis(state)
     Dk = basis.assemble([0.4])[0]
     lam = 0.6
-    M = Dk.T @ Dk + lam * lam * (0.4 * np.eye(state.k) + 0.6 * basis.G)
+    M = Dk.T @ Dk + lam * lam * (0.4 * np.eye(state.k) + 0.6 * state.G)
     influence = Dk @ np.linalg.solve(M, Dk.T)
     assert _trace(basis, 0.4, lam) == pytest.approx(np.trace(influence),
                                                     rel=1e-11)
@@ -278,11 +280,11 @@ def _column_lams():
     return np.concatenate([[10.0**blo], grid, [10.0**bhi]])
 
 
-def _assert_column_matches_pointwise(basis, gamma, lams):
+def _assert_column_matches_pointwise(basis, G, gamma, lams):
     Y, r2, tr = solve_row(basis, gamma, lams)
     for j, lam in enumerate(lams):
-        y = solve_projected_reference(basis, gamma, lam)
-        r2_j, tr_j = residual_and_trace_reference(basis, gamma, lam)
+        y = solve_projected_reference(basis, G, gamma, lam)
+        r2_j, tr_j = residual_and_trace_reference(basis, G, gamma, lam)
         assert (np.linalg.norm(Y[j] - y)
                 <= _COLUMN_RTOL * np.linalg.norm(y))
         assert r2[j] == pytest.approx(r2_j, rel=_COLUMN_RTOL)
@@ -309,24 +311,25 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
     gammas = (cfg.gamma_min, gamma_mid, 1.0)
     lams = _column_lams()
     basis = state_basis(state)
-    bad = altered(state, G=-np.eye(state.k))
+    minus = -np.eye(state.k)
+    bad = altered(state, G=minus)
     for gamma in gammas:
-        _assert_column_matches_pointwise(basis, gamma, lams)
+        _assert_column_matches_pointwise(basis, state.G, gamma, lams)
         # the penalty is (2 gamma - 1) I; the column evaluator needs it
         # positive definite, the pointwise path fails only where
         # lam^2 (2 gamma - 1) outweighs Dk^T Dk
         raised = {p for p in (_outcome(residual_and_trace_reference, bad,
-                                       gamma, lam)
+                                       minus, gamma, lam)
                               for lam in lams) if isinstance(p, type)}
         assert raised <= {ConditioningError}
         if gamma <= 0.5:
             assert _outcome(solve_row, bad, gamma, lams) is ConditioningError
         else:
             assert not raised
-            _assert_column_matches_pointwise(bad, gamma, lams)
+            _assert_column_matches_pointwise(bad, minus, gamma, lams)
 
     for method in METHODS:
-        cells = _objective_factory(method, state, prior, cfg)
+        cells = objective_cells(method, state, prior, cfg)
         by_column = cells(np.array(gammas), lams)[0]
         by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
                               for lam in lams] for gamma in gammas])
@@ -344,7 +347,8 @@ def _pointwise(method, state, prior, cfg, gamma, lam):
     optimal assembled in full space."""
     if method == "optimal":
         return optimal_objective(state, prior, gamma, lam, cfg.s_true)
-    r2, tr = residual_and_trace_reference(state_basis(state), gamma, lam)
+    r2, tr = residual_and_trace_reference(state_basis(state), state.G,
+                                          gamma, lam)
     rows = 2 * state.k + 1
     if method == "upre":
         return (r2 + 2.0 * tr) / rows - 1.0
@@ -397,8 +401,8 @@ def test_run_hybrid_iterate_is_the_selected_cell():
     assert sel.weights.shape == (state.k,)
     s = recover_iterate(state, prior, sel.gamma, sel.weights)
     assert (result.solution == s).all()
-    y_ref = solve_projected_reference(state_basis(state), sel.gamma,
-                                      sel.lam)
+    y_ref = solve_projected_reference(state_basis(state), state.G,
+                                      sel.gamma, sel.lam)
     assert (np.linalg.norm(sel.weights - y_ref)
             <= _COLUMN_RTOL * np.linalg.norm(y_ref))
     r = (A @ result.solution - b) / sigma

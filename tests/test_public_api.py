@@ -12,12 +12,13 @@ import pytest
 
 import mixkry
 from mixkry.cli import Workload
-from mixkry.learn import FitResult, learn_matern
+from mixkry.learn import FitResult, hutchinson_objective, learn_matern
 from mixkry.mixgk import (MixGKState, _gs_append, mixgk_init,
                           qr_append_update, qr_recompute)
 from mixkry.operators import (Grid, KernelOperator, LinearOperator, PriorSpec,
                               SampleFactor)
-from mixkry.params import SearchConfig, upre_objective
+from mixkry.params import SearchConfig
+from mixkry.projected import PenaltyBasis
 from mixkry.testproblems import TomoProblem, write_pgm
 
 MODULES = ("operators", "mixgk", "projected", "params", "learn",
@@ -30,7 +31,9 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "_LOG10_LAMBDA_BOUNDS", "solve_projected", "projected_residual",
            "_factor", "_deposit_arc", "_fit_grid", "OpCounter", "_trsm",
            "ProjectedSystem", "build_projected", "solve_column",
-           "TrainingSet")
+           "TrainingSet", "upre_objective", "gcv_objective",
+           "wgcv_objective", "_score_cell", "_objective_factory",
+           "DegenerateTraceError")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -61,6 +64,7 @@ RETIRED_FIELDS = (
     (SearchConfig, "sigma2"),
     (Grid, "spacing"),
     (TomoProblem, "mask"),
+    (PenaltyBasis, "G"),
 )
 
 RETIRED_PARAMS = (
@@ -69,7 +73,6 @@ RETIRED_PARAMS = (
     (_gs_append, "rank_tol"),
     (learn_matern, "probes"),
     (learn_matern, "seed"),
-    (upre_objective, "sigma2"),
     (mixgk_init, "Rinv"),
     (mixgk_init, "LR"),
     (MixGKState.__init__, "Rinv"),
@@ -77,6 +80,8 @@ RETIRED_PARAMS = (
     (qr_recompute, "Ut"),
     (write_pgm, "lo"),
     (write_pgm, "hi"),
+    (hutchinson_objective, "spec"),
+    (hutchinson_objective, "grid"),
 )
 
 
@@ -94,8 +99,8 @@ def test_retired_names_not_exported():
         assert not set(RETIRED) & set(mod.__all__), name
         assert not any(hasattr(mod, n) for n in RETIRED), name
     assert not any(hasattr(mixkry, n) for n in RETIRED)
-    assert not hasattr(importlib.import_module("mixkry.errors"),
-                       "CapacityError")
+    errors = importlib.import_module("mixkry.errors")
+    assert not any(hasattr(errors, n) for n in RETIRED)
     for owner, attr in RETIRED_ATTRS:
         assert not hasattr(owner, attr), (owner.__name__, attr)
     # the tally was an instance attribute
@@ -105,6 +110,11 @@ def test_retired_names_not_exported():
         assert name not in {f.name for f in dataclasses.fields(owner)}, name
     for fn, name in RETIRED_PARAMS:
         assert name not in inspect.signature(fn).parameters, fn.__name__
+    # the estimator's optional keyword ``kernel`` is now its one route
+    params = inspect.signature(hutchinson_objective).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+        for name in ("kernel", "sample", "probes")]
 
 
 _SPHERICAL_16 = """\
