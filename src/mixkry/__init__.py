@@ -61,7 +61,6 @@ from .params import (
     RunRecord,
     SearchConfig,
     SelectionResult,
-    StopDecision,
     StoppingPolicy,
     objective_cells,
     select_params,
@@ -82,7 +81,6 @@ from .testproblems import (
     circle_mask,
     crosswell_tomo,
     gen_training_images,
-    read_pgm,
     spherical_tomo,
     write_pgm,
 )

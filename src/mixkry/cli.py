@@ -350,11 +350,19 @@ def _learn_q1(cfg, work):
 
 def _load(cfg, key, loader):
     """``loader`` applied to the path in ``cfg[key]``; a file that cannot
-    be read or parsed is a config error that names the key."""
+    be read or parsed, or that holds a NaN or an infinity, is a config
+    error that names the key."""
     try:
-        return loader(cfg[key])
+        value = loader(cfg[key])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config key {key}: cannot load {cfg[key]!r}: {exc}")
+    # a sparse matrix is checked on its stored entries, samples one by one
+    for arr in value if isinstance(value, list) else [value]:
+        entries = arr.data if hasattr(arr, "toarray") else arr
+        if not np.isfinite(entries).all():
+            raise ConfigError(f"config key {key}: {cfg[key]!r} holds a NaN "
+                              f"or an infinity")
+    return value
 
 
 # the last synthetic problem this process assembled, as (key, Workload)
@@ -558,9 +566,8 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
                                  objective=sel.objective,
                                  rel_residual=rel_res, rel_error=rel_err))
         selections.append(sel)
-        decision = stopping_check(history, policy)
-        if decision.stop:
-            stop_reason = decision.reason
+        stop_reason = stopping_check(history, policy)
+        if stop_reason:
             break
         if state.terminal:
             stop_reason = f"breakdown:{state.breakdown_reason}"
@@ -670,10 +677,12 @@ def _write_run(outdir, work, prior, learned, method, result):
     ``outdir``; ``learned`` is the Q1 fit the summary reports (or None)."""
     outdir.mkdir(parents=True, exist_ok=True)
     history = result.history
+    # bench/workloads.RUN_CSV requires the ms header until ROADMAP item 6
+    # replaces the column; no step is timed, so it holds 0.0
     _write_csv(outdir / "run.csv", ("k", "lambda", "gamma", "objective",
                                     "rel_residual", "rel_error", "ms"),
                [(r.k, r.lam, r.gamma, r.objective, r.rel_residual,
-                 r.rel_error, r.ms) for r in history])
+                 r.rel_error, 0.0) for r in history])
     _write_csv(outdir / "params.csv", ("k", "method", "gamma", "lambda",
                                        "objective", "evaluations",
                                        "converged"),

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateDataError, FitError
-from .operators import (
-    FAMILY_PARAMS,
-    KernelSpec,
-    SampleFactor,
-    kernel_table,
-    kernel_tables,
-    sample_covariance,
-)
+from .operators import FAMILY_PARAMS, KernelSpec, kernel_tables
 
 __all__ = [
     "FitResult",
@@ -73,14 +66,15 @@ def hutchinson_objective(kernel, sample, probes):
     return float(np.mean(np.sum(diff * diff, axis=0)))
 
 
-def frobenius_mismatch(grid, samples):
-    """``spec -> ||K(spec) - Qhat||_F^2`` for kernels on ``grid`` against
-    the sample covariance Qhat of ``samples`` (snapshots or their
-    :class:`SampleFactor`), exactly.
+def frobenius_mismatch(grid, sample):
+    """``table -> ||K - Qhat||_F^2`` for the grid kernel K whose
+    :func:`~mixkry.operators.kernel_table` on ``grid`` is ``table``,
+    against the sample covariance ``sample`` (a
+    :class:`~mixkry.operators.SampleFactor`), exactly.
 
-    K takes the value kappa(i, j) of :func:`kernel_table` on every pixel
-    pair i rows and j columns apart, a class of w(i, j) ordered pairs.  With
-    a(i, j) the sum of Qhat over the class,
+    K takes the value kappa(i, j) of the table on every pixel pair i rows
+    and j columns apart, a class of w(i, j) ordered pairs.  With a(i, j) the
+    sum of Qhat over the class,
 
         ||K - Qhat||_F^2 = sum w (kappa - a / w)^2 + ||Qhat - Pi Qhat||_F^2,
 
@@ -90,20 +84,9 @@ def frobenius_mismatch(grid, samples):
     absolute rounding of order eps ||Qhat||_F^2.  a is the autocorrelation
     of the sample images summed over samples and folded over the four signs
     of each offset; it comes from one zero-padded ``rfft2`` per sample,
-    accumulated so that no temporary exceeds O(n).  A score then costs one
-    kernel table, kappa at each distinct offset distance, and O(n)
-    arithmetic.
+    accumulated so that no temporary exceeds O(n).  A score then costs
+    O(n) arithmetic on top of its kernel table.
     """
-    score = _table_mismatch(grid, samples)
-    return lambda spec: score(kernel_table(spec, grid))
-
-
-def _table_mismatch(grid, samples):
-    """``table -> ||K - Qhat||_F^2`` for the grid kernel K whose
-    :func:`~mixkry.operators.kernel_table` is ``table``, as derived in
-    :func:`frobenius_mismatch`."""
-    sample = (samples if isinstance(samples, SampleFactor)
-              else sample_covariance(samples))
     if sample.rows != grid.n:
         raise ArgumentError("sample dimension does not match the grid")
     ny, nx = grid.ny, grid.nx
@@ -128,6 +111,8 @@ def _table_mismatch(grid, samples):
     spread = max(float(np.sum(gram * gram)) - float(np.sum(a * mean)), 0.0)
 
     def mismatch(table):
+        if np.shape(table) != (ny, nx):
+            raise ArgumentError("kernel table must be ny x nx")
         d = table - mean
         return float(np.sum(w * (d * d))) + spread
 
@@ -140,9 +125,10 @@ def fit_bounds(grid):
     return (0.1, 10.0), (1e-3, grid.diameter())
 
 
-def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
-    """Learn (nu, ell) for a kernel family against sample snapshots, at the
-    fixed exponent ``gamma_exp`` of the gamma-exponential family.
+def learn_matern(sample, grid, family="matern", gamma_exp=1.0):
+    """Learn (nu, ell) for a kernel family against the sample covariance
+    ``sample`` (a :class:`~mixkry.operators.SampleFactor`), at the fixed
+    exponent ``gamma_exp`` of the gamma-exponential family.
 
     Deterministic.  Only the parameters the family reads
     (:data:`~mixkry.operators.FAMILY_PARAMS`) are searched; one it does
@@ -161,7 +147,7 @@ def learn_matern(samples, grid, family="matern", gamma_exp=1.0):
     one :func:`~mixkry.operators.kernel_tables` call, which evaluates the
     kernel profile once for them: at most 7 + 3 ``_ZOOMS`` evaluations.
     """
-    mismatch = _table_mismatch(grid, samples)
+    mismatch = frobenius_mismatch(grid, sample)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     lo, hi = np.array([nu_lo, ell_lo]), np.array([nu_hi, ell_hi])
@@ -225,8 +211,6 @@ def rblw_gamma(sample):
     the n x n covariance.  Degenerate inputs (one snapshot, zero variance)
     fall back to full shrinkage toward the identity.
     """
-    if not isinstance(sample, SampleFactor):
-        sample = sample_covariance(sample)
     S = sample.factor
     N = S.shape[1]
     n = S.shape[0]

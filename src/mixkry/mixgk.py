@@ -151,7 +151,7 @@ def _gs_append(Y, Rup, t, input_norm, counter):
     return Ynew, Rnew
 
 
-def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
+def qr_append_update(Y, Rup, u_new, v_hat, input_norm, counter=None):
     """Advance the skinny QR factors by one step in O(m k) work.
 
     First deflates the factored matrix against the unit vector ``u_new``
@@ -207,10 +207,8 @@ def qr_append_update(Y, Rup, u_new, v_hat, input_norm=None, counter=None):
             # a C-ordered Y: products on the transposed view round differently
             Rup, Y = S[:, :p], np.ascontiguousarray(S[:, p:].T)
 
-    t = np.array(v_hat, dtype=float)
-    if input_norm is None:
-        input_norm = np.linalg.norm(t)
-    return _gs_append(Y, Rup, t, input_norm, counter)
+    return _gs_append(Y, Rup, np.array(v_hat, dtype=float), input_norm,
+                      counter)
 
 
 def qr_recompute(U, Z, counter=None):

@@ -33,7 +33,6 @@ __all__ = [
     "SearchConfig",
     "SelectionResult",
     "StoppingPolicy",
-    "StopDecision",
     "RunRecord",
     "objective_cells",
     "select_params",
@@ -128,12 +127,6 @@ class StoppingPolicy:
 
 
 @dataclass
-class StopDecision:
-    stop: bool
-    reason: str = None
-
-
-@dataclass
 class RunRecord:
     """One completed outer iteration, as serialized to run.csv."""
 
@@ -143,7 +136,6 @@ class RunRecord:
     objective: float
     rel_residual: float
     rel_error: float = None
-    ms: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +407,12 @@ def select_params(method, state, prior, config=None, start=None):
 
 
 def stopping_check(history, policy):
-    """Decide whether the outer iteration should stop.
+    """The reason the outer iteration should stop, or None to go on.
 
-    Stops at the iteration cap, when the relative residual undershoots its
-    tolerance, or when the selection objective over the trailing window has
-    flattened or has a net increase across the window.  Flatness compares
+    Stops at the iteration cap (``"max_iter"``), when the relative residual
+    undershoots its tolerance (``"residual"``), or when the selection
+    objective over the trailing window has flattened (``"flat"``) or has a
+    net increase across the window (``"increase"``).  Flatness compares
     consecutive changes against the first recorded objective (the natural
     scale of the sequence), so the test is invariant under rescaling the
     objective and still fires when values shrink with the subspace
@@ -429,9 +422,9 @@ def stopping_check(history, policy):
         raise ArgumentError("stopping check needs a nonempty history")
     last = history[-1]
     if last.k >= policy.max_iter:
-        return StopDecision(True, "max_iter")
+        return "max_iter"
     if last.rel_residual <= policy.residual_tol:
-        return StopDecision(True, "residual")
+        return "residual"
     w = policy.window
     if len(history) >= w:
         scale = max(abs(history[0].objective), np.finfo(float).tiny)
@@ -439,7 +432,7 @@ def stopping_check(history, policy):
         if all(np.isfinite(o) for o in objs):
             rel = [(objs[i + 1] - objs[i]) / scale for i in range(w - 1)]
             if all(abs(x) < policy.flat_tol for x in rel):
-                return StopDecision(True, "flat")
+                return "flat"
             if objs[-1] > objs[0]:
-                return StopDecision(True, "increase")
-    return StopDecision(False)
+                return "increase"
+    return None

@@ -1,4 +1,4 @@
-"""Built-in tomography test problems and image I/O.
+"""Built-in tomography test problems and image output.
 
 Both problems live on the unit square with pixel basis functions.  The
 spherical-means problem integrates over circles anchored to the boundary
@@ -25,7 +25,6 @@ __all__ = [
     "add_noise",
     "circle_mask",
     "write_pgm",
-    "read_pgm",
 ]
 
 
@@ -368,18 +367,3 @@ def write_pgm(path, image):
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode())
         fh.write(data.tobytes())
     return lo, hi
-
-
-def read_pgm(path):
-    """Read a binary PGM written by :func:`write_pgm`; returns uint16."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ArgumentError(f"not a binary PGM: {path}")
-        dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        if maxval != 65535:
-            raise ArgumentError("expected a 16-bit PGM")
-        raw = fh.read(width * height * 2)
-    return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)

@@ -18,7 +18,7 @@ must reproduce byte for byte, duplicate sums included.
 ``Rup``'s rows and ``Y``'s columns as two arrays, which the package's one
 stacked array must reproduce bit for bit.  :class:`OpCounter` is the flop tally the
 QR-maintenance tests hand to the package's duck-typed ``counter``
-arguments.
+arguments, and :func:`read_pgm` reads back the images the package writes.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from mixkry.errors import ConditioningError, ParameterDomainError, RankError
+from mixkry.errors import (ArgumentError, ConditioningError,
+                           ParameterDomainError, RankError)
 from mixkry.mixgk import _RANK_TOL, _givens, _gs_append
 from mixkry.operators import LinearOperator, kernel_eval, zero_operator
 from mixkry.params import SearchConfig, objective_cells
@@ -167,7 +168,7 @@ def _rotate_cols(M, i, c, s):
     M[:, i] = ci
 
 
-def qr_append_update_reference(Y, Rup, u_new, v_hat, input_norm=None,
+def qr_append_update_reference(Y, Rup, u_new, v_hat, input_norm,
                                counter=None):
     """:func:`mixkry.mixgk.qr_append_update` with its deflation on copies
     of ``Y`` and ``Rup``: each plane rotation turns two rows of ``Rup`` and
@@ -201,10 +202,8 @@ def qr_append_update_reference(Y, Rup, u_new, v_hat, input_norm=None,
                     _rotate_cols(Y, i, c, s)
             if counter is not None:
                 counter.add(12 * m * max(r - 1, 0) + 3 * m + 12 * r * p)
-    t = np.array(v_hat, dtype=float)
-    if input_norm is None:
-        input_norm = np.linalg.norm(t)
-    return _gs_append(Y, Rup, t, input_norm, counter)
+    return _gs_append(Y, Rup, np.array(v_hat, dtype=float), input_norm,
+                      counter)
 
 
 def dense_kernel(spec, grid):
@@ -404,3 +403,19 @@ def run_steps(state, steps, step_fn):
             break
         step_fn(state)
     return state
+
+
+def read_pgm(path):
+    """Read a binary PGM written by :func:`mixkry.testproblems.write_pgm`;
+    returns uint16."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P5":
+            raise ArgumentError(f"not a binary PGM: {path}")
+        dims = fh.readline().split()
+        width, height = int(dims[0]), int(dims[1])
+        maxval = int(fh.readline())
+        if maxval != 65535:
+            raise ArgumentError("expected a 16-bit PGM")
+        raw = fh.read(width * height * 2)
+    return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixkry.params
+from helpers import read_pgm
 from mixkry import cli
 from mixkry.errors import ConfigError, DefinitenessError, SearchError
 from mixkry.learn import frobenius_mismatch
 from mixkry.operators import (FAMILY_PARAMS, CSRMatrix, KernelSpec,
-                              LinearOperator, load_matrix, noise_whitener,
-                              save_matrix, save_vector)
+                              LinearOperator, kernel_table, load_matrix,
+                              noise_whitener, save_matrix, save_vector)
 from mixkry.params import SearchConfig, StoppingPolicy
-from mixkry.testproblems import read_pgm
 
 SPHERICAL_TINY = """\
 # smallest spherical instance the geometry allows
@@ -599,25 +599,44 @@ def test_exit_code_search_failure(tmp_path, capsys, monkeypatch):
     assert "no finite objective" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_file,named", [("b", "right-hand side"),
-                                            ("mean", "prior mean")])
-def test_exit_code_non_finite_input(tmp_path, capsys, bad_file, named):
-    """A NaN in file.b or file.mean is bad input (exit 2), not a search
-    failure."""
-    vecs = {"b": np.arange(1.0, 4.0), "mean": np.zeros(3)}
-    vecs[bad_file][1] = np.nan
-    save_matrix(tmp_path / "A.mtx", np.eye(3))
-    save_vector(tmp_path / "b.mtx", vecs["b"])
-    save_vector(tmp_path / "mean.mtx", vecs["mean"])
-    cfg = write_cfg(tmp_path / "f.cfg", (
-        "problem.preset = file\n"
-        f"file.a = {tmp_path / 'A.mtx'}\n"
-        f"file.b = {tmp_path / 'b.mtx'}\n"
-        f"file.mean = {tmp_path / 'mean.mtx'}\n"
-    ))
-    rc = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert named in capsys.readouterr().err
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["a", "b", "s_true", "mean", "samples"])
+def test_exit_code_non_finite_input(tmp_path, capsys, key, value):
+    """A NaN or an infinity in any file.* input (a stored entry of the
+    sparse A, a vector entry, one sample) fails at load as bad input, exit
+    2, naming its key and writing nothing: not a misleading search failure,
+    an empty rel_error column, or a message that blames another input.
+    The same files without it run."""
+    rng = np.random.default_rng(0)
+    dense = rng.standard_normal((6, 16))
+    data = {"a": dense.ravel(), "b": rng.standard_normal(6),
+            "s_true": rng.standard_normal(16), "mean": np.zeros(16),
+            "samples": rng.standard_normal((16, 3))}
+
+    def write(name):
+        if name == "a":
+            save_matrix(tmp_path / "a.mtx", CSRMatrix(
+                data["a"], np.tile(np.arange(16), 6),
+                np.arange(0, 97, 16), (6, 16)))
+        elif name == "samples":
+            save_matrix(tmp_path / "samples.mtx", data["samples"])
+        else:
+            save_vector(tmp_path / f"{name}.mtx", data[name])
+
+    for name in data:
+        write(name)
+    cfg = write_cfg(tmp_path / "f.cfg", "problem.preset = file\n"
+                    "stop.max_iter = 2\n" + "".join(
+                        f"file.{name} = {tmp_path / name}.mtx\n"
+                        for name in data))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    data[key].flat[5] = value
+    write(key)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 2
+    assert f"config key file.{key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_definiteness(tmp_path, capsys, monkeypatch):
@@ -1053,7 +1072,8 @@ def test_fit_ladder_estimates_the_minimized_mismatch(tmp_path):
         tmp_path / "f.cfg")))
     spec = KernelSpec(family="matern", nu=float(fields["prior.q1.nu"]),
                       ell=float(fields["prior.q1.ell"]))
-    exact = frobenius_mismatch(work.grid, work.sample)(spec)
+    exact = frobenius_mismatch(work.grid, work.sample)(
+        kernel_table(spec, work.grid))
     assert float(fields["objective"]) == exact
     rows = [line.split(",")
             for line in (out / "fit.csv").read_text().splitlines()[1:]]

@@ -15,7 +15,8 @@ from mixkry.learn import (fit_bounds, frobenius_mismatch,
                           hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
 from mixkry.operators import (Grid, KernelSpec, SampleFactor,
-                              build_kernel_operator, sample_covariance)
+                              build_kernel_operator, kernel_table,
+                              sample_covariance)
 
 
 def kernel_dense(family, nu, ell, grid):
@@ -169,8 +170,8 @@ def test_frobenius_mismatch_matches_dense(seed, family, nx, ny, count, nu, ell,
     spec = KernelSpec(family=family, nu=nu, ell=ell, gamma_exp=gamma_exp)
     Qhat = sample.factor @ sample.factor.T
     exact = float(np.sum((dense_kernel(spec, grid) - Qhat) ** 2))
-    assert frobenius_mismatch(grid, sample)(spec) == pytest.approx(
-        exact, rel=1e-12, abs=0.0)
+    assert frobenius_mismatch(grid, sample)(
+        kernel_table(spec, grid)) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_frobenius_mismatch_vanishes_when_sample_is_the_kernel():
@@ -180,19 +181,8 @@ def test_frobenius_mismatch_vanishes_when_sample_is_the_kernel():
     spec = KernelSpec(family="matern", nu=1.5, ell=0.4)
     K = dense_kernel(spec, grid)
     sample = SampleFactor(np.linalg.cholesky(K), np.zeros(grid.n))
-    val = frobenius_mismatch(grid, sample)(spec)
+    val = frobenius_mismatch(grid, sample)(kernel_table(spec, grid))
     assert 0.0 <= val <= 1e-12 * float(np.sum(K * K))
-
-
-def test_frobenius_mismatch_takes_snapshots_or_their_factor():
-    rng = np.random.default_rng(6)
-    grid = Grid(3, 2)
-    X = list(rng.standard_normal((4, grid.n)))
-    spec = KernelSpec(family="matern", nu=0.7, ell=0.3)
-    assert (frobenius_mismatch(grid, X)(spec)
-            == frobenius_mismatch(grid, sample_covariance(X))(spec))
-    with pytest.raises(ArgumentError):
-        frobenius_mismatch(grid, [np.zeros(5), np.ones(5)])
 
 
 # -- hyperparameter search -------------------------------------------------------
@@ -207,7 +197,7 @@ def test_learn_recovers_correlation_length():
     K_true = kernel_dense("matern", 0.5, 0.2, grid)
     L = np.linalg.cholesky(K_true + 1e-12 * np.eye(n))
     X = (L @ rng.standard_normal((n, 500))).T
-    res = learn_matern(list(X), grid)
+    res = learn_matern(sample_covariance(list(X)), grid)
     assert abs(res.ell - 0.2) / 0.2 <= 0.25
     assert 0.1 <= res.nu <= 10.0
     assert np.isfinite(res.objective)
@@ -220,7 +210,7 @@ def test_learn_zero_sample_hits_smallest_correlation_corner():
     the tie keeps the first cell scored, the smallest (nu, ell) corner."""
     grid = Grid(2, 1)
     flat = [np.full(grid.n, 3.0)] * 4
-    res = learn_matern(flat, grid)
+    res = learn_matern(sample_covariance(flat), grid)
     assert res.ell == pytest.approx(1e-3)
     assert res.nu == pytest.approx(0.1)
     assert res.objective == grid.n
@@ -230,8 +220,8 @@ def test_learn_deterministic():
     rng = np.random.default_rng(14)
     grid = Grid(4, 4)
     X = list(rng.standard_normal((60, 16)))
-    r1 = learn_matern(X, grid)
-    r2 = learn_matern(X, grid)
+    r1 = learn_matern(sample_covariance(X), grid)
+    r2 = learn_matern(sample_covariance(X), grid)
     assert (r1.nu, r1.ell, r1.objective) == (r2.nu, r2.ell, r2.objective)
 
 
@@ -242,7 +232,7 @@ def test_learn_scores_kernel_tables_only(monkeypatch):
     run of equal nu: at most 7 grid rows plus 3 nu per zoom level."""
     rng = np.random.default_rng(3)
     grid = Grid(6, 5)
-    X = list(rng.standard_normal((12, grid.n)))
+    sample = sample_covariance(list(rng.standard_normal((12, grid.n))))
     builds, calls = [], []
     tables = mixkry.learn.kernel_tables
 
@@ -255,7 +245,7 @@ def test_learn_scores_kernel_tables_only(monkeypatch):
     monkeypatch.setattr(mixkry.operators, "build_kernel_operator",
                         lambda *args: builds.append(args))
     monkeypatch.setattr(mixkry.learn, "kernel_tables", counted_tables)
-    learn_matern(X, grid)
+    learn_matern(sample, grid)
     assert builds == []
     assert 63 < sum(map(len, calls)) <= 127
     runs = sum(len(list(groupby(spec.nu for spec in specs)))
@@ -273,12 +263,12 @@ def test_learn_search_properties(seed, nx, ny, count):
     points per level and never re-scores a centre."""
     rng = np.random.default_rng(seed)
     grid = Grid(nx, ny)
-    X = list(rng.standard_normal((count, grid.n)))
-    sample = sample_covariance(X)
+    sample = sample_covariance(list(rng.standard_normal((count, grid.n))))
     mismatch = frobenius_mismatch(grid, sample)
 
     def objective(nu, ell):
-        return mismatch(KernelSpec(family="matern", nu=nu, ell=ell))
+        return mismatch(kernel_table(
+            KernelSpec(family="matern", nu=nu, ell=ell), grid))
 
     scored = []
     tables = mixkry.learn.kernel_tables
@@ -289,7 +279,7 @@ def test_learn_search_properties(seed, nx, ny, count):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mixkry.learn, "kernel_tables", recording)
-        res = learn_matern(X, grid)
+        res = learn_matern(sample, grid)
 
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     assert nu_lo <= res.nu <= nu_hi and ell_lo <= res.ell <= ell_hi
@@ -301,7 +291,7 @@ def test_learn_search_properties(seed, nx, ny, count):
     assert res.objective == objective(res.nu, res.ell)
     assert 63 < len(scored) <= 63 + 8 * 8
     assert scored.count((res.nu, res.ell)) == 1
-    again = learn_matern(X, grid)
+    again = learn_matern(sample, grid)
     assert (again.nu, again.ell, again.objective) == (res.nu, res.ell,
                                                       res.objective)
 
@@ -316,7 +306,7 @@ def test_learn_searches_only_the_parameters_the_family_reads(monkeypatch,
     scores no worse than the best point of its one-dimensional grid."""
     rng = np.random.default_rng(4)
     grid = Grid(6, 5)
-    X = list(rng.standard_normal((12, grid.n)))
+    sample = sample_covariance(list(rng.standard_normal((12, grid.n))))
     scored = []
     tables = mixkry.learn.kernel_tables
 
@@ -325,25 +315,37 @@ def test_learn_searches_only_the_parameters_the_family_reads(monkeypatch,
         return tables(specs, g)
 
     monkeypatch.setattr(mixkry.learn, "kernel_tables", recording)
-    res = learn_matern(X, grid, family=family)
+    res = learn_matern(sample, grid, family=family)
     (nu_lo, nu_hi), (ell_lo, ell_hi) = fit_bounds(grid)
     searched = "nu" if family == "sinc" else "ell"
     held, lo = ("ell", ell_lo) if searched == "nu" else ("nu", nu_lo)
     assert len(scored) <= 25
     assert all(getattr(spec, held) == pytest.approx(lo) for spec in scored)
     assert getattr(res, held) == pytest.approx(lo)
-    mismatch = frobenius_mismatch(grid, sample_covariance(X))
+    mismatch = frobenius_mismatch(grid, sample)
     box = (nu_lo, nu_hi) if searched == "nu" else (ell_lo, ell_hi)
     points = np.logspace(*np.log10(box), 7 if searched == "nu" else 9)
     assert res.objective <= min(
-        mismatch(KernelSpec(family=family, **{searched: float(x)}))
+        mismatch(kernel_table(KernelSpec(family=family,
+                                         **{searched: float(x)}), grid))
         for x in points)
 
 
 def test_learn_validation():
-    grid = Grid(3, 3)
+    """A sample of the wrong dimension, or a kernel table of the wrong
+    shape, is refused."""
+    grid = Grid(3, 2)
+    wrong = sample_covariance([np.zeros(5), np.ones(5)])
     with pytest.raises(ArgumentError):
-        learn_matern([np.zeros(5)], grid)
+        learn_matern(wrong, grid)
+    with pytest.raises(ArgumentError):
+        frobenius_mismatch(grid, wrong)
+    mismatch = frobenius_mismatch(
+        grid, sample_covariance([np.zeros(6), np.ones(6)]))
+    table = kernel_table(KernelSpec(family="matern", nu=0.7, ell=0.3), grid)
+    assert np.isfinite(mismatch(table))
+    with pytest.raises(ArgumentError):
+        mismatch(table.T)
 
 
 # -- shrinkage weight -------------------------------------------------------------
@@ -357,7 +359,7 @@ def test_rblw_identity_like_sample_fully_shrinks():
 
 
 def test_rblw_single_snapshot_fully_shrinks():
-    assert rblw_gamma([np.arange(4.0)]) == 1.0
+    assert rblw_gamma(sample_covariance([np.arange(4.0)])) == 1.0
 
 
 def test_rblw_structured_sample_shrinks_little():
@@ -368,7 +370,7 @@ def test_rblw_structured_sample_shrinks_little():
     u = rng.standard_normal(n)
     X = [np.sqrt(8.0) * rng.standard_normal() * u +
          0.05 * rng.standard_normal(n) for _ in range(N)]
-    g = rblw_gamma(X)
+    g = rblw_gamma(sample_covariance(X))
     assert 0 < g < 0.2
 
 
@@ -377,10 +379,10 @@ def test_rblw_range_property():
         rng = np.random.default_rng(seed)
         N = int(rng.integers(2, 30))
         n = int(rng.integers(2, 25))
-        g = rblw_gamma(list(rng.standard_normal((N, n))))
+        g = rblw_gamma(sample_covariance(list(rng.standard_normal((N, n)))))
         assert 0 < g <= 1.0
 
 
 def test_rblw_empty_rejected():
     with pytest.raises(DegenerateDataError):
-        rblw_gamma([])
+        rblw_gamma(SampleFactor(np.zeros((4, 0)), np.zeros(4)))

@@ -550,7 +550,8 @@ def test_qr_update_orthogonal_u_is_plain_append():
     v -= Y @ (Y.T @ v)
     v -= np.outer(u, u) @ v
 
-    Y2, R2 = qr_append_update(Y.copy(), Rup.copy(), u, v.copy())
+    Y2, R2 = qr_append_update(Y.copy(), Rup.copy(), u, v.copy(),
+                              input_norm=np.linalg.norm(v))
     np.testing.assert_allclose(Y2[:, :3], Y, atol=1e-12)
     np.testing.assert_allclose(R2[:3, :3], Rup, atol=1e-12)
     np.testing.assert_allclose(Y2[:, 3], v / np.linalg.norm(v), atol=1e-12)
@@ -648,7 +649,7 @@ def _qr_call(update, Y, Rup, args, kwargs):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 40),
        steps=st.lists(st.sampled_from(
-           ["deflate", "plain", "dependent", "in_range", "no_norm"]),
+           ["deflate", "plain", "dependent", "in_range", "own_norm"]),
            min_size=1, max_size=12))
 def test_qr_update_matches_two_array_reference(seed, m, steps):
     """From an empty start, random sequences of updates through the stacked
@@ -657,7 +658,8 @@ def test_qr_update_matches_two_array_reference(seed, m, steps):
     writes its arguments, and the returned Y is C-contiguous.  Steps deflate
     by a random unit vector, skip deflation (``u_new=None``), append a
     column inside range(Y), deflate by a vector inside range(Y) (RankError
-    once Y is not empty), or leave ``input_norm`` to the column."""
+    once Y is not empty), or give ``input_norm`` as the column's own norm
+    rather than a larger raw-column norm."""
     rng = np.random.default_rng(seed)
     Y, Rup = np.zeros((m, 0)), np.zeros((0, 0))
     for kind in steps:
@@ -670,8 +672,8 @@ def test_qr_update_matches_two_array_reference(seed, m, steps):
         v_hat = rng.standard_normal(m)
         if kind == "dependent" and Y.shape[1]:
             v_hat = Y @ rng.standard_normal(Y.shape[1])
-        kwargs = {} if kind == "no_norm" else {
-            "input_norm": 1.5 * np.linalg.norm(v_hat)}
+        kwargs = {"input_norm": (1.0 if kind == "own_norm" else 1.5)
+                  * np.linalg.norm(v_hat)}
         got = _qr_call(qr_append_update, Y, Rup, (u_new, v_hat), kwargs)
         want = _qr_call(qr_append_update_reference, Y, Rup, (u_new, v_hat),
                         kwargs)

@@ -610,8 +610,7 @@ def test_stop_flat_two_point_example():
     """Objectives 5 and 5(1 - 1e-9) with window 2 and tol 1e-6 are flat."""
     policy = StoppingPolicy(max_iter=100, flat_tol=1e-6, window=2)
     hist = [rec(1, 5.0), rec(2, 5.0 * (1 - 1e-9))]
-    d = stopping_check(hist, policy)
-    assert d.stop and d.reason == "flat"
+    assert stopping_check(hist, policy) == "flat"
 
 
 def test_stop_flat_uses_first_objective_scale():
@@ -620,41 +619,57 @@ def test_stop_flat_uses_first_objective_scale():
     policy = StoppingPolicy(flat_tol=1e-4, window=3)
     big = [rec(1, 1000.0), rec(2, 999.99), rec(3, 999.98)]
     small = [rec(1, 0.01), rec(2, 0.0), rec(3, -0.01)]
-    assert stopping_check(big, policy).reason == "flat"
-    assert not stopping_check(small, policy).stop
+    assert stopping_check(big, policy) == "flat"
+    assert stopping_check(small, policy) is None
 
 
 def test_stop_residual():
     policy = StoppingPolicy(residual_tol=1e-6)
     hist = [rec(1, 3.0), rec(2, 2.0, res=1e-7)]
-    d = stopping_check(hist, policy)
-    assert d.stop and d.reason == "residual"
+    assert stopping_check(hist, policy) == "residual"
 
 
 def test_stop_increase_over_window():
     policy = StoppingPolicy(flat_tol=1e-8, window=3)
     hist = [rec(1, 1.0), rec(2, 1.5), rec(3, 2.0)]
-    d = stopping_check(hist, policy)
-    assert d.stop and d.reason == "increase"
+    assert stopping_check(hist, policy) == "increase"
 
 
 def test_stop_max_iter_wins():
     policy = StoppingPolicy(max_iter=3, residual_tol=1e-6)
     hist = [rec(1, 1.0), rec(2, 1.0), rec(3, 1.0, res=1e-9)]
-    d = stopping_check(hist, policy)
-    assert d.stop and d.reason == "max_iter"
+    assert stopping_check(hist, policy) == "max_iter"
 
 
 def test_stop_waits_for_window():
     policy = StoppingPolicy(window=3)
     hist = [rec(1, 5.0), rec(2, 5.0)]
-    assert not stopping_check(hist, policy).stop
+    assert stopping_check(hist, policy) is None
 
 
 def test_stop_decrease_continues():
     policy = StoppingPolicy(flat_tol=1e-4, window=3)
     hist = [rec(1, 10.0), rec(2, 8.0), rec(3, 6.0)]
-    assert not stopping_check(hist, policy).stop
+    assert stopping_check(hist, policy) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sign=st.sampled_from([-1.0, 1.0]), base=st.floats(2e-50, 5e49),
+       factors=st.lists(st.one_of(st.floats(0.5, 2.0),
+                                  st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+                        min_size=1, max_size=12),
+       window=st.integers(2, 5), flat_tol=st.floats(1e-12, 0.1),
+       j=st.integers(-100, 100))
+def test_stop_is_scale_free_property(sign, base, factors, window, flat_tol,
+                                     j):
+    """Nonzero objectives of magnitude in [1e-50, 1e50], all multiplied by
+    2^j (exactly, with no underflow or overflow), give the same reason."""
+    policy = StoppingPolicy(flat_tol=flat_tol, window=window)
+    objs = [sign * base * f for f in factors]
+    hist = [rec(k, obj) for k, obj in enumerate(objs, start=1)]
+    scaled = [rec(k, float(np.ldexp(obj, j)))
+              for k, obj in enumerate(objs, start=1)]
+    assert stopping_check(scaled, policy) == stopping_check(hist, policy)
 
 
 def test_stop_validation():

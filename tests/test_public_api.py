@@ -17,7 +17,7 @@ from mixkry.mixgk import (MixGKState, _gs_append, mixgk_init,
                           qr_append_update, qr_recompute)
 from mixkry.operators import (Grid, KernelOperator, LinearOperator, PriorSpec,
                               SampleFactor)
-from mixkry.params import SearchConfig
+from mixkry.params import RunRecord, SearchConfig
 from mixkry.projected import PenaltyBasis
 from mixkry.testproblems import TomoProblem, write_pgm
 
@@ -33,7 +33,8 @@ RETIRED = ("mixed_apply", "mixed_operator", "solve_map_dense",
            "ProjectedSystem", "build_projected", "solve_column",
            "TrainingSet", "upre_objective", "gcv_objective",
            "wgcv_objective", "_score_cell", "_objective_factory",
-           "DegenerateTraceError")
+           "DegenerateTraceError", "_table_mismatch", "StopDecision",
+           "read_pgm")
 
 RETIRED_ATTRS = (
     (LinearOperator, "to_dense"),
@@ -65,6 +66,7 @@ RETIRED_FIELDS = (
     (Grid, "spacing"),
     (TomoProblem, "mask"),
     (PenaltyBasis, "G"),
+    (RunRecord, "ms"),
 )
 
 RETIRED_PARAMS = (
@@ -82,6 +84,7 @@ RETIRED_PARAMS = (
     (write_pgm, "hi"),
     (hutchinson_objective, "spec"),
     (hutchinson_objective, "grid"),
+    (learn_matern, "samples"),
 )
 
 
@@ -115,6 +118,9 @@ def test_retired_names_not_exported():
     assert [(p.name, p.kind, p.default) for p in params] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
         for name in ("kernel", "sample", "probes")]
+    # the caller always knows the raw column's norm
+    norm = inspect.signature(qr_append_update).parameters["input_norm"]
+    assert norm.default is inspect.Parameter.empty
 
 
 _SPHERICAL_16 = """\

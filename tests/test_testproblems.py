@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import spherical_matrix_reference
+from helpers import read_pgm, spherical_matrix_reference
 from mixkry.errors import (ArgumentError, DegenerateDataError,
                            ParameterDomainError)
 from mixkry.testproblems import (_spherical_matrix, _sum_rows, add_noise,
                                  circle_mask, crosswell_tomo,
-                                 gen_training_images, read_pgm,
-                                 spherical_tomo, write_pgm)
+                                 gen_training_images, spherical_tomo,
+                                 write_pgm)
 
 
 # -- spherical means ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Run tier-1 against a fixed list of one-line source mutants.
+"""Run tier-1 against a fixed list of small source mutants.
 
 Usage: ``python3 tools/mutants.py [NAME ...]``
 
@@ -60,6 +60,18 @@ MUTANTS = {
     "q2-blend": ("src/mixkry/cli.py",
                  "return rho * x + (1.0 - rho) * sample.matvec(x)",
                  "return (1.0 - rho) * x + rho * sample.matvec(x)"),
+    # the load-time check that file.* inputs hold no NaN or infinity
+    "file-finite": ("src/mixkry/cli.py",
+                    "for arr in value if isinstance(value, list) else [value]:"
+                    "\n        entries = arr.data if hasattr(arr, \"toarray\") "
+                    "else arr\n        if not np.isfinite(entries).all():\n"
+                    "            raise ConfigError(f\"config key {key}: "
+                    "{cfg[key]!r} holds a NaN \"\n"
+                    "                              f\"or an infinity\")",
+                    "pass"),
+    # the exact mismatch with offset -i not folded onto row offset i
+    "mismatch-fold": ("src/mixkry/learn.py", "rows[1:] += corr[:ny:-1]",
+                      "pass"),
 }
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
