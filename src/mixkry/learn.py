@@ -62,8 +62,11 @@ def hutchinson_objective(kernel, sample, probes):
         raise ArgumentError("probes must be n x M")
     if not np.all(np.abs(probes) == 1.0):
         raise ArgumentError("probes must be +-1 entries")
+    # square the fresh difference in place, never kernel.matvec's result:
+    # an operator may hand back its own input
     diff = kernel.matvec(probes) - sample.matvec(probes)
-    return float(np.mean(np.sum(diff * diff, axis=0)))
+    diff *= diff
+    return float(np.mean(np.sum(diff, axis=0)))
 
 
 def frobenius_mismatch(grid, sample):

@@ -586,8 +586,10 @@ def _circulant_apply(ny, nx, spectrum):
         img = x.reshape((ny, nx) + x.shape[1:])
         spec = spectrum if x.ndim == 1 else spectrum[:, :, None]
         f = np.fft.rfft2(img, s=pad, axes=(0, 1))
-        y = np.fft.irfft2(f * spec, s=pad, axes=(0, 1))
-        return y[:ny, :nx].reshape(x.shape)
+        f *= spec
+        # irfft2's two passes, with the rows the crop drops never inverted
+        y = np.fft.ifft(f, n=2 * ny, axis=0)[:ny]
+        return np.fft.irfft(y, n=2 * nx, axis=1)[:, :nx].reshape(x.shape)
 
     return apply
 

@@ -14,6 +14,8 @@ itself and a gamma.  :func:`solve_row` is the package's own one-gamma row
 of cells, and :func:`one_cell` the search's value at one cell.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
 must reproduce byte for byte, duplicate sums included.
+:func:`circulant_apply_reference` is the one-``irfft2`` grid kernel product
+that the package's cropped inverse transform must match bit for bit.
 :func:`qr_append_update_reference` is the deflation loop that rotates
 ``Rup``'s rows and ``Y``'s columns as two arrays, which the package's one
 stacked array must reproduce bit for bit.  :class:`OpCounter` is the flop tally the
@@ -212,6 +214,18 @@ def dense_kernel(spec, grid):
     K = kernel_eval(spec, grid_distances(grid))
     np.fill_diagonal(K, 1.0)
     return K
+
+
+def circulant_apply_reference(ny, nx, spectrum, x):
+    """The grid kernel's FFT product as one zero-padded ``irfft2`` cropped
+    to the grid, which the package's column-then-row inversion of the kept
+    rows only must reproduce bit for bit; ``spectrum`` is the operator's
+    ``(2 ny) x (nx + 1)`` real spectrum and ``x`` a vector or a block."""
+    img = x.reshape((ny, nx) + x.shape[1:])
+    spec = spectrum if x.ndim == 1 else spectrum[:, :, None]
+    f = np.fft.rfft2(img, s=(2 * ny, 2 * nx), axes=(0, 1))
+    y = np.fft.irfft2(f * spec, s=(2 * ny, 2 * nx), axes=(0, 1))
+    return y[:ny, :nx].reshape(x.shape)
 
 
 def dense_map(A, sigma, Q, b, mu, lam):

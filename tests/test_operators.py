@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import dense_kernel, grid_distances, grid_points
+from helpers import (circulant_apply_reference, dense_kernel, grid_distances,
+                     grid_points)
 from mixkry.cli import _blend_with_identity
 from mixkry.testproblems import crosswell_tomo, spherical_tomo
 from mixkry.errors import (ArgumentError, DegenerateDataError,
@@ -377,6 +378,24 @@ def test_kernel_operator_fft_matches_dense_property(nx, ny, family, ell, nu,
     assert y.shape == x.shape
     scale = np.linalg.norm(np.abs(K) @ np.abs(x))
     assert np.linalg.norm(y - K @ x) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ny=st.integers(1, 13), nx=st.integers(1, 13),
+       family=st.sampled_from(_FAMILIES), ell=st.floats(0.02, 2.0),
+       cols=st.integers(0, 9), seed=st.integers(0, 2**31 - 1))
+def test_kernel_operator_matches_cropped_irfft2_bits_property(ny, nx, family,
+                                                              ell, cols, seed):
+    """The kernel product inverts only the rows its crop keeps, and gives
+    the bits of the full ``irfft2`` cropped to the grid: on rectangular
+    grids of odd and even sides, for a vector (cols = 0) and for blocks of
+    1 to 9 columns."""
+    assume(nx != ny)
+    op = build_kernel_operator(KernelSpec(family, ell=ell), Grid(nx, ny))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((op.cols, cols) if cols else op.cols)
+    assert np.array_equal(op.matvec(x),
+                          circulant_apply_reference(ny, nx, op.spectrum, x))
 
 
 def test_kernel_operator_beyond_old_dense_cap():

@@ -48,6 +48,10 @@ MUTANTS = {
                     "_GAMMA_ZOOMS = 3"),
     "mu-clamp": ("src/mixkry/projected.py",
                  "return np.maximum(mu, 0.0), c, T", "return mu, c, T"),
+    # the kernel product's inverse transform keeping the rows the crop drops
+    "kernel-crop": ("src/mixkry/operators.py",
+                    "np.fft.ifft(f, n=2 * ny, axis=0)[:ny]",
+                    "np.fft.ifft(f, n=2 * ny, axis=0)[ny:]"),
     "matern-clamp": ("src/mixkry/operators.py",
                      "np.minimum(vals, 1.0, out=vals)", "pass"),
     # the assembly memo keyed without the noise keys
