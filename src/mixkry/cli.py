@@ -16,6 +16,7 @@ import ctypes
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -511,7 +512,6 @@ class HybridResult:
     """Outcome of one hybrid reconstruction run."""
 
     history: list
-    selections: list
     solution: np.ndarray
     stop_reason: str
     state: object = None
@@ -521,23 +521,10 @@ class HybridResult:
         return self.history[-1]
 
 
-def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
-               s_true=None):
-    """Iterate expansion and selection until stopping.
-
-    ``Rinv`` and ``LR`` give the noise as R^{-1} = L_R^T L_R, checked once;
-    ``LR`` needs a transpose action.  The process runs on L_R A and L_R (b -
-    A mu).  Each outer iteration advances the subspace once, picks (gamma,
-    lambda) for the current projection, warm-started from the previous
-    pick, and records the iterate recovered from the selected cell's
-    projected weights.  ``s_true`` fills in ``rel_error``, and also the
-    ``optimal`` search's truth when ``search`` holds none.  Raises
-    :class:`BreakdownError` if the very first basis vector cannot be built.
-    """
-    search = search or SearchConfig()
-    if search.s_true is None and s_true is not None:
-        search = replace(search, s_true=s_true)
-    policy = policy or StoppingPolicy()
+def _hybrid_start(A, Rinv, LR, prior, b):
+    """:func:`run_hybrid`'s checks and process start on one prior: noise
+    pair, mean shift, :func:`mixgk_init`; a first basis vector that cannot
+    be built raises :class:`BreakdownError`."""
     check_noise_pair(Rinv, LR, A.rows)
     white = LinearOperator(A.rows, A.cols, lambda x: LR.matvec(A.matvec(x)),
                            lambda y: A.rmatvec(LR.rmatvec(y)))
@@ -549,32 +536,50 @@ def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
             "bidiagonalization broke down before the first iterate "
             f"({state.breakdown_reason})"
         )
+    return state
+
+
+def run_hybrid(A, Rinv, LR, prior, b, method="wgcv", search=None, policy=None,
+               s_true=None):
+    """Iterate expansion and selection until stopping.
+
+    ``Rinv`` and ``LR`` give the noise as R^{-1} = L_R^T L_R, checked once;
+    ``LR`` needs a transpose action.  The process runs on L_R A and L_R (b -
+    A mu).  Each outer iteration advances the subspace once, picks (gamma,
+    lambda) for the current projection, warm-started from the previous
+    pick, and records that selection with the iterate recovered from its
+    projected weights.  ``s_true`` fills in ``rel_error`` and gives the
+    ``optimal`` search the prior mean's error ``mu - s_true``.  Raises
+    :class:`BreakdownError` if the very first basis vector cannot be built.
+    """
+    policy = policy or StoppingPolicy()
+    state = _hybrid_start(A, Rinv, LR, prior, b)
+    mean_error = None
     if s_true is not None:
         s_true = np.asarray(s_true, dtype=float)
         norm_true = np.linalg.norm(s_true)
-    history, selections = [], []
+        mean_error = prior.mean - s_true
+    history = []
     while True:
         mixgk_step(state)
-        sel = select_params(method, state, prior, search,
-                            start=selections[-1] if selections else None)
+        sel = select_params(method, state, search,
+                            start=history[-1].selection if history else None,
+                            mean_error=mean_error)
         rel_res = float(np.sqrt(sel.r2)) / state.beta1
         solution = recover_iterate(state, prior, sel.gamma, sel.weights)
         rel_err = None
         if s_true is not None and norm_true > 0:
             rel_err = float(np.linalg.norm(solution - s_true) / norm_true)
-        history.append(RunRecord(k=state.k, lam=sel.lam, gamma=sel.gamma,
-                                 objective=sel.objective,
+        history.append(RunRecord(k=state.k, selection=sel,
                                  rel_residual=rel_res, rel_error=rel_err))
-        selections.append(sel)
         stop_reason = stopping_check(history, policy)
         if stop_reason:
             break
         if state.terminal:
             stop_reason = f"breakdown:{state.breakdown_reason}"
             break
-    return HybridResult(history=history, selections=selections,
-                        solution=solution, stop_reason=stop_reason,
-                        state=state)
+    return HybridResult(history=history, solution=solution,
+                        stop_reason=stop_reason, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +614,12 @@ def _write_images(outdir, work, result, summary):
 
 
 def _summarize_run(work, prior, learned, method, result, summary):
-    final = result.final
+    final, sel = result.final, result.final.selection
     summary += [
         f"problem: {work.name}", f"m: {work.m}", f"n: {work.n}",
         f"method: {method}", f"iterations: {final.k}",
-        f"stop_reason: {result.stop_reason}", f"gamma: {_fmt(final.gamma)}",
-        f"lambda: {_fmt(final.lam)}", f"objective: {_fmt(final.objective)}",
+        f"stop_reason: {result.stop_reason}", f"gamma: {_fmt(sel.gamma)}",
+        f"lambda: {_fmt(sel.lam)}", f"objective: {_fmt(sel.objective)}",
         f"rel_residual: {_fmt(final.rel_residual)}",
         f"rel_error: {_fmt(final.rel_error)}",
         f"noise_sigma: {_fmt(work.sigma)}"]
@@ -638,14 +643,29 @@ def _outdir(cfg):
 # subcommands
 
 
-def _solve(cfg, work, prior, kernels, gamma):
-    """Run the hybrid solver on one prior.
+@contextmanager
+def _kernel_names(prior, kernels):
+    """Re-raise a :class:`DefinitenessError` of the process on ``prior``
+    naming the keys of the kernel that built the failing covariance;
+    ``kernels`` holds the ``(operator, keys)`` pairs of :func:`_prior`."""
+    try:
+        yield
+    except DefinitenessError as exc:
+        # the process names the failing covariance by its role, Q1 or Q2
+        role = {"Q1": prior.q1, "Q2": prior.q2}.get(str(exc).split(" ")[0])
+        for op, keys in kernels:
+            if op is role:
+                raise DefinitenessError(f"the kernel {keys} is not a usable "
+                                        f"covariance on this grid: {exc}"
+                                        ) from exc
+        raise
 
-    ``kernels`` holds the ``(operator, keys)`` pairs of :func:`_prior`, and
-    ``gamma`` pins the mixing weight (None searches it).  A covariance that
-    fails the process's definiteness checks raises
-    :class:`DefinitenessError` naming the keys of the kernel that built it.
-    Returns the :class:`HybridResult` and the solve time in milliseconds.
+
+def _solve(cfg, work, prior, kernels, gamma):
+    """Run the hybrid solver on one prior, under :func:`_kernel_names`.
+
+    ``gamma`` pins the mixing weight (None searches it).  Returns the
+    :class:`HybridResult` and the solve time in milliseconds.
     """
     method = cfg["select.method"]
     search = _search_config(cfg, work, method, gamma)
@@ -656,18 +676,9 @@ def _solve(cfg, work, prior, kernels, gamma):
     Rinv, LR = noise_whitener(work.sigma**2, work.m)
 
     start = time.perf_counter()
-    try:
+    with _kernel_names(prior, kernels):
         result = run_hybrid(work.A, Rinv, LR, prior, work.b, method=method,
                             search=search, policy=policy, s_true=work.s_true)
-    except DefinitenessError as exc:
-        # the process names the failing covariance by its role, Q1 or Q2
-        role = {"Q1": prior.q1, "Q2": prior.q2}.get(str(exc).split(" ")[0])
-        for op, keys in kernels:
-            if op is role:
-                raise DefinitenessError(f"the kernel {keys} is not a usable "
-                                        f"covariance on this grid: {exc}"
-                                        ) from exc
-        raise
     elapsed = (time.perf_counter() - start) * 1e3
     return result, elapsed
 
@@ -676,19 +687,18 @@ def _write_run(outdir, work, prior, learned, method, result):
     """Write one solve's run.csv, params.csv, summary.txt and images to
     ``outdir``; ``learned`` is the Q1 fit the summary reports (or None)."""
     outdir.mkdir(parents=True, exist_ok=True)
-    history = result.history
+    steps = [(r, r.selection) for r in result.history]
     # bench/workloads.RUN_CSV requires the ms header until ROADMAP item 6
     # replaces the column; no step is timed, so it holds 0.0
     _write_csv(outdir / "run.csv", ("k", "lambda", "gamma", "objective",
                                     "rel_residual", "rel_error", "ms"),
-               [(r.k, r.lam, r.gamma, r.objective, r.rel_residual,
-                 r.rel_error, 0.0) for r in history])
+               [(r.k, s.lam, s.gamma, s.objective, r.rel_residual,
+                 r.rel_error, 0.0) for r, s in steps])
     _write_csv(outdir / "params.csv", ("k", "method", "gamma", "lambda",
                                        "objective", "evaluations",
                                        "converged"),
-               [(rec.k, sel.method, sel.gamma, sel.lam, sel.objective,
-                 sel.evaluations, sel.converged)
-                for rec, sel in zip(history, result.selections)])
+               [(r.k, method, s.gamma, s.lam, s.objective, s.evaluations,
+                 s.converged) for r, s in steps])
     summary = []
     _summarize_run(work, prior, learned, method, result, summary)
     _write_images(outdir, work, result, summary)
@@ -702,8 +712,8 @@ def _cmd_run(cfg):
     result, elapsed = _solve(cfg, work, prior, kernels,
                              cfg.get("select.gamma"))
     _write_run(outdir, work, prior, learned, cfg["select.method"], result)
-    final = result.final
-    print(f"run: k={final.k} gamma={final.gamma:.4g} lambda={final.lam:.4g} "
+    final, sel = result.final, result.final.selection
+    print(f"run: k={final.k} gamma={sel.gamma:.4g} lambda={sel.lam:.4g} "
           f"stop={result.stop_reason} ({elapsed:.1f} ms)")
     return 0
 
@@ -753,9 +763,16 @@ def _cmd_compare(cfg):
     work = assemble_workload(cfg)
     prior, learned, kernels = _prior(cfg, work)
 
+    runs = list(_variant_runs(cfg, work, prior))
+    # every variant starts before the first solve: all or nothing
+    Rinv, LR = noise_whitener(work.sigma**2, work.m)
+    for _, variant, _, _ in runs:
+        with _kernel_names(variant, kernels):
+            _hybrid_start(work.A, Rinv, LR, variant, work.b)
+
     method = cfg["select.method"]
     solved = []
-    for tag, variant, gamma, note in _variant_runs(cfg, work, prior):
+    for tag, variant, gamma, note in runs:
         result, elapsed = _solve(cfg, work, variant, kernels, gamma)
         # no artifact reads the process state, so only one is ever held
         result.state = None
@@ -769,8 +786,8 @@ def _cmd_compare(cfg):
                f"method: {method}"]
     for tag, variant, note, result in solved:
         _write_run(outdir / tag, work, variant, learned, method, result)
-        final = result.final
-        rows.append((tag, final.k, final.gamma, final.lam, final.objective,
+        final, sel = result.final, result.final.selection
+        rows.append((tag, final.k, sel.gamma, sel.lam, sel.objective,
                      final.rel_residual, final.rel_error, result.stop_reason))
         summary.append(f"{tag}: k={final.k} rel_error={_fmt(final.rel_error)} "
                        f"stop={result.stop_reason}")

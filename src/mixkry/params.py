@@ -75,7 +75,6 @@ class SearchConfig:
     grid_lambda: int = 15
     log10_lambda: tuple = (-6.0, 2.0)
     omega: float = None
-    s_true: np.ndarray = None
 
     def __post_init__(self):
         if not 0 < self.gamma_min <= 1:
@@ -104,7 +103,6 @@ class SelectionResult:
     gamma: float
     lam: float
     objective: float
-    method: str
     evaluations: int
     converged: bool
     weights: np.ndarray = field(repr=False, compare=False)
@@ -128,12 +126,10 @@ class StoppingPolicy:
 
 @dataclass
 class RunRecord:
-    """One completed outer iteration, as serialized to run.csv."""
+    """One completed outer iteration and its selection, as in run.csv."""
 
     k: int
-    lam: float
-    gamma: float
-    objective: float
+    selection: SelectionResult
     rel_residual: float
     rel_error: float = None
 
@@ -157,13 +153,12 @@ def _wgcv(r2, tr, rows, omega):
 class _OptimalCache:
     """Per-iteration Gram blocks so optimal evaluations cost O(k^2).
 
-    ||mu + gamma Q1V y + (1-gamma) W y - s_true||^2 expanded in the cached
-    bases; equals the squared error of the recovered iterate up to
-    roundoff.
+    ||e0 + gamma Q1V y + (1-gamma) W y||^2, with e0 = mu - s_true the prior
+    mean's error, expanded in the cached bases; equals the squared error of
+    the recovered iterate up to roundoff.
     """
 
-    def __init__(self, state, prior, s_true):
-        e0 = prior.mean - np.asarray(s_true, dtype=float)
+    def __init__(self, state, e0):
         Q1V = state.Q1Vk
         W = state.W
         self.c0 = float(e0 @ e0)
@@ -190,7 +185,7 @@ class _OptimalCache:
 # joint search
 
 
-def objective_cells(method, state, prior=None, config=None):
+def objective_cells(method, state, config=None, mean_error=None):
     """Return ``cells(gammas, lams) -> (values, Y, r2)``: ``method`` scored
     at every (gamma, lam) cell, one row per gamma, with the weights and
     squared residuals :func:`solve_cells` gives there.  This is the one
@@ -198,7 +193,7 @@ def objective_cells(method, state, prior=None, config=None):
     search's own bits.  The step's Gk is decomposed once here, and each
     gamma once over all calls: the gammas a call has not seen yet go to
     one :func:`trace_term` call together.  ``config=None`` means
-    ``SearchConfig()``; ``prior`` and ``config.s_true`` serve optimal only.
+    ``SearchConfig()``; ``mean_error``, mu - s_true, serves optimal only.
 
     UPRE, GCV and WGCV score in whitened residual units (noise variance one
     per component): the noise scale enters only through the whitener.
@@ -215,10 +210,8 @@ def objective_cells(method, state, prior=None, config=None):
         raise ArgumentError("selection needs at least one completed step")
     if method not in METHODS:
         raise ConfigError(f"unknown selection method {method!r}")
-    if method == "optimal" and config.s_true is None:
+    if method == "optimal" and mean_error is None:
         raise ConfigError("select.method=optimal requires s_true")
-    if method == "optimal" and prior is None:
-        raise ArgumentError("the optimal method needs the prior")
 
     basis = penalty_basis(state.bidiagonal(), state.C, state.Rup, state.G,
                           state.beta1)
@@ -239,7 +232,7 @@ def objective_cells(method, state, prior=None, config=None):
         return solve_cells((mu, c, T), Dk, rhs, lams)
 
     if method == "optimal":
-        cache = _OptimalCache(state, prior, config.s_true)
+        cache = _OptimalCache(state, mean_error)
 
         def cells(gammas, lams):
             Y, r2, _ = solve(gammas, lams)
@@ -301,7 +294,7 @@ def _window(grid, x):
     return slice(max(centre - _WINDOW, 0), centre + _WINDOW + 1)
 
 
-def select_params(method, state, prior, config=None, start=None):
+def select_params(method, state, config=None, start=None, mean_error=None):
     """Pick (gamma, lambda) for the current subspace: grid, then zoom.
 
     Deterministic.  A log-spaced grid is scored as one block of cells.
@@ -331,7 +324,7 @@ def select_params(method, state, prior, config=None, start=None):
     if config is None:
         config = SearchConfig()
     gamma_fixed = config.gamma_fixed
-    cells = objective_cells(method, state, prior, config)
+    cells = objective_cells(method, state, config, mean_error)
     lo, hi = config.log10_lambda
 
     best = None  # (value, lam, gamma, log10 lam, weights, r2)
@@ -396,9 +389,8 @@ def select_params(method, state, prior, config=None, start=None):
     on_edge = l in (lo, hi) or (gamma_fixed is None
                                 and gamma_star == config.gamma_min)
     return SelectionResult(
-        gamma=gamma_star, lam=lam_star, objective=value, method=method,
-        evaluations=evals, converged=not flat and not on_edge,
-        weights=weights.copy(), r2=r2,
+        gamma=gamma_star, lam=lam_star, objective=value, evaluations=evals,
+        converged=not flat and not on_edge, weights=weights.copy(), r2=r2,
     )
 
 
@@ -427,8 +419,9 @@ def stopping_check(history, policy):
         return "residual"
     w = policy.window
     if len(history) >= w:
-        scale = max(abs(history[0].objective), np.finfo(float).tiny)
-        objs = [rec.objective for rec in history[-w:]]
+        scale = max(abs(history[0].selection.objective),
+                    np.finfo(float).tiny)
+        objs = [rec.selection.objective for rec in history[-w:]]
         if all(np.isfinite(o) for o in objs):
             rel = [(objs[i + 1] - objs[i]) / scale for i in range(w - 1)]
             if all(abs(x) < policy.flat_tol for x in rel):

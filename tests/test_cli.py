@@ -535,6 +535,32 @@ def test_exit_code_rounded_kernel_names_its_keys(run_case, tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_starts_every_variant_before_the_first_solve(tmp_path,
+                                                            capsys):
+    """compare starts every variant's process before it solves any, so a
+    variant that cannot start fails before the first solve.  On a 4 x 4
+    file problem with A = I and checkerboard data, a rational-quadratic Q2
+    kernel at ell = 1e6 is all ones up to rounding, and the q2 variant,
+    which puts it in the Q1 role, finds a negative form at its first
+    vector: exit 2, naming the kernel's keys.  No variant has solved by
+    then, so no ``compare[`` line is printed and --out stays absent."""
+    save_matrix(tmp_path / "A.mtx", np.eye(16))
+    save_vector(tmp_path / "b.mtx", np.array(
+        [(-1.0) ** (i + j) for i in range(4) for j in range(4)]))
+    cfg = write_cfg(tmp_path / "f.cfg", (
+        "problem.preset = file\n"
+        f"file.a = {tmp_path / 'A.mtx'}\n"
+        f"file.b = {tmp_path / 'b.mtx'}\n"))
+    rc = cli.main(["compare", cfg, "prior.q2.source=kernel",
+                   "prior.q2.kernel=rational-quadratic", "prior.q2.ell=1e6",
+                   "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and "compare[" not in out
+    assert all(f"prior.q2.{key}=" in err for key in ("kernel", "nu", "ell"))
+    assert "Q1 is not positive definite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failing_fit_leaves_no_out(run_case, tmp_path):
     """A fit that fails after assembly (an identity Q1 has no parameters
     to learn, exit 2) leaves no path under --out."""
@@ -824,23 +850,6 @@ def test_upre_history_is_unit_free_property(tmp_path):
         assert history(2.0 ** j) == base
 
     check()
-
-
-def test_run_hybrid_gives_optimal_its_own_s_true(tmp_path):
-    """run_hybrid passes its s_true to an optimal search whose config holds
-    none: the history equals the one with SearchConfig(s_true=...)."""
-    cfg = cli.resolve_config(cli.read_config(preset_cfg(tmp_path,
-                                                        "crosswell")))
-    work = cli.assemble_workload(cfg)
-    prior, _, _ = cli._prior(cfg, work)
-    Rinv, LR = noise_whitener(work.sigma ** 2, work.m)
-
-    def history(search):
-        return cli.run_hybrid(work.A, Rinv, LR, prior, work.b,
-                              method="optimal", search=search,
-                              s_true=work.s_true).history
-
-    assert history(None) == history(SearchConfig(s_true=work.s_true))
 
 
 # -- compare -----------------------------------------------------------------------

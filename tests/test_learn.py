@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import mixkry.learn
 import mixkry.operators
 from helpers import dense_kernel
-from mixkry.errors import ArgumentError, DegenerateDataError
+from mixkry.errors import ArgumentError, DegenerateDataError, FitError
 from mixkry.learn import (fit_bounds, frobenius_mismatch,
                           hutchinson_objective, learn_matern,
                           rademacher_probes, rblw_gamma)
@@ -364,6 +364,16 @@ def test_learn_validation():
     assert np.isfinite(mismatch(table))
     with pytest.raises(ArgumentError):
         mismatch(table.T)
+
+
+def test_learn_non_finite_sample_raises_fit_error():
+    """A NaN in one training sample makes every mismatch on the (nu, ell)
+    grid NaN, so the fit raises FitError rather than return a point.  The
+    CLI refuses such a sample at load; this is the library route."""
+    X = np.random.default_rng(0).standard_normal((5, 16))
+    X[2, 7] = np.nan
+    with pytest.raises(FitError, match="no finite mismatch"):
+        learn_matern(sample_covariance(list(X)), Grid(4, 4))
 
 
 # -- shrinkage weight -------------------------------------------------------------

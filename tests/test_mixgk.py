@@ -435,11 +435,11 @@ def test_run_hybrid_diagonal_noise_reaches_the_map(seed):
     prior = PriorSpec(mean=mu, q1=from_matrix(Q1), q2=from_matrix(Q2))
     policy = StoppingPolicy(max_iter=9, residual_tol=0.0, window=10)
     result = run_hybrid(from_matrix(A), Rinv, LR, prior, b, policy=policy)
-    final = result.final
-    assert final.k == 9
+    assert result.final.k == 9
+    sel = result.final.selection
     ref = solve_map_dense(A, np.diag(1.0 / r),
-                          final.gamma * Q1 + (1 - final.gamma) * Q2, b, mu,
-                          final.lam)
+                          sel.gamma * Q1 + (1 - sel.gamma) * Q2, b, mu,
+                          sel.lam)
     err = np.linalg.norm(result.solution - ref) / np.linalg.norm(ref)
     assert err <= 1e-8
 

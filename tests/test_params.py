@@ -88,11 +88,11 @@ def test_wgcv_vanished_denominator_raises():
     to 1 in floating point, so omega = 3 makes the denominator exactly
     zero: the cell's value is not finite.  The search scores it inf, so a
     lambda range that starts there still selects a finite cell above it."""
-    state, prior, _ = advance(3, 1)
+    state, _, _ = advance(3, 1)
     assert state.k == 1
     assert not np.isfinite(one_cell("wgcv", state, 1.0, 1e-20, omega=3.0))
     assert np.isfinite(one_cell("wgcv", state, 1.0, 1e-20, omega=2.0))
-    sel = select_params("wgcv", state, prior, SearchConfig(
+    sel = select_params("wgcv", state, SearchConfig(
         omega=3.0, gamma_fixed=1.0, log10_lambda=(-20.0, 2.0)))
     assert np.isfinite(sel.objective) and sel.lam > 1e-20
 
@@ -104,7 +104,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
     most one more.  Each search's eigendecompositions are those gammas plus
     one of Gk, and a one-cell evaluator decomposes Gk once and its gamma
     once."""
-    state, prior, _ = advance(6, 6)
+    state, _, _ = advance(6, 6)
     batches = []
     decompose = params_mod.trace_term
 
@@ -126,7 +126,7 @@ def test_select_decomposes_each_gamma_once(monkeypatch):
     for method in ("wgcv", "upre"):
         batches.clear()
         eigh_sizes.clear()
-        select_params(method, state, prior, cfg)
+        select_params(method, state, cfg)
         gammas = [g for batch in batches for g in batch]
         assert len(set(gammas)) == len(gammas)
         assert batches[0] == list(np.linspace(cfg.gamma_min, 1.0,
@@ -218,20 +218,19 @@ def test_full_dimension_wgcv_matches_gcv_argmin(gamma):
 
 
 def test_select_deterministic():
-    state, prior, _ = advance(7, 10)
+    state, _, _ = advance(7, 10)
     cfg = SearchConfig()
-    r1 = select_params("wgcv", state, prior, cfg)
-    r2 = select_params("wgcv", state, prior, cfg)
+    r1 = select_params("wgcv", state, cfg)
+    r2 = select_params("wgcv", state, cfg)
     assert (r1.lam, r1.gamma, r1.objective) == (r2.lam, r2.gamma, r2.objective)
     assert isinstance(r1, SelectionResult)
-    assert r1.method == "wgcv"
     assert r1.evaluations > 0
 
 
 def test_select_fixed_gamma_only_searches_lambda():
-    state, prior, _ = advance(8, 8)
+    state, _, _ = advance(8, 8)
     cfg = SearchConfig(gamma_fixed=0.37)
-    res = select_params("gcv", state, prior, cfg)
+    res = select_params("gcv", state, cfg)
     assert res.gamma == 0.37
     assert res.lam > 0
 
@@ -242,8 +241,7 @@ def test_select_optimal_beats_grid_probes():
     A, Q1, Q2, b, sigma = parts
     rng = np.random.default_rng(1)
     s_true = rng.standard_normal(prior.mean.size)
-    cfg = SearchConfig(s_true=s_true)
-    res = select_params("optimal", state, prior, cfg)
+    res = select_params("optimal", state, mean_error=prior.mean - s_true)
     check = optimal_objective(state, prior, res.gamma, res.lam, s_true)
     assert res.objective == pytest.approx(check, rel=1e-9)
     for gamma in (0.2, 0.5, 1.0):
@@ -257,21 +255,20 @@ def check_val(state, prior, gamma, lam, s_true):
 
 
 def test_select_missing_requirements():
-    state, prior, _ = advance(11, 5)
+    state, _, _ = advance(11, 5)
     with pytest.raises(ConfigError):
-        select_params("optimal", state, prior, SearchConfig())
+        select_params("optimal", state, SearchConfig())
     with pytest.raises(ConfigError):
-        select_params("tikhonov", state, prior, SearchConfig())
-    with pytest.raises(ArgumentError, match="prior"):
-        objective_cells("optimal", state, config=SearchConfig(
-            s_true=np.zeros(state.n)))
+        select_params("tikhonov", state, SearchConfig())
+    with pytest.raises(ConfigError, match="s_true"):
+        objective_cells("optimal", state)
 
 
 def test_select_upre_needs_no_noise_variance():
     """UPRE scores in whitened units, so a default SearchConfig runs it."""
-    state, prior, _ = advance(11, 5)
-    sel = select_params("upre", state, prior, SearchConfig())
-    assert sel.method == "upre" and np.isfinite(sel.objective)
+    state, _, _ = advance(11, 5)
+    sel = select_params("upre", state, SearchConfig())
+    assert np.isfinite(sel.objective)
 
 
 def _fake_factory(values):
@@ -290,11 +287,11 @@ def _fake_factory(values):
 def test_select_flat_grid_reports_unconverged(monkeypatch):
     """A constant objective: scan keeps the first (smallest lambda, then
     smallest gamma) cell, skips the zoom, flags converged=False."""
-    state, prior, _ = advance(12, 5)
+    state, _, _ = advance(12, 5)
     monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda gamma, lams: np.full(lams.size, 7.0)))
     cfg = SearchConfig()
-    res = select_params("gcv", state, prior, cfg)
+    res = select_params("gcv", state, cfg)
     assert not res.converged
     assert res.lam == pytest.approx(10.0 ** cfg.log10_lambda[0])
     assert res.gamma == pytest.approx(cfg.gamma_min)
@@ -303,11 +300,11 @@ def test_select_flat_grid_reports_unconverged(monkeypatch):
 
 
 def test_select_all_infinite_grid_raises(monkeypatch):
-    state, prior, _ = advance(13, 5)
+    state, _, _ = advance(13, 5)
     monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda gamma, lams: np.full(lams.size, np.nan)))
     with pytest.raises(SearchError):
-        select_params("gcv", state, prior, SearchConfig())
+        select_params("gcv", state, SearchConfig())
 
 
 def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
@@ -315,7 +312,7 @@ def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
     lambda wins over a value 1 ulp lower at a larger lambda, and across
     columns the smaller gamma wins over a value 2 ulps lower at the same
     lambda, so rounding does not decide the pick."""
-    state, prior, _ = advance(12, 5)
+    state, _, _ = advance(12, 5)
     cfg = SearchConfig()
     gammas = np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma)
     lams = np.logspace(*cfg.log10_lambda, cfg.grid_lambda)
@@ -333,7 +330,7 @@ def test_select_ties_go_to_small_lambda_then_small_gamma(monkeypatch):
 
     monkeypatch.setattr(params_mod, "objective_cells",
                         _fake_factory(values))
-    res = select_params("gcv", state, prior, cfg)
+    res = select_params("gcv", state, cfg)
     assert (res.gamma, res.lam, res.objective) == (gammas[3], lams[4], 1.0)
     assert tuple(res.weights) == (res.gamma, res.lam) and res.r2 == res.lam
 
@@ -347,12 +344,12 @@ def test_select_converged_only_inside_the_box(monkeypatch, log10_lam, gamma,
     minimum beyond a lambda end or below gamma_min selects that edge and
     reports converged=False; beyond gamma = 1 it selects gamma = 1, an
     edge that counts as converged."""
-    state, prior, _ = advance(12, 5)
+    state, _, _ = advance(12, 5)
     monkeypatch.setattr(params_mod, "objective_cells", _fake_factory(
         lambda g, lams: (np.log10(lams) - log10_lam) ** 2 + (g - gamma) ** 2))
     cfg = SearchConfig()
     lo, hi = cfg.log10_lambda
-    res = select_params("gcv", state, prior, cfg)
+    res = select_params("gcv", state, cfg)
     assert res.converged is converged
     assert np.log10(res.lam) == pytest.approx(np.clip(log10_lam, lo, hi),
                                               abs=3e-3)
@@ -393,10 +390,10 @@ def test_select_counts_grid_and_stencil_cells(monkeypatch, method,
     scored as one block: the grid, then at most three gammas by at most
     five lambdas per zoom level, and one gamma at the levels after
     ``_GAMMA_ZOOMS`` or when gamma is pinned."""
-    state, prior, _ = advance(7, 10)
+    state, _, _ = advance(7, 10)
     blocks = record_blocks(monkeypatch)
     cfg = SearchConfig(gamma_fixed=gamma_fixed)
-    res = select_params(method, state, prior, cfg)
+    res = select_params(method, state, cfg)
     columns = 1 if gamma_fixed is not None else cfg.grid_gamma
     assert blocks[0] == (columns, cfg.grid_lambda)
     assert len(blocks) == 1 + params_mod._ZOOMS
@@ -419,23 +416,24 @@ def test_select_property(seed, steps, q2_rank, gamma_fixed):
     returns a pinned gamma exactly."""
     state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(s_true=s_true, gamma_fixed=gamma_fixed)
+    err = prior.mean - s_true
+    cfg = SearchConfig(gamma_fixed=gamma_fixed)
     lo, hi = cfg.log10_lambda
     gammas = ([gamma_fixed] if gamma_fixed is not None
               else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
     lams = np.logspace(lo, hi, cfg.grid_lambda)
     for method in METHODS:
-        cells = objective_cells(method, state, prior, cfg)
+        cells = objective_cells(method, state, cfg, err)
         grid = cells(np.asarray(gammas), lams)[0]
         grid_best = grid[np.isfinite(grid)].min()
-        sel = select_params(method, state, prior, cfg)
+        sel = select_params(method, state, cfg, mean_error=err)
         assert sel.objective <= grid_best + 1e-12 * abs(grid_best)
         assert cfg.gamma_min <= sel.gamma <= 1.0
         assert np.power(10.0, lo) <= sel.lam <= np.power(10.0, hi)
         if gamma_fixed is not None:
             assert sel.gamma == gamma_fixed
-        point = objective_cells(method, state, prior, cfg)([sel.gamma],
-                                                           [sel.lam])[0]
+        point = objective_cells(method, state, cfg, err)([sel.gamma],
+                                                         [sel.lam])[0]
         assert sel.objective == point[0, 0]
         Y, r2, _ = solve_row(state_basis(state), sel.gamma, [sel.lam])
         assert (sel.weights == Y[0]).all() and sel.r2 == r2[0]
@@ -464,12 +462,13 @@ def test_warm_window_matches_cold_search_property(monkeypatch):
     def check(seed, steps, q2_rank, method, gamma_fixed, shift):
         state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
         s_true = np.random.default_rng(seed).standard_normal(state.n)
-        cfg = SearchConfig(s_true=s_true, gamma_fixed=gamma_fixed)
+        err = prior.mean - s_true
+        cfg = SearchConfig(gamma_fixed=gamma_fixed)
         gammas = (np.array([gamma_fixed]) if gamma_fixed is not None
                   else np.linspace(cfg.gamma_min, 1.0, cfg.grid_gamma))
         log10_lams = np.linspace(*cfg.log10_lambda, cfg.grid_lambda)
-        vals = factory(method, state, prior, cfg)(gammas,
-                                                  10.0 ** log10_lams)[0]
+        vals = factory(method, state, cfg, err)(gammas,
+                                                10.0 ** log10_lams)[0]
         vals = np.where(np.isfinite(vals), vals, np.inf)
 
         def pick(rows, cols):
@@ -483,7 +482,7 @@ def test_warm_window_matches_cold_search_property(monkeypatch):
             return best[3:]
 
         bi, bj = pick(slice(0, None), slice(0, None))
-        cold = select_params(method, state, prior, cfg)
+        cold = select_params(method, state, cfg, mean_error=err)
         full = (gammas.size, log10_lams.size)
         for di, dj in ((0, 0), shift):
             i = int(np.clip(bi + di, 0, gammas.size - 1))
@@ -491,7 +490,8 @@ def test_warm_window_matches_cold_search_property(monkeypatch):
             start = dataclasses.replace(cold, gamma=float(gammas[i]),
                                         lam=float(10.0 ** log10_lams[j]))
             blocks.clear()
-            warm = select_params(method, state, prior, cfg, start=start)
+            warm = select_params(method, state, cfg, start=start,
+                                 mean_error=err)
             assert warm.evaluations == sum(g * n for g, n in blocks)
             if not state.k % params_mod._RESCAN:
                 assert blocks[0] == full
@@ -570,19 +570,20 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
     one gamma <= 1/2 is in it."""
     state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(s_true=s_true)
+    err = prior.mean - s_true
+    cfg = SearchConfig()
     gammas = np.append(np.linspace(cfg.gamma_min, 1.0, 5), gamma_mid)
     lams = np.logspace(*cfg.log10_lambda, 7)
     basis = state_basis(state)
     for method in METHODS:
-        batch = objective_cells(method, state, prior, cfg)(gammas, lams)
+        batch = objective_cells(method, state, cfg, err)(gammas, lams)
         for i, gamma in enumerate(gammas):
-            alone = objective_cells(method, state, prior, cfg)([gamma], lams)
+            alone = objective_cells(method, state, cfg, err)([gamma], lams)
             for got, want in zip(batch, alone):
                 assert (got[i] == want[0]).all()
             for j, lam in enumerate(lams):
                 vals, Y, r2 = (part[i, j] for part in batch)
-                point = objective_cells(method, state, prior, cfg)(
+                point = objective_cells(method, state, cfg, err)(
                     [gamma], [lam])[0][0, 0]
                 y, r2_point, _ = solve_row(basis, gamma, [lam])
                 assert vals == point or (np.isnan(vals) and np.isnan(point))
@@ -603,7 +604,9 @@ def test_batched_cells_match_single_gamma_property(seed, steps, q2_rank,
 
 
 def rec(k, obj, res=0.5):
-    return RunRecord(k=k, lam=0.1, gamma=1.0, objective=obj, rel_residual=res)
+    sel = SelectionResult(gamma=1.0, lam=0.1, objective=obj, evaluations=1,
+                          converged=True, weights=np.zeros(k), r2=0.0)
+    return RunRecord(k=k, selection=sel, rel_residual=res)
 
 
 def test_stop_flat_two_point_example():

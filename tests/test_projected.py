@@ -307,7 +307,7 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
     definite."""
     state, prior, _ = advance(seed, steps, q2_rank=q2_rank)
     s_true = np.random.default_rng(seed).standard_normal(state.n)
-    cfg = SearchConfig(s_true=s_true)
+    cfg = SearchConfig()
     gammas = (cfg.gamma_min, gamma_mid, 1.0)
     lams = _column_lams()
     basis = state_basis(state)
@@ -329,9 +329,10 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
             _assert_column_matches_pointwise(bad, minus, gamma, lams)
 
     for method in METHODS:
-        cells = objective_cells(method, state, prior, cfg)
+        cells = objective_cells(method, state, cfg, prior.mean - s_true)
         by_column = cells(np.array(gammas), lams)[0]
-        by_point = np.array([[_pointwise(method, state, prior, cfg, gamma, lam)
+        by_point = np.array([[_pointwise(method, state, prior, s_true, gamma,
+                                         lam)
                               for lam in lams] for gamma in gammas])
         # UPRE subtracts the unit noise variance from a term of that size
         atol = _COLUMN_RTOL if method == "upre" else 0.0
@@ -342,11 +343,11 @@ def test_column_evaluator_matches_pointwise_property(seed, steps, q2_rank,
             assert np.argmin(by_column) == np.argmin(by_point)
 
 
-def _pointwise(method, state, prior, cfg, gamma, lam):
+def _pointwise(method, state, prior, s_true, gamma, lam):
     """A method's value at one point from the scipy Cholesky oracle, with
     optimal assembled in full space."""
     if method == "optimal":
-        return optimal_objective(state, prior, gamma, lam, cfg.s_true)
+        return optimal_objective(state, prior, gamma, lam, s_true)
     r2, tr = residual_and_trace_reference(state_basis(state), state.G,
                                           gamma, lam)
     rows = 2 * state.k + 1
@@ -394,10 +395,9 @@ def test_run_hybrid_iterate_is_the_selected_cell():
     result = run_hybrid(wrap(A), Rinv, LR, prior, b, method="wgcv",
                         policy=StoppingPolicy(max_iter=6, flat_tol=1e-12))
     state = result.state
-    for rec, sel in zip(result.history, result.selections):
-        assert (rec.lam, rec.gamma) == (sel.lam, sel.gamma)
-        assert rec.rel_residual == np.sqrt(sel.r2) / state.beta1
-    sel = result.selections[-1]
+    for rec in result.history:
+        assert rec.rel_residual == np.sqrt(rec.selection.r2) / state.beta1
+    sel = result.final.selection
     assert sel.weights.shape == (state.k,)
     s = recover_iterate(state, prior, sel.gamma, sel.weights)
     assert (result.solution == s).all()

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import mixkry
-from mixkry.cli import Workload
+from mixkry.cli import HybridResult, Workload
 from mixkry.learn import FitResult, hutchinson_objective, learn_matern
 from mixkry.mixgk import (MixGKState, _gs_append, mixgk_init,
                           qr_append_update, qr_recompute)
 from mixkry.operators import (Grid, KernelOperator, LinearOperator, PriorSpec,
                               SampleFactor)
-from mixkry.params import RunRecord, SearchConfig
+from mixkry.params import (RunRecord, SearchConfig, SelectionResult,
+                           objective_cells, select_params)
 from mixkry.projected import PenaltyBasis
 from mixkry.testproblems import TomoProblem, write_pgm
 
@@ -67,6 +68,12 @@ RETIRED_FIELDS = (
     (TomoProblem, "mask"),
     (PenaltyBasis, "G"),
     (RunRecord, "ms"),
+    (SearchConfig, "s_true"),
+    (SelectionResult, "method"),
+    (RunRecord, "lam"),
+    (RunRecord, "gamma"),
+    (RunRecord, "objective"),
+    (HybridResult, "selections"),
 )
 
 RETIRED_PARAMS = (
@@ -85,6 +92,8 @@ RETIRED_PARAMS = (
     (hutchinson_objective, "spec"),
     (hutchinson_objective, "grid"),
     (learn_matern, "samples"),
+    (select_params, "prior"),
+    (objective_cells, "prior"),
 )
 
 

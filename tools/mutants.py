@@ -9,7 +9,9 @@ applies the replacement, runs the tier-1 suite there with ``pytest -x``
 against the copy's ``src/``, and prints one line: ``killed`` (the suite
 failed), or ``survived`` (it passed), with the seconds it took.  A last
 line counts the survivors.  A mutant whose text does not occur exactly
-once stops the script with exit status 2 before anything runs.
+once stops the script with exit status 2 before anything runs; tier-1
+checks the same in ``tests/test_mutants.py``, a test that each mutant
+fails by construction, so the script deselects it.
 
 It takes minutes (one tier-1 run per surviving mutant), so it is not
 part of tier-1.  A survivor is a line that no test pins: it wants a test
@@ -76,10 +78,15 @@ MUTANTS = {
     # the exact mismatch with offset -i not folded onto row offset i
     "mismatch-fold": ("src/mixkry/learn.py", "rows[1:] += corr[:ny:-1]",
                       "pass"),
+    # the optimal rule's reference computed without the prior mean
+    "optimal-mean": ("src/mixkry/cli.py", "mean_error = prior.mean - s_true",
+                     "mean_error = -s_true"),
 }
+# the tier-1 test of the texts above, which every mutant fails
+TEXT_CHECK = "tests/test_mutants.py::test_mutant_texts_occur_once"
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--deselect", TEXT_CHECK]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".benchmarks", ".bench_out")
 
