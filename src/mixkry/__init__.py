@@ -23,7 +23,6 @@ from .operators import (
     CSRMatrix,
     DiagonalOperator,
     Grid,
-    KernelOperator,
     KernelSpec,
     LinearOperator,
     PriorSpec,

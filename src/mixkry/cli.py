@@ -53,6 +53,7 @@ from .operators import (
     zero_operator,
 )
 from .params import (
+    LOG10_LAMBDA_MAX,
     METHODS,
     RunRecord,
     SearchConfig,
@@ -106,7 +107,7 @@ _SCALE = (1e-50, 1e50)
 # Matern nu stops lower, at MATERN_NU_MAX (resolve_config).
 _ORDER = (_SCALE[0], 1e6)
 # SearchConfig's own bound: lambda^2 stays a normal float
-_LOG10_LAMBDA = (-150.0, 150.0)
+_LOG10_LAMBDA = (-LOG10_LAMBDA_MAX, LOG10_LAMBDA_MAX)
 
 # key -> (caster, default, domain).  A dict default maps each preset that
 # reads the key to its default there, a scalar one applies to every preset,
@@ -157,8 +158,6 @@ _KEYS = {
     "seed": (int, 0, (0, np.inf)),
     "out": (str, None, None),
     "compare.variants": (_items, _VARIANTS, _VARIANTS),
-    "fit.probes": (int, 20, (1, np.inf)),
-    "fit.repeats": (int, 6, (2, np.inf)),
 }
 
 
@@ -800,10 +799,14 @@ def _cmd_compare(cfg):
     return 0
 
 
+# fit.csv's Hutchinson estimate: the mean of _FIT_REPEATS seeded blocks of
+# _FIT_PROBES Rademacher probes each, and its standard error
+_FIT_PROBES = 20
+_FIT_REPEATS = 6
+
+
 def _cmd_fit(cfg):
     outdir = _outdir(cfg)
-    probes = cfg["fit.probes"]
-    repeats = cfg["fit.repeats"]
     seed = cfg["seed"]
     family = cfg["prior.q1.kernel"]
 
@@ -812,20 +815,19 @@ def _cmd_fit(cfg):
     fit = _learn_q1(cfg, work)
     elapsed = (time.perf_counter() - start) * 1e3
 
-    # a Hutchinson estimate of the mismatch at the learned parameters, with
-    # its standard error over fit.repeats seeded probe blocks
+    # a Hutchinson estimate of the mismatch at the learned parameters
     spec = KernelSpec(family=family, ell=fit.ell, nu=fit.nu,
                       gamma_exp=cfg["prior.q1.gamma_exp"])
     kernel = build_kernel_operator(spec, work.grid)
     vals = [hutchinson_objective(kernel, work.sample,
-                                 rademacher_probes(work.grid.n, probes,
+                                 rademacher_probes(work.grid.n, _FIT_PROBES,
                                                    seed + 2000 + rep))
-            for rep in range(repeats)]
-    se = float(np.std(vals, ddof=1) / np.sqrt(repeats))
+            for rep in range(_FIT_REPEATS)]
+    se = float(np.std(vals, ddof=1) / np.sqrt(_FIT_REPEATS))
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "fit.csv",
                ("probes", "repeats", "mean_objective", "se_objective"),
-               [(probes, repeats, float(np.mean(vals)), se)])
+               [(_FIT_PROBES, _FIT_REPEATS, float(np.mean(vals)), se)])
     # a fit on the edge of its box, or with ell below one pixel, says so;
     # a parameter the family does not read is never reported
     clamped = [name for name, value, box in zip(("nu", "ell"),
@@ -884,10 +886,10 @@ def _cmd_gen(cfg):
 # is held to this, so that one config file serves every command.  gen builds
 # no prior, and fit reads only Q1's family and exponent.
 _SOLVE = ("select.", "stop.", "compare.")
-_SKIPS = {"run": ("compare.", "fit."), "compare": ("fit.",),
+_SKIPS = {"run": ("compare.",), "compare": (),
           "fit": _SOLVE + ("prior.mean", "prior.q2.", "prior.q1.ell",
                            "prior.q1.nu", "prior.q1.learn", "file.mean"),
-          "gen": _SOLVE + ("fit.", "prior.", "file.mean")}
+          "gen": _SOLVE + ("prior.", "file.mean")}
 
 
 def _load_cfg(args):

@@ -10,10 +10,10 @@ matrices are held as :class:`CSRMatrix` arrays and applied in numpy, and
 the Matern kernel's Bessel function is computed in numpy too, so no
 command on the built-in problems loads scipy.  Kernel
 covariances on a regular grid are block Toeplitz with Toeplitz blocks;
-:func:`build_kernel_operator` applies them exactly through the FFT of a
-2ny x 2nx circulant embedding (Dietrich and Newsam, SIAM J. Sci. Comput.
-18, 1997), so no n x n array is ever formed and grids of any size fit in
-O(n) memory.
+:func:`build_kernel_operator` returns a plain :class:`LinearOperator` that
+applies them exactly through the FFT of a 2ny x 2nx circulant embedding
+(Dietrich and Newsam, SIAM J. Sci. Comput. 18, 1997), so no n x n array
+is ever formed and grids of any size fit in O(n) memory.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "DiagonalOperator",
     "Grid",
     "KernelSpec",
-    "KernelOperator",
     "kernel_eval",
     "kernel_table",
     "kernel_tables",
@@ -557,28 +556,6 @@ def kernel_eval(spec, r):
     return float(out) if scalar else out
 
 
-class KernelOperator(LinearOperator):
-    """Grid kernel K[i, j] = kappa(|z_i - z_j|) applied by FFT.
-
-    ``spectrum`` is the real ``rfft2`` of the kernel's symmetric circulant
-    embedding on a (2 ny, 2 nx) grid.  An application zero-pads the image
-    (each column of a block is one image) to that size, multiplies its
-    spectrum and crops the result, so the product is exact up to FFT
-    roundoff.  Built by :func:`build_kernel_operator`.
-    """
-
-    __slots__ = ("ny", "nx", "spectrum")
-
-    def __init__(self, ny, nx, spectrum):
-        # a closure over the spectrum, not a bound method: the operator
-        # holds no reference to itself, so dropping it frees it at once
-        apply = _circulant_apply(ny, nx, spectrum)
-        super().__init__(ny * nx, ny * nx, apply, apply)
-        self.ny = ny
-        self.nx = nx
-        self.spectrum = spectrum
-
-
 def _circulant_apply(ny, nx, spectrum):
     pad = (2 * ny, 2 * nx)
 
@@ -653,9 +630,15 @@ def build_kernel_operator(spec, grid, table=None):
     """Build the symmetric covariance operator K[i, j] = kappa(|z_i - z_j|).
 
     kappa is evaluated once, by :func:`kernel_table`, unless the caller
-    passes that ``table`` already evaluated; the returned
-    :class:`KernelOperator` applies K by FFT in O(n log n) time and O(n)
-    memory, at any grid size.
+    passes that ``table`` already evaluated.  The returned
+    :class:`LinearOperator` applies K by FFT in O(n log n) time and O(n)
+    memory, at any grid size: it holds the real ``rfft2`` of the kernel's
+    even (symmetric circulant) embedding on a (2 ny, 2 nx) grid, and an
+    application zero-pads the image (each column of a block is one image)
+    to that size, multiplies its spectrum and crops the result, so the
+    product is exact up to FFT roundoff.  The action is a closure over the
+    spectrum, not a bound method, so the operator holds no reference to
+    itself and dropping it frees it at once.
     """
     ny, nx = grid.ny, grid.nx
     t = kernel_table(spec, grid) if table is None else table
@@ -666,7 +649,8 @@ def build_kernel_operator(spec, grid, table=None):
     c[:ny, :nx] = t
     c[ny + 1:, :nx] = t[:0:-1]
     c[:, nx + 1:] = c[:, nx - 1:0:-1]
-    return KernelOperator(ny, nx, np.fft.rfft2(c).real)
+    apply = _circulant_apply(ny, nx, np.fft.rfft2(c).real)
+    return LinearOperator(ny * nx, ny * nx, apply, apply)
 
 
 # ---------------------------------------------------------------------------

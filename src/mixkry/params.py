@@ -56,7 +56,7 @@ _RESCAN = 5
 _WINDOW = 2
 # bounds of log10 lambda: lambda^2 stays a normal float, so no cell's
 # denominator over- or underflows
-_LOG10_LAMBDA_LIMIT = 150.0
+LOG10_LAMBDA_MAX = 150.0
 # objective values this close, relative to the lower one, count as tied
 _TIE_RTOL = 1e-12
 
@@ -84,11 +84,10 @@ class SearchConfig:
         if self.grid_gamma < 1 or self.grid_lambda < 2:
             raise ArgumentError("grid must have at least 1 x 2 cells")
         lo, hi = self.log10_lambda
-        bound = _LOG10_LAMBDA_LIMIT
-        if not (-bound <= lo < hi <= bound):
+        if not (-LOG10_LAMBDA_MAX <= lo < hi <= LOG10_LAMBDA_MAX):
             raise ParameterDomainError(
                 f"log10_lambda range ({lo}, {hi}) must satisfy "
-                f"{-bound:g} <= lo < hi <= {bound:g}")
+                f"{-LOG10_LAMBDA_MAX:g} <= lo < hi <= {LOG10_LAMBDA_MAX:g}")
         omega = self.omega
         if omega is not None and not (np.isfinite(omega) and omega > 0):
             raise ParameterDomainError(

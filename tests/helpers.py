@@ -14,8 +14,9 @@ itself and a gamma.  :func:`solve_row` is the package's own one-gamma row
 of cells, and :func:`one_cell` the search's value at one cell.  :func:`spherical_matrix_reference` is
 the per-arc loop that the package's vectorized spherical-means assembly
 must reproduce byte for byte, duplicate sums included.
-:func:`circulant_apply_reference` is the one-``irfft2`` grid kernel product
-that the package's cropped inverse transform must match bit for bit.
+:func:`circulant_apply_reference` is the one-``irfft2`` grid kernel product,
+from an even embedding written entry by entry, that the package's cropped
+inverse transform must match bit for bit.
 :func:`qr_append_update_reference` is the deflation loop that rotates
 ``Rup``'s rows and ``Y``'s columns as two arrays, which the package's one
 stacked array must reproduce bit for bit.  :class:`OpCounter` is the flop tally the
@@ -216,11 +217,22 @@ def dense_kernel(spec, grid):
     return K
 
 
-def circulant_apply_reference(ny, nx, spectrum, x):
+def circulant_apply_reference(table, x):
     """The grid kernel's FFT product as one zero-padded ``irfft2`` cropped
     to the grid, which the package's column-then-row inversion of the kept
-    rows only must reproduce bit for bit; ``spectrum`` is the operator's
-    ``(2 ny) x (nx + 1)`` real spectrum and ``x`` a vector or a block."""
+    rows only must reproduce bit for bit.  ``table`` is the kernel's
+    ``ny x nx`` offset table (:func:`~mixkry.operators.kernel_table`) and
+    ``x`` a vector or a block.  The spectrum is built here from the even
+    embedding written entry by entry: (i, j) of the ``2 ny x 2 nx`` array
+    holds the kernel at offset (min(i, 2 ny - i), min(j, 2 nx - j)), and row
+    ny and column nx, which no cropped product reaches, hold zero."""
+    ny, nx = table.shape
+    c = np.zeros((2 * ny, 2 * nx))
+    for i in range(2 * ny):
+        for j in range(2 * nx):
+            if i != ny and j != nx:
+                c[i, j] = table[min(i, 2 * ny - i), min(j, 2 * nx - j)]
+    spectrum = np.fft.rfft2(c).real
     img = x.reshape((ny, nx) + x.shape[1:])
     spec = spectrum if x.ndim == 1 else spectrum[:, :, None]
     f = np.fft.rfft2(img, s=(2 * ny, 2 * nx), axes=(0, 1))

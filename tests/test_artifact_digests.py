@@ -76,7 +76,7 @@ def test_summary_one_line_per_fit_directory(monkeypatch, capsys, tmp_path):
     tool = load_tool()
     monkeypatch.setattr(tool, "RUNS", (
         ("tiny-run", "run", TINY, []),
-        ("tiny-fit", "fit", TINY, ["fit.probes=4", "fit.repeats=2"]),
+        ("tiny-fit", "fit", TINY, []),
     ))
     assert tool.main(["--summary", "--keep", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()

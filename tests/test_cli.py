@@ -168,8 +168,7 @@ def test_omega_not_read_by_other_methods(run_case, method):
 
 
 @pytest.mark.parametrize("command, override", [
-    ("run", "compare.variants=mix"), ("run", "fit.probes=3"),
-    ("compare", "fit.repeats=3"), ("fit", "select.method=gcv"),
+    ("run", "compare.variants=mix"), ("fit", "select.method=gcv"),
     ("fit", "select.omega=0.5"), ("fit", "stop.max_iter=3"),
     ("gen", "select.gamma=0.5"), ("gen", "compare.variants=q1"),
     ("gen", "prior.q1.ell=0.3"), ("gen", "prior.q1.kernel=sinc"),
@@ -198,8 +197,27 @@ def test_config_file_keys_serve_every_command(tmp_path, command):
     """In the config file, a key that only another command reads is
     allowed, so one file serves every command."""
     cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY
-                    + "compare.variants = mix\nfit.probes = 3\n")
+                    + "compare.variants = mix\nselect.method = gcv\n")
     assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command, override", [
+    ("run", "fit.probes=3"), ("compare", "fit.repeats=3"),
+    ("fit", "fit.probes=0"), ("fit", "fit.repeats=1")])
+def test_fit_probe_keys_are_unknown(tmp_path, capsys, command, override):
+    """fit's Hutchinson estimate has a fixed probe count and number of
+    repeats, so no key sets them: fit.probes and fit.repeats are unknown
+    keys (exit 2 naming the key), as an override and in the config file,
+    for every command."""
+    key = override.split("=")[0]
+    cfg = write_cfg(tmp_path / "s.cfg", SPHERICAL_TINY)
+    rc = cli.main([command, cfg, override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path / "f.cfg", SPHERICAL_TINY
+                    + override.replace("=", " = ") + "\n")
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, prior", [
@@ -306,18 +324,16 @@ HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "", "abc")
 @pytest.mark.parametrize("key", list(cli._KEYS))
 def test_config_boundary_sweep(run_case, key):
     """Every key, set to each hostile value under each preset: ``run``,
-    plus ``compare`` for ``compare.variants`` and ``fit`` (spherical) for
-    ``fit.*``.  Each case exits 0, or exits 2 with the key named in the
-    error; nothing escapes as a traceback or a warning.  A value outside
-    the key's domain exits 2 before any assembly.  A missing ``file.*``
-    path has no domain: it is found when it is read.  1,185 cases in all.
+    plus ``compare`` for ``compare.variants``.  Each case exits 0, or exits
+    2 with the key named in the error; nothing escapes as a traceback or a
+    warning.  A value outside the key's domain exits 2 before any assembly.
+    A missing ``file.*`` path has no domain: it is found when it is read.
+    1,113 cases in all.
     """
     values = HOSTILE + (("mix,mix",) if key == "compare.variants" else ())
     runs = [(preset, "run") for preset in PRESETS]
     if key == "compare.variants":
         runs += [(preset, "compare") for preset in PRESETS]
-    if key.startswith("fit."):
-        runs.append(("spherical", "fit"))
     breaches = []
     for preset, command in runs:
         for value in values:
@@ -943,8 +959,7 @@ def test_run_crosswell_paper_scale(tmp_path):
 @pytest.fixture(scope="module")
 def fit_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("fit")
-    cfg = write_cfg(base / "fit.cfg",
-                    SPHERICAL_TINY + "fit.probes = 6\nfit.repeats = 4\n")
+    cfg = write_cfg(base / "fit.cfg", SPHERICAL_TINY)
     out = base / "out"
     rc = cli.main(["fit", cfg, "--out", str(out)])
     assert rc == 0
@@ -952,13 +967,13 @@ def fit_dir(tmp_path_factory):
 
 
 def test_fit_csv_probe_ladder(fit_dir):
-    """fit.csv holds one estimate row: fit.probes probes, fit.repeats
-    repeats, a finite mean and a nonnegative standard error."""
+    """fit.csv holds one estimate row: 20 probes, 6 repeats, a finite mean
+    and a nonnegative standard error."""
     lines = (fit_dir / "fit.csv").read_text().splitlines()
     assert lines[0] == "probes,repeats,mean_objective,se_objective"
     assert len(lines) == 2
     probes, repeats, mean, se = lines[1].split(",")
-    assert (int(probes), int(repeats)) == (6, 4)
+    assert (int(probes), int(repeats)) == (20, 6)
     assert np.isfinite(float(mean)) and float(se) >= 0.0
 
 
@@ -990,7 +1005,7 @@ def test_fit_summary_flags_clamp_and_pixel_scale(fit_dir):
 
 
 def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
-    """fit builds one kernel operator, for all fit.repeats estimates, not
+    """fit builds one kernel operator, for all of its repeated estimates, not
     one per estimate, and no prior; and fit.csv is byte-identical to a fit
     that rebuilds the kernel for every estimate."""
     builds = []
@@ -1011,8 +1026,7 @@ def test_fit_builds_the_ladder_kernel_once(tmp_path, monkeypatch):
                         lambda kernel, sample, probes: estimate(
                             counted(*builds[0]), sample, probes))
     assert cli.main(["fit", cfg, "--out", str(tmp_path / "each")]) == 0
-    repeats = cli.resolve_config(cli.read_config(cfg))["fit.repeats"]
-    assert len(builds) == 1 + repeats
+    assert len(builds) == 1 + cli._FIT_REPEATS
     assert ((tmp_path / "once" / "fit.csv").read_bytes()
             == (tmp_path / "each" / "fit.csv").read_bytes())
 
@@ -1149,14 +1163,6 @@ def test_exit_code_one_training_sample(tmp_path, capsys, command):
     assert "file.samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["fit.probes=0", "fit.repeats=1"])
-def test_exit_code_bad_fit_ladder(run_case, override):
-    """fit.probes below 1 or fit.repeats below 2 fails when the config is
-    read (exit 2, naming the key), before any assembly."""
-    rc, named, assembled = run_case("spherical", "fit", override)
-    assert rc == 2 and override.split("=")[0] in named and not assembled
-
-
 def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
     """With prior.q1.learn=true in the config file, fit learns once, as
     without it: one learn_matern call, and the same artifacts."""
@@ -1167,8 +1173,8 @@ def test_fit_with_learned_q1_learns_once(tmp_path, monkeypatch, fit_dir):
         return learn(*args, **kwargs)
 
     monkeypatch.setattr(cli, "learn_matern", counted)
-    cfg = write_cfg(tmp_path / "fit.cfg", SPHERICAL_TINY + "fit.probes = 6\n"
-                    "fit.repeats = 4\nprior.q1.learn = true\n")
+    cfg = write_cfg(tmp_path / "fit.cfg",
+                    SPHERICAL_TINY + "prior.q1.learn = true\n")
     out = tmp_path / "out"
     rc = cli.main(["fit", cfg, "--out", str(out)])
     assert rc == 0
@@ -1188,6 +1194,71 @@ def test_fit_requires_samples(tmp_path, capsys):
     rc = cli.main(["fit", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "samples" in capsys.readouterr().err
+
+
+def dense_file_cfg(tmp_path, extra="", **shapes):
+    """A file-preset config on a dense 10 x 12 problem: 12 unknowns, so no
+    square grid.  Each of ``a``, ``b`` (default 10 x 12 and 10),
+    ``samples`` and ``mean`` given a shape is written as a seeded random
+    array of that shape under its ``file.*`` key."""
+    rng = np.random.default_rng(3)
+    shapes = {"a": (10, 12), "b": (10,), **shapes}
+    lines = ["problem.preset = file", "stop.max_iter = 3"]
+    for key, shape in shapes.items():
+        path = tmp_path / f"{key}.mtx"
+        save = save_vector if len(shape) == 1 else save_matrix
+        save(path, rng.standard_normal(shape))
+        lines.append(f"file.{key} = {path}")
+    return write_cfg(tmp_path / "d.cfg", "\n".join(lines) + "\n" + extra)
+
+
+@pytest.mark.parametrize("command, extra, shapes, message", [
+    ("run", "prior.mean = train\n", {},
+     "prior.mean=train needs training samples"),
+    ("run", "prior.q2.source = samples\n", {},
+     "prior.q2.source=samples needs training samples"),
+    ("run", "prior.q1.kernel = matern\n", {},
+     "prior.q1.kernel=matern needs a square grid"),
+    ("fit", "", {"samples": (12, 4)},
+     "learning the Q1 kernel needs a square grid"),
+    ("run", "", {"b": (9,)}, "file.b length does not match file.a rows"),
+    ("run", "", {"samples": (11, 4)},
+     "file.samples dimension does not match file.a"),
+    ("run", "", {"mean": (11,)},
+     "file.mean length does not match file.a columns")],
+    ids=["mean-train", "q2-samples", "q1-kernel", "fit-grid", "b-rows",
+         "samples-rows", "mean-columns"])
+def test_dense_file_boundary_exits_2(tmp_path, capsys, command, extra, shapes,
+                                     message):
+    """On a dense file problem with no square grid, a prior that needs
+    training samples or a grid, and a file.* input whose size does not
+    fit file.a, exit 2 with a message that names the key (or, for fit's
+    learned kernel, the grid it needs)."""
+    cfg = dense_file_cfg(tmp_path, extra, **shapes)
+    rc = cli.main([command, cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_dense_file_samples_directory_and_no_images(tmp_path):
+    """A file.samples directory of one-column files is the same training
+    set as those columns in one matrix: run.csv and params.csv match byte
+    for byte.  A run whose unknown is not a square image writes params.csv,
+    run.csv and summary.txt, and no .pgm."""
+    prior = "prior.mean = train\nprior.q2.source = samples\n"
+    cfg = dense_file_cfg(tmp_path, prior, samples=(12, 4))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "matrix")]) == 0
+    cols = load_matrix(tmp_path / "samples.mtx")
+    (tmp_path / "cols").mkdir()
+    for j in range(cols.shape[1]):
+        save_vector(tmp_path / "cols" / f"s{j}.mtx", cols[:, j])
+    assert cli.main(["run", cfg, f"file.samples={tmp_path / 'cols'}",
+                     "--out", str(tmp_path / "dir")]) == 0
+    for name in ("run.csv", "params.csv"):
+        assert ((tmp_path / "matrix" / name).read_bytes()
+                == (tmp_path / "dir" / name).read_bytes())
+    assert sorted(p.name for p in (tmp_path / "matrix").iterdir()) == [
+        "params.csv", "run.csv", "summary.txt"]
 
 
 # -- gen and round-trip -------------------------------------------------------------

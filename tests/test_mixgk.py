@@ -15,7 +15,7 @@ import mixkry.cli
 from mixkry.cli import run_hybrid
 from mixkry.errors import (ArgumentError, BreakdownError, DefinitenessError,
                            DegenerateDataError, RankError)
-from mixkry.mixgk import (check_noise_pair, mixgk_init, mixgk_step,
+from mixkry.mixgk import (_givens, check_noise_pair, mixgk_init, mixgk_step,
                           qr_append_update, qr_recompute)
 from mixkry.operators import (LinearOperator, PriorSpec, noise_whitener,
                               zero_operator)
@@ -533,6 +533,11 @@ def test_init_breakdown_on_rounding_cancellation(seed):
 
 
 # -- QR maintenance -----------------------------------------------------------
+
+
+def test_givens_of_a_zero_pair_is_the_identity():
+    """A zero pair needs no rotation: (c, s, h) = (1, 0, 0), not a 0/0."""
+    assert _givens(0.0, 0.0) == (1.0, 0.0, 0.0)
 
 
 def test_qr_update_orthogonal_u_is_plain_append():

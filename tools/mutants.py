@@ -81,6 +81,9 @@ MUTANTS = {
     # the optimal rule's reference computed without the prior mean
     "optimal-mean": ("src/mixkry/cli.py", "mean_error = prior.mean - s_true",
                      "mean_error = -s_true"),
+    # fit.csv's estimate averaged over one repeat fewer
+    "fit-repeats": ("src/mixkry/cli.py", "_FIT_REPEATS = 6",
+                    "_FIT_REPEATS = 5"),
 }
 # the tier-1 test of the texts above, which every mutant fails
 TEXT_CHECK = "tests/test_mutants.py::test_mutant_texts_occur_once"
